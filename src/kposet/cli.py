@@ -112,9 +112,7 @@ def cmd_estimate(args) -> int:
         ranks=args.ranks, seed=args.seed, threads=args.threads,
     )
     p = parse_poset_spec(args.poset)
-    text = complexity.hierarchy_report(
-        p, args.ranks, _budget(cfg), config=cfg.to_dict(), threads=args.threads
-    )
+    text = complexity.hierarchy_report(p, args.ranks, _budget(cfg), config=cfg.to_dict())
     _emit(text, args.out)
     return 0
 
@@ -301,8 +299,8 @@ def _add_common(sub, budget=True):
     sub.add_argument("--out", help="output file (atomic write); stdout otherwise")
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     sub.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker pool cap for parallel enumeration",
+        "--threads", type=int, default=1,
+        help="recorded in the report configuration; enumeration is serial",
     )
     if budget:
         sub.add_argument("--max-len", type=int, default=14, help="max program bits")
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     inter.add_argument("--window", type=int, default=8)
     inter.add_argument("--out")
     inter.add_argument("--seed", type=int, default=0)
-    inter.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    inter.add_argument("--threads", type=int, default=1)
     inter.set_defaults(fn=cmd_interact)
 
     return parser

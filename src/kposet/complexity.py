@@ -12,6 +12,12 @@ no optimality constant is ever claimed. Only stabilized-within-budget limits
 enter the max/min tables; ranks seen only through still-changing runs are
 recorded as censored. Witnesses are the exact program/padded-program bit
 strings and every table entry replays (verify_table re-checks this).
+
+The scans generate only what can run, in the witness tie-break order of
+iter_words: the plain scan enumerates parseable programs (vm.iter_programs),
+the max/min scans walk the padded addresses 0^n 1 p arithmetically and parse
+each machine b_word(n) once. Both call the order-free kernel directly; the
+limit side applies the order's kept filter once per distinct run.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .codec import b_index, b_word, decode_padded, encode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
@@ -32,7 +37,16 @@ from .limits import (
     limit_report_from_trace,
 )
 from .posets import PosetInstance, reverse
-from .vm import assemble, parse_program, run_emitting, vm_max_evaluator
+from .vm import (
+    _execute,
+    assemble,
+    iter_programs,
+    kept_trace,
+    parse_program,
+    run_emitting,
+    run_raw,
+    vm_max_evaluator,
+)
 
 __all__ = [
     "Budget",
@@ -107,67 +121,76 @@ def iter_words(max_len: int) -> Iterable[str]:
             yield format(v, f"0{length}b")
 
 
-def _plain_scan(p: PosetInstance, ranks: int, b: Budget, words: Sequence[str]):
+def _plain_scan(ranks: int, b: Budget) -> dict[int, TableEntry]:
+    """First halting program per rank below `ranks`. The machine emits ranks,
+    so the plain scan needs no order: it runs the order-free kernel on the
+    parseable programs only."""
     found: dict[int, TableEntry] = {}
-    for w in words:
-        if parse_program(w) is None:
-            continue
-        res = run_emitting(p, w, 0, b.fuel)
-        if res.halted and res.reg_a < ranks and res.reg_a not in found:
-            found[res.reg_a] = TableEntry(len(w), w)
+    for w, instrs in iter_programs(b.max_prog_len):
+        _, halted, _, reg_a, _ = _execute(instrs, 0, b.fuel)
+        if halted and reg_a < ranks and reg_a not in found:
+            found[reg_a] = TableEntry(len(w), w)
     return found
 
 
-def _entry_key(e: TableEntry) -> tuple[int, int]:
-    return e.length, int(e.witness, 2) if e.witness else 0
-
-
-def k_plain_table(p: PosetInstance, ranks: int, b: Budget, threads: int = 1) -> ComplexityTable:
+def k_plain_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
     """Minimum halting-program length per rank below `ranks`, enumerating all
     programs of length <= max_prog_len at the budget's fuel."""
     table = ComplexityTable(p.spec, b)
-    words = list(iter_words(b.max_prog_len))
-    if threads <= 1:
-        found = _plain_scan(p, ranks, b, words)
-    else:
-        chunk = (len(words) + threads - 1) // threads
-        parts = [words[i: i + chunk] for i in range(0, len(words), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ws: _plain_scan(p, ranks, b, ws), parts))
-        found = {}
-        for part in results:  # commutative merge: per-rank minimum
-            for rank, entry in part.items():
-                if rank not in found or _entry_key(entry) < _entry_key(found[rank]):
-                    found[rank] = entry
-    for rank, entry in found.items():
+    for rank, entry in _plain_scan(ranks, b).items():
         table.row(rank).k_plain = entry
     return table
 
 
+def _address_blocks(max_len: int) -> Iterator[tuple[int, int]]:
+    """(n, m) per block of padded words 0^n 1 p with |p| = m, n + m < max_len,
+    in iter_words order: within a length, n descends. Inside a block the
+    payloads run numerically ascending, so the word with payload value v has
+    b_index(p) = 2^m - 1 + v."""
+    for length in range(1, max_len + 1):
+        for n in range(length - 1, -1, -1):
+            yield n, length - n - 1
+
+
 def _limit_side_table(p: PosetInstance, ranks: int, b: Budget) -> tuple[dict[int, TableEntry], set[int]]:
     """Shared machinery of the max table (and the min table over reverse(p)):
-    enumerate padded programs, run the indexed machine on the payload, keep
-    stabilized limits."""
+    walk the padded addresses, run the indexed machine on the payload, keep
+    stabilized limits.
+
+    Machine b_word(n) is parsed once per n and skipped when it does not parse
+    (it then never emits). A run's limit report depends only on its
+    first-occurrence emissions, so one outcome is kept per distinct
+    raw_first."""
     found: dict[int, TableEntry] = {}
     censored: set[int] = set()
     horizon = min(b.t_budget, b.fuel)
-    for q in iter_words(b.max_prog_len):
-        dec = decode_padded(q)
-        if dec is None:
+    machines = [parse_program(b_word(n)) for n in range(b.max_prog_len)]
+    outcomes: dict[tuple, Optional[tuple[int, bool]]] = {}  # raw_first -> (rank, stabilized)
+    for n, m in _address_blocks(b.max_prog_len):
+        instrs = machines[n]
+        if instrs is None:
             continue
-        n, payload = dec
-        res = run_emitting(p, b_word(n), b_index(payload), b.fuel)
-        report = limit_report_from_trace(res.trace, horizon, b.window)
-        if report.current is None:
-            continue
-        rank = p.rank(report.current)
-        if rank >= ranks:
-            continue
-        if report.status == STABILIZED:
-            if rank not in found:
-                found[rank] = TableEntry(len(q), q)
-        else:
-            censored.add(rank)
+        first = (1 << m) - 1
+        for v in range(1 << m):
+            raw_first = _execute(instrs, first + v, b.fuel)[0]
+            if raw_first not in outcomes:
+                trace = kept_trace(raw_first, p.unrank, p.leq)
+                report = limit_report_from_trace(trace, horizon, b.window)
+                outcome = None
+                if report.current is not None:
+                    rank = p.rank(report.current)
+                    if rank < ranks:
+                        outcome = rank, report.status == STABILIZED
+                outcomes[raw_first] = outcome
+            outcome = outcomes[raw_first]
+            if outcome is None:
+                continue
+            rank, stabilized = outcome
+            if not stabilized:
+                censored.add(rank)
+            elif rank not in found:
+                payload = format(v, f"0{m}b") if m else ""
+                found[rank] = TableEntry(n + 1 + m, "0" * n + "1" + payload)
     return found, censored
 
 
@@ -329,16 +352,17 @@ def paired_decompress(
 
 def default_program_family(weak: PosetInstance, b: Budget):
     """p -> kept traces of the weak max- and min-machines addressed by the
-    padded coding, or None when p is outside the coding's range."""
+    padded coding, or None when p is outside the coding's range. One run
+    per address feeds both traces."""
+    down = reverse(weak)
 
     def family(p_word: str):
         dec = decode_padded(p_word)
         if dec is None:
             return None
         n, payload = dec
-        up = run_emitting(weak, b_word(n), b_index(payload), b.fuel).trace
-        down = run_emitting(reverse(weak), b_word(n), b_index(payload), b.fuel).trace
-        return up, down
+        raw_first = run_raw(b_word(n), b_index(payload), b.fuel).raw_first
+        return kept_trace(raw_first, weak.unrank, weak.leq), kept_trace(raw_first, down.unrank, down.leq)
 
     return family
 
@@ -497,7 +521,6 @@ def hierarchy_report(
     ranks: int,
     b: Budget,
     config: Optional[dict] = None,
-    threads: int = 1,
 ) -> str:
     """CSV joining the three tables with summary constants.
 
@@ -508,7 +531,7 @@ def hierarchy_report(
     the composite-program length |c(max_witness, min_witness)| of the paired
     decompressor. Byte-identical across reruns with the same inputs.
     """
-    plain = k_plain_table(p, ranks, b, threads=threads)
+    plain = k_plain_table(p, ranks, b)
     kmax = k_max_table(p, ranks, b)
     kmin = k_min_table(p, ranks, b)
     table = join_tables(plain, kmax, kmin)

@@ -9,6 +9,15 @@ incomparable proposals are silently skipped), so every program is a monotone
 approximator. Min-semantics is obtained by running against the reversed
 order, never by separate code.
 
+The interpreter kernel is order-free: it records only the first occurrence
+of each emitted rank, and kept_trace applies an order's kept filter to those
+afterwards. Only first occurrences can ever pass the filter, because the
+kept chain only rises: a value rejected once is not above some kept value k,
+hence not above any later kept value k' >= k (else k <= k' <= value); a
+value kept once is at or below every later kept value, so re-emitting it is
+either a duplicate or a step down. One run therefore serves every order,
+and scans that generate their own programs call the kernel directly.
+
 Halting is decoupled from emitting: HALT only matters for the plain
 (halting-value) semantics. Out-of-range jumps and fall-off-the-end enter a
 dead spin that burns the remaining fuel. A repeat of the full machine state
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .codec import b_index, b_word
 from .errors import ConfigError, DomainError, ResourceError
@@ -34,10 +43,12 @@ from .posets import PosetInstance
 __all__ = [
     "OPCODES",
     "parse_program",
+    "iter_programs",
     "assemble",
     "RunResult",
     "run_emitting",
     "run_raw",
+    "kept_trace",
     "vm_max_evaluator",
     "TmSpec",
     "enumerate_tm_specs",
@@ -88,6 +99,50 @@ def parse_program(code: str) -> tuple[tuple[str, Optional[int]], ...] | None:
     return tuple(out)
 
 
+def _instruction_table() -> list[tuple[str, tuple[str, Optional[int]]]]:
+    """Every instruction as (bits, parsed form), in ascending bit order."""
+    codes = []
+    for opcode, op in sorted(OPCODES.items()):
+        if op in ("JZ_A", "JZ_B"):
+            codes.extend(opcode + format(raw, "05b") for raw in range(32))
+        else:
+            codes.append(opcode)
+    return [(code, parse_program(code)[0]) for code in codes]
+
+
+_INSTRUCTIONS = _instruction_table()
+
+
+def iter_programs(max_len: int) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...]]]:
+    """(code, parse_program(code)) for every code of length <= max_len that
+    parses, shortest first and numerically ascending within a length (the
+    witness tie-break order), without visiting the words that do not parse.
+
+    Instruction codes are prefix-free, so a depth-first walk that tries the
+    next instruction in ascending bit order yields same-length codes in
+    ascending order; a branch is entered only when its remaining bits can be
+    filled by 3- and 8-bit instructions."""
+    fillable = [False] * (max_len + 1)
+    fillable[0] = True
+    for r in range(1, max_len + 1):
+        fillable[r] = (r >= 3 and fillable[r - 3]) or (r >= 8 and fillable[r - 8])
+
+    def extend(code, instrs, left):
+        if left == 0:
+            yield code, tuple(instrs)
+            return
+        for bits, ins in _INSTRUCTIONS:
+            rest = left - len(bits)
+            if rest >= 0 and fillable[rest]:
+                instrs.append(ins)
+                yield from extend(code + bits, instrs, rest)
+                instrs.pop()
+
+    for length in range(max_len + 1):
+        if fillable[length]:
+            yield from extend("", [], length)
+
+
 def assemble(instrs: Iterable[tuple[str, Optional[int]] | str]) -> str:
     """Inverse of parse_program; accepts ("JZ_A", off) pairs or bare mnemonics."""
     bits = []
@@ -121,13 +176,15 @@ class RunResult:
 _CYCLE_SET_CAP = 1 << 17  # beyond this, fall back to honest fuel burn
 
 
-def _execute(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
+def _execute(instrs, input_b: int, fuel: int) -> tuple:
+    """The order-free kernel: run parsed instructions from reg_a=0,
+    reg_b=input_b for at most `fuel` steps and return (raw_first, halted,
+    steps, reg_a, reg_b), raw_first being the (step, rank) pairs of the first
+    OUT of each reg_a value. No order is consulted; see kept_trace."""
     pc, a, b = 0, 0, input_b
     steps = 0
-    trace: list[tuple[int, Any]] = []
     raw_first: list[tuple[int, int]] = []
     raw_seen: set[int] = set()
-    kept_last = None
     halted = False
     states: set[tuple[int, int, int]] = set()
     n = len(instrs)
@@ -142,7 +199,6 @@ def _execute(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
         if len(states) < _CYCLE_SET_CAP:
             states.add(key)
         op, arg = instrs[pc]
-        step_index = steps
         steps += 1
         if op == "INC_A":
             a += 1
@@ -151,10 +207,10 @@ def _execute(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
             b += 1
             pc += 1
         elif op == "DEC_A":
-            a = max(0, a - 1)
+            a = a - 1 if a > 0 else 0
             pc += 1
         elif op == "DEC_B":
-            b = max(0, b - 1)
+            b = b - 1 if b > 0 else 0
             pc += 1
         elif op == "JZ_A":
             pc = pc + arg if a == 0 else pc + 1
@@ -163,19 +219,38 @@ def _execute(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
         elif op == "OUT":
             if a not in raw_seen:
                 raw_seen.add(a)
-                raw_first.append((step_index, a))
-            d = unrank(a)
-            if kept_last is None:
-                trace.append((step_index, d))
-                kept_last = d
-            elif d != kept_last and leq(kept_last, d):
-                trace.append((step_index, d))
-                kept_last = d
+                raw_first.append((steps - 1, a))
             pc += 1
         else:  # HALT
             halted = True
             break
-    return RunResult(tuple(trace), tuple(raw_first), halted, steps, a, b)
+    return tuple(raw_first), halted, steps, a, b
+
+
+def kept_trace(
+    raw_first: Iterable[tuple[int, int]], unrank: Callable[[int], Any], leq: Callable[[Any, Any], bool]
+) -> tuple[tuple[int, Any], ...]:
+    """The kept emissions (step, element) of a run under an order, from its
+    first-occurrence emissions alone: the first is kept, and each later one
+    when it lies above the last kept element (strictly, as first occurrences
+    carry distinct ranks). Exact because only first occurrences can pass
+    (see the module docstring)."""
+    trace: list[tuple[int, Any]] = []
+    last = None
+    for step, rank in raw_first:
+        d = unrank(rank)
+        if not trace or leq(last, d):
+            trace.append((step, d))
+            last = d
+    return tuple(trace)
+
+
+def _run(code: str, input_b: int, fuel: int, unrank, leq) -> RunResult:
+    instrs = parse_program(code)
+    if instrs is None:
+        return RunResult((), (), False, fuel, 0, input_b)
+    raw_first, halted, steps, a, b = _execute(instrs, input_b, fuel)
+    return RunResult(kept_trace(raw_first, unrank, leq), raw_first, halted, steps, a, b)
 
 
 def run_emitting(p: PosetInstance, code: str, input_b: int, fuel: int) -> RunResult:
@@ -183,19 +258,13 @@ def run_emitting(p: PosetInstance, code: str, input_b: int, fuel: int) -> RunRes
     (max) filter for p; min semantics is run_emitting over reverse(p)."""
     if fuel < 0:
         raise ConfigError("fuel must be a natural number")
-    instrs = parse_program(code)
-    if instrs is None:
-        return RunResult((), (), False, fuel, 0, input_b)
-    return _execute(instrs, input_b, fuel, p.unrank, p.leq)
+    return _run(code, input_b, fuel, p.unrank, p.leq)
 
 
 def run_raw(code: str, input_b: int, fuel: int) -> RunResult:
     """Run without any order (raw emissions only; the kept trace uses rank
     order on reg_a, which callers of raw data ignore)."""
-    instrs = parse_program(code)
-    if instrs is None:
-        return RunResult((), (), False, fuel, 0, input_b)
-    return _execute(instrs, input_b, fuel, lambda r: r, lambda x, y: x <= y)
+    return _run(code, input_b, fuel, lambda r: r, lambda x, y: x <= y)
 
 
 def vm_max_evaluator(p: PosetInstance, n: int) -> Evaluator:

@@ -37,6 +37,22 @@ def test_estimate_writes_csv(tmp_path, capsys):
     assert out2.read_text() == text
 
 
+def test_estimate_threads_recorded_not_used(capsys):
+    # the default does not depend on the machine, and the flag is only
+    # recorded: the report body is the same whatever it says
+    argv = ("estimate", "--poset", "nat", "--max-len", "12", "--fuel", "256",
+            "--t-budget", "256", "--window", "4", "--ranks", "8")
+    bodies = {}
+    for extra in ((), ("--threads", "1"), ("--threads", "4")):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        config_line, body = out.split("\n", 1)
+        config = json.loads(config_line[len("# config: "):])
+        assert config["threads"] == (int(extra[1]) if extra else 1)
+        bodies[extra] = body
+    assert len(set(bodies.values())) == 1
+
+
 def test_estimate_zero_ranks(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     code, _, _ = run(

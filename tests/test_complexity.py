@@ -53,14 +53,6 @@ def test_k_plain_table_small():
     verify_table(NAT, table)
 
 
-def test_k_plain_threads_match():
-    serial = k_plain_table(NAT, 8, SMALL, threads=1)
-    parallel = k_plain_table(NAT, 8, SMALL, threads=4)
-    assert {r: row.k_plain for r, row in serial.rows.items()} == {
-        r: row.k_plain for r, row in parallel.rows.items()
-    }
-
-
 def test_k_plain_budget_monotone():
     small = k_plain_table(NAT, 8, Budget(9, 128, 128, 4))
     large = k_plain_table(NAT, 8, Budget(12, 256, 256, 4))

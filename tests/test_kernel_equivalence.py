@@ -1,0 +1,155 @@
+"""The order-free kernel and the generating scans against the order-aware
+reference implementations in reference_impl.py."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reference_impl import run_emitting_ref, run_raw_ref, tables_ref
+
+from kposet.codec import b_index, b_word, decode_padded
+from kposet.complexity import (
+    Budget,
+    _address_blocks,
+    default_program_family,
+    iter_words,
+    join_tables,
+    k_max_table,
+    k_min_table,
+    k_plain_table,
+)
+from kposet.posets import parse_poset_spec, reverse
+from kposet.vm import assemble, iter_programs, parse_program, run_emitting, run_raw
+
+BASE_SPECS = ("nat", "int", "prefix:ab", "finsets", "lexico:a<b")
+SPECS = BASE_SPECS + tuple(f"rev({s})" for s in BASE_SPECS) + tuple(
+    f"discrete({s})" for s in BASE_SPECS
+)
+POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}
+
+DEAD_SPIN = assemble(["INC_A", "OUT", "INC_A"])  # falls off the end
+CYCLE = assemble(["INC_A", "OUT", "DEC_A", "OUT", ("JZ_B", -4)])  # state repeats
+ZIGZAG = assemble(["INC_A", "INC_A", "OUT", "DEC_A", "OUT", "INC_A", "INC_A", "OUT", "HALT"])
+COUNTER = assemble(["INC_A", "OUT", "INC_B", ("JZ_A", -3)])  # never repeats a state
+
+instructions = st.one_of(
+    st.sampled_from(["INC_A", "INC_B", "DEC_A", "DEC_B", "OUT", "HALT"]),
+    st.tuples(
+        st.sampled_from(["JZ_A", "JZ_B"]),
+        st.one_of(st.integers(-4, 4), st.integers(-16, 15)),
+    ),
+)
+programs = st.one_of(
+    st.lists(instructions, max_size=10).map(assemble),
+    st.text(alphabet="01", max_size=40),  # most raw words do not parse
+)
+
+
+def assert_same_run(got, want):
+    assert got.trace == want.trace
+    assert got.raw_first == want.raw_first
+    assert got.halted == want.halted
+    assert got.steps_used == want.steps_used
+    assert got.reg_a == want.reg_a
+    assert got.reg_b == want.reg_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from(SPECS),
+    code=programs,
+    input_b=st.integers(0, 20),
+    fuel=st.integers(0, 300),
+)
+@example(spec="nat", code=DEAD_SPIN, input_b=0, fuel=50)
+@example(spec="rev(prefix:ab)", code=CYCLE, input_b=0, fuel=200)
+@example(spec="lexico:a<b", code=ZIGZAG, input_b=3, fuel=100)
+@example(spec="discrete(finsets)", code=COUNTER, input_b=0, fuel=300)
+@example(spec="rev(int)", code=ZIGZAG, input_b=0, fuel=5)
+def test_kernel_matches_order_aware_reference(spec, code, input_b, fuel):
+    p = POSETS[spec]
+    assert_same_run(run_emitting(p, code, input_b, fuel), run_emitting_ref(p, code, input_b, fuel))
+    assert_same_run(run_raw(code, input_b, fuel), run_raw_ref(code, input_b, fuel))
+
+
+def test_kernel_examples_cover_spin_and_cycle():
+    # the hand-written examples above really exercise the two early exits
+    spin = run_raw(DEAD_SPIN, 0, 50)
+    assert spin.steps_used == 50 and not spin.halted and len(spin.raw_first) == 1
+    cyc = run_raw(CYCLE, 0, 200)
+    assert cyc.steps_used == 200 and cyc.raw_first == ((1, 1), (3, 0))
+    up = run_emitting(POSETS["nat"], ZIGZAG, 0, 100)
+    down = run_emitting(POSETS["rev(nat)"], ZIGZAG, 0, 100)
+    assert [d for _, d in up.trace] == [2, 3]
+    assert [d for _, d in down.trace] == [2, 1]
+
+
+@pytest.mark.parametrize("max_len", range(15))
+def test_iter_programs_is_parse_filter_of_iter_words(max_len):
+    want = [w for w in iter_words(max_len) if parse_program(w) is not None]
+    got = list(iter_programs(max_len))
+    assert [w for w, _ in got] == want
+    assert all(instrs == parse_program(w) for w, instrs in got)
+
+
+@pytest.mark.parametrize("max_len", range(15))
+def test_address_walk_is_decode_order_of_iter_words(max_len):
+    want = [decode_padded(w) for w in iter_words(max_len)]
+    want = [d for d in want if d is not None]
+    got = []
+    for n, m in _address_blocks(max_len):
+        for v in range(1 << m):
+            payload = format(v, f"0{m}b") if m else ""
+            assert b_index(payload) == (1 << m) - 1 + v
+            got.append((n, payload))
+    assert got == want
+
+
+def joined(p, ranks, b):
+    table = join_tables(
+        k_plain_table(p, ranks, b), k_max_table(p, ranks, b), k_min_table(p, ranks, b)
+    )
+    rows = {r: (row.k_plain, row.k_max, row.k_min) for r, row in table.rows.items()}
+    return rows, table.censored
+
+
+SMALL = Budget(max_prog_len=11, fuel=256, t_budget=256, window=4)
+TIGHT = Budget(max_prog_len=14, fuel=64, t_budget=4, window=8)  # censors rank 0
+WIDE = Budget(max_prog_len=14, fuel=128, t_budget=128, window=4)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_tables_match_per_word_scan(spec):
+    p = POSETS[spec]
+    assert joined(p, 16, SMALL) == tables_ref(p, 16, SMALL)
+
+
+@pytest.mark.parametrize("spec", ["nat", "rev(prefix:ab)", "discrete(finsets)"])
+@pytest.mark.parametrize("budget", [TIGHT, WIDE], ids=["tight", "wide"])
+def test_tables_match_per_word_scan_with_limit_rows(spec, budget):
+    # at 14 bits the single-OUT machine b_word(13) is addressable, so the
+    # max/min side fills (wide) or censors (tight) rank 0
+    p = POSETS[spec]
+    rows, censored = joined(p, 8, budget)
+    assert (rows, censored) == tables_ref(p, 8, budget)
+    if budget is TIGHT:
+        assert censored == {0}
+    else:
+        assert rows[0][1] is not None and rows[0][2] is not None
+
+
+def test_program_family_matches_two_ordered_runs():
+    weak = POSETS["prefix:ab"]
+    b = Budget(max_prog_len=10, fuel=128, t_budget=128, window=4)
+    family = default_program_family(weak, b)
+    for w in iter_words(10):
+        dec = decode_padded(w)
+        if dec is None:
+            assert family(w) is None
+            continue
+        n, payload = dec
+        args = (b_word(n), b_index(payload), b.fuel)
+        assert family(w) == (
+            run_emitting_ref(weak, *args).trace,
+            run_emitting_ref(reverse(weak), *args).trace,
+        )
