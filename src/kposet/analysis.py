@@ -12,11 +12,11 @@ input alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
-from .posets import PosetInstance, finite_order_from_json
+from .posets import PosetInstance, _finite_order_pairs, closure_rows
 
 __all__ = [
     "FinitePoset",
@@ -39,35 +39,27 @@ SUBSET_SEARCH_BOUND = 16  # carrier ceiling for exhaustive subset searches
 @dataclass(frozen=True)
 class FinitePoset:
     """Strict partial order on {0..n-1}; the relation is stored transitively
-    closed and validated."""
+    closed and validated, both as the `lt` pair set and as bit rows (bit b
+    of rows[a] set when a < b)."""
 
     n: int
     lt: frozenset[tuple[int, int]]
     names: tuple[str, ...] = ()
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        closed = set(self.lt)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(closed):
-                for (c, d) in list(closed):
-                    if b == c and (a, d) not in closed:
-                        closed.add((a, d))
-                        changed = True
-        object.__setattr__(self, "lt", frozenset(closed))
-        for (a, b) in self.lt:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ConfigError(f"relation pair out of range: {(a, b)}")
-            if a == b or (b, a) in self.lt:
-                raise ConfigError("not a strict partial order")
+        rows = closure_rows(self.n, self.lt)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "lt", frozenset(
+            (a, b) for a in range(self.n) for b in range(self.n) if rows[a] >> b & 1
+        ))
         if self.names and len(self.names) != self.n:
             raise ConfigError("names do not match the carrier size")
 
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
-        names, lt = finite_order_from_json(text)
-        return FinitePoset(len(names), frozenset(lt), tuple(names))
+        names, pairs = _finite_order_pairs(text)
+        return FinitePoset(len(names), frozenset(pairs), tuple(names))
 
     def comparable(self, a: int, b: int) -> bool:
         return a == b or (a, b) in self.lt or (b, a) in self.lt
@@ -85,9 +77,9 @@ class FinitePoset:
         return FinitePoset(len(subset), lt, names)
 
     def comparability_masks(self) -> list[int]:
-        masks = [0] * self.n
+        """Bit b of masks[a] set when a and b are distinct and comparable."""
+        masks = list(self.rows)
         for (a, b) in self.lt:
-            masks[a] |= 1 << b
             masks[b] |= 1 << a
         return masks
 
@@ -132,33 +124,30 @@ def max_antichain(fp: FinitePoset) -> list[int]:
         dfs(i + 1, chosen, chosen_mask)
 
     dfs(0, [], 0)
-    if fp.n and len(best) != fp.n - _max_matching(fp):
+    if fp.n and len(best) != fp.n - len(_max_matching(fp.rows)):
         raise VerificationError("antichain size disagrees with the matching bound")
     return best
 
 
-def _max_matching(fp: FinitePoset) -> int:
-    """Maximum bipartite matching on the strict relation (Kuhn's algorithm)."""
-    succ = [[] for _ in range(fp.n)]
-    for (a, b) in sorted(fp.lt):
-        succ[a].append(b)
+def _max_matching(rows: Sequence[int]) -> dict[int, int]:
+    """Maximum bipartite matching of a strict relation given as bit rows
+    (Kuhn's algorithm), as the map right -> left. Left vertices are tried in
+    index order and each one's successors in ascending order, which fixes
+    the matching and hence the chains of min_chain_cover."""
     match_right: dict[int, int] = {}
 
     def try_augment(a: int, visited: set[int]) -> bool:
-        for b in succ[a]:
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_right or try_augment(match_right[b], visited):
-                match_right[b] = a
-                return True
+        for b in range(len(rows)):
+            if rows[a] >> b & 1 and b not in visited:
+                visited.add(b)
+                if b not in match_right or try_augment(match_right[b], visited):
+                    match_right[b] = a
+                    return True
         return False
 
-    size = 0
-    for a in range(fp.n):
-        if try_augment(a, set()):
-            size += 1
-    return size
+    for a in range(len(rows)):
+        try_augment(a, set())
+    return match_right
 
 
 def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
@@ -166,28 +155,11 @@ def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
     matching; by Dilworth its size equals the maximum antichain size."""
     if fp.n > N_BOUND:
         raise ResourceError(f"carrier too large for exact search: {fp.n} > {N_BOUND}")
-    succ = [[] for _ in range(fp.n)]
-    for (a, b) in sorted(fp.lt):
-        succ[a].append(b)
-    match_right: dict[int, int] = {}
-
-    def try_augment(a: int, visited: set[int]) -> bool:
-        for b in succ[a]:
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_right or try_augment(match_right[b], visited):
-                match_right[b] = a
-                return True
-        return False
-
-    for a in range(fp.n):
-        try_augment(a, set())
+    match_right = _max_matching(fp.rows)
     next_of = {a: b for b, a in match_right.items()}
-    has_pred = set(match_right)
     chains = []
     for start in range(fp.n):
-        if start in has_pred:
+        if start in match_right:
             continue
         chain = [start]
         while chain[-1] in next_of:
@@ -196,26 +168,34 @@ def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
     return chains
 
 
-def _subsets_lex(start: int, stop: int):
-    """All ascending tuples over [start, stop) in lexicographic order."""
-    yield ()
-    for i in range(start, stop):
-        for rest in _subsets_lex(i + 1, stop):
-            yield (i,) + rest
+def _first_clique(
+    adj: Sequence[int], accept: Callable[[int, int], bool], max_size: int
+) -> list[int] | None:
+    """The first clique of the graph adj (bit rows) with at most max_size
+    members that accept(mask, size) takes, in the documented search order:
+    increasing maximum element, then lexicographically on the ascending
+    tuple. A clique is extended only by smaller elements than its maximum
+    that are adjacent to all its members, in ascending order, so the walk
+    is a lexicographic preorder that skips every non-clique."""
 
+    def extend(mask: int, size: int, cand: int) -> int | None:
+        if accept(mask, size):
+            return mask
+        if size == max_size:
+            return None
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            found = extend(mask | low, size + 1, cand & adj[low.bit_length() - 1])
+            if found is not None:
+                return found
+        return None
 
-def _is_strong_chain(pair: OrderPair, subset: Sequence[int]) -> bool:
-    return all(
-        pair.strong.comparable(a, b)
-        for a, b in itertools.combinations(subset, 2)
-    )
-
-
-def _is_weak_antichain(pair: OrderPair, subset: Sequence[int]) -> bool:
-    return not any(
-        pair.weak.comparable(a, b) and a != b
-        for a, b in itertools.combinations(subset, 2)
-    )
+    for m in range(len(adj)):
+        found = extend(1 << m, 1, adj[m] & ((1 << m) - 1))
+        if found is not None:
+            return [i for i in range(m + 1) if found >> i & 1]
+    return None
 
 
 def check_star(pair: OrderPair, k: int) -> list[int] | None:
@@ -226,12 +206,10 @@ def check_star(pair: OrderPair, k: int) -> list[int] | None:
     n = pair.weak.n
     if n > SUBSET_SEARCH_BOUND:
         raise ResourceError(f"carrier too large for subset search: {n}")
-    for m in range(k - 1, n):
-        for combo in itertools.combinations(range(m), k - 1):
-            subset = combo + (m,)
-            if _is_strong_chain(pair, subset) and _is_weak_antichain(pair, subset):
-                return _strong_sort(pair, subset)
-    return None
+    strong, weak = pair.strong.comparability_masks(), pair.weak.comparability_masks()
+    adj = [s & ~w for s, w in zip(strong, weak)]
+    found = _first_clique(adj, lambda mask, size: size == k, k)
+    return None if found is None else _strong_sort(pair, found)
 
 
 def _strong_sort(pair: OrderPair, subset: Sequence[int]) -> list[int]:
@@ -242,20 +220,23 @@ def _strong_sort(pair: OrderPair, subset: Sequence[int]) -> list[int]:
 
 def check_dagger(pair: OrderPair, k: int) -> list[int] | None:
     """A finite strong chain whose weak restriction needs more than k chains
-    to cover, or None; same search order as check_star."""
+    to cover, or None; same search order as check_star. The cover size of
+    a subset S is |S| minus the maximum matching of the weak order on S."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     n = pair.weak.n
     if n > SUBSET_SEARCH_BOUND:
         raise ResourceError(f"carrier too large for subset search: {n}")
-    for m in range(n):
-        for combo in _subsets_lex(0, m):
-            subset = combo + (m,)
-            if not _is_strong_chain(pair, subset):
-                continue
-            if len(min_chain_cover(pair.weak.restrict(subset))) > k:
-                return _strong_sort(pair, subset)
-    return None
+    weak_rows = pair.weak.rows
+
+    def needs_more_chains(mask: int, size: int) -> bool:
+        if size <= k:  # no cover has more chains than members
+            return False
+        restricted = [row & mask if mask >> a & 1 else 0 for a, row in enumerate(weak_rows)]
+        return size - len(_max_matching(restricted)) > k
+
+    found = _first_clique(pair.strong.comparability_masks(), needs_more_chains, n)
+    return None if found is None else _strong_sort(pair, found)
 
 
 # ------------------------------------------------- closed-form witnesses

@@ -256,7 +256,8 @@ def cmd_cardre(args) -> int:
         command="cardre", seed=args.seed, threads=args.threads,
         extra={"index": n, "t_max": args.t_max},
     )
-    rows = [[t, vm.card_re(n, t)] for t in range(args.t_max + 1)]
+    e = vm.card_re_evaluator(n)
+    rows = [[t, e(None, t, args.t_max)] for t in range(args.t_max + 1)]
     _emit(_csv_report(cfg, ["t", "count"], rows), args.out)
     return 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -32,6 +32,7 @@ __all__ = [
     "reverse",
     "finite_greatest",
     "escape_element",
+    "closure_rows",
     "finite_order_from_json",
 ]
 
@@ -221,12 +222,32 @@ def _prefix(alphabet: str) -> PosetInstance:
     )
 
 
+def closure_rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Transitive closure of a strict relation on {0..n-1} as bit rows
+    (Warshall): bit b of row a is set when a < b. ConfigError for a pair out
+    of range, or when some row i ends with its own bit i set, which means
+    the relation is reflexive or cyclic."""
+    rows = [0] * n
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ConfigError(f"relation pair out of range: {(a, b)}")
+        rows[a] |= 1 << b
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for a in range(n):
+            if rows[a] & bit:
+                rows[a] |= row_k
+    if any(row >> i & 1 for i, row in enumerate(rows)):
+        raise ConfigError("not a strict partial order (reflexive or cyclic)")
+    return rows
+
+
 def _parse_order_expr(expr: str) -> tuple[str, set[tuple[str, str]]]:
     """Parse chains like a<b<c;d into (alphabet, strict symbol relation)."""
     if not expr:
         raise ConfigError("empty symbol order expression")
-    seen: list[str] = []
-    lt: set[tuple[str, str]] = set()
+    index: dict[str, int] = {}
+    steps: list[tuple[int, int]] = []
     for group in expr.split(";"):
         if not group:
             raise ConfigError(f"empty chain group in {expr!r}")
@@ -234,24 +255,16 @@ def _parse_order_expr(expr: str) -> tuple[str, set[tuple[str, str]]]:
         for sym in chain:
             if len(sym) != 1:
                 raise ConfigError(f"symbols must be single characters, got {sym!r}")
-            if sym not in seen:
-                seen.append(sym)
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                lt.add((chain[i], chain[j]))
-    # transitive closure across repeated symbols
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(lt):
-            for (c, d) in list(lt):
-                if b == c and (a, d) not in lt:
-                    lt.add((a, d))
-                    changed = True
-    for (a, b) in lt:
-        if (b, a) in lt or a == b:
-            raise ConfigError(f"symbol order is not antisymmetric: {expr!r}")
-    return "".join(seen), lt
+            index.setdefault(sym, len(index))
+        steps.extend((index[a], index[b]) for a, b in zip(chain, chain[1:]))
+    try:
+        rows = closure_rows(len(index), steps)
+    except ConfigError:
+        raise ConfigError(f"symbol order is not antisymmetric: {expr!r}") from None
+    alphabet = "".join(index)
+    return alphabet, {
+        (x, y) for i, x in enumerate(alphabet) for j, y in enumerate(alphabet) if rows[i] >> j & 1
+    }
 
 
 def _lexico(expr: str) -> PosetInstance:
@@ -411,37 +424,32 @@ def escape_element(p: PosetInstance, elems: Sequence[Any], search_bound: int) ->
     return None
 
 
+def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Parse the JSON finite-order format without closing it. Both keys must
+    hold lists and every index must be an int, else ConfigError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad finite-order JSON: {exc}") from exc
+    if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("elements", "lt"))):
+        raise ConfigError('finite-order JSON needs "elements" and "lt" lists')
+    names = [str(x) for x in data["elements"]]
+    pairs = []
+    for pair in data["lt"]:
+        # bool is an int subclass; true/false are not indices
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)):
+            raise ConfigError(f"bad lt pair: {pair!r}")
+        pairs.append(tuple(pair))
+    return names, pairs
+
+
 def finite_order_from_json(text: str) -> tuple[list[str], set[tuple[int, int]]]:
     """Load the JSON finite-order format: {"elements": [...], "lt": [[i,j],...]}.
 
     The given pairs may be a covering or the full relation; the transitive
     closure is taken here. Returns (names, strict relation on indices).
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad finite-order JSON: {exc}") from exc
-    if not isinstance(data, dict) or "elements" not in data or "lt" not in data:
-        raise ConfigError('finite-order JSON needs "elements" and "lt" keys')
-    names = [str(x) for x in data["elements"]]
+    names, pairs = _finite_order_pairs(text)
     n = len(names)
-    lt: set[tuple[int, int]] = set()
-    for pair in data["lt"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"bad lt pair: {pair!r}")
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"lt pair out of range: {pair!r}")
-        lt.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(lt):
-            for (c, d) in list(lt):
-                if b == c and (a, d) not in lt:
-                    lt.add((a, d))
-                    changed = True
-    for (a, b) in lt:
-        if a == b or (b, a) in lt:
-            raise ConfigError("finite order is not a strict partial order")
-    return names, lt
+    rows = closure_rows(n, pairs)
+    return names, {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}

@@ -267,33 +267,40 @@ def run_raw(code: str, input_b: int, fuel: int) -> RunResult:
     return _run(code, input_b, fuel, lambda r: r, lambda x, y: x <= y)
 
 
+def _fuel_prefix_runs(run: Callable[[Any, int], tuple]) -> Callable[[Any, int], tuple]:
+    """Memoise run(x, fuel) -> step-ordered (step, value) emissions with one
+    run per input at the largest fuel seen (at least 64, doubling on growth).
+    The fuel-prefix property (the emissions at fuel F are the step < F prefix
+    of any longer run) makes slicing that run exact for smaller fuels."""
+    cache: dict[Any, tuple[int, tuple]] = {}
+
+    def at(x: Any, fuel: int) -> tuple:
+        cached = cache.get(x)
+        if cached is None or cached[0] < fuel:
+            run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
+            cache[x] = (run_fuel, run(x, run_fuel))
+        run_fuel, emissions = cache[x]
+        if run_fuel == fuel:
+            return emissions
+        return tuple((s, v) for s, v in emissions if s < fuel)
+
+    return at
+
+
 def vm_max_evaluator(p: PosetInstance, n: int) -> Evaluator:
     """The n-th monotone process of the enumeration: program b_word(n) on
     input word x (passed through b_index), value at (x, t) = last kept
     emission within t machine steps. Defined only when fuel >= t so the
-    fuel-monotonicity contract holds exactly.
-
-    One run at the largest fuel seen per input is cached; the fuel-prefix
-    property (the trace at fuel F is the step < F prefix of any longer run)
-    makes slicing it exact for smaller fuels."""
+    fuel-monotonicity contract holds exactly. Runs are shared through
+    _fuel_prefix_runs."""
     code = b_word(n)
-    cache: dict[str, tuple[int, tuple[tuple[int, Any], ...]]] = {}
-
-    def kept_trace(x: str, fuel: int):
-        cached = cache.get(x)
-        if cached is None or cached[0] < fuel:
-            run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
-            cache[x] = (run_fuel, run_emitting(p, code, b_index(x), run_fuel).trace)
-        run_fuel, trace = cache[x]
-        if run_fuel == fuel:
-            return trace
-        return tuple((s, d) for s, d in trace if s < fuel)
+    kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, b_index(x), fuel).trace)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
         value = None
-        for step, d in kept_trace(x, fuel):
+        for step, d in kept_at(x, fuel):
             if step > t:
                 break
             value = d
@@ -412,19 +419,19 @@ def card_re(n: int, t: int) -> int:
     of the enumerated set when that set is finite."""
     if t < 0:
         raise ConfigError("t must be a natural number")
-    res = run_raw(b_word(n), 0, t)
-    return sum(1 for step, _ in res.raw_first if step < t)
+    return card_re_evaluator(n)(None, t, t)
 
 
 def card_re_evaluator(n: int) -> Evaluator:
-    cache: dict[int, RunResult] = {}
+    """h(n, t) as an evaluator; every (t, fuel) query is answered from one
+    run of b_word(n) through _fuel_prefix_runs."""
+    code = b_word(n)
+    emitted_at = _fuel_prefix_runs(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        if fuel not in cache:
-            cache[fuel] = run_raw(b_word(n), 0, fuel)
-        return sum(1 for step, _ in cache[fuel].raw_first if step < t)
+        return sum(1 for step, _ in emitted_at(None, fuel) if step < t)
 
     return Evaluator(fn, name=f"card_re[{n}]")
 
@@ -444,18 +451,13 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     code = b_word(a_index)
-    cache: dict[int, RunResult] = {}
-
-    def emitted(t: int, fuel: int) -> set[int]:
-        if fuel not in cache:
-            cache[fuel] = run_raw(code, 0, fuel)
-        return {v for step, v in cache[fuel].raw_first if step < t}
+    emitted_at = _fuel_prefix_runs(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
         xs = set(x)
-        es = emitted(t, fuel)
+        es = {v for step, v in emitted_at(None, fuel) if step < t}
         if mode == "cap":
             out = xs & es
         elif mode == "minus":

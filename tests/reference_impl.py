@@ -6,12 +6,20 @@ package used before its kernel became order-free: every word of
 filter and (on the limit side) turned into its own limit report. They are
 slow and obviously faithful to the definitions, which is what the property
 tests compare the package against. Nothing here is imported by the package.
+
+The second half holds the finite-order code from before the bit-row kernel:
+the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
+matching over sorted successor lists, and the star/dagger subset walks with
+their pairwise chain/antichain tests. It works on plain (n, relation) data,
+independent of FinitePoset.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import itertools
+from typing import Any, Sequence
 
+from kposet.errors import ConfigError
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, TableEntry, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
@@ -139,3 +147,138 @@ def tables_ref(p: PosetInstance, ranks: int, b: Budget):
         for r in set(plain) | set(kmax) | set(kmin)
     }
     return rows, (cmax - set(kmax)) | (cmin - set(kmin))
+
+
+# ------------------------------------------------------ finite-order kernel
+
+
+def closure_ref(lt) -> set[tuple[int, int]]:
+    """Transitive closure by repeated pair composition until nothing changes."""
+    closed = set(lt)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(closed):
+            for (c, d) in list(closed):
+                if b == c and (a, d) not in closed:
+                    closed.add((a, d))
+                    changed = True
+    return closed
+
+
+def is_strict_ref(closed) -> bool:
+    return all(a != b and (b, a) not in closed for (a, b) in closed)
+
+
+def parse_order_expr_ref(expr: str) -> tuple[str, set[tuple[str, str]]]:
+    """Parse chains like a<b<c;d into (alphabet, strict symbol relation)."""
+    if not expr:
+        raise ConfigError("empty symbol order expression")
+    seen: list[str] = []
+    lt: set[tuple[str, str]] = set()
+    for group in expr.split(";"):
+        if not group:
+            raise ConfigError(f"empty chain group in {expr!r}")
+        chain = group.split("<")
+        for sym in chain:
+            if len(sym) != 1:
+                raise ConfigError(f"symbols must be single characters, got {sym!r}")
+            if sym not in seen:
+                seen.append(sym)
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                lt.add((chain[i], chain[j]))
+    lt = closure_ref(lt)
+    if not is_strict_ref(lt):
+        raise ConfigError(f"symbol order is not antisymmetric: {expr!r}")
+    return "".join(seen), lt
+
+
+def _kuhn_ref(n: int, lt) -> dict[int, int]:
+    succ = [[] for _ in range(n)]
+    for (a, b) in sorted(lt):
+        succ[a].append(b)
+    match_right: dict[int, int] = {}
+
+    def try_augment(a: int, visited: set[int]) -> bool:
+        for b in succ[a]:
+            if b in visited:
+                continue
+            visited.add(b)
+            if b not in match_right or try_augment(match_right[b], visited):
+                match_right[b] = a
+                return True
+        return False
+
+    for a in range(n):
+        try_augment(a, set())
+    return match_right
+
+
+def max_matching_ref(n: int, lt) -> int:
+    """Maximum bipartite matching size on a closed strict relation."""
+    return len(_kuhn_ref(n, lt))
+
+
+def min_chain_cover_ref(n: int, lt) -> list[list[int]]:
+    """The chains read off the matching, each started at an unmatched element."""
+    match_right = _kuhn_ref(n, lt)
+    next_of = {a: b for b, a in match_right.items()}
+    chains = []
+    for start in range(n):
+        if start in match_right:
+            continue
+        chain = [start]
+        while chain[-1] in next_of:
+            chain.append(next_of[chain[-1]])
+        chains.append(chain)
+    return chains
+
+
+def _comparable(lt, a: int, b: int) -> bool:
+    return a == b or (a, b) in lt or (b, a) in lt
+
+
+def _subsets_lex(start: int, stop: int):
+    """All ascending tuples over [start, stop) in lexicographic order."""
+    yield ()
+    for i in range(start, stop):
+        for rest in _subsets_lex(i + 1, stop):
+            yield (i,) + rest
+
+
+def _strong_sort(strong_lt, subset: Sequence[int]) -> list[int]:
+    out = list(subset)
+    out.sort(key=lambda e: sum(1 for f in subset if (f, e) in strong_lt))
+    return out
+
+
+def check_star_ref(n: int, weak_lt, strong_lt, k: int) -> list[int] | None:
+    """The first k-subset, by maximum then lexicographically, that is a
+    strong chain and a weak antichain."""
+    for m in range(k - 1, n):
+        for combo in itertools.combinations(range(m), k - 1):
+            subset = combo + (m,)
+            pairs = list(itertools.combinations(subset, 2))
+            if all(_comparable(strong_lt, a, b) for a, b in pairs) and not any(
+                _comparable(weak_lt, a, b) for a, b in pairs
+            ):
+                return _strong_sort(strong_lt, subset)
+    return None
+
+
+def check_dagger_ref(n: int, weak_lt, strong_lt, k: int) -> list[int] | None:
+    """The first strong chain, in the same order, whose induced weak order
+    needs more than k chains to cover."""
+    for m in range(n):
+        for combo in _subsets_lex(0, m):
+            subset = combo + (m,)
+            if not all(
+                _comparable(strong_lt, a, b) for a, b in itertools.combinations(subset, 2)
+            ):
+                continue
+            idx = {e: i for i, e in enumerate(subset)}
+            induced = {(idx[a], idx[b]) for (a, b) in weak_lt if a in idx and b in idx}
+            if len(min_chain_cover_ref(len(subset), induced)) > k:
+                return _strong_sort(strong_lt, subset)
+    return None

@@ -74,6 +74,14 @@ def test_bounds():
         max_antichain(empty_order(21))
     with pytest.raises(ResourceError):
         min_chain_cover(empty_order(21))
+    over = OrderPair(weak=empty_order(17), strong=total_order(17))
+    with pytest.raises(ResourceError):
+        check_star(over, 2)
+    with pytest.raises(ResourceError):
+        check_dagger(over, 1)
+    at = OrderPair(weak=empty_order(16), strong=total_order(16))
+    assert check_star(at, 2) == [0, 1]
+    assert check_dagger(at, 1) == [0, 1]
 
 
 def brute_max_antichain_size(fp):

@@ -147,6 +147,14 @@ def test_conditions_fragment_ceiling(capsys):
     )
     assert code == 3
     assert "subset search" in err
+    # the first fragment size above SUBSET_SEARCH_BOUND, for both conditions
+    for condition in ("star", "dagger"):
+        code, _, err = run(
+            capsys, "conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2",
+            "--condition", condition, "--fragment", "17",
+        )
+        assert code == 3
+        assert "subset search" in err
 
 
 def test_diagonal_byte_identical(capsys):
@@ -177,6 +185,14 @@ def test_dilworth(tmp_path, capsys):
 def test_dilworth_missing_file(capsys):
     code, _, _ = run(capsys, "dilworth", "--file", "/nonexistent.json")
     assert code == 2
+
+
+def test_dilworth_malformed_order(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"elements": ["a", "b"], "lt": [["0", 1]]}))
+    code, _, err = run(capsys, "dilworth", "--file", str(f))
+    assert code == 2
+    assert "bad lt pair" in err
 
 
 def test_diagonal(capsys):

@@ -1,0 +1,115 @@
+"""The finite-order kernel (bit-row closure, one matching, one clique
+search) against the fixpoint, Kuhn and subset-walk references in
+reference_impl.py."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reference_impl import (
+    check_dagger_ref,
+    check_star_ref,
+    closure_ref,
+    is_strict_ref,
+    max_matching_ref,
+    min_chain_cover_ref,
+    parse_order_expr_ref,
+)
+
+from kposet.analysis import (
+    FinitePoset,
+    OrderPair,
+    check_dagger,
+    check_star,
+    max_antichain,
+    min_chain_cover,
+)
+from kposet.errors import ConfigError
+from kposet.posets import _parse_order_expr, closure_rows
+
+MAX_N = 8
+
+
+@st.composite
+def relations(draw):
+    """Any relation on a carrier of at most MAX_N elements, loops and cycles
+    included."""
+    n = draw(st.integers(0, MAX_N))
+    if n == 0:
+        return 0, set()
+    index = st.integers(0, n - 1)
+    return n, draw(st.sets(st.tuples(index, index), max_size=3 * n))
+
+
+@st.composite
+def order_pairs(draw):
+    """A strict order on at most MAX_N elements (edges going up a random
+    linear extension) and a transitive-or-not subrelation of its closure."""
+    n = draw(st.integers(0, MAX_N))
+    perm = draw(st.permutations(range(n)))
+    ups = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    strong_rel = draw(st.sets(st.sampled_from(ups))) if ups else set()
+    strong = closure_ref(strong_rel)
+    weak_rel = draw(st.sets(st.sampled_from(sorted(strong)))) if strong else set()
+    return n, weak_rel, strong_rel
+
+
+def rows_to_pairs(rows):
+    n = len(rows)
+    return {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
+
+
+@settings(max_examples=400, deadline=None)
+@given(rel=relations())
+@example(rel=(3, {(0, 1), (1, 2), (2, 0)}))
+@example(rel=(2, {(1, 1)}))
+@example(rel=(1, set()))
+def test_closure_rows_matches_fixpoint(rel):
+    """Equal closures, or both find the relation reflexive or cyclic."""
+    n, pairs = rel
+    want = closure_ref(pairs)
+    if is_strict_ref(want):
+        assert rows_to_pairs(closure_rows(n, pairs)) == want
+    else:
+        with pytest.raises(ConfigError):
+            closure_rows(n, pairs)
+
+
+@settings(max_examples=250, deadline=None)
+@given(pair=order_pairs())
+@example(pair=(4, set(), {(0, 2), (0, 3), (1, 2), (1, 3)}))
+@example(pair=(5, set(), {(i, j) for i in range(5) for j in range(i + 1, 5)}))
+def test_order_kernel_matches_reference(pair):
+    n, weak_rel, strong_rel = pair
+    weak_lt, strong_lt = closure_ref(weak_rel), closure_ref(strong_rel)
+    weak, strong = FinitePoset(n, frozenset(weak_rel)), FinitePoset(n, frozenset(strong_rel))
+    assert weak.lt == weak_lt and strong.lt == strong_lt
+    for fp, lt in ((weak, weak_lt), (strong, strong_lt)):
+        assert min_chain_cover(fp) == min_chain_cover_ref(n, lt)
+        assert len(max_antichain(fp)) == n - max_matching_ref(n, lt)
+    order_pair = OrderPair(weak=weak, strong=strong)
+    for k in range(1, n + 2):
+        assert check_star(order_pair, k) == check_star_ref(n, weak_lt, strong_lt, k), k
+    for k in range(0, n + 2):
+        assert check_dagger(order_pair, k) == check_dagger_ref(n, weak_lt, strong_lt, k), k
+
+
+chains = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4).map("<".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=st.lists(chains, min_size=1, max_size=3).map(";".join))
+@example(expr="a<b;b<a")
+@example(expr="a<b<c;c<a")
+@example(expr="a<a")
+@example(expr="a<b;c;b<d")
+def test_parse_order_expr_matches_reference(expr):
+    """Equal results, or both reject the expression (cyclic or reflexive)."""
+    try:
+        want = parse_order_expr_ref(expr)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            _parse_order_expr(expr)
+        return
+    assert _parse_order_expr(expr) == want
+

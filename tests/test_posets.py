@@ -190,3 +190,16 @@ def test_finite_order_from_json():
         finite_order_from_json('{"elements": ["a"], "lt": [[0, 0]]}')
     with pytest.raises(ConfigError):
         finite_order_from_json("not json")
+    for bad in (
+        '{"elements": ["a", "b"], "lt": [["0", 1]]}',  # string index
+        '{"elements": ["a", "b"], "lt": [[0.0, 1]]}',  # float index
+        '{"elements": ["a", "b"], "lt": [[false, true]]}',  # booleans are not indices
+        '{"elements": ["a", "b"], "lt": [[0, 2]]}',  # out of range
+        '{"elements": ["a", "b"], "lt": [[-1, 1]]}',
+        '{"elements": ["a", "b"], "lt": [[0, 1, 1]]}',
+        '{"elements": "ab", "lt": []}',  # a string is not a list of names
+        '{"elements": ["a", "b"], "lt": {"0": 1}}',
+        '{"elements": ["a", "b", "c"], "lt": [[0, 1], [1, 2], [2, 0]]}',  # cycle
+    ):
+        with pytest.raises(ConfigError):
+            finite_order_from_json(bad)
