@@ -12,11 +12,12 @@ input alone.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
-from .posets import PosetInstance, _finite_order_pairs, closure_rows
+from .posets import PosetInstance, closure_rows
 
 __all__ = [
     "FinitePoset",
@@ -34,6 +35,25 @@ __all__ = [
 
 N_BOUND = 20  # exact antichain/cover work stops here
 SUBSET_SEARCH_BOUND = 16  # carrier ceiling for exhaustive subset searches
+
+
+def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Parse the JSON finite-order format without closing it. Both keys must
+    hold lists and every index must be an int, else ConfigError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad finite-order JSON: {exc}") from exc
+    if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("elements", "lt"))):
+        raise ConfigError('finite-order JSON needs "elements" and "lt" lists')
+    names = [str(x) for x in data["elements"]]
+    pairs = []
+    for pair in data["lt"]:
+        # bool is an int subclass; true/false are not indices
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)):
+            raise ConfigError(f"bad lt pair: {pair!r}")
+        pairs.append(tuple(pair))
+    return names, pairs
 
 
 @dataclass(frozen=True)
@@ -58,6 +78,8 @@ class FinitePoset:
 
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
+        """Load the JSON finite-order format {"elements": [...], "lt":
+        [[i, j], ...]}; the pairs may be a covering or the full relation."""
         names, pairs = _finite_order_pairs(text)
         return FinitePoset(len(names), frozenset(pairs), tuple(names))
 

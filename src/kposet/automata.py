@@ -238,7 +238,6 @@ def _thompson(ast: RegexAst | None, k: int):
 
 
 def _subset_construct(nstates, edges, start, acc, alphabet) -> Dfa:
-    k = len(alphabet)
     sym_index = {c: i for i, c in enumerate(alphabet)}
     eps: dict[int, list[int]] = {}
     bysym: dict[tuple[int, int], list[int]] = {}
@@ -259,26 +258,33 @@ def _subset_construct(nstates, edges, start, acc, alphabet) -> Dfa:
                     stack.append(t)
         return frozenset(out)
 
-    start_set = closure(frozenset([start]))
-    index = {start_set: 0}
-    order = [start_set]
-    delta_rows = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
+    return _powerset_dfa(
+        closure(frozenset([start])),
+        lambda cur, a: closure(frozenset(t for s in cur for t in bysym.get((s, a), ()))),
+        lambda st: acc in st,
+        alphabet,
+    )
+
+
+def _powerset_dfa(start: frozenset[int], move, accepting, alphabet) -> Dfa:
+    """The powerset construction: a breadth-first walk over the state sets
+    reachable from `start`, move(states, a) giving the successor set on
+    symbol index a. State sets are numbered in discovery order and a set is
+    accepting when accepting(set) holds."""
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for cur in order:  # grows while it is walked: the BFS queue
         row = []
-        for a in range(k):
-            nxt = closure(
-                frozenset(t for s in cur for t in bysym.get((s, a), ()))
-            )
+        for a in range(len(alphabet)):
+            nxt = move(cur, a)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
             row.append(index[nxt])
-        delta_rows.append(tuple(row))
-        i += 1
-    accept = frozenset(i for i, st in enumerate(order) if acc in st)
-    return Dfa(len(order), 0, accept, tuple(delta_rows), tuple(alphabet))
+        rows.append(tuple(row))
+    accept = frozenset(i for i, st in enumerate(order) if accepting(st))
+    return Dfa(len(order), 0, accept, tuple(rows), tuple(alphabet))
 
 
 def _minimize(d: Dfa) -> Dfa:
@@ -361,33 +367,13 @@ def language_leq(l1: Dfa, l2: Dfa) -> bool:
 
 def quotient(l: Dfa, words: Iterable[str]) -> Dfa:
     """M^-1 L: the language read from the set of states that the words of M
-    reach from the start; canonical on return."""
-    x = frozenset(l.step(l.start, w) for w in words)
-    if not x:
-        none = to_canonical_dfa(None, l.alphabet)
-        return none
-    k = len(l.alphabet)
-    index = {x: 0}
-    order = [x]
-    rows = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = []
-        for a in range(k):
-            nxt = frozenset(l.delta[q][a] for q in cur)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-        i += 1
-    accept = frozenset(
-        i for i, st in enumerate(order) if st & l.accept
-    )
-    return canonicalize_dfa(
-        Dfa(len(order), 0, accept, tuple(rows), l.alphabet)
-    )
+    reach from the start (no word: the empty language); canonical on return."""
+    return canonicalize_dfa(_powerset_dfa(
+        frozenset(l.step(l.start, w) for w in words),
+        lambda cur, a: frozenset(l.delta[q][a] for q in cur),
+        lambda st: bool(st & l.accept),
+        l.alphabet,
+    ))
 
 
 def quotient_evaluator(l: Dfa, words: Sequence[str]) -> Evaluator:
@@ -415,7 +401,6 @@ class _Enumeration:
         self.sigma = sigma
         self.symbols = list(sigma) + list("+*" + CONCAT + "()")
         self.languages: list[Dfa] = []
-        self.texts: list[str] = []
         self.by_dfa: dict[Dfa, int] = {}
         self.scanned = 0
         self.lock = threading.Lock()
@@ -441,7 +426,6 @@ class _Enumeration:
                 if dfa not in self.by_dfa:
                     self.by_dfa[dfa] = len(self.languages)
                     self.languages.append(dfa)
-                    self.texts.append(text)
 
 
 _enumerations: dict[tuple[str, ...], _Enumeration] = {}

@@ -371,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     inter.add_argument("--x", required=True, help="comma-separated finite set")
     inter.add_argument("--t-budget", type=int, default=256)
     inter.add_argument("--window", type=int, default=8)
-    inter.add_argument("--out")
-    inter.add_argument("--seed", type=int, default=0)
-    inter.add_argument("--threads", type=int, default=1)
+    _add_common(inter, budget=False)
     inter.set_defaults(fn=cmd_interact)
 
     return parser

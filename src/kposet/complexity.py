@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -510,10 +509,6 @@ def oracle_decide(graph: dict, oracle: OracleStub, x, d) -> bool:
 
 
 # ----------------------------------------------------------------- report
-
-
-def _log2_floor(m: int) -> int:
-    return 0 if m == 0 else int(math.log2(m))
 
 
 def hierarchy_report(

@@ -69,11 +69,10 @@ def trace_to_csv(p: PosetInstance, trace: Trace) -> str:
 
 
 class Evaluator:
-    """Wrapper giving a budgeted partial map a name and an optional domain hint."""
+    """Wrapper giving a budgeted partial map a name."""
 
-    def __init__(self, fn: Callable[[Any, int, int], Any], domain_hint=None, name: str = ""):
+    def __init__(self, fn: Callable[[Any, int, int], Any], name: str = ""):
         self._fn = fn
-        self.domain_hint = domain_hint
         self.name = name
 
     def __call__(self, x, t: int, fuel: int):

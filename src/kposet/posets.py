@@ -19,7 +19,6 @@ prefix:ab / lexico:a<b share one carrier and one rank map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -33,7 +32,6 @@ __all__ = [
     "finite_greatest",
     "escape_element",
     "closure_rows",
-    "finite_order_from_json",
 ]
 
 
@@ -422,34 +420,3 @@ def escape_element(p: PosetInstance, elems: Sequence[Any], search_bound: int) ->
         if all(not p.leq(s, d) for s in elems):
             return d
     return None
-
-
-def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Parse the JSON finite-order format without closing it. Both keys must
-    hold lists and every index must be an int, else ConfigError."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad finite-order JSON: {exc}") from exc
-    if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("elements", "lt"))):
-        raise ConfigError('finite-order JSON needs "elements" and "lt" lists')
-    names = [str(x) for x in data["elements"]]
-    pairs = []
-    for pair in data["lt"]:
-        # bool is an int subclass; true/false are not indices
-        if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)):
-            raise ConfigError(f"bad lt pair: {pair!r}")
-        pairs.append(tuple(pair))
-    return names, pairs
-
-
-def finite_order_from_json(text: str) -> tuple[list[str], set[tuple[int, int]]]:
-    """Load the JSON finite-order format: {"elements": [...], "lt": [[i,j],...]}.
-
-    The given pairs may be a covering or the full relation; the transitive
-    closure is taken here. Returns (names, strict relation on indices).
-    """
-    names, pairs = _finite_order_pairs(text)
-    n = len(names)
-    rows = closure_rows(n, pairs)
-    return names, {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}

@@ -31,13 +31,14 @@ table and the enumerable-set counters built on raw emissions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .codec import b_index, b_word
 from .errors import ConfigError, DomainError, ResourceError
-from .limits import Evaluator, Trace
+from .limits import Evaluator
 from .posets import PosetInstance
 
 __all__ = [
@@ -267,22 +268,21 @@ def run_raw(code: str, input_b: int, fuel: int) -> RunResult:
     return _run(code, input_b, fuel, lambda r: r, lambda x, y: x <= y)
 
 
-def _fuel_prefix_runs(run: Callable[[Any, int], tuple]) -> Callable[[Any, int], tuple]:
-    """Memoise run(x, fuel) -> step-ordered (step, value) emissions with one
-    run per input at the largest fuel seen (at least 64, doubling on growth).
-    The fuel-prefix property (the emissions at fuel F are the step < F prefix
-    of any longer run) makes slicing that run exact for smaller fuels."""
-    cache: dict[Any, tuple[int, tuple]] = {}
+def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
+    """Memoise run(x, fuel) with one run per input at the largest fuel seen
+    (at least 64, doubling on growth) and return that cached run as it is,
+    possibly made at a larger fuel than requested. By the fuel-prefix
+    property (a run at fuel F emits exactly the step < F prefix of any
+    longer run) it answers every question about steps below the requested
+    fuel exactly, and callers ask about no other step."""
+    cache: dict[Any, tuple[int, Any]] = {}
 
-    def at(x: Any, fuel: int) -> tuple:
+    def at(x: Any, fuel: int) -> Any:
         cached = cache.get(x)
         if cached is None or cached[0] < fuel:
             run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
-            cache[x] = (run_fuel, run(x, run_fuel))
-        run_fuel, emissions = cache[x]
-        if run_fuel == fuel:
-            return emissions
-        return tuple((s, v) for s, v in emissions if s < fuel)
+            cached = cache[x] = (run_fuel, run(x, run_fuel))
+        return cached[1]
 
     return at
 
@@ -292,19 +292,18 @@ def vm_max_evaluator(p: PosetInstance, n: int) -> Evaluator:
     input word x (passed through b_index), value at (x, t) = last kept
     emission within t machine steps. Defined only when fuel >= t so the
     fuel-monotonicity contract holds exactly. Runs are shared through
-    _fuel_prefix_runs."""
+    _fuel_prefix_runs; a query bisects the kept trace at step bound
+    min(t + 1, fuel), so step t counts and no step >= fuel does."""
     code = b_word(n)
     kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, b_index(x), fuel).trace)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        value = None
-        for step, d in kept_at(x, fuel):
-            if step > t:
-                break
-            value = d
-        return value
+        trace = kept_at(x, fuel)
+        # (bound,) sorts before every (bound, d), so no element is compared
+        i = bisect.bisect_left(trace, (min(t + 1, fuel),))
+        return trace[i - 1][1] if i else None
 
     return Evaluator(fn, name=f"vm_max[{n} over {p.spec}]")
 
@@ -383,31 +382,22 @@ def busy_beaver_bb(n: int, t: int) -> int:
     within t steps from blank tape; monotone in both arguments."""
     if n < 0 or t < 0:
         raise ConfigError("busy_beaver_bb needs natural arguments")
-    if n > BB_STATE_BOUND:
-        raise ResourceError(
-            f"busy beaver enumeration is bounded at n <= {BB_STATE_BOUND}"
-        )
-    best = 0
-    for spec in enumerate_tm_specs(n + 1):
-        halted, _, cells = run_tm(spec, t)
-        if halted and cells > best:
-            best = cells
-    return best
+    return busy_beaver_row(n, t)[t]
 
 
 def busy_beaver_row(n: int, t_max: int) -> list[int]:
-    """bb(n, t) for t = 0..t_max in one enumeration pass."""
+    """bb(n, t) for t = 0..t_max in one enumeration pass: the most cells of
+    a machine halting at each step, then a running max over the steps."""
     if n > BB_STATE_BOUND:
         raise ResourceError(
             f"busy beaver enumeration is bounded at n <= {BB_STATE_BOUND}"
         )
-    row = [0] * (t_max + 1)
+    at_step = [0] * (t_max + 1)
     for spec in enumerate_tm_specs(n + 1):
         halted, steps, cells = run_tm(spec, t_max)
-        if halted:
-            for t in range(steps, t_max + 1):
-                row[t] = max(row[t], cells)
-    return row
+        if halted and cells > at_step[steps]:
+            at_step[steps] = cells
+    return list(itertools.accumulate(at_step, max))
 
 
 # ------------------------------------------------- enumerable-set counters
@@ -424,14 +414,15 @@ def card_re(n: int, t: int) -> int:
 
 def card_re_evaluator(n: int) -> Evaluator:
     """h(n, t) as an evaluator; every (t, fuel) query is answered from one
-    run of b_word(n) through _fuel_prefix_runs."""
+    run of b_word(n) through _fuel_prefix_runs, by a bisect on the
+    step-ordered first emissions at step bound t."""
     code = b_word(n)
     emitted_at = _fuel_prefix_runs(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        return sum(1 for step, _ in emitted_at(None, fuel) if step < t)
+        return bisect.bisect_left(emitted_at(None, fuel), (t,))
 
     return Evaluator(fn, name=f"card_re[{n}]")
 
@@ -447,23 +438,32 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     minus:    {x - y : x in X, y emitted, x >= y}          (increasing)
     setminus: X minus the values emitted so far            (decreasing;
               consume its limit with rev(finsets))
+
+    Each cached run is kept as the first emission step of every value plus
+    the emitted values in ascending order, so a query reads only X and the
+    emitted values <= max X.
     """
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     code = b_word(a_index)
-    emitted_at = _fuel_prefix_runs(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
+
+    def first_steps(_x, fuel):
+        first = {v: step for step, v in run_raw(code, 0, fuel).raw_first}
+        return first, sorted(first)
+
+    emitted_at = _fuel_prefix_runs(first_steps)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        xs = set(x)
-        es = {v for step, v in emitted_at(None, fuel) if step < t}
-        if mode == "cap":
-            out = xs & es
-        elif mode == "minus":
-            out = {xx - y for xx in xs for y in es if xx >= y}
+        first, values = emitted_at(None, fuel)
+        if mode == "minus":
+            below = itertools.islice(values, bisect.bisect_right(values, max(x, default=-1)))
+            es = [y for y in below if first[y] < t]
+            out = {xx - y for xx in x for y in es if xx >= y}
         else:
-            out = xs - es
+            keep = mode == "cap"
+            out = {xx for xx in x if (first.get(xx, t) < t) == keep}
         return tuple(sorted(out))
 
     return Evaluator(fn, name=f"interact[{mode},{a_index}]")

@@ -12,6 +12,13 @@ the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
 matching over sorted successor lists, and the star/dagger subset walks with
 their pairwise chain/antichain tests. It works on plain (n, relation) data,
 independent of FinitePoset.
+
+The last part holds the enumerator layer from before its one-pass rewrite:
+the run cache that slices its cached run on every call and the evaluators
+that scan or rebuild the sliced emissions per query, the busy-beaver loops
+(one enumeration per bb(n, t), and a row raised step by step per machine),
+and the two separate breadth-first subset constructions behind the
+canonical DFA and the quotient.
 """
 
 from __future__ import annotations
@@ -20,11 +27,20 @@ import itertools
 from typing import Any, Sequence
 
 from kposet.errors import ConfigError
+from kposet.automata import Dfa, _thompson, canonicalize_dfa
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, TableEntry, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
 from kposet.posets import PosetInstance, reverse
-from kposet.vm import _CYCLE_SET_CAP, RunResult, parse_program
+from kposet.vm import (
+    _CYCLE_SET_CAP,
+    RunResult,
+    enumerate_tm_specs,
+    parse_program,
+    run_emitting,
+    run_raw,
+    run_tm,
+)
 
 
 def execute_ordered(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
@@ -282,3 +298,173 @@ def check_dagger_ref(n: int, weak_lt, strong_lt, k: int) -> list[int] | None:
             if len(min_chain_cover_ref(len(subset), induced)) > k:
                 return _strong_sort(strong_lt, subset)
     return None
+
+
+# ------------------------------------------------------- enumerator layer
+
+
+def fuel_prefix_runs_ref(run):
+    """The slicing run cache: one run per input at the largest fuel seen,
+    cut to the steps below the requested fuel on every call."""
+    cache: dict[Any, tuple[int, tuple]] = {}
+
+    def at(x, fuel):
+        cached = cache.get(x)
+        if cached is None or cached[0] < fuel:
+            run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
+            cache[x] = (run_fuel, run(x, run_fuel))
+        run_fuel, emissions = cache[x]
+        if run_fuel == fuel:
+            return emissions
+        return tuple((s, v) for s, v in emissions if s < fuel)
+
+    return at
+
+
+def vm_max_evaluator_ref(p: PosetInstance, n: int):
+    """Last kept emission with step <= t, scanning the sliced run."""
+    code = b_word(n)
+    kept_at = fuel_prefix_runs_ref(lambda x, fuel: run_emitting(p, code, b_index(x), fuel).trace)
+
+    def fn(x, t, fuel):
+        if fuel < t:
+            return None
+        value = None
+        for step, d in kept_at(x, fuel):
+            if step > t:
+                break
+            value = d
+        return value
+
+    return fn
+
+
+def card_re_evaluator_ref(n: int):
+    """Count of first emissions with step < t, scanning the sliced run."""
+    code = b_word(n)
+    emitted_at = fuel_prefix_runs_ref(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
+
+    def fn(x, t, fuel):
+        if fuel < t:
+            return None
+        return sum(1 for step, _ in emitted_at(None, fuel) if step < t)
+
+    return fn
+
+
+def set_interaction_ref(a_index: int, mode: str):
+    """The interaction rebuilt from the whole sliced emission set per call."""
+    code = b_word(a_index)
+    emitted_at = fuel_prefix_runs_ref(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
+
+    def fn(x, t, fuel):
+        if fuel < t:
+            return None
+        xs = set(x)
+        es = {v for step, v in emitted_at(None, fuel) if step < t}
+        if mode == "cap":
+            out = xs & es
+        elif mode == "minus":
+            out = {xx - y for xx in xs for y in es if xx >= y}
+        else:
+            out = xs - es
+        return tuple(sorted(out))
+
+    return fn
+
+
+def busy_beaver_bb_ref(n: int, t: int) -> int:
+    """Max cells visited over all (n+1)-state machines halting within t."""
+    best = 0
+    for spec in enumerate_tm_specs(n + 1):
+        halted, _, cells = run_tm(spec, t)
+        if halted and cells > best:
+            best = cells
+    return best
+
+
+def busy_beaver_row_ref(n: int, t_max: int) -> list[int]:
+    """bb(n, t) for t = 0..t_max, each halting machine raising every t from
+    its halting step on."""
+    row = [0] * (t_max + 1)
+    for spec in enumerate_tm_specs(n + 1):
+        halted, steps, cells = run_tm(spec, t_max)
+        if halted:
+            for t in range(steps, t_max + 1):
+                row[t] = max(row[t], cells)
+    return row
+
+
+def subset_construct_ref(nstates, edges, start, acc, alphabet) -> Dfa:
+    """Subset construction over an epsilon-NFA, states numbered in BFS order."""
+    k = len(alphabet)
+    sym_index = {c: i for i, c in enumerate(alphabet)}
+    eps: dict[int, list[int]] = {}
+    bysym: dict[tuple[int, int], list[int]] = {}
+    for (s, c, t) in edges:
+        if c is None:
+            eps.setdefault(s, []).append(t)
+        else:
+            bysym.setdefault((s, sym_index[c]), []).append(t)
+
+    def closure(states):
+        stack = list(states)
+        out = set(states)
+        while stack:
+            s = stack.pop()
+            for t in eps.get(s, ()):
+                if t not in out:
+                    out.add(t)
+                    stack.append(t)
+        return frozenset(out)
+
+    start_set = closure(frozenset([start]))
+    index = {start_set: 0}
+    order = [start_set]
+    delta_rows = []
+    i = 0
+    while i < len(order):
+        cur = order[i]
+        row = []
+        for a in range(k):
+            nxt = closure(frozenset(t for s in cur for t in bysym.get((s, a), ())))
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        delta_rows.append(tuple(row))
+        i += 1
+    accept = frozenset(i for i, st in enumerate(order) if acc in st)
+    return Dfa(len(order), 0, accept, tuple(delta_rows), tuple(alphabet))
+
+
+def canonical_dfa_ref(ast, sigma) -> Dfa:
+    """Thompson, the subset construction above, minimisation, renumbering."""
+    sigma = tuple(sigma)
+    nstates, edges, start, acc = _thompson(ast, len(sigma))
+    return canonicalize_dfa(subset_construct_ref(nstates, edges, start, acc, sigma))
+
+
+def quotient_ref(l: Dfa, words) -> Dfa:
+    """M^-1 L by a BFS over the reached state sets of l."""
+    x = frozenset(l.step(l.start, w) for w in words)
+    if not x:
+        return canonical_dfa_ref(None, l.alphabet)
+    k = len(l.alphabet)
+    index = {x: 0}
+    order = [x]
+    rows = []
+    i = 0
+    while i < len(order):
+        cur = order[i]
+        row = []
+        for a in range(k):
+            nxt = frozenset(l.delta[q][a] for q in cur)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+        i += 1
+    accept = frozenset(i for i, st in enumerate(order) if st & l.accept)
+    return canonicalize_dfa(Dfa(len(order), 0, accept, tuple(rows), l.alphabet))

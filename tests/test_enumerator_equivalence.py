@@ -1,0 +1,184 @@
+"""The enumerator layer against its earlier code in reference_impl.py: the
+unsliced run cache behind the evaluators, the busy-beaver row built by one
+running max, and the one powerset construction behind canonical DFAs and
+quotients."""
+
+import json
+import time
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reference_impl import (
+    busy_beaver_bb_ref,
+    busy_beaver_row_ref,
+    canonical_dfa_ref,
+    card_re_evaluator_ref,
+    quotient_ref,
+    set_interaction_ref,
+    subset_construct_ref,
+    vm_max_evaluator_ref,
+)
+
+from kposet.automata import CONCAT, _thompson, parse_regex, quotient, to_canonical_dfa
+from kposet.cli import main
+from kposet.codec import b_index
+from kposet.limits import Evaluator, budgeted_limit
+from kposet.posets import parse_poset_spec
+from kposet.vm import (
+    INTERACTION_MODES,
+    assemble,
+    busy_beaver_bb,
+    busy_beaver_row,
+    card_re_evaluator,
+    set_interaction_evaluators,
+    vm_max_evaluator,
+)
+
+SPECS = ("nat", "rev(nat)", "int", "prefix:ab", "rev(finsets)", "lexico:a<b")
+POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}
+
+COUNTER = assemble(["INC_A", "OUT", ("JZ_B", -2)])  # emits 1, 2, 3, ... at steps 1, 4, 7, ...
+ZIGZAG = assemble(["INC_A", "INC_A", "OUT", "DEC_A", "OUT", "INC_A", "INC_A", "OUT", "HALT"])
+READS_INPUT = assemble([("JZ_B", 4), "INC_A", "OUT", "HALT", "OUT", "HALT"])
+
+instructions = st.one_of(
+    st.sampled_from(["INC_A", "INC_B", "DEC_A", "DEC_B", "OUT", "HALT"]),
+    st.tuples(st.sampled_from(["JZ_A", "JZ_B"]), st.integers(-4, 4)),
+)
+programs = st.one_of(
+    st.sampled_from([COUNTER, ZIGZAG, READS_INPUT]),
+    st.lists(instructions, min_size=1, max_size=10).map(assemble),
+)
+# (t, fuel) pairs in any order, so fuel grows and shrinks between calls;
+# fuel < t asks for an undefined value, and fuel == t is drawn on its own
+clocks = st.one_of(
+    st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    st.integers(0, 300).map(lambda t: (t, t)),
+)
+GROW_SHRINK = [(0, 0), (5, 5), (63, 64), (64, 64), (65, 65), (200, 130), (129, 129), (3, 3), (300, 300), (7, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(SPECS),
+    code=programs,
+    queries=st.lists(st.tuples(st.sampled_from(["", "0", "1", "00"]), clocks), min_size=1, max_size=30),
+)
+@example(spec="nat", code=COUNTER, queries=[("", q) for q in GROW_SHRINK])
+@example(spec="rev(nat)", code=ZIGZAG, queries=[("0", q) for q in GROW_SHRINK])
+@example(spec="nat", code=READS_INPUT, queries=[(x, q) for q in GROW_SHRINK for x in ("", "0")])
+def test_vm_max_evaluator_matches_slicing_reference(spec, code, queries):
+    p = POSETS[spec]
+    n = b_index(code)
+    got, want = vm_max_evaluator(p, n), vm_max_evaluator_ref(p, n)
+    for x, (t, fuel) in queries:
+        assert got(x, t, fuel) == want(x, t, fuel), (x, t, fuel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=programs, queries=st.lists(clocks, min_size=1, max_size=30))
+@example(code=COUNTER, queries=GROW_SHRINK)
+@example(code=ZIGZAG, queries=GROW_SHRINK)
+def test_card_re_evaluator_matches_slicing_reference(code, queries):
+    n = b_index(code)
+    got, want = card_re_evaluator(n), card_re_evaluator_ref(n)
+    for t, fuel in queries:
+        assert got(None, t, fuel) == want(None, t, fuel), (t, fuel)
+
+
+members = st.one_of(st.integers(0, 40), st.just(10**9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(INTERACTION_MODES),
+    code=programs,
+    queries=st.lists(st.tuples(st.lists(members, max_size=5).map(tuple), clocks), min_size=1, max_size=20),
+)
+@example(mode="minus", code=COUNTER, queries=[((0, 5, 10**9), q) for q in GROW_SHRINK])
+@example(mode="cap", code=COUNTER, queries=[((), q) for q in GROW_SHRINK])
+@example(mode="setminus", code=ZIGZAG, queries=[((0, 1, 2, 2, 9), q) for q in GROW_SHRINK])
+def test_set_interaction_matches_slicing_reference(mode, code, queries):
+    n = b_index(code)
+    got, want = set_interaction_evaluators(n, mode), set_interaction_ref(n, mode)
+    for x, (t, fuel) in queries:
+        assert got(x, t, fuel) == want(x, t, fuel), (x, t, fuel)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("t_max", [0, 1, 5, 60])
+def test_busy_beaver_matches_brute_force(n, t_max):
+    assert busy_beaver_row(n, t_max) == busy_beaver_row_ref(n, t_max)
+    assert busy_beaver_bb(n, t_max) == busy_beaver_bb_ref(n, t_max)
+
+
+leaves = st.sampled_from(["a", "b", "c", "()"])
+regex_texts = st.one_of(
+    st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: f"({p[0]}+{p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"{p[0]}{CONCAT}{p[1]}"),
+            inner.map(lambda r: f"({r})*"),
+        ),
+        max_leaves=8,
+    ),
+    st.text(alphabet="abc+*()" + CONCAT, max_size=8),  # mostly ill-formed
+)
+alphabets = st.sampled_from([("a", "b"), ("a", "b", "c")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=regex_texts, sigma=alphabets)
+@example(text="", sigma=("a", "b"))
+@example(text=f"(a+b)*{CONCAT}b{CONCAT}(a+b)", sigma=("a", "b"))
+def test_canonical_dfa_matches_reference(text, sigma):
+    ast = parse_regex(text, sigma)
+    assert to_canonical_dfa(ast, sigma) == canonical_dfa_ref(ast, sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=regex_texts,
+    sigma=alphabets,
+    words=st.lists(st.text(alphabet="ab", max_size=4), max_size=4),
+    minimal=st.booleans(),
+)
+@example(text="a", sigma=("a", "b"), words=[], minimal=True)
+def test_quotient_matches_reference(text, sigma, words, minimal):
+    ast = parse_regex(text, sigma)
+    if minimal:
+        l = to_canonical_dfa(ast, sigma)
+    else:  # the unminimised subset automaton: reached sets of several states
+        l = subset_construct_ref(*_thompson(ast, len(sigma)), sigma)
+    assert quotient(l, words) == quotient_ref(l, words)
+
+
+def test_interact_with_a_huge_member_matches_reference(tmp_path):
+    # a query reads only X and the emitted values <= max X; nothing walks
+    # up to the member 10**9
+    out = tmp_path / "interact.json"
+    xs = (0, 5, 10**9)
+    start = time.perf_counter()
+    code = main([
+        "interact", "--program", COUNTER, "--mode", "minus", "--x", "0,5,1000000000",
+        "--t-budget", "3000", "--out", str(out),
+    ])
+    assert code == 0
+    assert time.perf_counter() - start < 60
+    report = json.loads(out.read_text())
+
+    want = set_interaction_ref(b_index(COUNTER), "minus")
+    trace, prev = [], None
+    for t in range(3001):
+        v = want(xs, t, 3000)
+        if v != prev:
+            trace.append([t, list(v)])
+            prev = v
+    limit = budgeted_limit(parse_poset_spec("finsets"), Evaluator(want), xs, 3000, 3000, 8)
+    assert report["trace"] == trace
+    assert report["limit"] == list(limit.current)
+    assert report["status"] == limit.status
+    assert len(trace) > 900  # COUNTER emits a new value every 3 steps

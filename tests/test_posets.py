@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from kposet.analysis import FinitePoset
 from kposet.errors import ConfigError, DomainError
 from kposet.posets import (
     escape_element,
     finite_greatest,
-    finite_order_from_json,
     parse_poset_spec,
     reverse,
 )
@@ -181,15 +181,15 @@ def test_discrete_is_empty_order():
 
 
 def test_finite_order_from_json():
-    names, lt = finite_order_from_json(
+    fp = FinitePoset.from_json(
         '{"elements": ["a", "b", "c"], "lt": [[0, 1], [1, 2]]}'
     )
-    assert names == ["a", "b", "c"]
-    assert (0, 2) in lt  # closure
+    assert fp.names == ("a", "b", "c")
+    assert fp.lt == {(0, 1), (1, 2), (0, 2)}  # closure
     with pytest.raises(ConfigError):
-        finite_order_from_json('{"elements": ["a"], "lt": [[0, 0]]}')
+        FinitePoset.from_json('{"elements": ["a"], "lt": [[0, 0]]}')
     with pytest.raises(ConfigError):
-        finite_order_from_json("not json")
+        FinitePoset.from_json("not json")
     for bad in (
         '{"elements": ["a", "b"], "lt": [["0", 1]]}',  # string index
         '{"elements": ["a", "b"], "lt": [[0.0, 1]]}',  # float index
@@ -202,4 +202,4 @@ def test_finite_order_from_json():
         '{"elements": ["a", "b", "c"], "lt": [[0, 1], [1, 2], [2, 0]]}',  # cycle
     ):
         with pytest.raises(ConfigError):
-            finite_order_from_json(bad)
+            FinitePoset.from_json(bad)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from reference_impl import busy_beaver_bb_ref
+
 from kposet.codec import b_index, b_word
 from kposet.errors import ConfigError, ResourceError
 from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING, budgeted_limit
@@ -153,7 +155,7 @@ def test_busy_beaver_basics():
         assert busy_beaver_bb(n, 0) == 0
     assert busy_beaver_bb(0, 1) == 2  # one halting move visits two cells
     row0 = busy_beaver_row(0, 10)
-    assert row0 == [busy_beaver_bb(0, t) for t in range(11)]
+    assert row0 == [busy_beaver_bb_ref(0, t) for t in range(11)]
     for a, b in zip(row0, row0[1:]):
         assert a <= b
     with pytest.raises(ResourceError):
