@@ -125,7 +125,7 @@ def parse_regex(text: str, sigma: Sequence[str]) -> RegexAst | None:
         raise ConfigError("alphabet symbols collide with operator characters")
     if not text:
         return None
-    if any(c not in set(sigma) | set(OPERATOR_CHARS) for c in text):
+    if not set(text) <= set(sigma) | set(OPERATOR_CHARS):
         return None
     parser = _Parser(text, sigma)
     try:
@@ -193,9 +193,9 @@ def dfa_from_json(text: str, alphabet: Sequence[str]) -> Dfa:
     return d
 
 
-def _thompson(ast: RegexAst | None, k: int):
-    """AST -> epsilon-NFA as (state count, [(src, symidx|None, dst)], start,
-    accept). None denotes the empty language."""
+def _thompson(ast: RegexAst | None):
+    """AST -> epsilon-NFA as ([(src, symbol|None, dst)], start, accept).
+    None denotes the empty language."""
     edges: list[tuple[int, Optional[int], int]] = []
     counter = [0]
 
@@ -232,12 +232,12 @@ def _thompson(ast: RegexAst | None, k: int):
 
     if ast is None:
         s, t = fresh(), fresh()  # no edge between them: accepts nothing
-        return counter[0], edges, s, t
+        return edges, s, t
     start, acc = build(ast)
-    return counter[0], edges, start, acc
+    return edges, start, acc
 
 
-def _subset_construct(nstates, edges, start, acc, alphabet) -> Dfa:
+def _subset_construct(edges, start, acc, alphabet) -> Dfa:
     sym_index = {c: i for i, c in enumerate(alphabet)}
     eps: dict[int, list[int]] = {}
     bysym: dict[tuple[int, int], list[int]] = {}
@@ -336,8 +336,7 @@ def _bfs_renumber(d: Dfa) -> Dfa:
 def to_canonical_dfa(ast: RegexAst | None, sigma: Sequence[str]) -> Dfa:
     """Thompson, subset construction, minimization, BFS renumbering."""
     sigma = tuple(sigma)
-    nstates, edges, start, acc = _thompson(ast, len(sigma))
-    return _bfs_renumber(_minimize(_subset_construct(nstates, edges, start, acc, sigma)))
+    return _bfs_renumber(_minimize(_subset_construct(*_thompson(ast), sigma)))
 
 
 def canonicalize_dfa(d: Dfa) -> Dfa:
@@ -394,8 +393,17 @@ def quotient_evaluator(l: Dfa, words: Sequence[str]) -> Evaluator:
 
 
 class _Enumeration:
-    """Append-only length-lex enumeration of regex texts, deduplicated by
-    canonical DFA; shared per alphabet and safe to extend under a lock."""
+    """Append-only enumeration of regular languages, deduplicated by
+    canonical DFA; shared per alphabet and safe to extend under a lock.
+
+    The texts over Sigma + '+*·()' are ordered length-lexicographically by
+    `symbols`, and a language's rank comes from the first text denoting it.
+    Only the empty text (the empty language, rank 0) and the well-formed
+    texts are generated and canonicalised: every other text denotes the
+    empty language again and cannot add one. The skipped texts still count
+    toward the `max_texts` ceiling, and `scanned` is the length-lex index
+    just past the last text taken, so both read as if every text had been
+    scanned."""
 
     def __init__(self, sigma: tuple[str, ...]):
         self.sigma = sigma
@@ -405,23 +413,65 @@ class _Enumeration:
         self.scanned = 0
         self.lock = threading.Lock()
         self._gen = self._texts()
+        self._pending = next(self._gen)  # peeked, so a ceiling loses nothing
 
     def _texts(self):
-        frontier = [""]
+        """(length-lex index, text) for the empty text and then for every
+        well-formed text, in length-lex order over `symbols`."""
+        k = len(self.symbols)
+        n = len(self.sigma)
+        plus, star, concat, open_, close = range(n, k)
+        yield 0, ""
+        length = 1
         while True:
-            for text in frontier:
-                yield text
-            frontier = [t + c for t in frontier for c in self.symbols]
+            offset = (k ** length - 1) // (k - 1)  # texts shorter than length
+
+            def extend(text, digits, operand, opened, depth):
+                # the parser's state after `text`: an operand is expected,
+                # the last character was '(' and the open-parenthesis depth.
+                # A character is taken only when the shortest completion
+                # after it fits, so a full-length text needs none: it parses.
+                room = length - len(text)
+                if room == 0:
+                    yield offset + digits, text
+                    return
+                for i in range(k):
+                    if operand:
+                        if i < n:
+                            state = (False, False, depth)
+                        elif i == open_:
+                            state = (True, True, depth + 1)
+                        elif i == close and opened:
+                            state = (False, False, depth - 1)
+                        else:
+                            continue
+                    elif i == star:
+                        state = (False, False, depth)
+                    elif i == plus or i == concat:
+                        state = (True, False, depth)
+                    elif i == close and depth:
+                        state = (False, False, depth - 1)
+                    else:
+                        continue
+                    # shortest completion: close every '(', after an
+                    # operand if one is due and ')' cannot supply it
+                    if state[2] + (state[0] and not state[1]) < room:
+                        yield from extend(text + self.symbols[i], digits * k + i, *state)
+
+            yield from extend("", 0, True, False, 0)
+            length += 1
 
     def extend_to(self, count: int, max_texts: int):
         with self.lock:
             while len(self.languages) <= count:
-                if self.scanned >= max_texts:
+                index, text = self._pending
+                if index >= max_texts:
+                    self.scanned = max(self.scanned, max_texts)
                     raise ResourceError(
                         f"regular-language enumeration ceiling hit after {max_texts} texts"
                     )
-                text = next(self._gen)
-                self.scanned += 1
+                self._pending = next(self._gen)
+                self.scanned = index + 1
                 dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
                 if dfa not in self.by_dfa:
                     self.by_dfa[dfa] = len(self.languages)

@@ -160,9 +160,10 @@ def _word_carrier(alphabet: str):
     """Length-lexicographic rank/unrank over the declared symbol listing."""
     k = len(alphabet)
     index = {c: i for i, c in enumerate(alphabet)}
+    symbols = frozenset(alphabet)
 
     def check(w):
-        if not isinstance(w, str) or any(c not in index for c in w):
+        if not isinstance(w, str) or not symbols.issuperset(w):
             raise DomainError(f"not a word over {alphabet!r}: {w!r}")
         return w
 

@@ -19,6 +19,10 @@ that scan or rebuild the sliced emissions per query, the busy-beaver loops
 (one enumeration per bb(n, t), and a row raised step by step per machine),
 and the two separate breadth-first subset constructions behind the
 canonical DFA and the quotient.
+
+The last class is the regular-language enumeration from before it skipped
+ill-formed texts: every text in length-lex order goes through the whole
+canonical-DFA pipeline and counts one toward the ceiling.
 """
 
 from __future__ import annotations
@@ -26,8 +30,15 @@ from __future__ import annotations
 import itertools
 from typing import Any, Sequence
 
-from kposet.errors import ConfigError
-from kposet.automata import Dfa, _thompson, canonicalize_dfa
+from kposet.errors import ConfigError, ResourceError
+from kposet.automata import (
+    CONCAT,
+    Dfa,
+    _thompson,
+    canonicalize_dfa,
+    parse_regex,
+    to_canonical_dfa,
+)
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, TableEntry, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
@@ -395,7 +406,7 @@ def busy_beaver_row_ref(n: int, t_max: int) -> list[int]:
     return row
 
 
-def subset_construct_ref(nstates, edges, start, acc, alphabet) -> Dfa:
+def subset_construct_ref(edges, start, acc, alphabet) -> Dfa:
     """Subset construction over an epsilon-NFA, states numbered in BFS order."""
     k = len(alphabet)
     sym_index = {c: i for i, c in enumerate(alphabet)}
@@ -441,8 +452,7 @@ def subset_construct_ref(nstates, edges, start, acc, alphabet) -> Dfa:
 def canonical_dfa_ref(ast, sigma) -> Dfa:
     """Thompson, the subset construction above, minimisation, renumbering."""
     sigma = tuple(sigma)
-    nstates, edges, start, acc = _thompson(ast, len(sigma))
-    return canonicalize_dfa(subset_construct_ref(nstates, edges, start, acc, sigma))
+    return canonicalize_dfa(subset_construct_ref(*_thompson(ast), sigma))
 
 
 def quotient_ref(l: Dfa, words) -> Dfa:
@@ -468,3 +478,36 @@ def quotient_ref(l: Dfa, words) -> Dfa:
         i += 1
     accept = frozenset(i for i, st in enumerate(order) if st & l.accept)
     return canonicalize_dfa(Dfa(len(order), 0, accept, tuple(rows), l.alphabet))
+
+
+class EnumerationRef:
+    """Every text over Sigma + '+*·()' in length-lex order, each parsed and
+    canonicalised; a language is ranked by its first text."""
+
+    def __init__(self, sigma):
+        self.sigma = tuple(sigma)
+        self.symbols = list(sigma) + list("+*" + CONCAT + "()")
+        self.languages: list[Dfa] = []
+        self.by_dfa: dict[Dfa, int] = {}
+        self.scanned = 0
+        self._gen = self.texts()
+
+    def texts(self):
+        frontier = [""]
+        while True:
+            for text in frontier:
+                yield text
+            frontier = [t + c for t in frontier for c in self.symbols]
+
+    def extend_to(self, count: int, max_texts: int):
+        while len(self.languages) <= count:
+            if self.scanned >= max_texts:
+                raise ResourceError(
+                    f"regular-language enumeration ceiling hit after {max_texts} texts"
+                )
+            text = next(self._gen)
+            self.scanned += 1
+            dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
+            if dfa not in self.by_dfa:
+                self.by_dfa[dfa] = len(self.languages)
+                self.languages.append(dfa)

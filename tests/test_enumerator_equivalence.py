@@ -152,7 +152,7 @@ def test_quotient_matches_reference(text, sigma, words, minimal):
     if minimal:
         l = to_canonical_dfa(ast, sigma)
     else:  # the unminimised subset automaton: reached sets of several states
-        l = subset_construct_ref(*_thompson(ast, len(sigma)), sigma)
+        l = subset_construct_ref(*_thompson(ast), sigma)
     assert quotient(l, words) == quotient_ref(l, words)
 
 

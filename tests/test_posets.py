@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,17 @@ def test_finsets_leq():
     assert not fs.leq((1, 2, 3), (1, 2))
     with pytest.raises(DomainError):
         fs.leq((2, 1), (1, 2))
+
+
+def test_word_carrier_rejects_foreign_words():
+    for spec in ("prefix:ab", "lexico:a<b"):
+        p = parse_poset_spec(spec)
+        assert p.leq("", "ab") and p.rank("ba") == 5
+        for bad in ("ac", "c", 3, ["a"]):
+            with pytest.raises(DomainError, match=re.escape(f"not a word over 'ab': {bad!r}")):
+                p.leq(bad, "a")
+        with pytest.raises(DomainError, match="not a word over 'ab': 'abx'"):
+            p.rank("abx")
 
 
 def test_rank_unrank():

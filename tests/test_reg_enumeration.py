@@ -1,0 +1,95 @@
+"""The `reg:` canonical enumeration against its earlier text-by-text scan in
+reference_impl.py: the same texts at the same length-lex indices (minus the
+ill-formed ones), the same languages, ranks and scan counts, and the same
+ceiling errors, also when a later call raises the ceiling."""
+
+import itertools
+import time
+
+import pytest
+from reference_impl import EnumerationRef
+
+from kposet import automata
+from kposet.automata import ENUMERATION_TEXT_CEILING, _Enumeration, parse_regex, reg_unrank
+from kposet.cli import main
+from kposet.errors import ResourceError
+
+ALPHABETS = (("a",), ("a", "b"), ("x", "y", "z"))
+CEILING_MESSAGE = "regular-language enumeration ceiling hit after {} texts"
+
+
+@pytest.mark.parametrize("sigma", ALPHABETS)
+def test_texts_are_the_well_formed_reference_texts(sigma):
+    ref = EnumerationRef(sigma)
+    k = len(ref.symbols)
+    shorter_than_7 = (k ** 7 - 1) // (k - 1)
+    expected = [
+        (i, text)
+        for i, text in enumerate(itertools.islice(ref.texts(), shorter_than_7))
+        if i == 0 or parse_regex(text, sigma) is not None
+    ]
+    got = list(itertools.takewhile(
+        lambda pair: pair[0] < shorter_than_7, _Enumeration(sigma)._texts()
+    ))
+    assert got == expected
+
+
+# (count, max_texts) calls made in order on one enumeration; several raise,
+# and the calls after them continue with a larger ceiling
+CALLS = {
+    ("a",): [(0, 10**6), (3, 10**6), (20, 50), (20, 2000), (8, 2000), (8, 20000), (20, 20000)],
+    ("a", "b"): [(3, 10**6), (60, 50), (60, 2000), (15, 2000), (25, 20000), (60, 20000),
+                 (60, 1000)],
+    ("x", "y", "z"): [(8, 10**6), (90, 50), (90, 2000), (40, 2000), (60, 20000)],
+}
+
+
+@pytest.mark.parametrize("sigma", ALPHABETS)
+def test_extend_to_matches_reference(sigma):
+    new, ref = _Enumeration(sigma), EnumerationRef(sigma)
+    raised = 0
+    for count, max_texts in CALLS[sigma]:
+        outcomes = []
+        for enum in (new, ref):
+            try:
+                enum.extend_to(count, max_texts)
+                outcomes.append(None)
+            except ResourceError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (count, max_texts)
+        if outcomes[0] is not None:
+            assert outcomes[0] == CEILING_MESSAGE.format(max_texts)
+            raised += 1
+        assert new.languages == ref.languages
+        assert new.by_dfa == ref.by_dfa
+        assert new.scanned == ref.scanned
+    assert raised >= 2
+
+
+def test_only_well_formed_texts_are_canonicalised(monkeypatch):
+    asts = []
+    canonical = automata.to_canonical_dfa
+
+    def recording(ast, sigma):
+        asts.append(ast)
+        return canonical(ast, sigma)
+
+    monkeypatch.setattr(automata, "to_canonical_dfa", recording)
+    enum = _Enumeration(("a", "b"))
+    enum.extend_to(40, ENUMERATION_TEXT_CEILING)
+    assert asts[0] is None  # the empty text: the empty language at rank 0
+    assert None not in asts[1:]
+    assert len(asts) < enum.scanned
+
+
+def test_unrank_past_the_ceiling_raises():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="after 400000 texts"):
+        reg_unrank(15, ("a",))
+    assert time.perf_counter() - start < 10
+
+
+def test_estimate_past_the_ceiling_exits_3(capsys):
+    code = main(["estimate", "--poset", "reg:a", "--ranks", "20"])
+    assert code == 3
+    assert CEILING_MESSAGE.format(400000) in capsys.readouterr().err
