@@ -17,7 +17,8 @@ The scans generate only what can run, in the witness tie-break order of
 iter_words: the plain scan enumerates parseable programs (vm.iter_programs),
 the max/min scans walk the padded addresses 0^n 1 p arithmetically and parse
 each machine b_word(n) once. Both call the order-free kernel directly; the
-limit side applies the order's kept filter once per distinct run.
+limit side applies each order's kept filter once per distinct run, and a
+report fills its max and min columns from one walk, one run per address.
 """
 
 from __future__ import annotations
@@ -151,65 +152,69 @@ def _address_blocks(max_len: int) -> Iterator[tuple[int, int]]:
             yield n, length - n - 1
 
 
-def _limit_side_table(p: PosetInstance, ranks: int, b: Budget) -> tuple[dict[int, TableEntry], set[int]]:
-    """Shared machinery of the max table (and the min table over reverse(p)):
-    walk the padded addresses, run the indexed machine on the payload, keep
-    stabilized limits.
+def _limit_tables(p: PosetInstance, ranks: int, b: Budget, attrs: Sequence[str]) -> ComplexityTable:
+    """Shared machinery of the max table and the min table (the same over
+    reverse(p)): walk the padded addresses, run the indexed machine on the
+    payload, keep stabilized limits. The table holds the limit columns
+    `attrs` ("k_max" over p, "k_min" over reverse(p)), all filled from one
+    walk.
 
     Machine b_word(n) is parsed once per n and skipped when it does not parse
-    (it then never emits). A run's limit report depends only on its
-    first-occurrence emissions, so one outcome is kept per distinct
-    raw_first."""
-    found: dict[int, TableEntry] = {}
-    censored: set[int] = set()
+    or has no OUT (it then never emits, so no payload gives it a limit).
+    Each address is run once for all orders, and a run's limit report
+    depends only on its first-occurrence emissions, so one outcome per order
+    is kept per distinct raw_first."""
+    orders = [p if attr == "k_max" else reverse(p) for attr in attrs]
+    sides = [({}, set()) for _ in orders]  # (found, censored) per order
     horizon = min(b.t_budget, b.fuel)
     machines = [parse_program(b_word(n)) for n in range(b.max_prog_len)]
-    outcomes: dict[tuple, Optional[tuple[int, bool]]] = {}  # raw_first -> (rank, stabilized)
+    outcomes: dict[tuple, tuple] = {}  # raw_first -> per order, None or (rank, stabilized)
     for n, m in _address_blocks(b.max_prog_len):
         instrs = machines[n]
-        if instrs is None:
+        if instrs is None or ("OUT", None) not in instrs:
             continue
         first = (1 << m) - 1
         for v in range(1 << m):
             raw_first = _execute(instrs, first + v, b.fuel)[0]
-            if raw_first not in outcomes:
-                trace = kept_trace(raw_first, p.unrank, p.leq)
-                report = limit_report_from_trace(trace, horizon, b.window)
-                outcome = None
-                if report.current is not None:
-                    rank = p.rank(report.current)
-                    if rank < ranks:
-                        outcome = rank, report.status == STABILIZED
-                outcomes[raw_first] = outcome
-            outcome = outcomes[raw_first]
-            if outcome is None:
-                continue
-            rank, stabilized = outcome
-            if not stabilized:
-                censored.add(rank)
-            elif rank not in found:
-                payload = format(v, f"0{m}b") if m else ""
-                found[rank] = TableEntry(n + 1 + m, "0" * n + "1" + payload)
-    return found, censored
+            per_order = outcomes.get(raw_first)
+            if per_order is None:
+                per_order = outcomes[raw_first] = tuple(
+                    _limit_outcome(order, raw_first, ranks, horizon, b.window) for order in orders
+                )
+            for (found, censored), outcome in zip(sides, per_order):
+                if outcome is None:
+                    continue
+                rank, stabilized = outcome
+                if not stabilized:
+                    censored.add(rank)
+                elif rank not in found:
+                    payload = format(v, f"0{m}b") if m else ""
+                    found[rank] = TableEntry(n + 1 + m, "0" * n + "1" + payload)
+    table = ComplexityTable(p.spec, b)
+    for attr, (found, censored) in zip(attrs, sides):
+        for rank, entry in found.items():
+            setattr(table.row(rank), attr, entry)
+        table.censored |= censored - set(found)
+    return table
+
+
+def _limit_outcome(order: PosetInstance, raw_first, ranks: int, horizon: int, window: int):
+    """(rank, stabilized) of a run's limit under `order`, or None when the
+    run has no limit value or its rank is not below `ranks`."""
+    report = limit_report_from_trace(kept_trace(raw_first, order.unrank, order.leq), horizon, window)
+    if report.current is None:
+        return None
+    rank = order.rank(report.current)
+    return (rank, report.status == STABILIZED) if rank < ranks else None
 
 
 def k_max_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    table = ComplexityTable(p.spec, b)
-    found, censored = _limit_side_table(p, ranks, b)
-    for rank, entry in found.items():
-        table.row(rank).k_max = entry
-    table.censored |= censored - set(found)
-    return table
+    return _limit_tables(p, ranks, b, ("k_max",))
 
 
 def k_min_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
     """Identical machinery over the reversed order."""
-    table = ComplexityTable(p.spec, b)
-    found, censored = _limit_side_table(reverse(p), ranks, b)
-    for rank, entry in found.items():
-        table.row(rank).k_min = entry
-    table.censored |= censored - set(found)
-    return table
+    return _limit_tables(p, ranks, b, ("k_min",))
 
 
 def join_tables(
@@ -526,10 +531,8 @@ def hierarchy_report(
     the composite-program length |c(max_witness, min_witness)| of the paired
     decompressor. Byte-identical across reruns with the same inputs.
     """
-    plain = k_plain_table(p, ranks, b)
-    kmax = k_max_table(p, ranks, b)
-    kmin = k_min_table(p, ranks, b)
-    table = join_tables(plain, kmax, kmin)
+    limits = _limit_tables(p, ranks, b, ("k_max", "k_min"))  # both columns, one walk
+    table = join_tables(k_plain_table(p, ranks, b), limits, limits)
     verify_table(p, table)
     c_wrap = measure_wrap_constant(p, table)
     c1 = max(

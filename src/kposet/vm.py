@@ -25,6 +25,22 @@ dead spin that burns the remaining fuel. A repeat of the full machine state
 while reporting the fuel as consumed; kept and first-occurrence emissions
 are unaffected.
 
+A translated cycle (the two-counter form of the busy-beaver community's
+"translated cycler") is jumped over instead of interpreted. It is a run
+that comes back to the same pc with counters (a + da, b + db), da, db >= 0
+and not both 0, where every counter that grew was above 0 in every state of
+the segment between the two visits. Exactness: an instruction acts the same
+on (a, b) and on (a + da, b + db) unless it tests or decrements a counter
+that is 0 in one and not in the other, which positivity rules out; so the
+shifted segment replays step for step, its end is again shifted by
+(da, db) with its growing counters still positive, and by induction the
+segment repeats forever. The kernel adds the whole periods that fit in the
+remaining fuel, records the first occurrences among their OUTs (the OUT of
+value v at step s recurs as v + j*da at step s + j*period) and interprets
+the shorter remainder, so raw_first, halted, steps and the registers equal
+an honest fuel burn. Such a run never repeats a full state (its counters
+grow without bound), so the cycle cut above cannot fire on it either way.
+
 The module also hosts the tiny Turing-machine class for the busy beaver
 table and the enumerable-set counters built on raw emissions.
 """
@@ -177,11 +193,39 @@ class RunResult:
 _CYCLE_SET_CAP = 1 << 17  # beyond this, fall back to honest fuel burn
 
 
+def _shifted_firsts(segment, whole, period, da, raw_seen, raw_first) -> None:
+    """Record the first occurrences among the OUTs of `whole` skipped
+    periods: the OUT at (step, v) of the watched segment recurs in period j
+    at step + j*period with value v + j*da."""
+    if not segment:
+        return
+    for j in range(1, whole + 1):
+        shift, grow = j * period, j * da
+        for step, v in segment:
+            v += grow
+            if v not in raw_seen:
+                raw_seen.add(v)
+                raw_first.append((step + shift, v))
+
+
 def _execute(instrs, input_b: int, fuel: int) -> tuple:
     """The order-free kernel: run parsed instructions from reg_a=0,
     reg_b=input_b for at most `fuel` steps and return (raw_first, halted,
     steps, reg_a, reg_b), raw_first being the (step, rank) pairs of the first
-    OUT of each reg_a value. No order is consulted; see kept_trace."""
+    OUT of each reg_a value. No order is consulted; see kept_trace.
+
+    A translated cycle is jumped over (see the module docstring for why
+    this is exact). Watching starts at the first taken backward jump, so
+    short runs pay nothing for it. Each taken backward jump compares its
+    landing state with the previous landing at the same pc; when the
+    counters grew by (da, db) >= 0, not both 0, and every counter that grew
+    was above 0 at that landing and no DEC has left it at 0 since, the
+    segment repeats forever. The kernel then adds the whole periods that
+    fit in the remaining fuel, records the first occurrences among their
+    OUTs (value v + j*da at step s + j*period) and interprets the
+    remainder, which is shorter than one period; when not one whole period
+    fits it just goes on interpreting. The result equals the honest run
+    step for step."""
     pc, a, b = 0, 0, input_b
     steps = 0
     raw_first: list[tuple[int, int]] = []
@@ -189,6 +233,11 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
     halted = False
     states: set[tuple[int, int, int]] = set()
     n = len(instrs)
+    # watched from the first taken backward jump on: pc -> (step, a, b) of
+    # its last backward landing, and (step, reg_a) of every OUT since then
+    landings: Optional[dict[int, tuple[int, int, int]]] = None
+    outs: list[tuple[int, int]] = []
+    zero_a = zero_b = 0  # last step whose state a DEC left at 0 (state 0 counts too)
     while steps < fuel:
         if pc < 0 or pc >= n:
             steps = fuel  # dead spin
@@ -208,19 +257,55 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
             b += 1
             pc += 1
         elif op == "DEC_A":
-            a = a - 1 if a > 0 else 0
+            if a > 1:
+                a -= 1
+            else:
+                a = 0
+                zero_a = steps
             pc += 1
         elif op == "DEC_B":
-            b = b - 1 if b > 0 else 0
+            if b > 1:
+                b -= 1
+            else:
+                b = 0
+                zero_b = steps
             pc += 1
-        elif op == "JZ_A":
-            pc = pc + arg if a == 0 else pc + 1
-        elif op == "JZ_B":
-            pc = pc + arg if b == 0 else pc + 1
+        elif op == "JZ_A" or op == "JZ_B":
+            if a if op == "JZ_A" else b:
+                pc += 1
+            elif arg >= 0:
+                pc += arg
+            else:  # a taken backward jump: compare with the last landing here
+                pc += arg
+                if landings is None:
+                    landings = {}
+                last = landings.get(pc)
+                landings[pc] = (steps, a, b)
+                if last is None:
+                    continue
+                s0, a0, b0 = last
+                da, db = a - a0, b - b0
+                if (
+                    da >= 0 and db >= 0 and (da or db)
+                    and (not da or (a0 and zero_a < s0))
+                    and (not db or (b0 and zero_b < s0))
+                ):
+                    period = steps - s0
+                    whole = (fuel - steps) // period
+                    if whole:
+                        if da:
+                            segment = outs[bisect.bisect_left(outs, (s0,)):]
+                            _shifted_firsts(segment, whole, period, da, raw_seen, raw_first)
+                        steps += whole * period
+                        a += whole * da
+                        b += whole * db
+                        landings.clear()  # older landings span unwatched periods
         elif op == "OUT":
             if a not in raw_seen:
                 raw_seen.add(a)
                 raw_first.append((steps - 1, a))
+            if landings is not None:
+                outs.append((steps - 1, a))
             pc += 1
         else:  # HALT
             halted = True

@@ -153,3 +153,75 @@ def test_program_family_matches_two_ordered_runs():
             run_emitting_ref(weak, *args).trace,
             run_emitting_ref(reverse(weak), *args).trace,
         )
+
+
+# ------------------------------------------------ translated-cycle jumps
+
+STRAIGHT = ("INC_A", "INC_B", "DEC_A", "DEC_B", "OUT")
+
+
+@st.composite
+def growth_loops(draw):
+    """A straight-line prefix, then a straight-line loop body closed by a
+    backward JZ on a counter the body never increments (so it stays zero
+    once zero), then a short tail. The prefix may jump straight to the
+    closing JZ, so that the first watched segment starts from the prefix's
+    counters (a start at 0 or small enough for the body to reach 0)."""
+    closer, grower = draw(st.sampled_from([("JZ_A", "INC_B"), ("JZ_B", "INC_A")]))
+    body_ops = [op for op in STRAIGHT if op != "INC_" + closer[-1]]
+    prefix = draw(st.lists(st.sampled_from(STRAIGHT), max_size=4))
+    body = draw(st.lists(st.sampled_from(body_ops), min_size=1, max_size=6))
+    if draw(st.booleans()) and grower not in body:
+        body.append(grower)
+    if draw(st.booleans()):
+        prefix.append((closer, len(body) + 1))  # enter at the closing JZ
+    tail = draw(st.lists(st.sampled_from(STRAIGHT + ("HALT",)), max_size=2))
+    return assemble(prefix + body + [(closer, -len(body))] + tail)
+
+
+# OUT in the loop with da > 0: INC_A; OUT; JZ_B -2 emits j at step 3j - 2
+OUT_GROWS = assemble(["INC_A", "OUT", ("JZ_B", -2)])
+# OUT in the loop with da = 0 while b grows: emits 0 at every period
+OUT_REPEATS = assemble(["OUT", "INC_B", ("JZ_A", -2)])
+# entered at the closer with a = 1: the first watched segment takes a to
+# exactly 0 and then saturates, so it grows by 2, every later one by 1
+ZERO_INSIDE = assemble(
+    ["INC_A", ("JZ_B", 6), "DEC_A", "DEC_A", "INC_A", "INC_A", "INC_A", ("JZ_B", -5), "OUT"]
+)
+# entered at the closer with a = 0: the first watched segment grows a from
+# a saturated 0, every later one repeats exactly
+FROM_ZERO = assemble([("JZ_B", 3), "DEC_A", "INC_A", ("JZ_B", -2)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spec=st.sampled_from(["nat", "rev(nat)", "prefix:ab", "discrete(finsets)"]),
+    code=growth_loops(),
+    input_b=st.integers(0, 5),
+    fuel=st.one_of(st.integers(0, 40), st.integers(0, 300), st.sampled_from([1000, 4096])),
+)
+@example(spec="nat", code=OUT_GROWS, input_b=0, fuel=4096)
+@example(spec="nat", code=OUT_GROWS, input_b=0, fuel=8)  # less than one period left
+@example(spec="rev(nat)", code=OUT_REPEATS, input_b=0, fuel=1000)
+@example(spec="nat", code=ZERO_INSIDE, input_b=0, fuel=200)
+@example(spec="nat", code=FROM_ZERO, input_b=0, fuel=100)
+@example(spec="prefix:ab", code=assemble(["INC_B", "INC_B", "OUT", ("JZ_A", -2)]), input_b=3, fuel=301)
+def test_growth_loops_match_reference(spec, code, input_b, fuel):
+    p = POSETS[spec]
+    assert_same_run(run_emitting(p, code, input_b, fuel), run_emitting_ref(p, code, input_b, fuel))
+    assert_same_run(run_raw(code, input_b, fuel), run_raw_ref(code, input_b, fuel))
+
+
+@pytest.mark.parametrize("fuel", [37, 4096])
+def test_kernel_matches_reference_on_every_short_program(fuel):
+    for code, _ in iter_programs(14):
+        assert_same_run(run_raw(code, 0, fuel), run_raw_ref(code, 0, fuel))
+
+
+def test_translated_cycles_match_closed_forms():
+    # INC_A; JZ_B -1 counts a up once per two steps, and stops mid-period
+    res = run_raw(assemble(["INC_A", ("JZ_B", -1)]), 0, 10**6 + 1)
+    assert (res.steps_used, res.reg_a, res.reg_b, res.halted) == (10**6 + 1, 5 * 10**5 + 1, 0, False)
+    res = run_raw(OUT_GROWS, 0, 3000)
+    assert res.raw_first == tuple((3 * j - 2, j) for j in range(1, 1001))
+    assert (res.steps_used, res.reg_a) == (3000, 1000)
