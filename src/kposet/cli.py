@@ -224,17 +224,15 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_bb(args) -> int:
-    if args.states > vm.BB_STATE_BOUND:
-        raise ResourceError(
-            f"busy beaver enumeration is bounded at n <= {vm.BB_STATE_BOUND}"
-        )
+    # the largest n first: its call checks both sizes before any other walk
+    top = vm.busy_beaver_row(args.states, args.t_max)
     cfg = RunConfig(
         command="bb", seed=args.seed, threads=args.threads,
         extra={"states": args.states, "t_max": args.t_max},
     )
     rows = []
     for n in range(args.states + 1):
-        row = vm.busy_beaver_row(n, args.t_max)
+        row = top if n == args.states else vm.busy_beaver_row(n, args.t_max)
         rows.extend([n, t, row[t]] for t in range(args.t_max + 1))
     _emit(_csv_report(cfg, ["n", "t", "bb"], rows), args.out)
     return 0
@@ -252,6 +250,8 @@ def _program_index(args) -> int:
 
 def cmd_cardre(args) -> int:
     n = _program_index(args)
+    if args.t_max < 0:
+        raise ConfigError("--t-max must be a natural number")
     cfg = RunConfig(
         command="cardre", seed=args.seed, threads=args.threads,
         extra={"index": n, "t_max": args.t_max},

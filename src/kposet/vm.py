@@ -68,7 +68,6 @@ __all__ = [
     "kept_trace",
     "vm_max_evaluator",
     "TmSpec",
-    "enumerate_tm_specs",
     "busy_beaver_bb",
     "card_re",
     "set_interaction_evaluators",
@@ -449,40 +448,84 @@ def run_tm(spec: TmSpec, max_steps: int) -> tuple[bool, int, int]:
     return False, max_steps, len(visited)
 
 
-def enumerate_tm_specs(states: int):
-    """All total transition tables with the given number of states."""
-    options = [
-        (w, m, nxt)
-        for w in (0, 1)
-        for m in ("L", "R")
-        for nxt in list(range(states)) + ["H"]
-    ]
-    keys = [(q, s) for q in range(states) for s in (0, 1)]
-    for combo in itertools.product(options, repeat=len(keys)):
-        yield TmSpec(states, dict(zip(keys, combo)))
-
-
 def busy_beaver_bb(n: int, t: int) -> int:
     """Max over 0 and the cells visited by (n+1)-state machines halting
     within t steps from blank tape; monotone in both arguments."""
-    if n < 0 or t < 0:
-        raise ConfigError("busy_beaver_bb needs natural arguments")
     return busy_beaver_row(n, t)[t]
 
 
 def busy_beaver_row(n: int, t_max: int) -> list[int]:
-    """bb(n, t) for t = 0..t_max in one enumeration pass: the most cells of
-    a machine halting at each step, then a running max over the steps."""
+    """bb(n, t) for t = 0..t_max in one walk of the transition tree: the
+    most cells of a machine halting at each step, then a running max over
+    the steps."""
+    if n < 0 or t_max < 0:
+        raise ConfigError(f"busy beaver sizes must be natural numbers, got n={n}, t_max={t_max}")
     if n > BB_STATE_BOUND:
         raise ResourceError(
             f"busy beaver enumeration is bounded at n <= {BB_STATE_BOUND}"
         )
     at_step = [0] * (t_max + 1)
-    for spec in enumerate_tm_specs(n + 1):
-        halted, steps, cells = run_tm(spec, t_max)
+    for _reached, halted, steps, cells in _tree_leaves(n + 1, t_max):
         if halted and cells > at_step[steps]:
             at_step[steps] = cells
     return list(itertools.accumulate(at_step, max))
+
+
+def _tree_leaves(states: int, t_max: int) -> Iterator[tuple[tuple, bool, int, int]]:
+    """The leaves of the transition tree (Brady's tree normal form) of the
+    `states`-state machines run for t_max steps from blank tape.
+
+    A depth-first walk over partial tables: it starts from the empty table
+    and runs the machine; when the run first reads an undefined
+    (state, symbol), it branches over the 2 * 2 * (states + 1) transitions
+    (write, move, next-or-"H", in that nesting order), each branch resuming
+    from the current configuration. A leaf is a run that halts or uses up
+    t_max steps. It is yielded as (reached, halted, steps, cells), the
+    outcome run_tm gives, with reached the ((state, symbol), transition)
+    pairs the run defined, in the order it reached them.
+
+    Exactness: run_tm on a total table only reads the transitions it
+    reaches, so it runs step for step like the partial table of the one
+    leaf whose reached transitions the table contains; every total table
+    falls under exactly one leaf, because the tree branches over every
+    transition at each key it reaches. The tape and the visited cells are
+    bit masks (bit t_max + p for cell p, |p| <= t_max), so branches share
+    them without copies."""
+    transitions = [
+        (write, move, nxt)
+        for write in (0, 1)
+        for move in ("L", "R")
+        for nxt in [*range(states), "H"]
+    ]
+    # popped from the stack in the order above; "H" runs as state -1
+    branches = [
+        ((write, move, nxt), (write, 1 if move == "R" else -1, -1 if nxt == "H" else nxt))
+        for write, move, nxt in reversed(transitions)
+    ]
+    # (table indexed by 2 * state + symbol, reached, state, pos, tape, visited, step)
+    stack = [((None,) * (2 * states), (), 0, t_max, 0, 1 << t_max, 0)]
+    while stack:
+        table, reached, state, pos, tape, visited, step = stack.pop()
+        while step < t_max:
+            key = 2 * state + (tape >> pos & 1)
+            act = table[key]
+            if act is None:
+                head, tail = table[:key], table[key + 1:]
+                where = (state, key & 1)
+                for tr, act in branches:
+                    stack.append((head + (act,) + tail, reached + ((where, tr),),
+                                  state, pos, tape, visited, step))
+                break
+            write, delta, state = act
+            tape = tape | 1 << pos if write else tape & ~(1 << pos)
+            pos += delta
+            visited |= 1 << pos
+            step += 1
+            if state < 0:
+                yield reached, True, step, visited.bit_count()
+                break
+        else:
+            yield reached, False, step, visited.bit_count()
 
 
 # ------------------------------------------------- enumerable-set counters

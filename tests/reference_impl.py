@@ -18,7 +18,9 @@ the run cache that slices its cached run on every call and the evaluators
 that scan or rebuild the sliced emissions per query, the busy-beaver loops
 (one enumeration per bb(n, t), and a row raised step by step per machine),
 and the two separate breadth-first subset constructions behind the
-canonical DFA and the quotient.
+canonical DFA and the quotient. The busy-beaver loops run every total
+transition table, enumerated by enumerate_tm_specs, the brute force the
+package replaced with a walk of the transition tree.
 
 The last class is the regular-language enumeration from before it skipped
 ill-formed texts: every text in length-lex order goes through the whole
@@ -46,7 +48,7 @@ from kposet.posets import PosetInstance, reverse
 from kposet.vm import (
     _CYCLE_SET_CAP,
     RunResult,
-    enumerate_tm_specs,
+    TmSpec,
     parse_program,
     run_emitting,
     run_raw,
@@ -382,6 +384,19 @@ def set_interaction_ref(a_index: int, mode: str):
         return tuple(sorted(out))
 
     return fn
+
+
+def enumerate_tm_specs(states: int):
+    """All total transition tables with the given number of states."""
+    options = [
+        (w, m, nxt)
+        for w in (0, 1)
+        for m in ("L", "R")
+        for nxt in list(range(states)) + ["H"]
+    ]
+    keys = [(q, s) for q in range(states) for s in (0, 1)]
+    for combo in itertools.product(options, repeat=len(keys)):
+        yield TmSpec(states, dict(zip(keys, combo)))
 
 
 def busy_beaver_bb_ref(n: int, t: int) -> int:

@@ -225,6 +225,18 @@ def test_bb_resource_ceiling(capsys):
     assert "bounded" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bb", "--states", "-1", "--t-max", "5"),
+    ("bb", "--states", "1", "--t-max", "-1"),
+    ("cardre", "--program", "00011010111110", "--t-max", "-1"),
+])
+def test_negative_sizes_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "natural" in err
+
+
 def test_cardre(capsys):
     from kposet.codec import b_index
     from kposet.vm import assemble

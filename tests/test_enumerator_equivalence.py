@@ -1,7 +1,7 @@
 """The enumerator layer against its earlier code in reference_impl.py: the
 unsliced run cache behind the evaluators, the busy-beaver row built by one
-running max, and the one powerset construction behind canonical DFAs and
-quotients."""
+walk of the transition tree, and the one powerset construction behind
+canonical DFAs and quotients."""
 
 import json
 import time
@@ -28,10 +28,13 @@ from kposet.limits import Evaluator, budgeted_limit
 from kposet.posets import parse_poset_spec
 from kposet.vm import (
     INTERACTION_MODES,
+    TmSpec,
+    _tree_leaves,
     assemble,
     busy_beaver_bb,
     busy_beaver_row,
     card_re_evaluator,
+    run_tm,
     set_interaction_evaluators,
     vm_max_evaluator,
 )
@@ -112,6 +115,57 @@ def test_set_interaction_matches_slicing_reference(mode, code, queries):
 def test_busy_beaver_matches_brute_force(n, t_max):
     assert busy_beaver_row(n, t_max) == busy_beaver_row_ref(n, t_max)
     assert busy_beaver_bb(n, t_max) == busy_beaver_bb_ref(n, t_max)
+
+
+@pytest.mark.parametrize("states, t_max", [(1, 60), (2, 0), (2, 1), (2, 60), (3, 50)])
+def test_tree_leaves_partition_the_tables(states, t_max):
+    # a leaf with u undefined keys stands for options**u total tables
+    options, keys = 2 * 2 * (states + 1), 2 * states
+    weights = sum(options ** (keys - len(reached)) for reached, *_ in _tree_leaves(states, t_max))
+    assert weights == options ** keys
+
+
+TM_KEYS = [(q, s) for q in range(3) for s in (0, 1)]
+tm_tables = st.lists(
+    st.tuples(st.sampled_from([0, 1]), st.sampled_from(["L", "R"]), st.sampled_from([0, 1, 2, "H"])),
+    min_size=len(TM_KEYS), max_size=len(TM_KEYS),
+).map(lambda trs: dict(zip(TM_KEYS, trs)))
+# a 3-state machine halting at step 21, the longest 3-state halting run
+# (Lin and Rado; the halting move counts as a step), and one that never halts
+CHAMPION_3 = dict(zip(TM_KEYS, [(1, "R", 2), (1, "R", "H"), (1, "L", 1), (1, "L", 0), (1, "L", 2), (0, "R", 1)]))
+SWEEPER_3 = dict(zip(TM_KEYS, [(1, "R", 1), (0, "L", 2), (1, "L", 2), (0, "R", 0), (0, "R", 1), (1, "L", 0)]))
+
+
+@pytest.fixture(scope="module")
+def leaf_index():
+    """leaf_index(t_max): the 3-state leaves grouped by the keys they
+    reached, each group mapping its transitions to the leaf's outcome."""
+    built = {}
+
+    def index(t_max):
+        if t_max not in built:
+            groups = built[t_max] = {}
+            for reached, *outcome in _tree_leaves(3, t_max):
+                keys = tuple(key for key, _ in reached)
+                groups.setdefault(keys, {})[tuple(tr for _, tr in reached)] = tuple(outcome)
+        return built[t_max]
+
+    return index
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tm_tables, t_max=st.sampled_from([0, 1, 7, 20, 21, 50]))
+@example(table=CHAMPION_3, t_max=21)
+@example(table=CHAMPION_3, t_max=20)
+@example(table=CHAMPION_3, t_max=50)
+@example(table=SWEEPER_3, t_max=50)
+def test_tree_leaf_outcome_is_the_run(leaf_index, table, t_max):
+    hits = [
+        leaves[tuple(table[key] for key in keys)]
+        for keys, leaves in leaf_index(t_max).items()
+        if tuple(table[key] for key in keys) in leaves
+    ]
+    assert hits == [run_tm(TmSpec(3, table), t_max)]
 
 
 leaves = st.sampled_from(["a", "b", "c", "()"])

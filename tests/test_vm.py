@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reference_impl import busy_beaver_bb_ref
+from reference_impl import busy_beaver_bb_ref, enumerate_tm_specs
 
 from kposet.codec import b_index, b_word
 from kposet.errors import ConfigError, ResourceError
@@ -16,7 +16,6 @@ from kposet.vm import (
     busy_beaver_row,
     card_re,
     card_re_evaluator,
-    enumerate_tm_specs,
     parse_program,
     run_emitting,
     run_raw,
@@ -160,6 +159,9 @@ def test_busy_beaver_basics():
         assert a <= b
     with pytest.raises(ResourceError):
         busy_beaver_bb(BB_STATE_BOUND + 1, 5)
+    for n, t_max in ((-1, 5), (1, -1), (BB_STATE_BOUND + 1, -1)):
+        with pytest.raises(ConfigError):
+            busy_beaver_row(n, t_max)
 
 
 def test_busy_beaver_monotone_in_states():
