@@ -21,11 +21,12 @@ import tempfile
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from . import analysis, automata, complexity, vm
-from .codec import b_index
 from .errors import ConfigError, DomainError, KposetError, ResourceError
-from .limits import budgeted_limit
 from .posets import parse_poset_spec, reverse
+
+# Each handler imports the layers it drives, so a command loads only those;
+# hence the copy of vm.INTERACTION_MODES (a test keeps the two equal).
+_INTERACTION_MODES = ("cap", "minus", "setminus")
 
 __all__ = ["main"]
 
@@ -52,8 +53,10 @@ class RunConfig:
         return d
 
 
-def _budget(cfg: RunConfig) -> complexity.Budget:
-    return complexity.Budget(cfg.max_len, cfg.fuel, cfg.t_budget, cfg.window)
+def _budget(cfg: RunConfig):
+    from .complexity import Budget
+
+    return Budget(cfg.max_len, cfg.fuel, cfg.t_budget, cfg.window)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -106,6 +109,8 @@ def _json_report(config: RunConfig, payload: dict) -> str:
 
 
 def cmd_estimate(args) -> int:
+    from . import complexity
+
     cfg = RunConfig(
         command="estimate", poset=args.poset, max_len=args.max_len,
         fuel=args.fuel, t_budget=args.t_budget, window=args.window,
@@ -118,6 +123,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from . import automata
+
     sigma = tuple(args.alphabet)
     ast = automata.parse_regex(args.regex, sigma)
     if ast is None:
@@ -144,6 +151,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_conditions(args) -> int:
+    from . import analysis
+
     weak_p, strong_p = _split_pair(args.pair)
     cfg = RunConfig(
         command="conditions", pair=args.pair, seed=args.seed, threads=args.threads,
@@ -162,6 +171,8 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_dilworth(args) -> int:
+    from . import analysis
+
     try:
         with open(args.file) as handle:
             text = handle.read()
@@ -187,6 +198,8 @@ def cmd_dilworth(args) -> int:
 
 def _diagonal_generator(weak_spec: str, strong_spec: str):
     """Closed-form family for the prefix/lexico pair, subset search otherwise."""
+    from . import analysis
+
     if weak_spec.startswith("prefix:") and strong_spec.startswith("lexico:"):
         alphabet = weak_spec.split(":", 1)[1]
         expr = strong_spec.split(":", 1)[1]
@@ -201,6 +214,8 @@ def _diagonal_generator(weak_spec: str, strong_spec: str):
 
 
 def cmd_diagonal(args) -> int:
+    from . import complexity
+
     weak_spec, strong_spec = args.pair.split("/", 1) if "/" in args.pair else (None, None)
     weak_p, strong_p = _split_pair(args.pair)
     cfg = RunConfig(
@@ -224,6 +239,8 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_bb(args) -> int:
+    from . import vm
+
     # the largest n first: its call checks both sizes before any other walk
     top = vm.busy_beaver_row(args.states, args.t_max)
     cfg = RunConfig(
@@ -242,6 +259,8 @@ def _program_index(args) -> int:
     if args.program is not None:
         if any(c not in "01" for c in args.program):
             raise ConfigError("--program wants a binary word")
+        from .codec import b_index
+
         return b_index(args.program)
     if args.index is not None:
         return args.index
@@ -249,6 +268,8 @@ def _program_index(args) -> int:
 
 
 def cmd_cardre(args) -> int:
+    from . import vm
+
     n = _program_index(args)
     if args.t_max < 0:
         raise ConfigError("--t-max must be a natural number")
@@ -263,6 +284,9 @@ def cmd_cardre(args) -> int:
 
 
 def cmd_interact(args) -> int:
+    from . import vm
+    from .limits import budgeted_limit
+
     n = _program_index(args)
     try:
         xs = tuple(sorted({int(v) for v in args.x.split(",") if v != ""}))
@@ -365,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     car.set_defaults(fn=cmd_cardre)
 
     inter = subs.add_parser("interact", help="finite-set interaction trace")
-    inter.add_argument("--mode", choices=list(vm.INTERACTION_MODES), required=True)
+    inter.add_argument("--mode", choices=list(_INTERACTION_MODES), required=True)
     inter.add_argument("--index", type=int)
     inter.add_argument("--program", help="program bits (alternative to --index)")
     inter.add_argument("--x", required=True, help="comma-separated finite set")

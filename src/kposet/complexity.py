@@ -391,6 +391,8 @@ def diagonal_hard(
     never exceeds 2^(alpha(i)+1) - 2, and F_i, G_i are members of Z_i that no
     within-budget exclusion ever names.
     """
+    if i < 0:
+        raise ConfigError(f"i must be a natural number, got {i}")
     a_i = alpha(i)
     if a_i < 0:
         raise ConfigError("alpha must be a total monotone map into N")
@@ -531,6 +533,8 @@ def hierarchy_report(
     the composite-program length |c(max_witness, min_witness)| of the paired
     decompressor. Byte-identical across reruns with the same inputs.
     """
+    if ranks < 0:
+        raise ConfigError(f"ranks must be a natural number, got {ranks}")
     limits = _limit_tables(p, ranks, b, ("k_max", "k_min"))  # both columns, one walk
     table = join_tables(k_plain_table(p, ranks, b), limits, limits)
     verify_table(p, table)

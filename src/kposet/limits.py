@@ -127,6 +127,10 @@ def budgeted_limit(
     points all carry the same value. Min-limits are this very function over
     reverse(p); there is no separate code path.
     """
+    if t_budget < 0 or fuel < 0:
+        raise ConfigError(
+            f"t_budget and fuel must be natural numbers, got {t_budget} and {fuel}"
+        )
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     current = None

@@ -1,9 +1,13 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from kposet.cli import main
+import kposet
+from kposet.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -229,6 +233,10 @@ def test_bb_resource_ceiling(capsys):
     ("bb", "--states", "-1", "--t-max", "5"),
     ("bb", "--states", "1", "--t-max", "-1"),
     ("cardre", "--program", "00011010111110", "--t-max", "-1"),
+    ("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
+     "--t-budget", "-1"),
+    ("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "-1"),
+    ("estimate", "--poset", "nat", "--ranks", "-1"),
 ])
 def test_negative_sizes_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -274,3 +282,60 @@ def test_interact(capsys):
 def test_interact_needs_program(capsys):
     code, _, _ = run(capsys, "interact", "--mode", "cap", "--x", "1")
     assert code == 2
+
+
+_BASE = {"cli", "errors", "posets"}
+_MACHINE = _BASE | {"codec", "limits", "vm"}
+_REPORT = _MACHINE | {"complexity"}
+
+# Run one command in a fresh interpreter and print the kposet modules it loaded.
+_PROBE = """
+import json, sys
+from kposet.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m[len("kposet."):] for m in sys.modules if m.startswith("kposet."))
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("estimate", "--poset", "nat", "--max-len", "6", "--ranks", "2"), _REPORT),
+    (("estimate", "--poset", "prefix:ab", "--max-len", "6", "--ranks", "2"), _REPORT),
+    (("estimate", "--poset", "finsets", "--max-len", "6", "--ranks", "2"), _REPORT),
+    (("estimate", "--poset", "reg:ab", "--max-len", "6", "--ranks", "2"),
+     _REPORT | {"automata"}),
+    (("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1", "--max-len", "6",
+      "--fuel", "64", "--t-budget", "64", "--window", "4"), _REPORT | {"analysis"}),
+    (("conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2", "--fragment", "6"),
+     _BASE | {"analysis"}),
+    (("dilworth", "--file", "ORDER"), _BASE | {"analysis"}),
+    (("bb", "--states", "1", "--t-max", "5"), _MACHINE),
+    (("cardre", "--program", "00011010111110", "--t-max", "5"), _MACHINE),
+    (("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
+      "--t-budget", "5"), _MACHINE),
+    (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
+     _BASE | {"limits", "automata"}),
+], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "diagonal",
+        "conditions", "dilworth", "bb", "cardre", "interact", "quotient"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
+    argv = [str(order) if a == "ORDER" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(kposet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert set(loaded) == layers
+
+
+def test_interact_mode_choices_match_vm():
+    from kposet.vm import INTERACTION_MODES
+
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in subs.choices["interact"]._actions if a.dest == "mode")
+    assert tuple(mode.choices) == INTERACTION_MODES
