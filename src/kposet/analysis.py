@@ -3,7 +3,10 @@ and the chain/antichain condition checkers for order pairs.
 
 A FinitePoset is a strict order on {0..n-1} (transitively closed at
 construction); an OrderPair is a weak order together with a strong extension
-on the same carrier. The condition checkers search subsets in one fixed
+on the same carrier. One Kuhn matching gives the width of any subset (by
+Dilworth, its smallest chain cover), and with it the chain cover, the
+lexicographically first maximum antichain (greedily, in polynomial time) and
+the dagger condition. The condition checkers search subsets in one fixed
 deterministic order: increasing maximum rank first, then lexicographically
 on the ascending rank tuple, so the returned witness is a function of the
 input alone.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
-from .posets import PosetInstance, closure_rows
+from .posets import PosetInstance, closure_rows, parse_poset_spec
 
 __all__ = [
     "FinitePoset",
@@ -33,7 +36,7 @@ __all__ = [
     "SUBSET_SEARCH_BOUND",
 ]
 
-N_BOUND = 20  # exact antichain/cover work stops here
+N_BOUND = 200  # exact antichain/cover work stops here
 SUBSET_SEARCH_BOUND = 16  # carrier ceiling for exhaustive subset searches
 
 
@@ -79,8 +82,10 @@ class FinitePoset:
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
         """Load the JSON finite-order format {"elements": [...], "lt":
-        [[i, j], ...]}; the pairs may be a covering or the full relation."""
+        [[i, j], ...]}; the pairs may be a covering or the full relation.
+        Carriers above N_BOUND are refused before the closure is built."""
         names, pairs = _finite_order_pairs(text)
+        _exact_ceiling(len(names))
         return FinitePoset(len(names), frozenset(pairs), tuple(names))
 
     def comparable(self, a: int, b: int) -> bool:
@@ -124,31 +129,23 @@ class OrderPair:
 
 
 def max_antichain(fp: FinitePoset) -> list[int]:
-    """A maximum-cardinality antichain by exact branch-and-bound search;
-    the Dilworth bound from the matching-based cover is asserted on the way
-    out."""
-    if fp.n > N_BOUND:
-        raise ResourceError(f"carrier too large for exact search: {fp.n} > {N_BOUND}")
+    """The lexicographically first maximum antichain, built greedily: walk
+    the elements in ascending order and take i when the chosen ones, i and
+    a widest antichain among the later elements incomparable with all of
+    them still reach the width of the whole order."""
+    _exact_ceiling(fp.n)
     comp = fp.comparability_masks()
-    best: list[int] = []
-
-    def dfs(i: int, chosen: list[int], chosen_mask: int):
-        nonlocal best
-        if len(chosen) + (fp.n - i) <= len(best):
-            return
-        if i == fp.n:
-            best = list(chosen)
-            return
-        if not (comp[i] & chosen_mask):
+    free = (1 << fp.n) - 1  # elements incomparable with every chosen one
+    width = _width(fp.rows, free)
+    chosen: list[int] = []
+    for i in range(fp.n):
+        later = free & ~comp[i] & ~((2 << i) - 1)
+        if free >> i & 1 and len(chosen) + 1 + _width(fp.rows, later) >= width:
             chosen.append(i)
-            dfs(i + 1, chosen, chosen_mask | (1 << i))
-            chosen.pop()
-        dfs(i + 1, chosen, chosen_mask)
-
-    dfs(0, [], 0)
-    if fp.n and len(best) != fp.n - len(_max_matching(fp.rows)):
-        raise VerificationError("antichain size disagrees with the matching bound")
-    return best
+            free = later
+    if len(chosen) != width or any(comp[a] >> b & 1 for a in chosen for b in chosen):
+        raise VerificationError("antichain disagrees with the matching bound")
+    return chosen
 
 
 def _max_matching(rows: Sequence[int]) -> dict[int, int]:
@@ -159,8 +156,12 @@ def _max_matching(rows: Sequence[int]) -> dict[int, int]:
     match_right: dict[int, int] = {}
 
     def try_augment(a: int, visited: set[int]) -> bool:
-        for b in range(len(rows)):
-            if rows[a] >> b & 1 and b not in visited:
+        row = rows[a]
+        while row:
+            low = row & -row
+            row ^= low
+            b = low.bit_length() - 1
+            if b not in visited:
                 visited.add(b)
                 if b not in match_right or try_augment(match_right[b], visited):
                     match_right[b] = a
@@ -172,11 +173,28 @@ def _max_matching(rows: Sequence[int]) -> dict[int, int]:
     return match_right
 
 
+def _width(rows: Sequence[int], mask: int) -> int:
+    """The size of a largest antichain of the order on the elements of mask,
+    which by Dilworth is the size of a smallest chain cover: |S| minus a
+    maximum matching of the order restricted to S."""
+    restricted = [row & mask if mask >> a & 1 else 0 for a, row in enumerate(rows)]
+    return mask.bit_count() - len(_max_matching(restricted))
+
+
+def _exact_ceiling(n: int) -> None:
+    if n > N_BOUND:
+        raise ResourceError(f"carrier too large for exact search: {n} > {N_BOUND}")
+
+
+def _subset_search_ceiling(n: int) -> None:
+    if n > SUBSET_SEARCH_BOUND:
+        raise ResourceError(f"carrier too large for subset search: {n}")
+
+
 def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
     """A minimum family of chains covering the carrier, from the maximum
     matching; by Dilworth its size equals the maximum antichain size."""
-    if fp.n > N_BOUND:
-        raise ResourceError(f"carrier too large for exact search: {fp.n} > {N_BOUND}")
+    _exact_ceiling(fp.n)
     match_right = _max_matching(fp.rows)
     next_of = {a: b for b, a in match_right.items()}
     chains = []
@@ -225,9 +243,7 @@ def check_star(pair: OrderPair, k: int) -> list[int] | None:
     exhaustive ordered subset search."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    n = pair.weak.n
-    if n > SUBSET_SEARCH_BOUND:
-        raise ResourceError(f"carrier too large for subset search: {n}")
+    _subset_search_ceiling(pair.weak.n)
     strong, weak = pair.strong.comparability_masks(), pair.weak.comparability_masks()
     adj = [s & ~w for s, w in zip(strong, weak)]
     found = _first_clique(adj, lambda mask, size: size == k, k)
@@ -243,19 +259,15 @@ def _strong_sort(pair: OrderPair, subset: Sequence[int]) -> list[int]:
 def check_dagger(pair: OrderPair, k: int) -> list[int] | None:
     """A finite strong chain whose weak restriction needs more than k chains
     to cover, or None; same search order as check_star. The cover size of
-    a subset S is |S| minus the maximum matching of the weak order on S."""
+    a subset is its width in the weak order."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     n = pair.weak.n
-    if n > SUBSET_SEARCH_BOUND:
-        raise ResourceError(f"carrier too large for subset search: {n}")
-    weak_rows = pair.weak.rows
+    _subset_search_ceiling(n)
 
     def needs_more_chains(mask: int, size: int) -> bool:
-        if size <= k:  # no cover has more chains than members
-            return False
-        restricted = [row & mask if mask >> a & 1 else 0 for a, row in enumerate(weak_rows)]
-        return size - len(_max_matching(restricted)) > k
+        # no cover has more chains than members
+        return size > k and _width(pair.weak.rows, mask) > k
 
     found = _first_clique(pair.strong.comparability_masks(), needs_more_chains, n)
     return None if found is None else _strong_sort(pair, found)
@@ -269,8 +281,6 @@ FAMILY_KINDS = ("prefix-vs-lexico", "lexico1-vs-lexico", "generic-search")
 
 def family_posets(kind: str, symbols: tuple[str, str] = ("a", "b")):
     """The (weak, strong) word posets behind the closed-form families."""
-    from .posets import parse_poset_spec
-
     x, y = symbols
     if kind == "prefix-vs-lexico":
         return (
@@ -307,8 +317,6 @@ def chain_antichain_family(
     if kind == "generic-search":
         if weak_spec is None or strong_spec is None:
             raise ConfigError("generic-search needs weak_spec and strong_spec")
-        from .posets import parse_poset_spec
-
         weak_p = parse_poset_spec(weak_spec)
         strong_p = parse_poset_spec(strong_spec)
         pair, elems = order_pair_fragment(weak_p, strong_p, fragment_size)
@@ -334,29 +342,19 @@ def order_pair_fragment(
     weak_p: PosetInstance, strong_p: PosetInstance, size: int
 ) -> tuple[OrderPair, list]:
     """The induced order pair on the first `size` ranks of a shared carrier;
-    returns the pair together with the elements in rank order."""
+    returns the pair together with the elements in rank order. Sizes above
+    SUBSET_SEARCH_BOUND are refused before the relations are built."""
     if size < 1:
         raise ConfigError(f"fragment size must be >= 1, got {size}")
+    _subset_search_ceiling(size)
     elems = [strong_p.unrank(i) for i in range(size)]
-    for i, e in enumerate(elems):
-        if weak_p.unrank(i) != e:
-            raise ConfigError(
-                "weak and strong posets do not share a carrier enumeration"
-            )
+    if any(weak_p.unrank(i) != e for i, e in enumerate(elems)):
+        raise ConfigError("weak and strong posets do not share a carrier enumeration")
     names = tuple(strong_p.format_elem(e) for e in elems)
-    weak_lt = frozenset(
-        (i, j)
-        for i in range(size)
-        for j in range(size)
-        if weak_p.lt(elems[i], elems[j])
+    weak, strong = (
+        FinitePoset(size, frozenset(
+            (i, j) for i in range(size) for j in range(size) if p.lt(elems[i], elems[j])
+        ), names)
+        for p in (weak_p, strong_p)
     )
-    strong_lt = frozenset(
-        (i, j)
-        for i in range(size)
-        for j in range(size)
-        if strong_p.lt(elems[i], elems[j])
-    )
-    pair = OrderPair(
-        FinitePoset(size, weak_lt, names), FinitePoset(size, strong_lt, names)
-    )
-    return pair, elems
+    return OrderPair(weak, strong), elems

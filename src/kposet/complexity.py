@@ -81,6 +81,11 @@ class Budget:
             if getattr(self, name) < 1:
                 raise ConfigError(f"budget field {name} must be positive")
 
+    @property
+    def horizon(self) -> int:
+        """The step bound of every limit walk and of its replay."""
+        return min(self.t_budget, self.fuel)
+
 
 @dataclass(frozen=True)
 class TableEntry:
@@ -166,7 +171,7 @@ def _limit_tables(p: PosetInstance, ranks: int, b: Budget, attrs: Sequence[str])
     is kept per distinct raw_first."""
     orders = [p if attr == "k_max" else reverse(p) for attr in attrs]
     sides = [({}, set()) for _ in orders]  # (found, censored) per order
-    horizon = min(b.t_budget, b.fuel)
+    horizon = b.horizon
     machines = [parse_program(b_word(n)) for n in range(b.max_prog_len)]
     outcomes: dict[tuple, tuple] = {}  # raw_first -> per order, None or (rank, stabilized)
     for n, m in _address_blocks(b.max_prog_len):
@@ -239,7 +244,6 @@ def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
     """Replay every witness under its claimed semantics; VerificationError on
     the first mismatch."""
     b = table.budget
-    horizon = min(b.t_budget, b.fuel)
     for rank, row in table.rows.items():
         if row.k_plain is not None:
             res = run_emitting(p, row.k_plain.witness, 0, b.fuel)
@@ -254,7 +258,7 @@ def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
                 raise VerificationError(f"{attr} witness for rank {rank} is not padded")
             n, payload = dec
             res = run_emitting(order, b_word(n), b_index(payload), b.fuel)
-            report = limit_report_from_trace(res.trace, horizon, b.window)
+            report = limit_report_from_trace(res.trace, b.horizon, b.window)
             if report.status != STABILIZED or order.rank(report.current) != rank:
                 raise VerificationError(f"{attr} witness for rank {rank} does not replay")
 
@@ -309,7 +313,6 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
     raises.
     """
     b = table.budget
-    horizon = min(b.t_budget, b.fuel)
     c_wrap = None
     for rank, row in sorted(table.rows.items()):
         if row.k_plain is None:
@@ -317,7 +320,7 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
         w = row.k_plain.witness
         wrapped = wrap_program(w)
         res = run_emitting(p, wrapped, 0, b.fuel)
-        report = limit_report_from_trace(res.trace, horizon, b.window)
+        report = limit_report_from_trace(res.trace, b.horizon, b.window)
         if report.current is None or p.rank(report.current) != rank:
             raise VerificationError(
                 f"wrapped witness for rank {rank} does not replay to its value"
@@ -415,7 +418,7 @@ def diagonal_hard(
 
     if program_family is None:
         program_family = default_program_family(weak, b)
-    horizon = min(b.t_budget, b.fuel)
+    horizon = b.horizon
     events: list[tuple[int, int]] = []  # (step, family index)
     per_trace_ok = True
     programs = 0

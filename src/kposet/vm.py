@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .codec import b_index, b_word
+from .codec import _check_word, b_index, b_word
 from .errors import ConfigError, DomainError, ResourceError
 from .limits import Evaluator
 from .posets import PosetInstance
@@ -93,8 +93,7 @@ JUMP_MIN, JUMP_MAX = -16, 15
 def parse_program(code: str) -> tuple[tuple[str, Optional[int]], ...] | None:
     """Decode a bit string into instructions; None when a trailing fragment
     cannot complete an instruction (the whole program then diverges)."""
-    if any(c not in "01" for c in code):
-        raise DomainError(f"not a binary word: {code!r}")
+    _check_word(code)
     out = []
     i = 0
     n = len(code)

@@ -9,8 +9,9 @@ tests compare the package against. Nothing here is imported by the package.
 
 The second half holds the finite-order code from before the bit-row kernel:
 the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
-matching over sorted successor lists, and the star/dagger subset walks with
-their pairwise chain/antichain tests. It works on plain (n, relation) data,
+matching over sorted successor lists, the branch-and-bound maximum
+antichain, and the star/dagger subset walks with their pairwise
+chain/antichain tests. It works on plain (n, relation) data,
 independent of FinitePoset.
 
 The last part holds the enumerator layer from before its one-pass rewrite:
@@ -262,6 +263,34 @@ def min_chain_cover_ref(n: int, lt) -> list[list[int]]:
             chain.append(next_of[chain[-1]])
         chains.append(chain)
     return chains
+
+
+def max_antichain_ref(n: int, lt) -> list[int]:
+    """The branch and bound the greedy replaced: include-first depth-first
+    search cut when even taking every remaining element cannot beat the
+    best so far, so the first maximum antichain found is the
+    lexicographically first."""
+    comp = [0] * n
+    for (a, b) in lt:
+        comp[a] |= 1 << b
+        comp[b] |= 1 << a
+    best: list[int] = []
+
+    def dfs(i: int, chosen: list[int], chosen_mask: int):
+        nonlocal best
+        if len(chosen) + (n - i) <= len(best):
+            return
+        if i == n:
+            best = list(chosen)
+            return
+        if not (comp[i] & chosen_mask):
+            chosen.append(i)
+            dfs(i + 1, chosen, chosen_mask | (1 << i))
+            chosen.pop()
+        dfs(i + 1, chosen, chosen_mask)
+
+    dfs(0, [], 0)
+    return best
 
 
 def _comparable(lt, a: int, b: int) -> bool:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kposet.analysis import (
+    N_BOUND,
     FinitePoset,
     OrderPair,
     chain_antichain_family,
@@ -71,9 +72,9 @@ def test_min_chain_cover_examples():
 
 def test_bounds():
     with pytest.raises(ResourceError):
-        max_antichain(empty_order(21))
+        max_antichain(empty_order(N_BOUND + 1))
     with pytest.raises(ResourceError):
-        min_chain_cover(empty_order(21))
+        min_chain_cover(empty_order(N_BOUND + 1))
     over = OrderPair(weak=empty_order(17), strong=total_order(17))
     with pytest.raises(ResourceError):
         check_star(over, 2)

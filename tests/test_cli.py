@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,20 +146,18 @@ def test_conditions_bad_pair(capsys):
 
 
 def test_conditions_fragment_ceiling(capsys):
-    code, _, err = run(
-        capsys, "conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2",
-        "--fragment", "20",
-    )
-    assert code == 3
-    assert "subset search" in err
-    # the first fragment size above SUBSET_SEARCH_BOUND, for both conditions
-    for condition in ("star", "dagger"):
-        code, _, err = run(
-            capsys, "conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2",
-            "--condition", condition, "--fragment", "17",
-        )
-        assert code == 3
-        assert "subset search" in err
+    # 17 is the first fragment size above SUBSET_SEARCH_BOUND; a million
+    # would take weeks to build, so it shows the ceiling comes first
+    for fragment in ("17", "20", "1000000"):
+        for condition in ("star", "dagger"):
+            start = time.perf_counter()
+            code, _, err = run(
+                capsys, "conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2",
+                "--condition", condition, "--fragment", fragment,
+            )
+            assert code == 3
+            assert "subset search" in err
+            assert time.perf_counter() - start < 5
 
 
 def test_diagonal_byte_identical(capsys):
@@ -184,6 +183,20 @@ def test_dilworth(tmp_path, capsys):
     assert data["cover_size"] == 2
     assert data["dilworth_equal"] is True
     assert sorted(e for chain in data["chains"] for e in chain) == ["a", "b", "c", "d"]
+
+
+def test_dilworth_huge_order_refused_before_closure(tmp_path, capsys):
+    # the ceiling comes before the quadratic closure, so this is fast
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({
+        "elements": [str(i) for i in range(100_000)],
+        "lt": [[i, i + 1] for i in range(99_999)],
+    }))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "dilworth", "--file", str(f))
+    assert code == 3
+    assert "exact search" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_dilworth_missing_file(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -35,6 +36,14 @@ def test_budget_validation():
         Budget(0, 1, 1, 1)
     with pytest.raises(ConfigError):
         Budget(4, 4, 4, 0)
+
+
+def test_budget_horizon_is_not_a_field():
+    assert Budget(12, 256, 100, 4).horizon == 100
+    assert Budget(12, 64, 100, 4).horizon == 64
+    assert [f.name for f in dataclasses.fields(Budget)] == [
+        "max_prog_len", "fuel", "t_budget", "window"
+    ]
 
 
 def test_iter_words_order():

@@ -1,6 +1,9 @@
 """The finite-order kernel (bit-row closure, one matching, one clique
-search) against the fixpoint, Kuhn and subset-walk references in
-reference_impl.py."""
+search) against the fixpoint, Kuhn, branch-and-bound and subset-walk
+references in reference_impl.py."""
+
+import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +14,14 @@ from reference_impl import (
     check_star_ref,
     closure_ref,
     is_strict_ref,
+    max_antichain_ref,
     max_matching_ref,
     min_chain_cover_ref,
     parse_order_expr_ref,
 )
 
 from kposet.analysis import (
+    N_BOUND,
     FinitePoset,
     OrderPair,
     check_dagger,
@@ -24,7 +29,7 @@ from kposet.analysis import (
     max_antichain,
     min_chain_cover,
 )
-from kposet.errors import ConfigError
+from kposet.errors import ConfigError, ResourceError
 from kposet.posets import _parse_order_expr, closure_rows
 
 MAX_N = 8
@@ -86,7 +91,9 @@ def test_order_kernel_matches_reference(pair):
     assert weak.lt == weak_lt and strong.lt == strong_lt
     for fp, lt in ((weak, weak_lt), (strong, strong_lt)):
         assert min_chain_cover(fp) == min_chain_cover_ref(n, lt)
-        assert len(max_antichain(fp)) == n - max_matching_ref(n, lt)
+        anti = max_antichain(fp)
+        assert anti == max_antichain_ref(n, lt)
+        assert len(anti) == n - max_matching_ref(n, lt)
     order_pair = OrderPair(weak=weak, strong=strong)
     for k in range(1, n + 2):
         assert check_star(order_pair, k) == check_star_ref(n, weak_lt, strong_lt, k), k
@@ -113,3 +120,40 @@ def test_parse_order_expr_matches_reference(expr):
         return
     assert _parse_order_expr(expr) == want
 
+
+@st.composite
+def random_orders(draw, max_n):
+    """A strict order on at most max_n elements: each pair going up a random
+    linear extension is related with one drawn probability."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ups = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    return FinitePoset(n, frozenset(p for p in ups if rng.random() < density))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp=random_orders(20))
+def test_max_antichain_matches_branch_and_bound(fp):
+    """The greedy returns the branch and bound's witness, element for element."""
+    assert max_antichain(fp) == max_antichain_ref(fp.n, fp.lt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fp=random_orders(N_BOUND + 1))
+@example(fp=FinitePoset(N_BOUND, frozenset()))
+@example(fp=FinitePoset(N_BOUND, frozenset((i, i + 1) for i in range(N_BOUND - 1))))
+@example(fp=FinitePoset(N_BOUND + 1, frozenset()))
+def test_max_antichain_up_to_the_ceiling(fp):
+    """Up to N_BOUND elements the antichain is pairwise incomparable and as
+    large as the chain cover; one element more raises ResourceError."""
+    if fp.n > N_BOUND:
+        for fn in (max_antichain, min_chain_cover):
+            with pytest.raises(ResourceError):
+                fn(fp)
+        return
+    anti = max_antichain(fp)
+    assert not any(fp.comparable(a, b) for a, b in itertools.combinations(anti, 2))
+    assert len(anti) == len(min_chain_cover(fp))

@@ -5,7 +5,7 @@ import pytest
 from reference_impl import busy_beaver_bb_ref, enumerate_tm_specs
 
 from kposet.codec import b_index, b_word
-from kposet.errors import ConfigError, ResourceError
+from kposet.errors import ConfigError, DomainError, ResourceError
 from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING, budgeted_limit
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import (
@@ -35,6 +35,8 @@ def test_parse_program():
     assert parse_program("100") is None  # jump missing its offset
     assert parse_program("10000000") == (("JZ_A", 0),)
     assert parse_program("10011111") == (("JZ_A", -1),)
+    with pytest.raises(DomainError, match="not a binary word"):
+        parse_program("0120")
 
 
 def test_assemble_roundtrip():
