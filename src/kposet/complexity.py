@@ -14,9 +14,10 @@ recorded as censored. Witnesses are the exact program/padded-program bit
 strings and every table entry replays (verify_table re-checks this).
 
 The scans generate only what can run, in the witness tie-break order of
-iter_words: the plain scan enumerates parseable programs (vm.iter_programs),
-the max/min scans walk the padded addresses 0^n 1 p arithmetically and parse
-each machine b_word(n) once. Both call the order-free kernel directly; the
+iter_words: the plain scan enumerates the parseable programs that contain
+HALT (vm.iter_programs; no other program can halt), the max/min scans walk
+the padded addresses 0^n 1 p arithmetically and parse each machine
+b_word(n) once. Both call the order-free kernel directly; the
 limit side applies each order's kept filter once per distinct run, and a
 report fills its max and min columns from one walk, one run per address.
 """
@@ -66,7 +67,12 @@ __all__ = [
     "OracleStub",
     "oracle_decide",
     "hierarchy_report",
+    "MAX_PROG_LEN",
+    "DIAGONAL_ALPHA_CAP",
 ]
+
+MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
+DIAGONAL_ALPHA_CAP = 8  # largest alpha(i) diagonal_hard audits (family of 2^9 words)
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,15 @@ class ComplexityTable:
         return self.rows[rank]
 
 
+def _check_length(b: Budget) -> None:
+    """The desk-scale ceiling on program length, checked before the plain
+    walk and the limit walk."""
+    if b.max_prog_len > MAX_PROG_LEN:
+        raise ResourceError(
+            f"max program length {b.max_prog_len} exceeds the desk-scale ceiling of {MAX_PROG_LEN} bits"
+        )
+
+
 def iter_words(max_len: int) -> Iterable[str]:
     """All binary words of length <= max_len, shortest first, numerically
     ascending within a length (the tie-break order for witnesses)."""
@@ -129,9 +144,10 @@ def iter_words(max_len: int) -> Iterable[str]:
 def _plain_scan(ranks: int, b: Budget) -> dict[int, TableEntry]:
     """First halting program per rank below `ranks`. The machine emits ranks,
     so the plain scan needs no order: it runs the order-free kernel on the
-    parseable programs only."""
+    parseable programs that contain HALT, as no other program can halt."""
+    _check_length(b)
     found: dict[int, TableEntry] = {}
-    for w, instrs in iter_programs(b.max_prog_len):
+    for w, instrs in iter_programs(b.max_prog_len, needs=("HALT", None)):
         _, halted, _, reg_a, _ = _execute(instrs, 0, b.fuel)
         if halted and reg_a < ranks and reg_a not in found:
             found[reg_a] = TableEntry(len(w), w)
@@ -139,8 +155,10 @@ def _plain_scan(ranks: int, b: Budget) -> dict[int, TableEntry]:
 
 
 def k_plain_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    """Minimum halting-program length per rank below `ranks`, enumerating all
-    programs of length <= max_prog_len at the budget's fuel."""
+    """Minimum halting-program length per rank below `ranks` at the budget's
+    fuel. Every program of length <= max_prog_len that can halt is run: the
+    parseable ones that contain a HALT instruction. The witness is the first
+    halting program in iter_words order, as if all words had been run."""
     table = ComplexityTable(p.spec, b)
     for rank, entry in _plain_scan(ranks, b).items():
         table.row(rank).k_plain = entry
@@ -169,6 +187,7 @@ def _limit_tables(p: PosetInstance, ranks: int, b: Budget, attrs: Sequence[str])
     Each address is run once for all orders, and a run's limit report
     depends only on its first-occurrence emissions, so one outcome per order
     is kept per distinct raw_first."""
+    _check_length(b)
     orders = [p if attr == "k_max" else reverse(p) for attr in attrs]
     sides = [({}, set()) for _ in orders]  # (found, censored) per order
     horizon = b.horizon
@@ -399,8 +418,8 @@ def diagonal_hard(
     a_i = alpha(i)
     if a_i < 0:
         raise ConfigError("alpha must be a total monotone map into N")
-    if a_i > 16:
-        raise ResourceError(f"alpha(i) = {a_i} exceeds the desk-scale cap of 16")
+    if a_i > DIAGONAL_ALPHA_CAP:
+        raise ResourceError(f"alpha(i) = {a_i} exceeds the desk-scale cap of {DIAGONAL_ALPHA_CAP}")
     size = 2 ** (a_i + 1)
     family = list(generator(i, size))
     if len(family) != size:

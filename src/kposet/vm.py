@@ -128,34 +128,64 @@ def _instruction_table() -> list[tuple[str, tuple[str, Optional[int]]]]:
 _INSTRUCTIONS = _instruction_table()
 
 
-def iter_programs(max_len: int) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...]]]:
+def iter_programs(
+    max_len: int, needs: Optional[tuple[str, Optional[int]]] = None
+) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...]]]:
     """(code, parse_program(code)) for every code of length <= max_len that
-    parses, shortest first and numerically ascending within a length (the
-    witness tie-break order), without visiting the words that do not parse.
+    parses and, when `needs` is given, contains the instruction `needs`;
+    shortest first and numerically ascending within a length (the witness
+    tie-break order), without visiting any other word.
 
     Instruction codes are prefix-free, so a depth-first walk that tries the
     next instruction in ascending bit order yields same-length codes in
-    ascending order; a branch is entered only when its remaining bits can be
-    filled by 3- and 8-bit instructions."""
+    ascending order. A branch is entered only when its remaining bits can
+    still be filled. fillable[r] says that r bits can be filled by 3- and
+    8-bit instructions; room[r] says that they can be filled by instructions
+    of which at least one is `needs`, i.e. that `needs` fits and fillable
+    holds for the bits beside it. Until `needs` is placed the rest must have
+    room, after it fillable is enough (with needs=None room is fillable, and
+    every parseable code is yielded). The children of a node depend only on
+    its bits left and on whether `needs` is placed, so they are listed once
+    per pair before the walk, and prefixes pass down as a string and a
+    tuple."""
     fillable = [False] * (max_len + 1)
     fillable[0] = True
     for r in range(1, max_len + 1):
         fillable[r] = (r >= 3 and fillable[r - 3]) or (r >= 8 and fillable[r - 8])
+    if needs is None:
+        room = fillable
+    else:
+        widths = {ins: len(bits) for bits, ins in _INSTRUCTIONS}
+        if needs not in widths:
+            raise ConfigError(f"not an instruction: {needs!r}")
+        width = widths[needs]
+        room = [r >= width and fillable[r - width] for r in range(max_len + 1)]
+    # placed[r] and due[r]: the children of a node with r bits left, after and
+    # before `needs` is placed, as (bits, (ins,), the child's children or None)
+    placed: list[list[tuple]] = []
+    due: list[list[tuple]] = []
+    for left in range(max_len + 1):
+        for own, ahead in ((placed, fillable), (due, room)):
+            children = []
+            for bits, ins in _INSTRUCTIONS:
+                rest = left - len(bits)
+                fits, nxt = (fillable, placed) if ins == needs else (ahead, own)
+                if rest >= 0 and fits[rest]:
+                    children.append((bits, (ins,), nxt[rest] if rest else None))
+            own.append(children)
 
-    def extend(code, instrs, left):
-        if left == 0:
-            yield code, tuple(instrs)
-            return
-        for bits, ins in _INSTRUCTIONS:
-            rest = left - len(bits)
-            if rest >= 0 and fillable[rest]:
-                instrs.append(ins)
-                yield from extend(code + bits, instrs, rest)
-                instrs.pop()
+    def extend(code, instrs, children):
+        for bits, one, after in children:
+            if after is None:
+                yield code + bits, instrs + one
+            else:
+                yield from extend(code + bits, instrs + one, after)
 
-    for length in range(max_len + 1):
-        if fillable[length]:
-            yield from extend("", [], length)
+    if room[0]:
+        yield "", ()
+    for length in range(1, max_len + 1):
+        if room[length]:
+            yield from extend("", (), due[length])
 
 
 def assemble(instrs: Iterable[tuple[str, Optional[int]] | str]) -> str:

@@ -170,6 +170,28 @@ def test_diagonal_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_estimate_length_ceiling(capsys):
+    # 25 is the first length above MAX_PROG_LEN; 40 would never end, so it
+    # shows that the ceiling comes before either walk
+    for max_len in ("25", "40"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "estimate", "--poset", "nat", "--max-len", max_len)
+        assert code == 3
+        assert out == ""
+        assert "ceiling of 24 bits" in err
+        assert time.perf_counter() - start < 5
+
+
+def test_diagonal_alpha_cap(capsys):
+    # --i 8 is alpha(i) = 9, the first above DIAGONAL_ALPHA_CAP
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "8")
+    assert code == 3
+    assert out == ""
+    assert "alpha(i) = 9 exceeds the desk-scale cap of 8" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_dilworth(tmp_path, capsys):
     f = tmp_path / "butterfly.json"
     f.write_text(json.dumps({

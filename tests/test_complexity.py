@@ -5,6 +5,8 @@ import pytest
 
 from kposet.codec import b_index, decode_padded, encode_pair
 from kposet.complexity import (
+    DIAGONAL_ALPHA_CAP,
+    MAX_PROG_LEN,
     Budget,
     ComplexityTable,
     OracleStub,
@@ -67,6 +69,13 @@ def test_k_plain_budget_monotone():
     large = k_plain_table(NAT, 8, Budget(12, 256, 256, 4))
     for rank, row in small.rows.items():
         assert large.rows[rank].k_plain.length <= row.k_plain.length
+
+
+@pytest.mark.parametrize("build", [k_plain_table, k_max_table, k_min_table, hierarchy_report])
+def test_length_ceiling_comes_before_the_walks(build):
+    over = Budget(MAX_PROG_LEN + 1, 256, 256, 4)
+    with pytest.raises(ResourceError, match=f"ceiling of {MAX_PROG_LEN} bits"):
+        build(NAT, 8, over)
 
 
 def test_k_max_budget_monotone_in_resources():
@@ -252,10 +261,12 @@ def test_diagonal_hard_rejects_bad_generator():
         diagonal_hard(
             weak, strong, lambda i, size: ["b"] * size, lambda j: 1, 0, SMALL
         )
-    with pytest.raises(ResourceError):
-        diagonal_hard(
-            weak, strong, lambda i, size: [], lambda j: 17, 0, SMALL
-        )
+    for alpha in (DIAGONAL_ALPHA_CAP + 1, 17):
+        # the cap comes before the generator builds the family
+        with pytest.raises(ResourceError, match=f"cap of {DIAGONAL_ALPHA_CAP}$"):
+            diagonal_hard(
+                weak, strong, lambda i, size: [], lambda j: alpha, 0, SMALL
+            )
 
 
 def test_diagonal_counting_bound_detects_violation():

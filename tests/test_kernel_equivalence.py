@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_impl import run_emitting_ref, run_raw_ref, tables_ref
+from reference_impl import plain_scan_ref, run_emitting_ref, run_raw_ref, tables_ref
 
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import (
@@ -18,8 +18,9 @@ from kposet.complexity import (
     k_min_table,
     k_plain_table,
 )
+from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import assemble, iter_programs, parse_program, run_emitting, run_raw
+from kposet.vm import _execute, assemble, iter_programs, parse_program, run_emitting, run_raw
 
 BASE_SPECS = ("nat", "int", "prefix:ab", "finsets", "lexico:a<b")
 SPECS = BASE_SPECS + tuple(f"rev({s})" for s in BASE_SPECS) + tuple(
@@ -92,6 +93,32 @@ def test_iter_programs_is_parse_filter_of_iter_words(max_len):
     assert all(instrs == parse_program(w) for w, instrs in got)
 
 
+@pytest.mark.parametrize("needs", [("HALT", None), ("OUT", None), ("JZ_B", -1)])
+def test_iter_programs_needs_is_filter_of_all_programs(needs):
+    for max_len in range(17):
+        want = [x for x in iter_programs(max_len) if needs in x[1]]
+        assert list(iter_programs(max_len, needs=needs)) == want
+
+
+def test_iter_programs_needs_an_instruction():
+    with pytest.raises(ConfigError):
+        list(iter_programs(8, needs=("JZ_A", 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    instrs=st.lists(instructions.filter(lambda ins: ins != "HALT"), max_size=12),
+    input_b=st.integers(0, 20),
+    fuel=st.one_of(st.integers(0, 300), st.just(4096)),
+)
+def test_no_halt_instruction_never_halts(instrs, input_b, fuel):
+    # the premise of the plain scan's pruning: only programs containing
+    # HALT are walked, because no other program can report halted
+    parsed = parse_program(assemble(instrs))
+    assert ("HALT", None) not in parsed
+    assert _execute(parsed, input_b, fuel)[1] is False
+
+
 @pytest.mark.parametrize("max_len", range(15))
 def test_address_walk_is_decode_order_of_iter_words(max_len):
     want = [decode_padded(w) for w in iter_words(max_len)]
@@ -122,6 +149,14 @@ WIDE = Budget(max_prog_len=14, fuel=128, t_budget=128, window=4)
 def test_tables_match_per_word_scan(spec):
     p = POSETS[spec]
     assert joined(p, 16, SMALL) == tables_ref(p, 16, SMALL)
+
+
+def test_plain_table_matches_per_word_scan_at_16_bits():
+    p = POSETS["nat"]
+    b = Budget(max_prog_len=16, fuel=4096, t_budget=4096, window=8)
+    rows = {r: row.k_plain for r, row in k_plain_table(p, 32, b).rows.items()}
+    assert rows == plain_scan_ref(p, 32, b)
+    assert len(rows) > 1
 
 
 @pytest.mark.parametrize("spec", ["nat", "rev(prefix:ab)", "discrete(finsets)"])
