@@ -1,36 +1,39 @@
 """Finite-order combinatorics: chains, antichains, Dilworth decompositions,
-and the chain/antichain condition checkers for order pairs.
+the chain/antichain condition checkers for order pairs, and the family the
+diagonal audit walks.
 
 A FinitePoset is a strict order on {0..n-1} (transitively closed at
 construction); an OrderPair is a weak order together with a strong extension
 on the same carrier. One Kuhn matching gives the width of any subset (by
-Dilworth, its smallest chain cover), and with it the chain cover, the
-lexicographically first maximum antichain (greedily, in polynomial time) and
-the dagger condition. The condition checkers search subsets in one fixed
-deterministic order: increasing maximum rank first, then lexicographically
-on the ascending rank tuple, so the returned witness is a function of the
-input alone.
+Dilworth, its smallest chain cover); `dilworth` takes the chain cover and
+the width from one matching of the whole order and builds the
+lexicographically first maximum antichain greedily, in polynomial time, and
+the dagger condition rests on the same width. The condition checkers search
+subsets in one fixed deterministic order: increasing maximum rank first,
+then lexicographically on the ascending rank tuple, so the returned witness
+is a function of the input alone. `chain_antichain_family` picks its family
+from the order pair itself: a closed form for prefix:xy / lexico:x<y, the
+first check_star witness on a rank-bounded fragment otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
-from .posets import PosetInstance, closure_rows, parse_poset_spec
+from .posets import PosetInstance, closure_rows
 
 __all__ = [
     "FinitePoset",
     "OrderPair",
+    "dilworth",
     "max_antichain",
     "min_chain_cover",
     "check_star",
     "check_dagger",
     "chain_antichain_family",
-    "family_posets",
     "order_pair_fragment",
     "N_BOUND",
     "SUBSET_SEARCH_BOUND",
@@ -128,15 +131,17 @@ class OrderPair:
             )
 
 
-def max_antichain(fp: FinitePoset) -> list[int]:
-    """The lexicographically first maximum antichain, built greedily: walk
-    the elements in ascending order and take i when the chosen ones, i and
-    a widest antichain among the later elements incomparable with all of
-    them still reach the width of the whole order."""
-    _exact_ceiling(fp.n)
+def dilworth(fp: FinitePoset) -> tuple[list[int], list[list[int]]]:
+    """The lexicographically first maximum antichain and a minimum chain
+    cover, both from one matching of the whole order: by Dilworth the
+    cover's size is the width. The antichain is built greedily: walk the
+    elements in ascending order and take i when the chosen ones, i and a
+    widest antichain among the later elements incomparable with all of them
+    still reach that width."""
+    cover = min_chain_cover(fp)
+    width = len(cover)
     comp = fp.comparability_masks()
     free = (1 << fp.n) - 1  # elements incomparable with every chosen one
-    width = _width(fp.rows, free)
     chosen: list[int] = []
     for i in range(fp.n):
         later = free & ~comp[i] & ~((2 << i) - 1)
@@ -145,7 +150,12 @@ def max_antichain(fp: FinitePoset) -> list[int]:
             free = later
     if len(chosen) != width or any(comp[a] >> b & 1 for a in chosen for b in chosen):
         raise VerificationError("antichain disagrees with the matching bound")
-    return chosen
+    return chosen, cover
+
+
+def max_antichain(fp: FinitePoset) -> list[int]:
+    """The antichain of dilworth(fp)."""
+    return dilworth(fp)[0]
 
 
 def _max_matching(rows: Sequence[int]) -> dict[int, int]:
@@ -273,69 +283,32 @@ def check_dagger(pair: OrderPair, k: int) -> list[int] | None:
     return None if found is None else _strong_sort(pair, found)
 
 
-# ------------------------------------------------- closed-form witnesses
-
-
-FAMILY_KINDS = ("prefix-vs-lexico", "lexico1-vs-lexico", "generic-search")
-
-
-def family_posets(kind: str, symbols: tuple[str, str] = ("a", "b")):
-    """The (weak, strong) word posets behind the closed-form families."""
-    x, y = symbols
-    if kind == "prefix-vs-lexico":
-        return (
-            parse_poset_spec(f"prefix:{x}{y}"),
-            parse_poset_spec(f"lexico:{x}<{y}"),
-        )
-    if kind == "lexico1-vs-lexico":
-        return (
-            parse_poset_spec(f"lexico:{x};{y}"),
-            parse_poset_spec(f"lexico:{x}<{y}"),
-        )
-    raise ConfigError(f"no poset pair for family kind {kind!r}")
+# ------------------------------------------------- chain/antichain families
 
 
 def chain_antichain_family(
-    kind: str,
-    size: int,
-    symbols: tuple[str, str] = ("a", "b"),
-    weak_spec: Optional[str] = None,
-    strong_spec: Optional[str] = None,
-    fragment_size: int = 16,
-) -> list[str]:
-    """A size-element strong chain that is a weak antichain.
-
-    The closed-form kinds return {x^j y : j < size} in ascending strong
-    order; generic-search builds a rank-bounded fragment of the given poset
-    pair and runs check_star on it. Every returned family is re-verified
-    before it is handed back.
+    weak_p: PosetInstance, strong_p: PosetInstance, size: int
+) -> list:
+    """A size-element strong chain that is a weak antichain, in ascending
+    strong order. The pair prefix:xy / lexico:x<y has the closed form
+    {x^j y : j < size}; every other pair gets the first check_star witness
+    on its first SUBSET_SEARCH_BOUND ranks. The family is not re-checked
+    here: complexity.diagonal_hard checks every family it audits.
     """
-    if kind not in FAMILY_KINDS:
-        raise ConfigError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
     if size < 1:
         raise ConfigError(f"size must be >= 1, got {size}")
-    if kind == "generic-search":
-        if weak_spec is None or strong_spec is None:
-            raise ConfigError("generic-search needs weak_spec and strong_spec")
-        weak_p = parse_poset_spec(weak_spec)
-        strong_p = parse_poset_spec(strong_spec)
-        pair, elems = order_pair_fragment(weak_p, strong_p, fragment_size)
-        found = check_star(pair, size)
-        if found is None:
-            raise ResourceError(
-                f"no size-{size} witness within the first {fragment_size} ranks"
-            )
-        family = [elems[i] for i in found]
-    else:
+    kind, _, symbols = weak_p.spec.partition(":")
+    if kind == "prefix" and len(symbols) == 2:
         x, y = symbols
-        weak_p, strong_p = family_posets(kind, symbols)
-        family = [x * (size - 1 - j) + y for j in range(size)]
-    for a, b in itertools.combinations(family, 2):
-        if not strong_p.lt(a, b):
-            raise VerificationError(f"family is not an ascending strong chain: {family}")
-        if weak_p.leq(a, b) or weak_p.leq(b, a):
-            raise VerificationError(f"family is not a weak antichain: {family}")
-    return family
+        if strong_p.spec == f"lexico:{x}<{y}":
+            return [x * (size - 1 - j) + y for j in range(size)]
+    pair, elems = order_pair_fragment(weak_p, strong_p, SUBSET_SEARCH_BOUND)
+    found = check_star(pair, size)
+    if found is None:
+        raise ResourceError(
+            f"no size-{size} witness within the first {SUBSET_SEARCH_BOUND} ranks"
+        )
+    return [elems[i] for i in found]
 
 
 def order_pair_fragment(

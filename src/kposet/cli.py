@@ -183,8 +183,7 @@ def cmd_dilworth(args) -> int:
         command="dilworth", seed=args.seed, threads=args.threads,
         extra={"file": os.path.basename(args.file)},
     )
-    antichain = analysis.max_antichain(fp)
-    cover = analysis.min_chain_cover(fp)
+    antichain, cover = analysis.dilworth(fp)
     payload = {
         "antichain": [fp.name_of(i) for i in antichain],
         "antichain_size": len(antichain),
@@ -196,27 +195,9 @@ def cmd_dilworth(args) -> int:
     return 0
 
 
-def _diagonal_generator(weak_spec: str, strong_spec: str):
-    """Closed-form family for the prefix/lexico pair, subset search otherwise."""
-    from . import analysis
-
-    if weak_spec.startswith("prefix:") and strong_spec.startswith("lexico:"):
-        alphabet = weak_spec.split(":", 1)[1]
-        expr = strong_spec.split(":", 1)[1]
-        if len(alphabet) == 2 and expr == f"{alphabet[0]}<{alphabet[1]}":
-            symbols = (alphabet[0], alphabet[1])
-            return lambda i, size: analysis.chain_antichain_family(
-                "prefix-vs-lexico", size, symbols=symbols
-            )
-    return lambda i, size: analysis.chain_antichain_family(
-        "generic-search", size, weak_spec=weak_spec, strong_spec=strong_spec
-    )
-
-
 def cmd_diagonal(args) -> int:
-    from . import complexity
+    from . import analysis, complexity
 
-    weak_spec, strong_spec = args.pair.split("/", 1) if "/" in args.pair else (None, None)
     weak_p, strong_p = _split_pair(args.pair)
     cfg = RunConfig(
         command="diagonal", pair=args.pair, max_len=args.max_len, fuel=args.fuel,
@@ -224,9 +205,9 @@ def cmd_diagonal(args) -> int:
         threads=args.threads,
         extra={"i": args.i, "alpha_shift": args.alpha_shift},
     )
-    generator = _diagonal_generator(weak_spec, strong_spec)
     f_elem, g_elem, audit = complexity.diagonal_hard(
-        weak_p, strong_p, generator,
+        weak_p, strong_p,
+        lambda i, size: analysis.chain_antichain_family(weak_p, strong_p, size),
         lambda j: j + args.alpha_shift, args.i, _budget(cfg),
     )
     payload = {

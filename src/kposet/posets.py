@@ -356,8 +356,8 @@ def _reg(alphabet: str) -> PosetInstance:
         _rank=rank,
         _leq=leq,
         # minimum is the empty language (the shortest text is ill-formed);
-        # a maximum (Sigma*) exists but its rank is not precomputed
-        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,), has_maximum=True),
+        # Sigma* is a maximum, but it is not claimed: its rank is not known
+        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,)),
         _fmt=lambda h: automata.canonical_regex(h.dfa),
     )
 

@@ -60,7 +60,7 @@ from kposet.limits import (
     trace_evaluator,
 )
 from kposet.posets import parse_poset_spec, reverse
-from kposet.analysis import chain_antichain_family, family_posets
+from kposet.analysis import chain_antichain_family
 from kposet.vm import busy_beaver_row
 
 from reference_impl import enumerate_tm_specs
@@ -363,8 +363,8 @@ def test_criterion_07_paired_decompressor(nat_tables):
 
 
 def test_criterion_08_diagonal(nat_tables):
-    weak, strong = family_posets("prefix-vs-lexico")
-    gen = lambda i, size: chain_antichain_family("prefix-vs-lexico", size)
+    weak, strong = parse_poset_spec("prefix:ab"), parse_poset_spec("lexico:a<b")
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
     for i in range(4):
         f, g, audit = diagonal_hard(
             weak, strong, gen, lambda j: j + 1, i, TABLE_BUDGET

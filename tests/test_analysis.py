@@ -11,7 +11,6 @@ from kposet.analysis import (
     chain_antichain_family,
     check_dagger,
     check_star,
-    family_posets,
     max_antichain,
     min_chain_cover,
     order_pair_fragment,
@@ -173,28 +172,45 @@ def test_witnesses_reverify():
             assert len(min_chain_cover(pair.weak.restrict(d))) > 1
 
 
+def is_strong_chain_weak_antichain(weak_p, strong_p, family):
+    return all(strong_p.lt(a, b) for a, b in zip(family, family[1:])) and not any(
+        weak_p.leq(a, b) or weak_p.leq(b, a) for a, b in itertools.combinations(family, 2)
+    )
+
+
 def test_chain_antichain_family():
-    fam = chain_antichain_family("prefix-vs-lexico", 3)
-    assert fam == ["aab", "ab", "b"]
-    assert chain_antichain_family("prefix-vs-lexico", 1) == ["b"]
-    fam2 = chain_antichain_family("lexico1-vs-lexico", 2, symbols=("c", "d"))
-    assert fam2 == ["cd", "d"]
-    weak_p, strong_p = family_posets("prefix-vs-lexico")
-    for a, b in itertools.combinations(fam, 2):
-        assert strong_p.lt(a, b)
-        assert not weak_p.leq(a, b) and not weak_p.leq(b, a)
+    # prefix:xy / lexico:x<y has the closed form {x^j y : j < size}
+    for x, y in [("a", "b"), ("b", "a"), ("x", "y")]:
+        weak_p = parse_poset_spec(f"prefix:{x}{y}")
+        strong_p = parse_poset_spec(f"lexico:{x}<{y}")
+        fam = chain_antichain_family(weak_p, strong_p, 4)
+        assert fam == [x * 3 + y, x * 2 + y, x + y, y]
+        assert is_strong_chain_weak_antichain(weak_p, strong_p, fam)
+        assert chain_antichain_family(weak_p, strong_p, 1) == [y]
+        assert len(chain_antichain_family(weak_p, strong_p, 512)[0]) == 512
 
 
 def test_chain_antichain_family_generic():
-    fam = chain_antichain_family(
-        "generic-search", 3, weak_spec="prefix:ab", strong_spec="lexico:a<b",
-        fragment_size=15,
-    )
-    assert fam == ["aa", "ab", "b"]
+    # every other pair gets the first check_star witness on 16 ranks
+    cases = [
+        ("prefix:abc", "lexico:a<b<c", ["aa", "ab", "b", "c"]),
+        ("lexico:a;b", "lexico:a<b", ["aa", "ab", "ba", "bb"]),
+    ]
+    for weak_spec, strong_spec, expected in cases:
+        weak_p, strong_p = parse_poset_spec(weak_spec), parse_poset_spec(strong_spec)
+        fam = chain_antichain_family(weak_p, strong_p, 4)
+        assert fam == expected
+        assert is_strong_chain_weak_antichain(weak_p, strong_p, fam)
+        with pytest.raises(ResourceError, match="no size-16 witness within the first 16 ranks"):
+            chain_antichain_family(weak_p, strong_p, 16)
+    prefix_ab, lexico_ab = parse_poset_spec("prefix:ab"), parse_poset_spec("lexico:a<b")
     with pytest.raises(ConfigError):
-        chain_antichain_family("generic-search", 2)
-    with pytest.raises(ConfigError):
-        chain_antichain_family("nope", 2)
+        chain_antichain_family(prefix_ab, lexico_ab, 0)
+    nat = parse_poset_spec("nat")
+    with pytest.raises(ResourceError):
+        chain_antichain_family(nat, nat, 2)
+    with pytest.raises(ConfigError, match="carrier"):
+        chain_antichain_family(prefix_ab, parse_poset_spec("lexico:b<a"), 2)
 
 
 def test_order_pair_fragment_rejects_mismatched_carriers():

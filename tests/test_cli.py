@@ -170,6 +170,22 @@ def test_diagonal_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_diagonal_padded_pair_audits_the_same_family(capsys):
+    # the family is picked from the parsed specs, so padding around them
+    # changes only the echoed --pair
+    argv = ["--i", "2", "--max-len", "8", "--fuel", "128", "--t-budget", "128", "--window", "4"]
+    reports = []
+    for pair in ("prefix:ab/lexico:a<b", " prefix:ab / lexico:a<b"):
+        code, out, _ = run(capsys, "diagonal", "--pair", pair, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["config"].pop("pair") == pair
+        reports.append(data)
+    assert reports[0] == reports[1]
+    assert reports[0]["audit"]["passed"] is True
+    assert (reports[0]["f"], reports[0]["g"]) == ("a" * 15 + "b", "b")
+
+
 def test_estimate_length_ceiling(capsys):
     # 25 is the first length above MAX_PROG_LEN; 40 would never end, so it
     # shows that the ceiling comes before either walk
@@ -205,6 +221,34 @@ def test_dilworth(tmp_path, capsys):
     assert data["cover_size"] == 2
     assert data["dilworth_equal"] is True
     assert sorted(e for chain in data["chains"] for e in chain) == ["a", "b", "c", "d"]
+
+
+def test_dilworth_runs_one_full_matching(tmp_path, capsys, monkeypatch):
+    # the width and the chains come from one matching of the whole order
+    from kposet import analysis
+
+    n = analysis.N_BOUND
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps({
+        "elements": [str(i) for i in range(n)],
+        "lt": [[i, i + 1] for i in range(n - 1)],
+    }))
+    full_rows = analysis.FinitePoset(n, frozenset((i, i + 1) for i in range(n - 1))).rows
+    full_calls = []
+    matching = analysis._max_matching
+
+    def counting(rows):
+        if tuple(rows) == full_rows:
+            full_calls.append(1)
+        return matching(rows)
+
+    monkeypatch.setattr(analysis, "_max_matching", counting)
+    code, out, _ = run(capsys, "dilworth", "--file", str(f))
+    assert code == 0
+    data = json.loads(out)
+    assert data["antichain"] == ["0"]
+    assert data["chains"] == [[str(i) for i in range(n)]]
+    assert len(full_calls) == 1
 
 
 def test_dilworth_huge_order_refused_before_closure(tmp_path, capsys):

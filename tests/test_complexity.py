@@ -26,7 +26,7 @@ from kposet.complexity import (
 from kposet.errors import ConfigError, ResourceError, VerificationError
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import assemble, run_emitting
-from kposet.analysis import chain_antichain_family, family_posets
+from kposet.analysis import chain_antichain_family
 
 NAT = parse_poset_spec("nat")
 SMALL = Budget(max_prog_len=12, fuel=256, t_budget=256, window=4)
@@ -205,12 +205,12 @@ def test_paired_decompress():
 
 
 def prefix_lexico_pair():
-    return family_posets("prefix-vs-lexico")
+    return parse_poset_spec("prefix:ab"), parse_poset_spec("lexico:a<b")
 
 
 def test_diagonal_hard_vm_backed():
     weak, strong = prefix_lexico_pair()
-    gen = lambda i, size: chain_antichain_family("prefix-vs-lexico", size)
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
     for i in range(3):
         f, g, audit = diagonal_hard(
             weak, strong, gen, lambda j: j + 1, i, SMALL
@@ -223,7 +223,7 @@ def test_diagonal_hard_vm_backed():
 
 def test_diagonal_hard_alpha_zero():
     weak, strong = prefix_lexico_pair()
-    gen = lambda i, size: chain_antichain_family("prefix-vs-lexico", size)
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
     f, g, audit = diagonal_hard(weak, strong, gen, lambda j: 0, 0, SMALL)
     # size-2 family, no programs short enough to exclude anything
     assert audit["z_size"] == 2
@@ -234,7 +234,7 @@ def test_diagonal_hard_alpha_zero():
 
 def test_diagonal_hard_with_synthetic_exclusions():
     weak, strong = prefix_lexico_pair()
-    gen = lambda i, size: chain_antichain_family("prefix-vs-lexico", size)
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
     family = gen(0, 8)  # alpha = 2
 
     def program_family(p_word):
@@ -271,7 +271,7 @@ def test_diagonal_hard_rejects_bad_generator():
 
 def test_diagonal_counting_bound_detects_violation():
     weak, strong = prefix_lexico_pair()
-    gen = lambda i, size: chain_antichain_family("prefix-vs-lexico", size)
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
     fam8 = gen(0, 8)  # alpha = 2
 
     def hostile(p_word):

@@ -184,6 +184,20 @@ def test_metadata_minimum():
                 assert any(not p.leq(cand, e) for e in wider), spec
 
 
+def test_claimed_minimum_has_a_rank():
+    # a claimed minimum comes with the rank of an element below the early
+    # ranks; rev() turns a claimed maximum into a claimed minimum
+    specs = ["nat", "int", "prefix:ab", "lexico:a<b;c", "finsets", "reg:ab",
+             "discrete(nat)", "rev(nat)", "rev(prefix:ab)", "rev(lexico:a<b)",
+             "rev(finsets)", "rev(reg:ab)", "rev(rev(reg:ab))", "discrete(reg:ab)"]
+    for spec in specs:
+        p = parse_poset_spec(spec)
+        if p.meta.has_minimum:
+            assert isinstance(p.meta.minimum_rank, int), spec
+            bottom = p.unrank(p.meta.minimum_rank)
+            assert all(p.leq(bottom, p.unrank(i)) for i in range(64)), spec
+
+
 def test_discrete_is_empty_order():
     d = parse_poset_spec("discrete(nat)")
     assert d.leq(4, 4)
