@@ -386,7 +386,7 @@ def quotient_evaluator(l: Dfa, words: Sequence[str]) -> Evaluator:
     def fn(x, t, fuel):
         return RegHandle(quotient(l, words[: t + 1]))
 
-    return Evaluator(fn, name="quotient")
+    return Evaluator(fn)
 
 
 # -------------------------------------------------- canonical enumeration

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ConfigError, DomainError, KposetError, ResourceError
-from .posets import parse_poset_spec, reverse
+from .posets import _parse_alphabet, parse_poset_spec, reverse
 
 # Each handler imports the layers it drives, so a command loads only those;
 # hence the copy of vm.INTERACTION_MODES (a test keeps the two equal).
@@ -125,7 +125,7 @@ def cmd_estimate(args) -> int:
 def cmd_quotient(args) -> int:
     from . import automata
 
-    sigma = tuple(args.alphabet)
+    sigma = tuple(_parse_alphabet(args.alphabet))
     ast = automata.parse_regex(args.regex, sigma)
     if ast is None:
         raise ConfigError(f"not a well-formed expression: {args.regex!r}")
@@ -237,6 +237,8 @@ def cmd_bb(args) -> int:
 
 
 def _program_index(args) -> int:
+    if args.program is not None and args.index is not None:
+        raise ConfigError("give --index or --program, not both")
     if args.program is not None:
         if any(c not in "01" for c in args.program):
             raise ConfigError("--program wants a binary word")
@@ -273,12 +275,13 @@ def cmd_interact(args) -> int:
         xs = tuple(sorted({int(v) for v in args.x.split(",") if v != ""}))
     except ValueError as exc:
         raise ConfigError(f"--x wants a comma-separated set of naturals: {exc}") from exc
+    finsets = parse_poset_spec("finsets")
+    finsets.rank(xs)  # DomainError unless every member is a natural
     cfg = RunConfig(
         command="interact", t_budget=args.t_budget, window=args.window,
         seed=args.seed, threads=args.threads,
         extra={"mode": args.mode, "index": n, "x": list(xs)},
     )
-    finsets = parse_poset_spec("finsets")
     order = reverse(finsets) if args.mode == "setminus" else finsets
     e = vm.set_interaction_evaluators(n, args.mode)
     trace = []

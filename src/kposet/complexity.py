@@ -45,7 +45,6 @@ from .vm import (
     kept_trace,
     parse_program,
     run_emitting,
-    run_raw,
     vm_max_evaluator,
 )
 
@@ -387,7 +386,8 @@ def default_program_family(weak: PosetInstance, b: Budget):
         if dec is None:
             return None
         n, payload = dec
-        raw_first = run_raw(b_word(n), b_index(payload), b.fuel).raw_first
+        instrs = parse_program(b_word(n))
+        raw_first = () if instrs is None else _execute(instrs, b_index(payload), b.fuel)[0]
         return kept_trace(raw_first, weak.unrank, weak.leq), kept_trace(raw_first, down.unrank, down.leq)
 
     return family

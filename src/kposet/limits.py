@@ -69,22 +69,18 @@ def trace_to_csv(p: PosetInstance, trace: Trace) -> str:
 
 
 class Evaluator:
-    """Wrapper giving a budgeted partial map a name."""
+    """A budgeted partial map (x, t, fuel) -> value or None; rejects a negative t or fuel."""
 
-    def __init__(self, fn: Callable[[Any, int, int], Any], name: str = ""):
+    def __init__(self, fn: Callable[[Any, int, int], Any]):
         self._fn = fn
-        self.name = name
 
     def __call__(self, x, t: int, fuel: int):
         if t < 0 or fuel < 0:
             raise ConfigError("t and fuel must be natural numbers")
         return self._fn(x, t, fuel)
 
-    def __repr__(self):  # pragma: no cover
-        return f"Evaluator({self.name or self._fn!r})"
 
-
-def trace_evaluator(points: Iterable[tuple[int, Any]], cost: int = 0, name: str = "trace") -> Evaluator:
+def trace_evaluator(points: Iterable[tuple[int, Any]], cost: int = 0) -> Evaluator:
     """Synthetic evaluator defined exactly at the listed (t, value) points,
     at every input, once the fuel covers the per-point cost."""
     table = dict(points)
@@ -94,14 +90,14 @@ def trace_evaluator(points: Iterable[tuple[int, Any]], cost: int = 0, name: str 
             return None
         return table.get(t)
 
-    return Evaluator(fn, name=name)
+    return Evaluator(fn)
 
 
 def evaluator_from_json(p: PosetInstance, text: str) -> Evaluator:
     """Load the test fixture format {"points": [[t, rank], ...], "cost": c}."""
     data = json.loads(text)
     pts = [(int(t), p.unrank(int(r))) for t, r in data["points"]]
-    return trace_evaluator(pts, cost=int(data.get("cost", 0)), name="json")
+    return trace_evaluator(pts, cost=int(data.get("cost", 0)))
 
 
 @dataclass(frozen=True)
@@ -270,7 +266,7 @@ def normalize(p: PosetInstance, e: Evaluator) -> Evaluator:
                 delta.append(v)
         return _greatest_of_chain(p, delta)
 
-    return Evaluator(fn, name=f"normalize({getattr(e, 'name', '')})")
+    return Evaluator(fn)
 
 
 def totalize(p: PosetInstance, e: Evaluator, bottom: Any) -> Evaluator:
@@ -294,7 +290,7 @@ def totalize(p: PosetInstance, e: Evaluator, bottom: Any) -> Evaluator:
             vals.append(v)
         return _greatest_of_chain(p, vals)
 
-    return Evaluator(fn, name=f"totalize({getattr(e, 'name', '')})")
+    return Evaluator(fn)
 
 
 def prefix_normal_form(f: Evaluator) -> Evaluator:
@@ -318,7 +314,7 @@ def prefix_normal_form(f: Evaluator) -> Evaluator:
             cur = raw[: min(len(cur) + 1, len(raw))]
         return cur
 
-    return Evaluator(fn, name=f"prefix_normal_form({getattr(f, 'name', '')})")
+    return Evaluator(fn)
 
 
 def split_by_distinct(trace: Trace, k: int) -> list[Any]:
@@ -384,7 +380,7 @@ def restrict_to_mixed_set(
             return fx
         return None
 
-    return Evaluator(fn, name="restrict_to_mixed_set")
+    return Evaluator(fn)
 
 
 def common_value_dovetail(

@@ -1,9 +1,9 @@
 """Computable partially ordered sets: a rank bijection plus a decidable order.
 
 A PosetInstance bundles the bijection between naturals and elements (``rank``/
-``unrank``), the order decider (``leq``), and optional structural metadata.
-Instances are immutable and all operations are pure, so they can be shared
-freely.
+``unrank``) and the order decider (``leq``). Order properties are computed
+from ``leq``, never declared. Instances are immutable and all operations are
+pure, so they can be shared freely.
 
 Instances come from a small spec DSL:
 
@@ -20,12 +20,11 @@ prefix:ab / lexico:a<b share one carrier and one rank map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "PosetMeta",
     "PosetInstance",
     "parse_poset_spec",
     "reverse",
@@ -36,25 +35,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PosetMeta:
-    """Structural claims about an instance; every field is optional and must
-    stay consistent with the order decider (tests sample-check this)."""
-
-    has_minimum: bool = False
-    minimum_rank: Optional[int] = None
-    minimal_elements: Optional[tuple[int, ...]] = None
-    height_bound: Optional[int] = None
-    has_maximum: bool = False
-    maximum_rank: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class PosetInstance:
     spec: str
     _unrank: Callable[[int], Any]
     _rank: Callable[[Any], int]
     _leq: Callable[[Any, Any], bool]
-    meta: PosetMeta
     _fmt: Callable[[Any], str] = str
 
     def unrank(self, n: int) -> Any:
@@ -81,20 +66,11 @@ class PosetInstance:
 def reverse(p: PosetInstance) -> PosetInstance:
     """The reverse order on the same carrier; min-semantics everywhere is
     max-semantics over reverse(p), never a separate code path."""
-    meta = PosetMeta(
-        has_minimum=p.meta.has_maximum,
-        minimum_rank=p.meta.maximum_rank,
-        minimal_elements=None,
-        height_bound=p.meta.height_bound,
-        has_maximum=p.meta.has_minimum,
-        maximum_rank=p.meta.minimum_rank,
-    )
     return PosetInstance(
         spec=f"rev({p.spec})",
         _unrank=p._unrank,
         _rank=p._rank,
         _leq=lambda a, b: p._leq(b, a),
-        meta=meta,
         _fmt=p._fmt,
     )
 
@@ -109,7 +85,6 @@ def _discrete(p: PosetInstance) -> PosetInstance:
         _unrank=p._unrank,
         _rank=p._rank,
         _leq=leq,
-        meta=PosetMeta(height_bound=1),
         _fmt=p._fmt,
     )
 
@@ -128,7 +103,6 @@ def _nat() -> PosetInstance:
         _unrank=lambda n: n,
         _rank=rank,
         _leq=lambda a, b: rank(a) <= rank(b),
-        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,)),
     )
 
 
@@ -152,7 +126,6 @@ def _int() -> PosetInstance:
         _unrank=unrank,
         _rank=rank,
         _leq=leq,
-        meta=PosetMeta(),
     )
 
 
@@ -216,7 +189,6 @@ def _prefix(alphabet: str) -> PosetInstance:
         _unrank=unrank,
         _rank=rank,
         _leq=leq,
-        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,)),
         _fmt=lambda w: w if w else "ε",
     )
 
@@ -287,7 +259,6 @@ def _lexico(expr: str) -> PosetInstance:
         _unrank=unrank,
         _rank=rank,
         _leq=leq,
-        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,)),
         _fmt=lambda w: w if w else "ε",
     )
 
@@ -330,7 +301,6 @@ def _finsets() -> PosetInstance:
         _unrank=unrank,
         _rank=rank,
         _leq=leq,
-        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,)),
         _fmt=lambda e: "{" + ",".join(map(str, e)) + "}",
     )
 
@@ -355,9 +325,6 @@ def _reg(alphabet: str) -> PosetInstance:
         _unrank=unrank,
         _rank=rank,
         _leq=leq,
-        # minimum is the empty language (the shortest text is ill-formed);
-        # Sigma* is a maximum, but it is not claimed: its rank is not known
-        meta=PosetMeta(has_minimum=True, minimum_rank=0, minimal_elements=(0,)),
         _fmt=lambda h: automata.canonical_regex(h.dfa),
     )
 

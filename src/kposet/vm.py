@@ -64,7 +64,6 @@ __all__ = [
     "assemble",
     "RunResult",
     "run_emitting",
-    "run_raw",
     "kept_trace",
     "vm_max_evaluator",
     "TmSpec",
@@ -359,26 +358,16 @@ def kept_trace(
     return tuple(trace)
 
 
-def _run(code: str, input_b: int, fuel: int, unrank, leq) -> RunResult:
-    instrs = parse_program(code)
-    if instrs is None:
-        return RunResult((), (), False, fuel, 0, input_b)
-    raw_first, halted, steps, a, b = _execute(instrs, input_b, fuel)
-    return RunResult(kept_trace(raw_first, unrank, leq), raw_first, halted, steps, a, b)
-
-
 def run_emitting(p: PosetInstance, code: str, input_b: int, fuel: int) -> RunResult:
     """Run a program with reg_a=0, reg_b=input_b under the kept-emission
     (max) filter for p; min semantics is run_emitting over reverse(p)."""
     if fuel < 0:
         raise ConfigError("fuel must be a natural number")
-    return _run(code, input_b, fuel, p.unrank, p.leq)
-
-
-def run_raw(code: str, input_b: int, fuel: int) -> RunResult:
-    """Run without any order (raw emissions only; the kept trace uses rank
-    order on reg_a, which callers of raw data ignore)."""
-    return _run(code, input_b, fuel, lambda r: r, lambda x, y: x <= y)
+    instrs = parse_program(code)
+    if instrs is None:
+        return RunResult((), (), False, fuel, 0, input_b)
+    raw_first, halted, steps, a, b = _execute(instrs, input_b, fuel)
+    return RunResult(kept_trace(raw_first, p.unrank, p.leq), raw_first, halted, steps, a, b)
 
 
 def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
@@ -418,7 +407,7 @@ def vm_max_evaluator(p: PosetInstance, n: int) -> Evaluator:
         i = bisect.bisect_left(trace, (min(t + 1, fuel),))
         return trace[i - 1][1] if i else None
 
-    return Evaluator(fn, name=f"vm_max[{n} over {p.spec}]")
+    return Evaluator(fn)
 
 
 # ------------------------------------------------------------- busy beaver
@@ -573,15 +562,15 @@ def card_re_evaluator(n: int) -> Evaluator:
     """h(n, t) as an evaluator; every (t, fuel) query is answered from one
     run of b_word(n) through _fuel_prefix_runs, by a bisect on the
     step-ordered first emissions at step bound t."""
-    code = b_word(n)
-    emitted_at = _fuel_prefix_runs(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
+    instrs = parse_program(b_word(n))
+    emitted_at = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else _execute(instrs, 0, fuel)[0])
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
         return bisect.bisect_left(emitted_at(None, fuel), (t,))
 
-    return Evaluator(fn, name=f"card_re[{n}]")
+    return Evaluator(fn)
 
 
 INTERACTION_MODES = ("cap", "minus", "setminus")
@@ -602,10 +591,11 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     """
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
-    code = b_word(a_index)
+    instrs = parse_program(b_word(a_index))
 
     def first_steps(_x, fuel):
-        first = {v: step for step, v in run_raw(code, 0, fuel).raw_first}
+        raw_first = () if instrs is None else _execute(instrs, 0, fuel)[0]
+        first = {v: step for step, v in raw_first}
         return first, sorted(first)
 
     emitted_at = _fuel_prefix_runs(first_steps)
@@ -623,4 +613,4 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
             out = {xx for xx in x if (first.get(xx, t) < t) == keep}
         return tuple(sorted(out))
 
-    return Evaluator(fn, name=f"interact[{mode},{a_index}]")
+    return Evaluator(fn)

@@ -45,17 +45,17 @@ from kposet.automata import (
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, TableEntry, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
-from kposet.posets import PosetInstance, reverse
+from kposet.posets import PosetInstance, parse_poset_spec, reverse
 from kposet.vm import (
     _CYCLE_SET_CAP,
     RunResult,
     TmSpec,
     parse_program,
     run_emitting,
-    run_raw,
     run_tm,
 )
 
+NAT = parse_poset_spec("nat")
 
 def execute_ordered(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
     """The interpreter with the kept filter applied at every OUT."""
@@ -384,7 +384,7 @@ def vm_max_evaluator_ref(p: PosetInstance, n: int):
 def card_re_evaluator_ref(n: int):
     """Count of first emissions with step < t, scanning the sliced run."""
     code = b_word(n)
-    emitted_at = fuel_prefix_runs_ref(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
+    emitted_at = fuel_prefix_runs_ref(lambda _x, fuel: run_emitting(NAT, code, 0, fuel).raw_first)
 
     def fn(x, t, fuel):
         if fuel < t:
@@ -397,7 +397,7 @@ def card_re_evaluator_ref(n: int):
 def set_interaction_ref(a_index: int, mode: str):
     """The interaction rebuilt from the whole sliced emission set per call."""
     code = b_word(a_index)
-    emitted_at = fuel_prefix_runs_ref(lambda _x, fuel: run_raw(code, 0, fuel).raw_first)
+    emitted_at = fuel_prefix_runs_ref(lambda _x, fuel: run_emitting(NAT, code, 0, fuel).raw_first)
 
     def fn(x, t, fuel):
         if fuel < t:

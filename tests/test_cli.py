@@ -9,6 +9,8 @@ import pytest
 
 import kposet
 from kposet.cli import build_parser, main
+from kposet.errors import ConfigError
+from kposet.posets import parse_poset_spec
 
 
 def run(capsys, *argv):
@@ -120,6 +122,18 @@ def test_quotient_bad_regex(capsys):
     )
     assert code == 2
     assert "well-formed" in err
+
+
+@pytest.mark.parametrize("alphabet", ["", "aa"])
+def test_quotient_bad_alphabet(capsys, alphabet):
+    with pytest.raises(ConfigError) as exc:
+        parse_poset_spec(f"reg:{alphabet}")
+    code, out, err = run(
+        capsys, "quotient", "--regex", "a", "--alphabet", alphabet, "--m-words", "a"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"kposet: {exc.value}\n"
 
 
 def test_conditions_star(capsys):
@@ -316,6 +330,7 @@ def test_bb_resource_ceiling(capsys):
      "--t-budget", "-1"),
     ("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "-1"),
     ("estimate", "--poset", "nat", "--ranks", "-1"),
+    ("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,-2"),
 ])
 def test_negative_sizes_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -361,6 +376,17 @@ def test_interact(capsys):
 def test_interact_needs_program(capsys):
     code, _, _ = run(capsys, "interact", "--mode", "cap", "--x", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("cardre", "--t-max", "5"),
+    ("interact", "--mode", "cap", "--x", "1", "--t-budget", "5"),
+], ids=["cardre", "interact"])
+def test_index_and_program_are_exclusive(capsys, argv):
+    code, out, err = run(capsys, *argv, "--index", "5", "--program", "01")
+    assert code == 2
+    assert out == ""
+    assert err == "kposet: give --index or --program, not both\n"
 
 
 _BASE = {"cli", "errors", "posets"}

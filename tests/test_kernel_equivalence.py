@@ -20,13 +20,14 @@ from kposet.complexity import (
 )
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import _execute, assemble, iter_programs, parse_program, run_emitting, run_raw
+from kposet.vm import _execute, assemble, iter_programs, parse_program, run_emitting
 
 BASE_SPECS = ("nat", "int", "prefix:ab", "finsets", "lexico:a<b")
 SPECS = BASE_SPECS + tuple(f"rev({s})" for s in BASE_SPECS) + tuple(
     f"discrete({s})" for s in BASE_SPECS
 )
 POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}
+NAT = POSETS["nat"]
 
 DEAD_SPIN = assemble(["INC_A", "OUT", "INC_A"])  # falls off the end
 CYCLE = assemble(["INC_A", "OUT", "DEC_A", "OUT", ("JZ_B", -4)])  # state repeats
@@ -70,14 +71,14 @@ def assert_same_run(got, want):
 def test_kernel_matches_order_aware_reference(spec, code, input_b, fuel):
     p = POSETS[spec]
     assert_same_run(run_emitting(p, code, input_b, fuel), run_emitting_ref(p, code, input_b, fuel))
-    assert_same_run(run_raw(code, input_b, fuel), run_raw_ref(code, input_b, fuel))
+    assert_same_run(run_emitting(NAT, code, input_b, fuel), run_raw_ref(code, input_b, fuel))
 
 
 def test_kernel_examples_cover_spin_and_cycle():
     # the hand-written examples above really exercise the two early exits
-    spin = run_raw(DEAD_SPIN, 0, 50)
+    spin = run_emitting(NAT, DEAD_SPIN, 0, 50)
     assert spin.steps_used == 50 and not spin.halted and len(spin.raw_first) == 1
-    cyc = run_raw(CYCLE, 0, 200)
+    cyc = run_emitting(NAT, CYCLE, 0, 200)
     assert cyc.steps_used == 200 and cyc.raw_first == ((1, 1), (3, 0))
     up = run_emitting(POSETS["nat"], ZIGZAG, 0, 100)
     down = run_emitting(POSETS["rev(nat)"], ZIGZAG, 0, 100)
@@ -244,19 +245,19 @@ FROM_ZERO = assemble([("JZ_B", 3), "DEC_A", "INC_A", ("JZ_B", -2)])
 def test_growth_loops_match_reference(spec, code, input_b, fuel):
     p = POSETS[spec]
     assert_same_run(run_emitting(p, code, input_b, fuel), run_emitting_ref(p, code, input_b, fuel))
-    assert_same_run(run_raw(code, input_b, fuel), run_raw_ref(code, input_b, fuel))
+    assert_same_run(run_emitting(NAT, code, input_b, fuel), run_raw_ref(code, input_b, fuel))
 
 
 @pytest.mark.parametrize("fuel", [37, 4096])
 def test_kernel_matches_reference_on_every_short_program(fuel):
     for code, _ in iter_programs(14):
-        assert_same_run(run_raw(code, 0, fuel), run_raw_ref(code, 0, fuel))
+        assert_same_run(run_emitting(NAT, code, 0, fuel), run_raw_ref(code, 0, fuel))
 
 
 def test_translated_cycles_match_closed_forms():
     # INC_A; JZ_B -1 counts a up once per two steps, and stops mid-period
-    res = run_raw(assemble(["INC_A", ("JZ_B", -1)]), 0, 10**6 + 1)
+    res = run_emitting(NAT, assemble(["INC_A", ("JZ_B", -1)]), 0, 10**6 + 1)
     assert (res.steps_used, res.reg_a, res.reg_b, res.halted) == (10**6 + 1, 5 * 10**5 + 1, 0, False)
-    res = run_raw(OUT_GROWS, 0, 3000)
+    res = run_emitting(NAT, OUT_GROWS, 0, 3000)
     assert res.raw_first == tuple((3 * j - 2, j) for j in range(1, 1001))
     assert (res.steps_used, res.reg_a) == (3000, 1000)

@@ -169,33 +169,31 @@ def test_reverse_involution():
             assert p.leq(u, v) == rr.leq(u, v)
 
 
-def test_metadata_minimum():
-    for spec in ["nat", "prefix:ab", "lexico:a<b", "finsets", "int",
-                 "discrete(nat)", "rev(nat)"]:
-        p = parse_poset_spec(spec)
-        if p.meta.has_minimum:
-            bottom = p.unrank(p.meta.minimum_rank)
-            assert all(p.leq(bottom, p.unrank(i)) for i in range(1000))
-        else:
-            # every early element fails to be below something a bit further out
-            wider = [p.unrank(i) for i in range(1000)]
-            for i in range(50):
-                cand = p.unrank(i)
-                assert any(not p.leq(cand, e) for e in wider), spec
+# spec -> (the rendered bottom, how many early ranks it is checked below)
+BOTTOMS = {
+    "nat": ("0", 1000),
+    "prefix:ab": ("ε", 1000),
+    "lexico:a<b": ("ε", 1000),
+    "lexico:a<b;c": ("ε", 64),
+    "finsets": ("{}", 1000),
+    "reg:ab": ("(", 64),  # the empty language: its shortest text is ill-formed
+    "rev(rev(reg:ab))": ("(", 64),
+}
 
 
-def test_claimed_minimum_has_a_rank():
-    # a claimed minimum comes with the rank of an element below the early
-    # ranks; rev() turns a claimed maximum into a claimed minimum
-    specs = ["nat", "int", "prefix:ab", "lexico:a<b;c", "finsets", "reg:ab",
-             "discrete(nat)", "rev(nat)", "rev(prefix:ab)", "rev(lexico:a<b)",
-             "rev(finsets)", "rev(reg:ab)", "rev(rev(reg:ab))", "discrete(reg:ab)"]
-    for spec in specs:
+def test_bottoms():
+    for spec, (shown, early) in BOTTOMS.items():
         p = parse_poset_spec(spec)
-        if p.meta.has_minimum:
-            assert isinstance(p.meta.minimum_rank, int), spec
-            bottom = p.unrank(p.meta.minimum_rank)
-            assert all(p.leq(bottom, p.unrank(i)) for i in range(64)), spec
+        bottom = p.unrank(0)
+        assert p.format_elem(bottom) == shown, spec
+        assert all(p.leq(bottom, p.unrank(i)) for i in range(early)), spec
+    for spec in ["int", "discrete(nat)", "rev(nat)"]:
+        # no early element lies below every element a bit further out
+        p = parse_poset_spec(spec)
+        wider = [p.unrank(i) for i in range(1000)]
+        for i in range(50):
+            cand = p.unrank(i)
+            assert any(not p.leq(cand, e) for e in wider), spec
 
 
 def test_discrete_is_empty_order():
@@ -203,7 +201,6 @@ def test_discrete_is_empty_order():
     assert d.leq(4, 4)
     assert not d.leq(3, 5)
     assert not d.leq(5, 3)
-    assert d.meta.height_bound == 1
 
 
 def test_finite_order_from_json():

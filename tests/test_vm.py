@@ -18,7 +18,6 @@ from kposet.vm import (
     card_re_evaluator,
     parse_program,
     run_emitting,
-    run_raw,
     run_tm,
     set_interaction_evaluators,
     vm_max_evaluator,
@@ -216,7 +215,7 @@ def test_card_re_matches_bruteforce_distinct_count():
     for _ in range(200):
         bits = "".join(rng.choice("01") for _ in range(rng.randrange(0, 20)))
         n = b_index(bits)
-        res = run_raw(bits, 0, 30)
+        res = run_emitting(NAT, bits, 0, 30)
         log = [v for step, v in res.raw_first if step < 30]
         assert card_re(n, 30) == len(set(log))
 
