@@ -174,19 +174,24 @@ BOTTOMS = {
     "nat": ("0", 1000),
     "prefix:ab": ("ε", 1000),
     "lexico:a<b": ("ε", 1000),
-    "lexico:a<b;c": ("ε", 64),
     "finsets": ("{}", 1000),
+    "lexico:a<b;c": ("ε", 64),
     "reg:ab": ("(", 64),  # the empty language: its shortest text is ill-formed
     "rev(rev(reg:ab))": ("(", 64),
 }
 
 
-def test_bottoms():
-    for spec, (shown, early) in BOTTOMS.items():
-        p = parse_poset_spec(spec)
-        bottom = p.unrank(0)
-        assert p.format_elem(bottom) == shown, spec
-        assert all(p.leq(bottom, p.unrank(i)) for i in range(early)), spec
+def _check_bottom(spec):
+    shown, early = BOTTOMS[spec]
+    p = parse_poset_spec(spec)
+    bottom = p.unrank(0)
+    assert p.format_elem(bottom) == shown, spec
+    assert all(p.leq(bottom, p.unrank(i)) for i in range(early)), spec
+
+
+def test_metadata_minimum():
+    for spec in ["nat", "prefix:ab", "lexico:a<b", "finsets"]:
+        _check_bottom(spec)
     for spec in ["int", "discrete(nat)", "rev(nat)"]:
         # no early element lies below every element a bit further out
         p = parse_poset_spec(spec)
@@ -194,6 +199,12 @@ def test_bottoms():
         for i in range(50):
             cand = p.unrank(i)
             assert any(not p.leq(cand, e) for e in wider), spec
+
+
+def test_claimed_minimum_has_a_rank():
+    # the bottom sits at rank 0; rev(rev(...)) keeps it there
+    for spec in ["lexico:a<b;c", "reg:ab", "rev(rev(reg:ab))"]:
+        _check_bottom(spec)
 
 
 def test_discrete_is_empty_order():
