@@ -19,7 +19,7 @@ first check_star witness on a rank-bounded fragment otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
@@ -62,25 +62,20 @@ def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     return names, pairs
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(namedtuple("FinitePoset", "n lt names rows")):
     """Strict partial order on {0..n-1}; the relation is stored transitively
     closed and validated, both as the `lt` pair set and as bit rows (bit b
-    of rows[a] set when a < b)."""
+    of rows[a] set when a < b). The rows follow from n and lt, so equality
+    is decided by n, lt and names."""
 
-    n: int
-    lt: frozenset[tuple[int, int]]
-    names: tuple[str, ...] = ()
-    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = closure_rows(self.n, self.lt)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "lt", frozenset(
-            (a, b) for a in range(self.n) for b in range(self.n) if rows[a] >> b & 1
-        ))
-        if self.names and len(self.names) != self.n:
+    def __new__(cls, n: int, lt: frozenset[tuple[int, int]], names: tuple[str, ...] = ()):
+        rows = closure_rows(n, lt)
+        lt = frozenset((a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1)
+        if names and len(names) != n:
             raise ConfigError("names do not match the carrier size")
+        return super().__new__(cls, n, lt, names, tuple(rows))
 
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
@@ -114,21 +109,20 @@ class FinitePoset:
         return masks
 
 
-@dataclass(frozen=True)
-class OrderPair:
+class OrderPair(namedtuple("OrderPair", "weak strong")):
     """Two orders on one carrier, the strong one extending the weak one."""
 
-    weak: FinitePoset
-    strong: FinitePoset
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.weak.n != self.strong.n:
+    def __new__(cls, weak: FinitePoset, strong: FinitePoset):
+        if weak.n != strong.n:
             raise ConfigError("order pair carriers differ")
-        if not self.weak.lt <= self.strong.lt:
-            missing = sorted(self.weak.lt - self.strong.lt)[0]
+        if not weak.lt <= strong.lt:
+            missing = sorted(weak.lt - strong.lt)[0]
             raise ConfigError(
                 f"strong order does not extend the weak one (missing {missing})"
             )
+        return super().__new__(cls, weak, strong)
 
 
 def dilworth(fp: FinitePoset) -> tuple[list[int], list[list[int]]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
@@ -49,14 +49,11 @@ EMPTY_EXPRESSION = "("  # designated ill-formed text for the empty language
 # ----------------------------------------------------------------- parsing
 
 
-@dataclass(frozen=True)
-class RegexAst:
-    """Tree over union/concat/star/symbol/empty-word, plus the source text."""
+class RegexAst(namedtuple("RegexAst", "op sym left right", defaults=(None, None, None))):
+    """Tree over union/concat/star/symbol/empty-word: op is "sym", "cat",
+    "alt", "star" or "eps"; sym the symbol; left and right the subtrees."""
 
-    op: str  # "sym" | "cat" | "alt" | "star" | "eps"
-    sym: Optional[str] = None
-    left: Optional["RegexAst"] = None
-    right: Optional["RegexAst"] = None
+    __slots__ = ()
 
     def __repr__(self):  # pragma: no cover
         return f"RegexAst({render_ast(self)!r})"
@@ -140,17 +137,12 @@ def parse_regex(text: str, sigma: Sequence[str]) -> RegexAst | None:
 # -------------------------------------------------------------------- DFAs
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """Total DFA; canonical instances are minimal with BFS state numbering,
-    so canonical DFAs are language-equal iff equal as values."""
+class Dfa(namedtuple("Dfa", "n start accept delta alphabet canonical", defaults=(False,))):
+    """Total DFA, delta[state][symbol index]; canonical instances are minimal
+    with BFS state numbering, so canonical DFAs are language-equal iff equal
+    as values."""
 
-    n: int
-    start: int
-    accept: frozenset[int]
-    delta: tuple[tuple[int, ...], ...]  # delta[state][symbol index]
-    alphabet: tuple[str, ...]
-    canonical: bool = False
+    __slots__ = ()
 
     def step(self, state: int, word: str) -> int:
         index = {c: i for i, c in enumerate(self.alphabet)}
@@ -491,16 +483,17 @@ def _enumeration_for(sigma: tuple[str, ...]) -> _Enumeration:
         return _enumerations[sigma]
 
 
-@dataclass(frozen=True)
-class RegHandle:
+class RegHandle(namedtuple("RegHandle", "dfa rank", defaults=(None,))):
     """A regular language: its canonical DFA plus the cached enumeration rank
     (None until computed). Equality and hashing ignore the cached rank."""
 
-    dfa: Dfa
-    rank: Optional[int] = None
+    __slots__ = ()
 
     def __eq__(self, other):
         return isinstance(other, RegHandle) and self.dfa == other.dfa
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
         return hash(self.dfa)

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .errors import ConfigError, DomainError, KposetError, ResourceError
@@ -31,22 +31,14 @@ _INTERACTION_MODES = ("cap", "minus", "setminus")
 __all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    poset: Optional[str] = None
-    pair: Optional[str] = None
-    max_len: Optional[int] = None
-    fuel: Optional[int] = None
-    t_budget: Optional[int] = None
-    window: Optional[int] = None
-    ranks: Optional[int] = None
-    seed: int = 0
-    threads: int = 1
-    extra: Optional[dict] = None
+class RunConfig(namedtuple(
+    "RunConfig", "command poset pair max_len fuel t_budget window ranks seed threads extra",
+    defaults=(None,) * 7 + (0, 1, None),  # command is required; seed 0, threads 1, the rest None
+)):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if v is not None}
+        d = {k: v for k, v in self._asdict().items() if v is not None}
         extra = d.pop("extra", None)
         if extra:
             d.update(extra)
@@ -63,7 +55,10 @@ def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kposet-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -174,7 +169,7 @@ def cmd_dilworth(args) -> int:
     from . import analysis
 
     try:
-        with open(args.file) as handle:
+        with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {args.file!r}: {exc}") from exc

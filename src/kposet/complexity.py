@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .codec import b_index, b_word, decode_padded, encode_padded, encode_pair
@@ -74,17 +74,15 @@ MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
 DIAGONAL_ALPHA_CAP = 8  # largest alpha(i) diagonal_hard audits (family of 2^9 words)
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_prog_len: int
-    fuel: int
-    t_budget: int
-    window: int
+class Budget(namedtuple("Budget", "max_prog_len fuel t_budget window")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("max_prog_len", "fuel", "t_budget", "window"):
+    def __new__(cls, max_prog_len: int, fuel: int, t_budget: int, window: int):
+        self = super().__new__(cls, max_prog_len, fuel, t_budget, window)
+        for name in cls._fields:
             if getattr(self, name) < 1:
                 raise ConfigError(f"budget field {name} must be positive")
+        return self
 
     @property
     def horizon(self) -> int:
@@ -92,29 +90,31 @@ class Budget:
         return min(self.t_budget, self.fuel)
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    length: int
-    witness: str
+class TableEntry(namedtuple("TableEntry", "length witness")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length != len(self.witness):
+    def __new__(cls, length: int, witness: str):
+        if length != len(witness):
             raise VerificationError("entry length disagrees with its witness")
+        return super().__new__(cls, length, witness)
 
 
-@dataclass
 class ComplexityRow:
-    k_plain: Optional[TableEntry] = None
-    k_max: Optional[TableEntry] = None
-    k_min: Optional[TableEntry] = None
+    __slots__ = ("k_plain", "k_max", "k_min")
+
+    def __init__(self):
+        self.k_plain: Optional[TableEntry] = None
+        self.k_max: Optional[TableEntry] = None
+        self.k_min: Optional[TableEntry] = None
 
 
-@dataclass
 class ComplexityTable:
-    poset_spec: str
-    budget: Budget
-    rows: dict[int, ComplexityRow] = field(default_factory=dict)
-    censored: set[int] = field(default_factory=set)
+    __slots__ = ("poset_spec", "budget", "rows", "censored")
+
+    def __init__(self, poset_spec: str, budget: Budget):
+        self.poset_spec, self.budget = poset_spec, budget
+        self.rows: dict[int, ComplexityRow] = {}
+        self.censored: set[int] = set()
 
     def row(self, rank: int) -> ComplexityRow:
         if rank not in self.rows:

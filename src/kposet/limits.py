@@ -17,8 +17,8 @@ coordinate sum, then increasing first coordinate) so runs are reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from collections import namedtuple
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConfigError, ContractError, MonotonicityError
 from .posets import PosetInstance
@@ -49,16 +49,16 @@ STILL_CHANGING = "still-changing"
 NO_VALUE = "no-value"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(namedtuple("Trace", "points")):
     """Materialized defined points of an approximation process at one input."""
 
-    points: tuple[tuple[int, Any], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ts = [t for t, _ in self.points]
+    def __new__(cls, points: tuple[tuple[int, Any], ...]):
+        ts = [t for t, _ in points]
         if any(t < 0 for t in ts) or any(a >= b for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"trace clocks must be strictly increasing: {ts}")
+        return super().__new__(cls, points)
 
     def values(self) -> list[Any]:
         return [d for _, d in self.points]
@@ -100,12 +100,7 @@ def evaluator_from_json(p: PosetInstance, text: str) -> Evaluator:
     return trace_evaluator(pts, cost=int(data.get("cost", 0)))
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    current: Optional[Any]
-    last_change_t: int
-    stable_for: int
-    status: str
+LimitReport = namedtuple("LimitReport", "current last_change_t stable_for status")
 
 
 def budgeted_limit(

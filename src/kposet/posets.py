@@ -19,8 +19,8 @@ prefix:ab / lexico:a<b share one carrier and one rank map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from collections import namedtuple
+from typing import Any, Iterable, Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -34,30 +34,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PosetInstance:
-    spec: str
-    _unrank: Callable[[int], Any]
-    _rank: Callable[[Any], int]
-    _leq: Callable[[Any, Any], bool]
-    _fmt: Callable[[Any], str] = str
+class PosetInstance(namedtuple("PosetInstance", "spec unrank_fn rank_fn leq_fn fmt_fn", defaults=(str,))):
+    """The spec, the rank bijection (unrank_fn, rank_fn), the order decider
+    leq_fn and the element printer fmt_fn, used through the methods below."""
+
+    __slots__ = ()
 
     def unrank(self, n: int) -> Any:
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"rank must be a natural number, got {n!r}")
-        return self._unrank(n)
+        return self.unrank_fn(n)
 
     def rank(self, e: Any) -> int:
-        return self._rank(e)
+        return self.rank_fn(e)
 
     def leq(self, a: Any, b: Any) -> bool:
-        return self._leq(a, b)
+        return self.leq_fn(a, b)
 
     def lt(self, a: Any, b: Any) -> bool:
-        return a != b and self._leq(a, b)
+        return a != b and self.leq_fn(a, b)
 
     def format_elem(self, e: Any) -> str:
-        return self._fmt(e)
+        return self.fmt_fn(e)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PosetInstance({self.spec!r})"
@@ -66,27 +64,15 @@ class PosetInstance:
 def reverse(p: PosetInstance) -> PosetInstance:
     """The reverse order on the same carrier; min-semantics everywhere is
     max-semantics over reverse(p), never a separate code path."""
-    return PosetInstance(
-        spec=f"rev({p.spec})",
-        _unrank=p._unrank,
-        _rank=p._rank,
-        _leq=lambda a, b: p._leq(b, a),
-        _fmt=p._fmt,
-    )
+    return p._replace(spec=f"rev({p.spec})", leq_fn=lambda a, b: p.leq_fn(b, a))
 
 
 def _discrete(p: PosetInstance) -> PosetInstance:
     def leq(a, b):
-        p._leq(a, b)  # validate the pair against the carrier
+        p.leq_fn(a, b)  # validate the pair against the carrier
         return a == b
 
-    return PosetInstance(
-        spec=f"discrete({p.spec})",
-        _unrank=p._unrank,
-        _rank=p._rank,
-        _leq=leq,
-        _fmt=p._fmt,
-    )
+    return p._replace(spec=f"discrete({p.spec})", leq_fn=leq)
 
 
 # ---------------------------------------------------------------- carriers
@@ -100,9 +86,9 @@ def _nat() -> PosetInstance:
 
     return PosetInstance(
         spec="nat",
-        _unrank=lambda n: n,
-        _rank=rank,
-        _leq=lambda a, b: rank(a) <= rank(b),
+        unrank_fn=lambda n: n,
+        rank_fn=rank,
+        leq_fn=lambda a, b: rank(a) <= rank(b),
     )
 
 
@@ -123,9 +109,9 @@ def _int() -> PosetInstance:
 
     return PosetInstance(
         spec="int",
-        _unrank=unrank,
-        _rank=rank,
-        _leq=leq,
+        unrank_fn=unrank,
+        rank_fn=rank,
+        leq_fn=leq,
     )
 
 
@@ -186,10 +172,10 @@ def _prefix(alphabet: str) -> PosetInstance:
 
     return PosetInstance(
         spec=f"prefix:{alphabet}",
-        _unrank=unrank,
-        _rank=rank,
-        _leq=leq,
-        _fmt=lambda w: w if w else "ε",
+        unrank_fn=unrank,
+        rank_fn=rank,
+        leq_fn=leq,
+        fmt_fn=lambda w: w if w else "ε",
     )
 
 
@@ -256,10 +242,10 @@ def _lexico(expr: str) -> PosetInstance:
 
     return PosetInstance(
         spec=f"lexico:{expr}",
-        _unrank=unrank,
-        _rank=rank,
-        _leq=leq,
-        _fmt=lambda w: w if w else "ε",
+        unrank_fn=unrank,
+        rank_fn=rank,
+        leq_fn=leq,
+        fmt_fn=lambda w: w if w else "ε",
     )
 
 
@@ -298,10 +284,10 @@ def _finsets() -> PosetInstance:
 
     return PosetInstance(
         spec="finsets",
-        _unrank=unrank,
-        _rank=rank,
-        _leq=leq,
-        _fmt=lambda e: "{" + ",".join(map(str, e)) + "}",
+        unrank_fn=unrank,
+        rank_fn=rank,
+        leq_fn=leq,
+        fmt_fn=lambda e: "{" + ",".join(map(str, e)) + "}",
     )
 
 
@@ -322,10 +308,10 @@ def _reg(alphabet: str) -> PosetInstance:
 
     return PosetInstance(
         spec=f"reg:{alphabet}",
-        _unrank=unrank,
-        _rank=rank,
-        _leq=leq,
-        _fmt=lambda h: automata.canonical_regex(h.dfa),
+        unrank_fn=unrank,
+        rank_fn=rank,
+        leq_fn=leq,
+        fmt_fn=lambda h: automata.canonical_regex(h.dfa),
     )
 
 

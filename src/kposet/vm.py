@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .codec import _check_word, b_index, b_word
@@ -207,14 +207,8 @@ def assemble(instrs: Iterable[tuple[str, Optional[int]] | str]) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    trace: tuple[tuple[int, Any], ...]  # kept emissions (step, element)
-    raw_first: tuple[tuple[int, int], ...]  # first occurrence of each reg_a value
-    halted: bool
-    steps_used: int
-    reg_a: int
-    reg_b: int
+# trace: kept emissions (step, element); raw_first: first occurrence of each reg_a value
+RunResult = namedtuple("RunResult", "trace raw_first halted steps_used reg_a reg_b")
 
 
 _CYCLE_SET_CAP = 1 << 17  # beyond this, fall back to honest fuel burn
@@ -415,19 +409,18 @@ def vm_max_evaluator(p: PosetInstance, n: int) -> Evaluator:
 BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_bb (n+1 machine states)
 
 
-@dataclass(frozen=True)
-class TmSpec:
+class TmSpec(namedtuple("TmSpec", "states table")):
     """One-tape Turing machine over {blank, 1}; table maps (state, symbol)
     to (write, move, next) with next a state index or "H"."""
 
-    states: int
-    table: dict  # (q, s) -> (write, "L"/"R", next)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for q in range(self.states):
+    def __new__(cls, states: int, table: dict):
+        for q in range(states):
             for s in (0, 1):
-                if (q, s) not in self.table:
+                if (q, s) not in table:
                     raise ConfigError(f"transition table misses ({q},{s})")
+        return super().__new__(cls, states, table)
 
     @staticmethod
     def from_json(data: dict) -> "TmSpec":

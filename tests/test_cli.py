@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -399,7 +400,8 @@ import json, sys
 from kposet.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m[len("kposet."):] for m in sys.modules if m.startswith("kposet."))
-print(json.dumps([code, loaded]))
+heavy = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+print(json.dumps([code, loaded, heavy]))
 """
 
 
@@ -432,9 +434,10 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
         [sys.executable, "-c", _PROBE, *argv, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, heavy = json.loads(proc.stdout)
     assert code == 0
     assert set(loaded) == layers
+    assert heavy == []  # records are namedtuples: no dataclass machinery at start-up
 
 
 def test_interact_mode_choices_match_vm():
@@ -444,3 +447,48 @@ def test_interact_mode_choices_match_vm():
                 if isinstance(a, argparse._SubParsersAction))
     mode = next(a for a in subs.choices["interact"]._actions if a.dest == "mode")
     assert tuple(mode.choices) == INTERACTION_MODES
+
+
+def _kposet_env(**locale):
+    """The environment of a fresh kposet process under the given locale settings."""
+    src = os.path.dirname(os.path.dirname(kposet.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCE"))}
+    return {**env, "PYTHONPATH": src, **locale}
+
+
+_C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_reports_do_not_depend_on_the_locale(tmp_path):
+    # the regex column holds '·', which an ASCII locale cannot encode
+    argv = ["estimate", "--poset", "reg:ab", "--max-len", "12", "--ranks", "70"]
+    reports = {}
+    for name, locale in (("c", _C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        out = tmp_path / f"{name}.csv"
+        proc = subprocess.run([sys.executable, "-m", "kposet.cli", *argv, "--out", str(out)],
+                              capture_output=True, env=_kposet_env(**locale))
+        assert proc.returncode == 0, proc.stderr
+        reports[name] = out.read_bytes()
+    assert "·".encode() in reports["utf8"]
+    assert reports["c"] == reports["utf8"]
+
+    order = tmp_path / "order.json"
+    order.write_bytes(json.dumps({"elements": ["é", "b"], "lt": [[0, 1]]},
+                                 ensure_ascii=False).encode("utf-8"))
+    proc = subprocess.run([sys.executable, "-m", "kposet.cli", "dilworth", "--file", str(order)],
+                          capture_output=True, text=True, env=_kposet_env(**_C_LOCALE))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["chains"] == [["é", "b"]]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    out = tmp_path / "bb.csv"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "bb", "--states", "1", "--t-max", "5", "--out", str(out))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -43,7 +42,7 @@ def test_budget_validation():
 def test_budget_horizon_is_not_a_field():
     assert Budget(12, 256, 100, 4).horizon == 100
     assert Budget(12, 64, 100, 4).horizon == 64
-    assert [f.name for f in dataclasses.fields(Budget)] == [
+    assert list(Budget._fields) == [
         "max_prog_len", "fuel", "t_budget", "window"
     ]
 

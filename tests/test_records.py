@@ -1,0 +1,112 @@
+"""The record contract: frozen records refuse assignment, validate on
+construction with fixed messages, and compare by value; the two table
+records stay mutable."""
+
+import pytest
+
+from kposet.analysis import FinitePoset, OrderPair
+from kposet.automata import RegHandle, parse_regex, to_canonical_dfa
+from kposet.cli import RunConfig
+from kposet.complexity import Budget, ComplexityTable, TableEntry
+from kposet.errors import ConfigError, VerificationError
+from kposet.limits import LimitReport, Trace
+from kposet.posets import parse_poset_spec
+from kposet.vm import RunResult, TmSpec
+
+AB = ("a", "b")
+CHAIN = FinitePoset(2, frozenset({(0, 1)}))
+A_STAR = to_canonical_dfa(parse_regex("a*", AB), AB)
+TM_TABLE = {(0, 0): (1, "R", "H"), (0, 1): (1, "L", 0)}
+
+FROZEN = {
+    "PosetInstance": (parse_poset_spec("nat"), "spec"),
+    "RunConfig": (RunConfig("estimate"), "seed"),
+    "Trace": (Trace(((0, "a"),)), "points"),
+    "LimitReport": (LimitReport(None, 0, 0, "no-value"), "status"),
+    "RunResult": (RunResult((), (), False, 0, 0, 0), "halted"),
+    "TmSpec": (TmSpec(1, TM_TABLE), "states"),
+    "Budget": (Budget(1, 1, 1, 1), "fuel"),
+    "TableEntry": (TableEntry(3, "111"), "length"),
+    "FinitePoset": (CHAIN, "rows"),
+    "OrderPair": (OrderPair(CHAIN, CHAIN), "weak"),
+    "RegexAst": (parse_regex("a·b", AB), "op"),
+    "Dfa": (A_STAR, "start"),
+    "RegHandle": (RegHandle(A_STAR), "rank"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_records_reject_assignment(name):
+    record, field = FROZEN[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Budget(0, 1, 1, 1), ConfigError, "budget field max_prog_len must be positive"),
+    (lambda: Budget(4, 4, 4, 0), ConfigError, "budget field window must be positive"),
+    (lambda: TableEntry(2, "111"), VerificationError, "entry length disagrees with its witness"),
+    (lambda: Trace(((1, "a"), (1, "b"))), ConfigError,
+     "trace clocks must be strictly increasing: [1, 1]"),
+    (lambda: Trace(((-1, "a"),)), ConfigError, "trace clocks must be strictly increasing: [-1]"),
+    (lambda: TmSpec(1, {(0, 0): (1, "R", "H")}), ConfigError, "transition table misses (0,1)"),
+    (lambda: OrderPair(CHAIN, FinitePoset(3, frozenset())), ConfigError,
+     "order pair carriers differ"),
+    (lambda: OrderPair(CHAIN, FinitePoset(2, frozenset())), ConfigError,
+     "strong order does not extend the weak one (missing (0, 1))"),
+    (lambda: FinitePoset(2, frozenset({(0, 1), (1, 0)})), ConfigError,
+     "not a strict partial order (reflexive or cyclic)"),
+    (lambda: FinitePoset(2, frozenset({(0, 5)})), ConfigError, "relation pair out of range: (0, 5)"),
+    (lambda: FinitePoset(2, frozenset(), ("a",)), ConfigError,
+     "names do not match the carrier size"),
+], ids=["budget-len", "budget-window", "entry", "trace-repeat", "trace-negative", "tm",
+        "pair-carriers", "pair-extension", "poset-cycle", "poset-range", "poset-names"])
+def test_record_validation_errors(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_reg_handle_equality_ignores_rank():
+    other = to_canonical_dfa(parse_regex("b*", AB), AB)
+    fresh, ranked = RegHandle(A_STAR), RegHandle(A_STAR, 5)
+    assert fresh == ranked and not fresh != ranked
+    assert hash(fresh) == hash(ranked)
+    assert fresh != RegHandle(other, 5) and not fresh == RegHandle(other, 5)
+    assert fresh != A_STAR
+
+
+def test_finite_poset_equality_ignores_rows():
+    # rows follow from n and the closed lt, so (n, lt, names) decide equality
+    chain_lt = frozenset({(0, 1), (1, 2)})
+    posets = [
+        FinitePoset(3, chain_lt),
+        FinitePoset(3, chain_lt | {(0, 2)}),
+        FinitePoset(3, chain_lt, ("x", "y", "z")),
+        FinitePoset(3, frozenset({(0, 1)})),
+        FinitePoset(3, frozenset()),
+        FinitePoset(2, frozenset()),
+    ]
+    for a in posets:
+        for b in posets:
+            assert (a == b) == ((a.n, a.lt, a.names) == (b.n, b.lt, b.names))
+            if a == b:
+                assert hash(a) == hash(b)
+    assert posets[0] == posets[1]
+
+
+def test_run_config_to_dict():
+    cfg = RunConfig("quotient", max_len=4, extra={"regex": "a"})
+    assert cfg.to_dict() == {"command": "quotient", "max_len": 4, "seed": 0, "threads": 1,
+                             "regex": "a"}
+
+
+def test_table_records_are_mutable_and_unshared():
+    one, two = ComplexityTable("nat", Budget(1, 1, 1, 1)), ComplexityTable("nat", Budget(1, 1, 1, 1))
+    one.row(0).k_plain = TableEntry(3, "111")
+    one.censored.add(1)
+    assert one.rows[0].k_plain.witness == "111"
+    assert (one.rows[0].k_max, one.rows[0].k_min) == (None, None)
+    assert two.rows == {} and two.censored == set()
