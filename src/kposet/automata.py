@@ -11,7 +11,9 @@ Canonical form is the minimal total DFA with states renumbered breadth-first
 from the start over the alphabet in declared order, so two DFAs accept the
 same language exactly when they are structurally equal. That makes language
 identity a hash lookup, which the enumeration (eta) uses to list each
-regular language exactly once.
+regular language exactly once. The elements of the `reg:` poset are these
+canonical DFAs themselves: unranking indexes the enumeration and ranking
+looks the DFA up in it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "language_leq",
     "quotient",
     "quotient_evaluator",
-    "RegHandle",
     "reg_rank",
     "reg_unrank",
     "canonical_regex",
@@ -258,11 +259,12 @@ def _subset_construct(edges, start, acc, alphabet) -> Dfa:
     )
 
 
-def _powerset_dfa(start: frozenset[int], move, accepting, alphabet) -> Dfa:
-    """The powerset construction: a breadth-first walk over the state sets
-    reachable from `start`, move(states, a) giving the successor set on
-    symbol index a. State sets are numbered in discovery order and a set is
-    accepting when accepting(set) holds."""
+def _powerset_dfa(start, move, accepting, alphabet) -> Dfa:
+    """The one breadth-first numbering: a walk over the states reachable
+    from `start` (state sets in the powerset construction, blocks in
+    canonicalisation), move(state, a) giving the successor on symbol index
+    a. States are numbered in discovery order and a state is accepting when
+    accepting(state) holds."""
     index = {start: 0}
     order = [start]
     rows = []
@@ -279,8 +281,9 @@ def _powerset_dfa(start: frozenset[int], move, accepting, alphabet) -> Dfa:
     return Dfa(len(order), 0, accept, tuple(rows), tuple(alphabet))
 
 
-def _minimize(d: Dfa) -> Dfa:
-    # Moore partition refinement over the (already total) automaton
+def _canonical(d: Dfa) -> Dfa:
+    """Moore partition refinement over the (already total) automaton, then
+    the blocks reachable from the start block numbered breadth-first."""
     k = len(d.alphabet)
     block = [1 if q in d.accept else 0 for q in range(d.n)]
     while True:
@@ -294,45 +297,23 @@ def _minimize(d: Dfa) -> Dfa:
         if new_block == block:
             break
         block = new_block
-    m = max(block) + 1
-    delta = [[0] * k for _ in range(m)]
-    accept = set()
-    for q in range(d.n):
-        for a in range(k):
-            delta[block[q]][a] = block[d.delta[q][a]]
-        if q in d.accept:
-            accept.add(block[q])
-    return Dfa(m, block[d.start], frozenset(accept), tuple(map(tuple, delta)), d.alphabet)
-
-
-def _bfs_renumber(d: Dfa) -> Dfa:
-    k = len(d.alphabet)
-    number = {d.start: 0}
-    order = [d.start]
-    i = 0
-    while i < len(order):
-        q = order[i]
-        for a in range(k):
-            t = d.delta[q][a]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-        i += 1
-    delta = tuple(
-        tuple(number[d.delta[q][a]] for a in range(k)) for q in order
-    )
-    accept = frozenset(number[q] for q in d.accept if q in number)
-    return Dfa(len(order), 0, accept, delta, d.alphabet, canonical=True)
+    member = {b: q for q, b in enumerate(block)}  # any state of each block
+    return _powerset_dfa(
+        block[d.start],
+        lambda b, a: block[d.delta[member[b]][a]],
+        lambda b: member[b] in d.accept,
+        d.alphabet,
+    )._replace(canonical=True)
 
 
 def to_canonical_dfa(ast: RegexAst | None, sigma: Sequence[str]) -> Dfa:
-    """Thompson, subset construction, minimization, BFS renumbering."""
-    sigma = tuple(sigma)
-    return _bfs_renumber(_minimize(_subset_construct(*_thompson(ast), sigma)))
+    """Thompson, subset construction, then the canonical form."""
+    return _canonical(_subset_construct(*_thompson(ast), tuple(sigma)))
 
 
 def canonicalize_dfa(d: Dfa) -> Dfa:
-    return _bfs_renumber(_minimize(d))
+    """The canonical DFA of d's language."""
+    return _canonical(d)
 
 
 def language_leq(l1: Dfa, l2: Dfa) -> bool:
@@ -376,7 +357,7 @@ def quotient_evaluator(l: Dfa, words: Sequence[str]) -> Evaluator:
         l = canonicalize_dfa(l)
 
     def fn(x, t, fuel):
-        return RegHandle(quotient(l, words[: t + 1]))
+        return quotient(l, words[: t + 1])
 
     return Evaluator(fn)
 
@@ -483,39 +464,19 @@ def _enumeration_for(sigma: tuple[str, ...]) -> _Enumeration:
         return _enumerations[sigma]
 
 
-class RegHandle(namedtuple("RegHandle", "dfa rank", defaults=(None,))):
-    """A regular language: its canonical DFA plus the cached enumeration rank
-    (None until computed). Equality and hashing ignore the cached rank."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, RegHandle) and self.dfa == other.dfa
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self.dfa)
-
-
-def reg_unrank(k: int, sigma: Sequence[str]) -> RegHandle:
+def reg_unrank(k: int, sigma: Sequence[str]) -> Dfa:
     enum = _enumeration_for(tuple(sigma))
     enum.extend_to(k, ENUMERATION_TEXT_CEILING)
-    return RegHandle(enum.languages[k], k)
+    return enum.languages[k]
 
 
-def reg_rank(h: RegHandle) -> int:
-    if h.rank is not None:
-        return h.rank
-    enum = _enumeration_for(h.dfa.alphabet)
-    key = h.dfa if h.dfa.canonical else canonicalize_dfa(h.dfa)
-    scanned = len(enum.languages)
-    while True:
-        if key in enum.by_dfa:
-            return enum.by_dfa[key]
-        enum.extend_to(scanned + 64, ENUMERATION_TEXT_CEILING)
-        scanned = len(enum.languages)
+def reg_rank(d: Dfa) -> int:
+    enum = _enumeration_for(d.alphabet)
+    if not d.canonical:
+        d = canonicalize_dfa(d)
+    while (rank := enum.by_dfa.get(d)) is None:
+        enum.extend_to(len(enum.languages) + 64, ENUMERATION_TEXT_CEILING)
+    return rank
 
 
 # ----------------------------------------------------- regex reconstruction

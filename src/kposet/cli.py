@@ -71,9 +71,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out:
         _write_atomic(out, text)
     else:
-        sys.stdout.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            text += "\n"
+        # UTF-8 bytes as in an --out file, whatever the locale's encoding
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _split_pair(pair: str):
@@ -137,10 +139,9 @@ def cmd_quotient(args) -> int:
     rows = []
     final = None
     for t in range(len(words)):
-        handle = e(None, t, len(words))
-        final = handle
-        rows.append([t, automata.canonical_regex(handle.dfa)])
-    rows.append(["final", automata.canonical_regex(final.dfa)])
+        final = e(None, t, len(words))
+        rows.append([t, automata.canonical_regex(final)])
+    rows.append(["final", automata.canonical_regex(final)])
     _emit(_csv_report(cfg, ["t", "quotient"], rows), args.out)
     return 0
 
@@ -171,7 +172,7 @@ def cmd_dilworth(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file!r}: {exc}") from exc
     fp = analysis.FinitePoset.from_json(text)
     cfg = RunConfig(

@@ -14,7 +14,8 @@ Instances come from a small spec DSL:
 e.g. ``a<b<c`` (total) or ``a<b;c`` (c incomparable to both). The element
 enumeration for word posets is length-lexicographic in the declared symbol
 order and does not depend on the order relation, so order pairs such as
-prefix:ab / lexico:a<b share one carrier and one rank map.
+prefix:ab / lexico:a<b share one carrier and one rank map. The elements of
+reg:<alphabet> are the languages' canonical DFAs (``automata.Dfa``).
 """
 
 from __future__ import annotations
@@ -292,26 +293,18 @@ def _finsets() -> PosetInstance:
 
 
 def _reg(alphabet: str) -> PosetInstance:
+    """Regular languages under inclusion; an element is the language's
+    canonical Dfa, so the automata functions serve it unwrapped."""
     alphabet = _parse_alphabet(alphabet)
     from . import automata  # deferred: automata is a heavier module
 
     sigma = tuple(alphabet)
-
-    def unrank(n):
-        return automata.reg_unrank(n, sigma)
-
-    def rank(h):
-        return automata.reg_rank(h)
-
-    def leq(a, b):
-        return automata.language_leq(a.dfa, b.dfa)
-
     return PosetInstance(
         spec=f"reg:{alphabet}",
-        unrank_fn=unrank,
-        rank_fn=rank,
-        leq_fn=leq,
-        fmt_fn=lambda h: automata.canonical_regex(h.dfa),
+        unrank_fn=lambda n: automata.reg_unrank(n, sigma),
+        rank_fn=automata.reg_rank,
+        leq_fn=automata.language_leq,
+        fmt_fn=automata.canonical_regex,
     )
 
 

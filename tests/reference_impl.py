@@ -18,8 +18,9 @@ The last part holds the enumerator layer from before its one-pass rewrite:
 the run cache that slices its cached run on every call and the evaluators
 that scan or rebuild the sliced emissions per query, the busy-beaver loops
 (one enumeration per bb(n, t), and a row raised step by step per machine),
-and the two separate breadth-first subset constructions behind the
-canonical DFA and the quotient. The busy-beaver loops run every total
+the two separate breadth-first subset constructions behind the canonical
+DFA and the quotient, and the canonical form as a block automaton from
+Moore refinement renumbered by its own breadth-first walk. The busy-beaver loops run every total
 transition table, enumerated by enumerate_tm_specs, the brute force the
 package replaced with a walk of the transition tree.
 
@@ -38,7 +39,6 @@ from kposet.automata import (
     CONCAT,
     Dfa,
     _thompson,
-    canonicalize_dfa,
     parse_regex,
     to_canonical_dfa,
 )
@@ -493,10 +493,61 @@ def subset_construct_ref(edges, start, acc, alphabet) -> Dfa:
     return Dfa(len(order), 0, accept, tuple(delta_rows), tuple(alphabet))
 
 
+def _minimize_ref(d: Dfa) -> Dfa:
+    # Moore partition refinement over the (already total) automaton
+    k = len(d.alphabet)
+    block = [1 if q in d.accept else 0 for q in range(d.n)]
+    while True:
+        signatures = {}
+        new_block = []
+        for q in range(d.n):
+            sig = (block[q],) + tuple(block[d.delta[q][a]] for a in range(k))
+            if sig not in signatures:
+                signatures[sig] = len(signatures)
+            new_block.append(signatures[sig])
+        if new_block == block:
+            break
+        block = new_block
+    m = max(block) + 1
+    delta = [[0] * k for _ in range(m)]
+    accept = set()
+    for q in range(d.n):
+        for a in range(k):
+            delta[block[q]][a] = block[d.delta[q][a]]
+        if q in d.accept:
+            accept.add(block[q])
+    return Dfa(m, block[d.start], frozenset(accept), tuple(map(tuple, delta)), d.alphabet)
+
+
+def _bfs_renumber_ref(d: Dfa) -> Dfa:
+    k = len(d.alphabet)
+    number = {d.start: 0}
+    order = [d.start]
+    i = 0
+    while i < len(order):
+        q = order[i]
+        for a in range(k):
+            t = d.delta[q][a]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+        i += 1
+    delta = tuple(
+        tuple(number[d.delta[q][a]] for a in range(k)) for q in order
+    )
+    accept = frozenset(number[q] for q in d.accept if q in number)
+    return Dfa(len(order), 0, accept, delta, d.alphabet, canonical=True)
+
+
+def canonicalize_dfa_ref(d: Dfa) -> Dfa:
+    """The block automaton of Moore refinement, renumbered breadth-first."""
+    return _bfs_renumber_ref(_minimize_ref(d))
+
+
 def canonical_dfa_ref(ast, sigma) -> Dfa:
     """Thompson, the subset construction above, minimisation, renumbering."""
     sigma = tuple(sigma)
-    return canonicalize_dfa(subset_construct_ref(*_thompson(ast), sigma))
+    return canonicalize_dfa_ref(subset_construct_ref(*_thompson(ast), sigma))
 
 
 def quotient_ref(l: Dfa, words) -> Dfa:
@@ -521,7 +572,7 @@ def quotient_ref(l: Dfa, words) -> Dfa:
         rows.append(tuple(row))
         i += 1
     accept = frozenset(i for i, st in enumerate(order) if st & l.accept)
-    return canonicalize_dfa(Dfa(len(order), 0, accept, tuple(rows), l.alphabet))
+    return canonicalize_dfa_ref(Dfa(len(order), 0, accept, tuple(rows), l.alphabet))
 
 
 class EnumerationRef:

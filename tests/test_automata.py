@@ -7,7 +7,6 @@ from kposet.automata import (
     CONCAT,
     EMPTY_EXPRESSION,
     Dfa,
-    RegHandle,
     canonical_regex,
     canonicalize_dfa,
     dfa_from_json,
@@ -134,7 +133,7 @@ def test_quotient_evaluator_stabilizes():
     l = lang(f"(a+b)*{CONCAT}b")
     e = quotient_evaluator(l, ["a", "ab", "a"])
     rep = budgeted_limit(reg, e, None, 10, 10, window=2)
-    assert rep.current == RegHandle(quotient(l, ["a", "ab"]))
+    assert rep.current == quotient(l, ["a", "ab"])
     # change count bounded by the state count
     values = []
     for t in range(10):
@@ -143,12 +142,12 @@ def test_quotient_evaluator_stabilizes():
             values.append(v)
     assert len(values) <= l.n
     const = quotient_evaluator(l, [""])
-    assert const(None, 5, 5) == RegHandle(l)
+    assert const(None, 5, 5) == l
 
 
 def test_reg_rank_unrank():
     h0 = reg_unrank(0, AB)
-    assert h0.dfa == to_canonical_dfa(None, AB)  # shortest text is ill-formed
+    assert h0 == to_canonical_dfa(None, AB)  # shortest text is ill-formed
     seen = set()
     for k in range(50):
         h = reg_unrank(k, AB)
@@ -158,7 +157,7 @@ def test_reg_rank_unrank():
 
 
 def test_reg_rank_of_fresh_handle():
-    h = RegHandle(lang("a*"))
+    h = lang("a*")
     k = reg_rank(h)
     assert reg_unrank(k, AB) == h
 
@@ -192,11 +191,33 @@ def test_reg_poset_instance():
     reg = parse_poset_spec("reg:ab")
     bottom = reg.unrank(0)
     hs = [reg.unrank(i) for i in range(50)]
-    top = RegHandle(lang("(a+b)*"))
+    top = lang("(a+b)*")
     for h in hs:
         assert reg.leq(bottom, h)
         assert reg.leq(h, top)
     assert reg.rank(reg.unrank(7)) == 7
+
+
+def test_reg_elements_are_canonical_dfas():
+    reg = parse_poset_spec("reg:ab")
+    k = 9
+    d = reg.unrank(k)
+    assert type(d) is Dfa and d.canonical
+    # the same language with an unreachable extra state and the states
+    # numbered in reverse: not canonical, yet it ranks to k
+    n = d.n + 1
+    renum = [n - 1 - q for q in range(d.n)]
+    delta = [None] * n
+    for q in range(d.n):
+        delta[renum[q]] = tuple(renum[t] for t in d.delta[q])
+    delta[0] = (0,) * len(AB)  # renum never yields 0: the unreachable state
+    other = Dfa(n, renum[d.start], frozenset(renum[q] for q in d.accept), tuple(delta), AB)
+    assert other != d and not other.canonical
+    assert reg.rank(other) == k
+    assert reg.leq(d, d) and reg.leq(reg.unrank(0), d)
+    assert not reg.leq(d, reg.unrank(0))
+    assert reg.format_elem(d) == canonical_regex(d)
+    assert to_canonical_dfa(parse_regex(reg.format_elem(d), AB), AB) == d
 
 
 def test_language_leq_antisymmetric_on_canonical():

@@ -285,6 +285,14 @@ def test_dilworth_missing_file(capsys):
     assert code == 2
 
 
+def test_dilworth_file_not_utf8(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b"\xe9")  # 'é' in Latin-1
+    code, out, err = run(capsys, "dilworth", "--file", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"kposet: cannot read {str(f)!r}: 'utf-8' codec can't decode")
+
+
 def test_dilworth_malformed_order(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"elements": ["a", "b"], "lt": [["0", 1]]}))
@@ -480,6 +488,23 @@ def test_reports_do_not_depend_on_the_locale(tmp_path):
                           capture_output=True, text=True, env=_kposet_env(**_C_LOCALE))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["chains"] == [["é", "b"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--poset", "reg:ab", "--max-len", "12", "--ranks", "70"],
+    ["quotient", "--regex", "a*+b*", "--alphabet", "ab", "--m-words", "a,b"],
+], ids=["estimate", "quotient"])
+def test_stdout_does_not_depend_on_the_locale(argv):
+    # stdout carries the UTF-8 bytes of an --out file, even where the
+    # locale's encoding cannot hold the '·' of the regex column
+    stdout = {}
+    for name, locale in (("c", _C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        proc = subprocess.run([sys.executable, "-m", "kposet.cli", *argv],
+                              capture_output=True, env=_kposet_env(**locale))
+        assert proc.returncode == 0, proc.stderr
+        stdout[name] = proc.stdout
+    assert "·".encode() in stdout["utf8"]
+    assert stdout["c"] == stdout["utf8"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])

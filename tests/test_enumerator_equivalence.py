@@ -1,7 +1,8 @@
 """The enumerator layer against its earlier code in reference_impl.py: the
 unsliced run cache behind the evaluators, the busy-beaver row built by one
-walk of the transition tree, and the one powerset construction behind
-canonical DFAs and quotients."""
+walk of the transition tree, the one powerset construction behind
+canonical DFAs and quotients, and the canonical form whose breadth-first
+numbering that construction now also gives."""
 
 import json
 import time
@@ -14,6 +15,7 @@ from reference_impl import (
     busy_beaver_bb_ref,
     busy_beaver_row_ref,
     canonical_dfa_ref,
+    canonicalize_dfa_ref,
     card_re_evaluator_ref,
     quotient_ref,
     set_interaction_ref,
@@ -21,7 +23,15 @@ from reference_impl import (
     vm_max_evaluator_ref,
 )
 
-from kposet.automata import CONCAT, _thompson, parse_regex, quotient, to_canonical_dfa
+from kposet.automata import (
+    CONCAT,
+    Dfa,
+    _thompson,
+    canonicalize_dfa,
+    parse_regex,
+    quotient,
+    to_canonical_dfa,
+)
 from kposet.cli import main
 from kposet.codec import b_index
 from kposet.limits import Evaluator, budgeted_limit
@@ -191,6 +201,24 @@ alphabets = st.sampled_from([("a", "b"), ("a", "b", "c")])
 def test_canonical_dfa_matches_reference(text, sigma):
     ast = parse_regex(text, sigma)
     assert to_canonical_dfa(ast, sigma) == canonical_dfa_ref(ast, sigma)
+
+
+@st.composite
+def total_dfas(draw):
+    """Total DFAs with 1-6 states over 1-3 symbols and any start state, so
+    some states may be unreachable or equivalent."""
+    sigma = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    delta = draw(st.tuples(*[st.tuples(*[state] * len(sigma))] * n))
+    return Dfa(n, draw(state), draw(st.frozensets(state)), delta, sigma)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=total_dfas())
+@example(d=Dfa(3, 1, frozenset({0, 2}), ((0, 0), (2, 1), (2, 2)), ("a", "b")))
+def test_canonical_form_matches_reference(d):
+    assert canonicalize_dfa(d) == canonicalize_dfa_ref(d)
 
 
 @settings(max_examples=300, deadline=None)

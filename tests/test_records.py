@@ -5,7 +5,7 @@ records stay mutable."""
 import pytest
 
 from kposet.analysis import FinitePoset, OrderPair
-from kposet.automata import RegHandle, parse_regex, to_canonical_dfa
+from kposet.automata import parse_regex, to_canonical_dfa
 from kposet.cli import RunConfig
 from kposet.complexity import Budget, ComplexityTable, TableEntry
 from kposet.errors import ConfigError, VerificationError
@@ -31,7 +31,6 @@ FROZEN = {
     "OrderPair": (OrderPair(CHAIN, CHAIN), "weak"),
     "RegexAst": (parse_regex("a·b", AB), "op"),
     "Dfa": (A_STAR, "start"),
-    "RegHandle": (RegHandle(A_STAR), "rank"),
 }
 
 
@@ -67,15 +66,6 @@ def test_record_validation_errors(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
-
-
-def test_reg_handle_equality_ignores_rank():
-    other = to_canonical_dfa(parse_regex("b*", AB), AB)
-    fresh, ranked = RegHandle(A_STAR), RegHandle(A_STAR, 5)
-    assert fresh == ranked and not fresh != ranked
-    assert hash(fresh) == hash(ranked)
-    assert fresh != RegHandle(other, 5) and not fresh == RegHandle(other, 5)
-    assert fresh != A_STAR
 
 
 def test_finite_poset_equality_ignores_rows():
