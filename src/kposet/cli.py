@@ -45,12 +45,6 @@ class RunConfig(namedtuple(
         return d
 
 
-def _budget(cfg: RunConfig):
-    from .complexity import Budget
-
-    return Budget(cfg.max_len, cfg.fuel, cfg.t_budget, cfg.window)
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kposet-", suffix=".tmp")
@@ -114,7 +108,8 @@ def cmd_estimate(args) -> int:
         ranks=args.ranks, seed=args.seed, threads=args.threads,
     )
     p = parse_poset_spec(args.poset)
-    text = complexity.hierarchy_report(p, args.ranks, _budget(cfg), config=cfg.to_dict())
+    b = complexity.Budget(args.max_len, args.fuel, args.t_budget, args.window)
+    text = complexity.hierarchy_report(p, args.ranks, b, config=cfg.to_dict())
     _emit(text, args.out)
     return 0
 
@@ -196,15 +191,18 @@ def cmd_diagonal(args) -> int:
 
     weak_p, strong_p = _split_pair(args.pair)
     cfg = RunConfig(
-        command="diagonal", pair=args.pair, max_len=args.max_len, fuel=args.fuel,
+        command="diagonal", pair=args.pair, fuel=args.fuel,
         t_budget=args.t_budget, window=args.window, seed=args.seed,
         threads=args.threads,
         extra={"i": args.i, "alpha_shift": args.alpha_shift},
     )
+    # diagonal_hard reads no length field (it runs the words shorter than
+    # alpha(i)); the ceiling only makes the Budget valid
+    b = complexity.Budget(complexity.MAX_PROG_LEN, args.fuel, args.t_budget, args.window)
     f_elem, g_elem, audit = complexity.diagonal_hard(
         weak_p, strong_p,
         lambda i, size: analysis.chain_antichain_family(weak_p, strong_p, size),
-        lambda j: j + args.alpha_shift, args.i, _budget(cfg),
+        lambda j: j + args.alpha_shift, args.i, b,
     )
     payload = {
         "f": strong_p.format_elem(f_elem),
@@ -308,7 +306,6 @@ def _add_common(sub, budget=True):
         help="recorded in the report configuration; enumeration is serial",
     )
     if budget:
-        sub.add_argument("--max-len", type=int, default=14, help="max program bits")
         sub.add_argument("--fuel", type=int, default=4096, help="machine steps per run")
         sub.add_argument("--t-budget", type=int, default=4096, help="approximation clock budget")
         sub.add_argument("--window", type=int, default=8, help="stability window")
@@ -325,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = subs.add_parser("estimate", help="build the three-table CSV report")
     est.add_argument("--poset", required=True, help="poset spec, e.g. nat or prefix:ab")
     est.add_argument("--ranks", type=int, default=32, help="report rows 0..ranks-1")
+    est.add_argument("--max-len", type=int, default=14, help="max program bits")
     _add_common(est)
     est.set_defaults(fn=cmd_estimate)
 
@@ -382,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # UTF-8 whatever the locale: Python decoded the argument bytes with
+        # the locale's codec, so re-encode them and decode as UTF-8
+        argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

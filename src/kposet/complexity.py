@@ -1,25 +1,26 @@
 """Budgeted program-size tables and the constructions built on them.
 
-Three table semantics over one machine:
+One table, three columns over one machine, each mapping a rank to the
+witness bit string whose length is the table value:
 
   plain  phi(p) = element of rank reg_a when p halts (no input)
-  max    U(0^n 1 p) = stabilized budgeted limit of machine b_word(n) run on
+  k_max  U(0^n 1 p) = stabilized budgeted limit of machine b_word(n) run on
          input p under the kept-emission filter
-  min    the same over the reversed order
+  k_min  the same over reverse(p)
 
 Every reported value is an upper bound relative to this machine and budget;
 no optimality constant is ever claimed. Only stabilized-within-budget limits
-enter the max/min tables; ranks seen only through still-changing runs are
+enter the max/min columns; ranks seen only through still-changing runs are
 recorded as censored. Witnesses are the exact program/padded-program bit
 strings and every table entry replays (verify_table re-checks this).
 
-The scans generate only what can run, in the witness tie-break order of
-iter_words: the plain scan enumerates the parseable programs that contain
-HALT (vm.iter_programs; no other program can halt), the max/min scans walk
-the padded addresses 0^n 1 p arithmetically and parse each machine
-b_word(n) once. Both call the order-free kernel directly; the
-limit side applies each order's kept filter once per distinct run, and a
-report fills its max and min columns from one walk, one run per address.
+complexity_table is the one builder. Its scans generate only what can run,
+in the witness tie-break order of iter_words: the plain scan enumerates the
+parseable programs that contain HALT (vm.iter_programs; no other program
+can halt), and one walk of the padded addresses 0^n 1 p, which parses each
+machine b_word(n) once, fills the max and min columns with one run per
+address. Both call the order-free kernel directly; the limit side applies
+each order's kept filter once per distinct run.
 """
 
 from __future__ import annotations
@@ -50,14 +51,9 @@ from .vm import (
 
 __all__ = [
     "Budget",
-    "TableEntry",
-    "ComplexityRow",
     "ComplexityTable",
     "iter_words",
-    "k_plain_table",
-    "k_max_table",
-    "k_min_table",
-    "join_tables",
+    "complexity_table",
     "verify_table",
     "wrap_program",
     "measure_wrap_constant",
@@ -90,36 +86,20 @@ class Budget(namedtuple("Budget", "max_prog_len fuel t_budget window")):
         return min(self.t_budget, self.fuel)
 
 
-class TableEntry(namedtuple("TableEntry", "length witness")):
-    __slots__ = ()
-
-    def __new__(cls, length: int, witness: str):
-        if length != len(witness):
-            raise VerificationError("entry length disagrees with its witness")
-        return super().__new__(cls, length, witness)
-
-
-class ComplexityRow:
-    __slots__ = ("k_plain", "k_max", "k_min")
-
-    def __init__(self):
-        self.k_plain: Optional[TableEntry] = None
-        self.k_max: Optional[TableEntry] = None
-        self.k_min: Optional[TableEntry] = None
-
-
 class ComplexityTable:
-    __slots__ = ("poset_spec", "budget", "rows", "censored")
+    """The plain, max and min columns under one budget. Each column maps a
+    rank to its witness bit string, whose length is the table value; ranks
+    that a side saw only through still-changing runs, and never tabled, are
+    censored."""
 
-    def __init__(self, poset_spec: str, budget: Budget):
-        self.poset_spec, self.budget = poset_spec, budget
-        self.rows: dict[int, ComplexityRow] = {}
+    __slots__ = ("budget", "plain", "k_max", "k_min", "censored")
+
+    def __init__(self, budget: Budget):
+        self.budget = budget
+        self.plain: dict[int, str] = {}
+        self.k_max: dict[int, str] = {}
+        self.k_min: dict[int, str] = {}
         self.censored: set[int] = set()
-
-    def row(self, rank: int) -> ComplexityRow:
-        if rank not in self.rows:
-            self.rows[rank] = ComplexityRow()
-        return self.rows[rank]
 
 
 def _check_length(b: Budget) -> None:
@@ -140,28 +120,19 @@ def iter_words(max_len: int) -> Iterable[str]:
             yield format(v, f"0{length}b")
 
 
-def _plain_scan(ranks: int, b: Budget) -> dict[int, TableEntry]:
-    """First halting program per rank below `ranks`. The machine emits ranks,
-    so the plain scan needs no order: it runs the order-free kernel on the
-    parseable programs that contain HALT, as no other program can halt."""
+def _plain_scan(ranks: int, b: Budget) -> dict[int, str]:
+    """First halting program per rank below `ranks`, at the budget's fuel.
+    The machine emits ranks, so the plain scan needs no order: it runs the
+    order-free kernel on the parseable programs that contain HALT, as no
+    other program can halt. The witness is the first halting program in
+    iter_words order, as if all words had been run."""
     _check_length(b)
-    found: dict[int, TableEntry] = {}
+    found: dict[int, str] = {}
     for w, instrs in iter_programs(b.max_prog_len, needs=("HALT", None)):
         _, halted, _, reg_a, _ = _execute(instrs, 0, b.fuel)
         if halted and reg_a < ranks and reg_a not in found:
-            found[reg_a] = TableEntry(len(w), w)
+            found[reg_a] = w
     return found
-
-
-def k_plain_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    """Minimum halting-program length per rank below `ranks` at the budget's
-    fuel. Every program of length <= max_prog_len that can halt is run: the
-    parseable ones that contain a HALT instruction. The witness is the first
-    halting program in iter_words order, as if all words had been run."""
-    table = ComplexityTable(p.spec, b)
-    for rank, entry in _plain_scan(ranks, b).items():
-        table.row(rank).k_plain = entry
-    return table
 
 
 def _address_blocks(max_len: int) -> Iterator[tuple[int, int]]:
@@ -174,21 +145,21 @@ def _address_blocks(max_len: int) -> Iterator[tuple[int, int]]:
             yield n, length - n - 1
 
 
-def _limit_tables(p: PosetInstance, ranks: int, b: Budget, attrs: Sequence[str]) -> ComplexityTable:
-    """Shared machinery of the max table and the min table (the same over
-    reverse(p)): walk the padded addresses, run the indexed machine on the
-    payload, keep stabilized limits. The table holds the limit columns
-    `attrs` ("k_max" over p, "k_min" over reverse(p)), all filled from one
-    walk.
+def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
+    """The plain column from the plain scan, then the max column over p and
+    the min column, the same over reverse(p), from one walk of the padded
+    addresses: run the indexed machine on the payload, keep stabilized
+    limits.
 
     Machine b_word(n) is parsed once per n and skipped when it does not parse
     or has no OUT (it then never emits, so no payload gives it a limit).
-    Each address is run once for all orders, and a run's limit report
+    Each address is run once for both orders, and a run's limit report
     depends only on its first-occurrence emissions, so one outcome per order
     is kept per distinct raw_first."""
-    _check_length(b)
-    orders = [p if attr == "k_max" else reverse(p) for attr in attrs]
-    sides = [({}, set()) for _ in orders]  # (found, censored) per order
+    table = ComplexityTable(b)
+    table.plain = _plain_scan(ranks, b)
+    orders = (p, reverse(p))
+    sides = ((table.k_max, set()), (table.k_min, set()))  # (column, censored) per order
     horizon = b.horizon
     machines = [parse_program(b_word(n)) for n in range(b.max_prog_len)]
     outcomes: dict[tuple, tuple] = {}  # raw_first -> per order, None or (rank, stabilized)
@@ -212,12 +183,9 @@ def _limit_tables(p: PosetInstance, ranks: int, b: Budget, attrs: Sequence[str])
                     censored.add(rank)
                 elif rank not in found:
                     payload = format(v, f"0{m}b") if m else ""
-                    found[rank] = TableEntry(n + 1 + m, "0" * n + "1" + payload)
-    table = ComplexityTable(p.spec, b)
-    for attr, (found, censored) in zip(attrs, sides):
-        for rank, entry in found.items():
-            setattr(table.row(rank), attr, entry)
-        table.censored |= censored - set(found)
+                    found[rank] = "0" * n + "1" + payload
+    for found, censored in sides:
+        table.censored |= censored - found.keys()
     return table
 
 
@@ -231,47 +199,17 @@ def _limit_outcome(order: PosetInstance, raw_first, ranks: int, horizon: int, wi
     return (rank, report.status == STABILIZED) if rank < ranks else None
 
 
-def k_max_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    return _limit_tables(p, ranks, b, ("k_max",))
-
-
-def k_min_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    """Identical machinery over the reversed order."""
-    return _limit_tables(p, ranks, b, ("k_min",))
-
-
-def join_tables(
-    plain: ComplexityTable, kmax: ComplexityTable, kmin: ComplexityTable
-) -> ComplexityTable:
-    if not (plain.poset_spec == kmax.poset_spec == kmin.poset_spec):
-        raise ConfigError("tables to join were built over different posets")
-    if not (plain.budget == kmax.budget == kmin.budget):
-        raise ConfigError("tables to join were built under different budgets")
-    out = ComplexityTable(plain.poset_spec, plain.budget)
-    for src, attr in ((plain, "k_plain"), (kmax, "k_max"), (kmin, "k_min")):
-        for rank, row in src.rows.items():
-            entry = getattr(row, attr)
-            if entry is not None:
-                setattr(out.row(rank), attr, entry)
-        # a rank stays censored if any side saw only still-changing runs
-        out.censored |= src.censored
-    return out
-
-
 def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
     """Replay every witness under its claimed semantics; VerificationError on
     the first mismatch."""
     b = table.budget
-    for rank, row in table.rows.items():
-        if row.k_plain is not None:
-            res = run_emitting(p, row.k_plain.witness, 0, b.fuel)
-            if not (res.halted and res.reg_a == rank):
-                raise VerificationError(f"plain witness for rank {rank} does not replay")
-        for attr, order in (("k_max", p), ("k_min", reverse(p))):
-            entry = getattr(row, attr)
-            if entry is None:
-                continue
-            dec = decode_padded(entry.witness)
+    for rank, w in table.plain.items():
+        res = run_emitting(p, w, 0, b.fuel)
+        if not (res.halted and res.reg_a == rank):
+            raise VerificationError(f"plain witness for rank {rank} does not replay")
+    for attr, order in (("k_max", p), ("k_min", reverse(p))):
+        for rank, w in getattr(table, attr).items():
+            dec = decode_padded(w)
             if dec is None:
                 raise VerificationError(f"{attr} witness for rank {rank} is not padded")
             n, payload = dec
@@ -332,10 +270,7 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
     """
     b = table.budget
     c_wrap = None
-    for rank, row in sorted(table.rows.items()):
-        if row.k_plain is None:
-            continue
-        w = row.k_plain.witness
+    for rank, w in sorted(table.plain.items()):
         wrapped = wrap_program(w)
         res = run_emitting(p, wrapped, 0, b.fuel)
         report = limit_report_from_trace(res.trace, b.horizon, b.window)
@@ -360,13 +295,12 @@ def paired_decompress(
     return their first common value (the element itself when both witnesses
     stabilize); None when the dovetail budget runs out. The composite
     program length is |encode_pair(max_witness, min_witness)|."""
-    row = table.rows.get(d_rank)
-    if row is None or row.k_max is None:
+    if d_rank not in table.k_max:
         raise ConfigError(f"rank {d_rank} has no max-side witness")
-    if row.k_min is None:
+    if d_rank not in table.k_min:
         raise ConfigError(f"rank {d_rank} has no min-side witness")
-    n1, p1 = decode_padded(row.k_max.witness)
-    n2, p2 = decode_padded(row.k_min.witness)
+    n1, p1 = decode_padded(table.k_max[d_rank])
+    n2, p2 = decode_padded(table.k_min[d_rank])
     f = vm_max_evaluator(p, n1)
     g = vm_max_evaluator(reverse(p), n2)
     return common_value_dovetail(p, f, g, p1, p2, b.t_budget + b.fuel)
@@ -546,7 +480,7 @@ def hierarchy_report(
     b: Budget,
     config: Optional[dict] = None,
 ) -> str:
-    """CSV joining the three tables with summary constants.
+    """CSV of the plain, max and min columns with summary constants.
 
     Columns: rank, element, k_plain, k_max, k_min, witness_plain,
     witness_max, witness_min, pair_len, status. Header comment lines carry
@@ -557,26 +491,12 @@ def hierarchy_report(
     """
     if ranks < 0:
         raise ConfigError(f"ranks must be a natural number, got {ranks}")
-    limits = _limit_tables(p, ranks, b, ("k_max", "k_min"))  # both columns, one walk
-    table = join_tables(k_plain_table(p, ranks, b), limits, limits)
+    table = complexity_table(p, ranks, b)
     verify_table(p, table)
     c_wrap = measure_wrap_constant(p, table)
-    c1 = max(
-        (
-            row.k_max.length - row.k_plain.length
-            for row in table.rows.values()
-            if row.k_max is not None and row.k_plain is not None
-        ),
-        default=None,
-    )
-    c2 = max(
-        (
-            row.k_min.length - row.k_plain.length
-            for row in table.rows.values()
-            if row.k_min is not None and row.k_plain is not None
-        ),
-        default=None,
-    )
+    plain = table.plain
+    c1 = max((len(w) - len(plain[r]) for r, w in table.k_max.items() if r in plain), default=None)
+    c2 = max((len(w) - len(plain[r]) for r, w in table.k_min.items() if r in plain), default=None)
     buf = io.StringIO()
     if config is not None:
         buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
@@ -593,28 +513,21 @@ def hierarchy_report(
         ]
     )
     for rank in range(ranks):
-        row = table.rows.get(rank, ComplexityRow())
+        witnesses = [column.get(rank) for column in (plain, table.k_max, table.k_min)]
+        _, w_max, w_min = witnesses
         pair_len = ""
-        if row.k_max is not None and row.k_min is not None:
-            pair_len = len(encode_pair(row.k_max.witness, row.k_min.witness))
+        if w_max is not None and w_min is not None:
+            pair_len = len(encode_pair(w_max, w_min))
         if rank in table.censored:
             status = "censored"
-        elif row.k_plain or row.k_max or row.k_min:
+        elif any(w is not None for w in witnesses):
             status = "ok"
         else:
             status = ""
         writer.writerow(
-            [
-                rank,
-                p.format_elem(p.unrank(rank)),
-                row.k_plain.length if row.k_plain else "",
-                row.k_max.length if row.k_max else "",
-                row.k_min.length if row.k_min else "",
-                row.k_plain.witness if row.k_plain else "",
-                row.k_max.witness if row.k_max else "",
-                row.k_min.witness if row.k_min else "",
-                pair_len,
-                status,
-            ]
+            [rank, p.format_elem(p.unrank(rank))]
+            + ["" if w is None else len(w) for w in witnesses]  # k_plain, k_max, k_min
+            + ["" if w is None else w for w in witnesses]
+            + [pair_len, status]
         )
     return buf.getvalue()

@@ -422,23 +422,6 @@ class TmSpec(namedtuple("TmSpec", "states table")):
                     raise ConfigError(f"transition table misses ({q},{s})")
         return super().__new__(cls, states, table)
 
-    @staticmethod
-    def from_json(data: dict) -> "TmSpec":
-        try:
-            states = int(data["states"])
-            table = {}
-            for key, val in data["table"].items():
-                q, s = key.split(",")
-                write, move, nxt = val
-                table[(int(q), int(s))] = (
-                    int(write),
-                    str(move),
-                    "H" if nxt == "H" else int(nxt),
-                )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad TmSpec JSON: {exc}") from exc
-        return TmSpec(states, table)
-
 
 def run_tm(spec: TmSpec, max_steps: int) -> tuple[bool, int, int]:
     """Run from blank tape; returns (halted, steps, cells_visited) where

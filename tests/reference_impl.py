@@ -43,7 +43,7 @@ from kposet.automata import (
     to_canonical_dfa,
 )
 from kposet.codec import b_index, b_word, decode_padded
-from kposet.complexity import Budget, TableEntry, iter_words
+from kposet.complexity import Budget, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
 from kposet.posets import PosetInstance, parse_poset_spec, reverse
 from kposet.vm import (
@@ -129,21 +129,21 @@ def run_raw_ref(code: str, input_b: int, fuel: int) -> RunResult:
     return execute_ordered(instrs, input_b, fuel, lambda r: r, lambda x, y: x <= y)
 
 
-def plain_scan_ref(p: PosetInstance, ranks: int, b: Budget) -> dict[int, TableEntry]:
-    found: dict[int, TableEntry] = {}
+def plain_scan_ref(p: PosetInstance, ranks: int, b: Budget) -> dict[int, str]:
+    found: dict[int, str] = {}
     for w in iter_words(b.max_prog_len):
         if parse_program(w) is None:
             continue
         res = run_emitting_ref(p, w, 0, b.fuel)
         if res.halted and res.reg_a < ranks and res.reg_a not in found:
-            found[res.reg_a] = TableEntry(len(w), w)
+            found[res.reg_a] = w
     return found
 
 
 def limit_side_ref(p: PosetInstance, ranks: int, b: Budget):
     """(found, censored) of the max scan over p; the min scan is this over
     reverse(p)."""
-    found: dict[int, TableEntry] = {}
+    found: dict[int, str] = {}
     censored: set[int] = set()
     horizon = min(b.t_budget, b.fuel)
     for q in iter_words(b.max_prog_len):
@@ -160,23 +160,19 @@ def limit_side_ref(p: PosetInstance, ranks: int, b: Budget):
             continue
         if report.status == STABILIZED:
             if rank not in found:
-                found[rank] = TableEntry(len(q), q)
+                found[rank] = q
         else:
             censored.add(rank)
     return found, censored
 
 
 def tables_ref(p: PosetInstance, ranks: int, b: Budget):
-    """(rows, censored) as the joined plain/max/min tables would hold them:
-    rows maps rank -> (plain, max, min) entries."""
+    """((plain, k_max, k_min), censored) as complexity_table holds them: each
+    column maps rank -> witness bit string."""
     plain = plain_scan_ref(p, ranks, b)
     kmax, cmax = limit_side_ref(p, ranks, b)
     kmin, cmin = limit_side_ref(reverse(p), ranks, b)
-    rows = {
-        r: (plain.get(r), kmax.get(r), kmin.get(r))
-        for r in set(plain) | set(kmax) | set(kmin)
-    }
-    return rows, (cmax - set(kmax)) | (cmin - set(kmin))
+    return (plain, kmax, kmin), (cmax - set(kmax)) | (cmin - set(kmin))
 
 
 # ------------------------------------------------------ finite-order kernel

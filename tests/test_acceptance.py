@@ -41,11 +41,8 @@ from kposet.codec import (
 )
 from kposet.complexity import (
     Budget,
+    complexity_table,
     diagonal_hard,
-    join_tables,
-    k_max_table,
-    k_min_table,
-    k_plain_table,
     measure_wrap_constant,
     paired_decompress,
     verify_table,
@@ -72,10 +69,7 @@ TABLE_RANKS = 32
 
 @pytest.fixture(scope="module")
 def nat_tables():
-    plain = k_plain_table(NAT, TABLE_RANKS, TABLE_BUDGET)
-    kmax = k_max_table(NAT, TABLE_RANKS, TABLE_BUDGET)
-    kmin = k_min_table(NAT, TABLE_RANKS, TABLE_BUDGET)
-    table = join_tables(plain, kmax, kmin)
+    table = complexity_table(NAT, TABLE_RANKS, TABLE_BUDGET)
     verify_table(NAT, table)
     return table
 
@@ -83,10 +77,7 @@ def nat_tables():
 @pytest.fixture(scope="module")
 def discrete_tables():
     disc = parse_poset_spec("discrete(nat)")
-    plain = k_plain_table(disc, TABLE_RANKS, TABLE_BUDGET)
-    kmax = k_max_table(disc, TABLE_RANKS, TABLE_BUDGET)
-    kmin = k_min_table(disc, TABLE_RANKS, TABLE_BUDGET)
-    table = join_tables(plain, kmax, kmin)
+    table = complexity_table(disc, TABLE_RANKS, TABLE_BUDGET)
     verify_table(disc, table)
     return disc, table
 
@@ -354,7 +345,7 @@ def test_criterion_06_star_dagger():
 
 def test_criterion_07_paired_decompressor(nat_tables):
     table = nat_tables
-    both = [r for r, row in sorted(table.rows.items()) if row.k_max and row.k_min]
+    both = sorted(r for r in table.k_max if r in table.k_min)
     assert both, "no doubly-witnessed rows at this budget"
     for rank in both:
         got = paired_decompress(NAT, table, rank, TABLE_BUDGET)
@@ -381,17 +372,20 @@ def test_criterion_09_discrete_collapse(discrete_tables):
     disc, table = discrete_tables
     c_wrap = measure_wrap_constant(disc, table)
     assert c_wrap is not None
-    rows = [row for row in table.rows.values() if row.k_max or row.k_min or row.k_plain]
-    assert rows
+    assert table.plain or table.k_max or table.k_min
     checked = 0
-    for row in table.rows.values():
-        if row.k_max and row.k_min:
-            assert abs(row.k_max.length - row.k_min.length) <= c_wrap
+    for rank in table.plain.keys() | table.k_max.keys() | table.k_min.keys():
+        k_plain, k_max, k_min = (
+            len(column[rank]) if rank in column else None
+            for column in (table.plain, table.k_max, table.k_min)
+        )
+        if k_max is not None and k_min is not None:
+            assert abs(k_max - k_min) <= c_wrap
             checked += 1
-        if row.k_max and row.k_plain:
-            assert abs(row.k_max.length - row.k_plain.length) <= c_wrap
-        if row.k_min and row.k_plain:
-            assert abs(row.k_min.length - row.k_plain.length) <= c_wrap
+        if k_max is not None and k_plain is not None:
+            assert abs(k_max - k_plain) <= c_wrap
+        if k_min is not None and k_plain is not None:
+            assert abs(k_min - k_plain) <= c_wrap
     assert checked >= 1
     print(f"PASS criterion 9: discrete order collapse within measured c_wrap = {c_wrap}")
 
@@ -444,14 +438,9 @@ def test_criterion_10_quotients():
 def test_criterion_11_pigeonhole(nat_tables, discrete_tables):
     _, disc_table = discrete_tables
     for table in (nat_tables, disc_table):
-        for attr in ("k_plain", "k_max", "k_min"):
+        for column in (table.plain, table.k_max, table.k_min):
             for limit in range(TABLE_BUDGET.max_prog_len + 1):
-                hits = sum(
-                    1
-                    for row in table.rows.values()
-                    if getattr(row, attr) is not None
-                    and getattr(row, attr).length <= limit
-                )
+                hits = sum(1 for w in column.values() if len(w) <= limit)
                 assert hits <= 2 ** (limit + 1) - 1
     print("PASS criterion 11: program-counting pigeonhole holds for every table and length")
 

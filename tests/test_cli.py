@@ -178,7 +178,7 @@ def test_conditions_fragment_ceiling(capsys):
 def test_diagonal_byte_identical(capsys):
     argv = [
         "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "2",
-        "--max-len", "8", "--fuel", "128", "--t-budget", "128", "--window", "4",
+        "--fuel", "128", "--t-budget", "128", "--window", "4",
     ]
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
@@ -188,7 +188,7 @@ def test_diagonal_byte_identical(capsys):
 def test_diagonal_padded_pair_audits_the_same_family(capsys):
     # the family is picked from the parsed specs, so padding around them
     # changes only the echoed --pair
-    argv = ["--i", "2", "--max-len", "8", "--fuel", "128", "--t-budget", "128", "--window", "4"]
+    argv = ["--i", "2", "--fuel", "128", "--t-budget", "128", "--window", "4"]
     reports = []
     for pair in ("prefix:ab/lexico:a<b", " prefix:ab / lexico:a<b"):
         code, out, _ = run(capsys, "diagonal", "--pair", pair, *argv)
@@ -302,14 +302,19 @@ def test_dilworth_malformed_order(tmp_path, capsys):
 
 
 def test_diagonal(capsys):
-    code, out, _ = run(
-        capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1",
-        "--max-len", "8", "--fuel", "128", "--t-budget", "128", "--window", "4",
-    )
+    argv = ["diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1",
+            "--fuel", "128", "--t-budget", "128", "--window", "4"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     data = json.loads(out)
     assert data["audit"]["passed"] is True
     assert data["audit"]["z_size"] == 8
+    # the audit reads no program length, so it takes and records none
+    assert "max_len" not in data["config"]
+    with pytest.raises(SystemExit) as caught:
+        main(argv + ["--max-len", "8"])
+    assert caught.value.code == 2
+    assert "--max-len" in capsys.readouterr().err
 
 
 def test_bb_table(capsys):
@@ -419,7 +424,7 @@ print(json.dumps([code, loaded, heavy]))
     (("estimate", "--poset", "finsets", "--max-len", "6", "--ranks", "2"), _REPORT),
     (("estimate", "--poset", "reg:ab", "--max-len", "6", "--ranks", "2"),
      _REPORT | {"automata"}),
-    (("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1", "--max-len", "6",
+    (("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1",
       "--fuel", "64", "--t-budget", "64", "--window", "4"), _REPORT | {"analysis"}),
     (("conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2", "--fragment", "6"),
      _BASE | {"analysis"}),
@@ -493,10 +498,12 @@ def test_reports_do_not_depend_on_the_locale(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["estimate", "--poset", "reg:ab", "--max-len", "12", "--ranks", "70"],
     ["quotient", "--regex", "a*+b*", "--alphabet", "ab", "--m-words", "a,b"],
-], ids=["estimate", "quotient"])
+    ["quotient", "--regex", "(a+b)*·b", "--alphabet", "ab", "--m-words", "a"],
+], ids=["estimate", "quotient", "quotient-argv"])
 def test_stdout_does_not_depend_on_the_locale(argv):
     # stdout carries the UTF-8 bytes of an --out file, even where the
-    # locale's encoding cannot hold the '·' of the regex column
+    # locale's encoding cannot hold the '·' of the regex column; arguments
+    # are read as UTF-8 too, so a '·' in --regex parses under any locale
     stdout = {}
     for name, locale in (("c", _C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
         proc = subprocess.run([sys.executable, "-m", "kposet.cli", *argv],

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kposet.codec import b_index, decode_padded, encode_pair
 from kposet.complexity import (
@@ -9,13 +11,10 @@ from kposet.complexity import (
     Budget,
     ComplexityTable,
     OracleStub,
+    complexity_table,
     diagonal_hard,
     hierarchy_report,
     iter_words,
-    join_tables,
-    k_max_table,
-    k_min_table,
-    k_plain_table,
     measure_wrap_constant,
     oracle_decide,
     paired_decompress,
@@ -53,24 +52,23 @@ def test_iter_words_order():
 
 
 def test_k_plain_table_small():
-    table = k_plain_table(NAT, 8, SMALL)
+    table = complexity_table(NAT, 8, SMALL)
     # the single HALT instruction leaves reg_a at 0
-    assert table.rows[0].k_plain.witness == "111"
-    assert table.rows[0].k_plain.length == 3
+    assert table.plain[0] == "111"
     # rank r needs r INC_A instructions before HALT
     for r in (1, 2, 3):
-        assert table.rows[r].k_plain.length == 3 * r + 3
+        assert len(table.plain[r]) == 3 * r + 3
     verify_table(NAT, table)
 
 
 def test_k_plain_budget_monotone():
-    small = k_plain_table(NAT, 8, Budget(9, 128, 128, 4))
-    large = k_plain_table(NAT, 8, Budget(12, 256, 256, 4))
-    for rank, row in small.rows.items():
-        assert large.rows[rank].k_plain.length <= row.k_plain.length
+    small = complexity_table(NAT, 8, Budget(9, 128, 128, 4))
+    large = complexity_table(NAT, 8, Budget(12, 256, 256, 4))
+    for rank, w in small.plain.items():
+        assert len(large.plain[rank]) <= len(w)
 
 
-@pytest.mark.parametrize("build", [k_plain_table, k_max_table, k_min_table, hierarchy_report])
+@pytest.mark.parametrize("build", [complexity_table, hierarchy_report])
 def test_length_ceiling_comes_before_the_walks(build):
     over = Budget(MAX_PROG_LEN + 1, 256, 256, 4)
     with pytest.raises(ResourceError, match=f"ceiling of {MAX_PROG_LEN} bits"):
@@ -79,37 +77,32 @@ def test_length_ceiling_comes_before_the_walks(build):
 
 def test_k_max_budget_monotone_in_resources():
     # enlarging the search-resource fields never worsens an entry
-    small = k_max_table(NAT, 8, Budget(14, 128, 128, 4))
-    large = k_max_table(NAT, 8, Budget(15, 256, 256, 4))
-    for rank, row in small.rows.items():
-        if row.k_max is not None:
-            assert large.rows[rank].k_max.length <= row.k_max.length
+    small = complexity_table(NAT, 8, Budget(14, 128, 128, 4))
+    large = complexity_table(NAT, 8, Budget(15, 256, 256, 4))
+    assert small.k_max
+    for rank, w in small.k_max.items():
+        assert len(large.k_max[rank]) <= len(w)
 
 
 def test_k_plain_rank_transport():
     # the machine emits ranks, so tables over any poset agree rank-by-rank
     zz = parse_poset_spec("int")
-    t_nat = k_plain_table(NAT, 8, SMALL)
-    t_int = k_plain_table(zz, 8, SMALL)
-    assert {r: row.k_plain for r, row in t_nat.rows.items()} == {
-        r: row.k_plain for r, row in t_int.rows.items()
-    }
+    assert complexity_table(NAT, 8, SMALL).plain == complexity_table(zz, 8, SMALL).plain
 
 
 def test_k_max_table_and_pigeonhole():
-    table = k_max_table(NAT, 32, FULL)
-    assert table.rows, "expected at least one stabilized max row"
+    table = complexity_table(NAT, 32, FULL)
+    assert table.k_max, "expected at least one stabilized max row"
     # machine "110" (single OUT) has index 13; its padded coding is the
     # shortest max witness and produces rank 0
-    assert 0 in table.rows
-    entry = table.rows[0].k_max
-    assert entry.length == 14
-    n, payload = decode_padded(entry.witness)
+    assert 0 in table.k_max
+    witness = table.k_max[0]
+    assert len(witness) == 14
+    n, payload = decode_padded(witness)
     assert n == 13 and payload == ""
     verify_table(NAT, table)
     for limit in range(FULL.max_prog_len + 1):
-        hits = sum(1 for row in table.rows.values()
-                   if row.k_max and row.k_max.length <= limit)
+        hits = sum(1 for w in table.k_max.values() if len(w) <= limit)
         assert hits <= 2 ** (limit + 1) - 1
 
 
@@ -117,9 +110,9 @@ def test_censored_rows():
     # a tight clock with a wide window leaves the single emitting machine
     # still-changing: the rank is censored, not tabled
     tight = Budget(max_prog_len=14, fuel=64, t_budget=4, window=8)
-    table = k_max_table(NAT, 4, tight)
+    table = complexity_table(NAT, 4, tight)
     assert 0 in table.censored
-    assert 0 not in table.rows
+    assert 0 not in table.k_max and 0 not in table.k_min
     text = hierarchy_report(NAT, 4, tight)
     lines = text.strip().split("\n")
     assert '"c_wrap": null' in lines[0]  # nothing can stabilize at window 8
@@ -128,23 +121,38 @@ def test_censored_rows():
 
 def test_k_min_equals_k_max_under_discrete():
     disc = parse_poset_spec("discrete(nat)")
-    t_max = k_max_table(disc, 32, FULL)
-    t_min = k_min_table(disc, 32, FULL)
-    assert {r: row.k_max for r, row in t_max.rows.items()} == {
-        r: row.k_min for r, row in t_min.rows.items()
-    }
+    table = complexity_table(disc, 32, FULL)
+    assert table.k_max and table.k_max == table.k_min
+
+
+REVERSE_SPECS = ("nat", "int", "prefix:ab", "lexico:a<b;c", "finsets", "rev(nat)", "discrete(finsets)")
+budgets = st.builds(
+    Budget, st.integers(1, 16), st.integers(1, 256), st.integers(1, 256), st.integers(1, 8)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(REVERSE_SPECS), ranks=st.integers(0, 12), b=budgets)
+@example(spec="nat", ranks=8, b=Budget(14, 128, 128, 4))  # rank 0 on both sides
+@example(spec="prefix:ab", ranks=8, b=Budget(14, 64, 4, 8))  # rank 0 censored
+def test_min_is_max_over_the_reverse(spec, ranks, b):
+    p = parse_poset_spec(spec)
+    table, rev = complexity_table(p, ranks, b), complexity_table(reverse(p), ranks, b)
+    assert rev.k_max == table.k_min
+    assert rev.k_min == table.k_max
+    assert (rev.plain, rev.censored) == (table.plain, table.censored)
 
 
 def test_join_and_verify():
-    plain = k_plain_table(NAT, 16, FULL)
-    kmax = k_max_table(NAT, 16, FULL)
-    kmin = k_min_table(NAT, 16, FULL)
-    table = join_tables(plain, kmax, kmin)
+    table = complexity_table(NAT, 16, FULL)
     verify_table(NAT, table)
-    row0 = table.rows[0]
-    assert row0.k_plain and row0.k_max and row0.k_min
-    with pytest.raises(ConfigError):
-        join_tables(plain, kmax, k_min_table(NAT, 16, SMALL))
+    assert 0 in table.plain and 0 in table.k_max and 0 in table.k_min
+    # a witness that replays to another rank is caught in every column
+    for column in ("plain", "k_max", "k_min"):
+        tampered = complexity_table(NAT, 16, FULL)
+        getattr(tampered, column)[1] = getattr(tampered, column)[0]
+        with pytest.raises(VerificationError, match=f"{column} witness for rank 1 does not replay"):
+            verify_table(NAT, tampered)
 
 
 def test_wrap_program():
@@ -172,33 +180,27 @@ def test_wrap_program_fixes_jumps():
 
 
 def test_wrap_constant_bounds_table_gap():
-    plain = k_plain_table(NAT, 16, FULL)
-    kmax = k_max_table(NAT, 16, FULL)
-    table = join_tables(plain, kmax, k_min_table(NAT, 16, FULL))
+    table = complexity_table(NAT, 16, FULL)
     c_wrap = measure_wrap_constant(NAT, table)
     assert c_wrap is not None
-    for row in table.rows.values():
-        if row.k_plain and row.k_max:
-            assert row.k_max.length - row.k_plain.length <= c_wrap
+    for rank, w in table.k_max.items():
+        if rank in table.plain:
+            assert len(w) - len(table.plain[rank]) <= c_wrap
 
 
 def test_paired_decompress():
-    table = join_tables(
-        k_plain_table(NAT, 32, FULL),
-        k_max_table(NAT, 32, FULL),
-        k_min_table(NAT, 32, FULL),
-    )
-    both = [r for r, row in table.rows.items() if row.k_max and row.k_min]
+    table = complexity_table(NAT, 32, FULL)
+    both = [r for r in table.k_max if r in table.k_min]
     assert both, "expected at least one doubly-witnessed rank"
     for rank in both:
         assert paired_decompress(NAT, table, rank, FULL) == NAT.unrank(rank)
-        row = table.rows[rank]
-        m = min(row.k_max.length, row.k_min.length)
-        assert len(encode_pair(row.k_max.witness, row.k_min.witness)) == (
-            row.k_max.length + row.k_min.length + 2 * (m.bit_length() - 1) + 3
+        w_max, w_min = table.k_max[rank], table.k_min[rank]
+        m = min(len(w_max), len(w_min))
+        assert len(encode_pair(w_max, w_min)) == (
+            len(w_max) + len(w_min) + 2 * (m.bit_length() - 1) + 3
         )
-    plain_only = ComplexityTable(NAT.spec, FULL)
-    plain_only.row(0).k_max = table.rows[0].k_max
+    plain_only = ComplexityTable(FULL)
+    plain_only.k_max[0] = table.k_max[0]
     with pytest.raises(ConfigError, match="min-side"):
         paired_decompress(NAT, plain_only, 0, FULL)
 

@@ -11,12 +11,9 @@ from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import (
     Budget,
     _address_blocks,
+    complexity_table,
     default_program_family,
     iter_words,
-    join_tables,
-    k_max_table,
-    k_min_table,
-    k_plain_table,
 )
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
@@ -133,12 +130,9 @@ def test_address_walk_is_decode_order_of_iter_words(max_len):
     assert got == want
 
 
-def joined(p, ranks, b):
-    table = join_tables(
-        k_plain_table(p, ranks, b), k_max_table(p, ranks, b), k_min_table(p, ranks, b)
-    )
-    rows = {r: (row.k_plain, row.k_max, row.k_min) for r, row in table.rows.items()}
-    return rows, table.censored
+def columns(p, ranks, b):
+    table = complexity_table(p, ranks, b)
+    return (table.plain, table.k_max, table.k_min), table.censored
 
 
 SMALL = Budget(max_prog_len=11, fuel=256, t_budget=256, window=4)
@@ -149,15 +143,15 @@ WIDE = Budget(max_prog_len=14, fuel=128, t_budget=128, window=4)
 @pytest.mark.parametrize("spec", SPECS)
 def test_tables_match_per_word_scan(spec):
     p = POSETS[spec]
-    assert joined(p, 16, SMALL) == tables_ref(p, 16, SMALL)
+    assert columns(p, 16, SMALL) == tables_ref(p, 16, SMALL)
 
 
 def test_plain_table_matches_per_word_scan_at_16_bits():
     p = POSETS["nat"]
     b = Budget(max_prog_len=16, fuel=4096, t_budget=4096, window=8)
-    rows = {r: row.k_plain for r, row in k_plain_table(p, 32, b).rows.items()}
-    assert rows == plain_scan_ref(p, 32, b)
-    assert len(rows) > 1
+    plain = complexity_table(p, 32, b).plain
+    assert plain == plain_scan_ref(p, 32, b)
+    assert len(plain) > 1
 
 
 @pytest.mark.parametrize("spec", ["nat", "rev(prefix:ab)", "discrete(finsets)"])
@@ -166,12 +160,12 @@ def test_tables_match_per_word_scan_with_limit_rows(spec, budget):
     # at 14 bits the single-OUT machine b_word(13) is addressable, so the
     # max/min side fills (wide) or censors (tight) rank 0
     p = POSETS[spec]
-    rows, censored = joined(p, 8, budget)
-    assert (rows, censored) == tables_ref(p, 8, budget)
+    (plain, k_max, k_min), censored = columns(p, 8, budget)
+    assert ((plain, k_max, k_min), censored) == tables_ref(p, 8, budget)
     if budget is TIGHT:
         assert censored == {0}
     else:
-        assert rows[0][1] is not None and rows[0][2] is not None
+        assert 0 in k_max and 0 in k_min
 
 
 def test_program_family_matches_two_ordered_runs():

@@ -1,14 +1,14 @@
 """The record contract: frozen records refuse assignment, validate on
-construction with fixed messages, and compare by value; the two table
-records stay mutable."""
+construction with fixed messages, and compare by value; the table record
+stays mutable."""
 
 import pytest
 
 from kposet.analysis import FinitePoset, OrderPair
 from kposet.automata import parse_regex, to_canonical_dfa
 from kposet.cli import RunConfig
-from kposet.complexity import Budget, ComplexityTable, TableEntry
-from kposet.errors import ConfigError, VerificationError
+from kposet.complexity import Budget, ComplexityTable
+from kposet.errors import ConfigError
 from kposet.limits import LimitReport, Trace
 from kposet.posets import parse_poset_spec
 from kposet.vm import RunResult, TmSpec
@@ -26,7 +26,6 @@ FROZEN = {
     "RunResult": (RunResult((), (), False, 0, 0, 0), "halted"),
     "TmSpec": (TmSpec(1, TM_TABLE), "states"),
     "Budget": (Budget(1, 1, 1, 1), "fuel"),
-    "TableEntry": (TableEntry(3, "111"), "length"),
     "FinitePoset": (CHAIN, "rows"),
     "OrderPair": (OrderPair(CHAIN, CHAIN), "weak"),
     "RegexAst": (parse_regex("a·b", AB), "op"),
@@ -46,7 +45,6 @@ def test_frozen_records_reject_assignment(name):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Budget(0, 1, 1, 1), ConfigError, "budget field max_prog_len must be positive"),
     (lambda: Budget(4, 4, 4, 0), ConfigError, "budget field window must be positive"),
-    (lambda: TableEntry(2, "111"), VerificationError, "entry length disagrees with its witness"),
     (lambda: Trace(((1, "a"), (1, "b"))), ConfigError,
      "trace clocks must be strictly increasing: [1, 1]"),
     (lambda: Trace(((-1, "a"),)), ConfigError, "trace clocks must be strictly increasing: [-1]"),
@@ -60,7 +58,7 @@ def test_frozen_records_reject_assignment(name):
     (lambda: FinitePoset(2, frozenset({(0, 5)})), ConfigError, "relation pair out of range: (0, 5)"),
     (lambda: FinitePoset(2, frozenset(), ("a",)), ConfigError,
      "names do not match the carrier size"),
-], ids=["budget-len", "budget-window", "entry", "trace-repeat", "trace-negative", "tm",
+], ids=["budget-len", "budget-window", "trace-repeat", "trace-negative", "tm",
         "pair-carriers", "pair-extension", "poset-cycle", "poset-range", "poset-names"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error) as caught:
@@ -94,9 +92,9 @@ def test_run_config_to_dict():
 
 
 def test_table_records_are_mutable_and_unshared():
-    one, two = ComplexityTable("nat", Budget(1, 1, 1, 1)), ComplexityTable("nat", Budget(1, 1, 1, 1))
-    one.row(0).k_plain = TableEntry(3, "111")
+    one, two = ComplexityTable(Budget(1, 1, 1, 1)), ComplexityTable(Budget(1, 1, 1, 1))
+    one.plain[0] = "111"
     one.censored.add(1)
-    assert one.rows[0].k_plain.witness == "111"
-    assert (one.rows[0].k_max, one.rows[0].k_min) == (None, None)
-    assert two.rows == {} and two.censored == set()
+    assert one.plain == {0: "111"}
+    assert (one.k_max, one.k_min) == ({}, {})
+    assert (two.plain, two.k_max, two.k_min, two.censored) == ({}, {}, {}, set())

@@ -170,14 +170,12 @@ def test_busy_beaver_monotone_in_states():
         assert busy_beaver_bb(0, t) <= busy_beaver_bb(1, t)
 
 
-def test_tm_spec_json():
-    spec = TmSpec.from_json(
-        {"states": 1, "table": {"0,0": [1, "R", "H"], "0,1": [1, "L", 0]}}
-    )
+def test_tm_spec_run():
+    spec = TmSpec(1, {(0, 0): (1, "R", "H"), (0, 1): (1, "L", 0)})
     halted, steps, cells = run_tm(spec, 10)
     assert halted and steps == 1 and cells == 2
     with pytest.raises(ConfigError):
-        TmSpec.from_json({"states": 1, "table": {"0,0": [1, "R", "H"]}})
+        TmSpec(1, {(0, 0): (1, "R", "H")})
 
 
 def test_card_re():
