@@ -14,13 +14,16 @@ enter the max/min columns; ranks seen only through still-changing runs are
 recorded as censored. Witnesses are the exact program/padded-program bit
 strings and every table entry replays (verify_table re-checks this).
 
-complexity_table is the one builder. Its scans generate only what can run,
-in the witness tie-break order of iter_words: the plain scan enumerates the
-parseable programs that contain HALT (vm.iter_programs; no other program
-can halt), and one walk of the padded addresses 0^n 1 p, which parses each
-machine b_word(n) once, fills the max and min columns with one run per
-address. Both call the order-free kernel directly; the limit side applies
-each order's kept filter once per distinct run.
+Each column's witnesses are the words of one Addressing, which reads a
+word as a machine and its input: RAW (the word is the program, on input 0)
+for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
+b_index(p)) for the max and min columns, the diagonal and the wrap
+constant. complexity_table is the one builder. Each walk generates only
+what can run, in the witness tie-break order of iter_words: RAW the
+programs that contain HALT, PADDED the addresses of machines that contain
+OUT (no other program can halt or emit). One run per address feeds both
+orders, and the limit side applies each order's kept filter once per
+distinct run.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import csv
 import io
 import json
 from collections import namedtuple
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .codec import b_index, b_word, decode_padded, encode_padded, encode_pair
+from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
 from .limits import (
     STABILIZED,
@@ -52,6 +55,9 @@ from .vm import (
 __all__ = [
     "Budget",
     "ComplexityTable",
+    "Addressing",
+    "RAW",
+    "PADDED",
     "iter_words",
     "complexity_table",
     "verify_table",
@@ -59,8 +65,6 @@ __all__ = [
     "measure_wrap_constant",
     "paired_decompress",
     "diagonal_hard",
-    "OracleStub",
-    "oracle_decide",
     "hierarchy_report",
     "MAX_PROG_LEN",
     "DIAGONAL_ALPHA_CAP",
@@ -68,6 +72,7 @@ __all__ = [
 
 MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
 DIAGONAL_ALPHA_CAP = 8  # largest alpha(i) diagonal_hard audits (family of 2^9 words)
+HALT, OUT = ("HALT", None), ("OUT", None)
 
 
 class Budget(namedtuple("Budget", "max_prog_len fuel t_budget window")):
@@ -102,15 +107,6 @@ class ComplexityTable:
         self.censored: set[int] = set()
 
 
-def _check_length(b: Budget) -> None:
-    """The desk-scale ceiling on program length, checked before the plain
-    walk and the limit walk."""
-    if b.max_prog_len > MAX_PROG_LEN:
-        raise ResourceError(
-            f"max program length {b.max_prog_len} exceeds the desk-scale ceiling of {MAX_PROG_LEN} bits"
-        )
-
-
 def iter_words(max_len: int) -> Iterable[str]:
     """All binary words of length <= max_len, shortest first, numerically
     ascending within a length (the tie-break order for witnesses)."""
@@ -120,70 +116,82 @@ def iter_words(max_len: int) -> Iterable[str]:
             yield format(v, f"0{length}b")
 
 
-def _plain_scan(ranks: int, b: Budget) -> dict[int, str]:
-    """First halting program per rank below `ranks`, at the budget's fuel.
-    The machine emits ranks, so the plain scan needs no order: it runs the
-    order-free kernel on the parseable programs that contain HALT, as no
-    other program can halt. The witness is the first halting program in
-    iter_words order, as if all words had been run."""
-    _check_length(b)
-    found: dict[int, str] = {}
-    for w, instrs in iter_programs(b.max_prog_len, needs=("HALT", None)):
-        _, halted, _, reg_a, _ = _execute(instrs, 0, b.fuel)
-        if halted and reg_a < ranks and reg_a not in found:
-            found[reg_a] = w
-    return found
+class Addressing(namedtuple("Addressing", "walk decode wrap_len")):
+    """How a word addresses a machine and the input it runs on.
+
+    walk(max_len, needs) yields (word, instrs, input) for the words of length
+    <= max_len in iter_words order, skipping every word whose machine does
+    not parse or (unless needs is None) lacks the instruction `needs`;
+    decode(word) is (code, input), None outside the coding's range;
+    wrap_len(code) is the length of the word that addresses code on input 0.
+    """
+
+    __slots__ = ()
 
 
-def _address_blocks(max_len: int) -> Iterator[tuple[int, int]]:
-    """(n, m) per block of padded words 0^n 1 p with |p| = m, n + m < max_len,
-    in iter_words order: within a length, n descends. Inside a block the
-    payloads run numerically ascending, so the word with payload value v has
-    b_index(p) = 2^m - 1 + v."""
+RAW = Addressing(walk=iter_programs, decode=lambda word: (word, 0), wrap_len=len)
+
+
+def _padded_walk(max_len: int, needs):
+    """Within a length n descends, and each machine b_word(n) is parsed once.
+    The word 0^n 1 p read in binary is 2^|p| + p, one more than its input
+    b_index(p) = 2^|p| - 1 + p, so a block's words are a run of integers."""
+    machines = [parse_program(b_word(n)) for n in range(max_len)]
     for length in range(1, max_len + 1):
         for n in range(length - 1, -1, -1):
-            yield n, length - n - 1
+            instrs = machines[n]
+            if instrs is not None and (needs is None or needs in instrs):
+                m = length - n - 1
+                for v in range(1 << m, 2 << m):
+                    yield format(v, f"0{length}b"), instrs, v - 1
+
+
+def _padded_decode(word: str):
+    dec = decode_padded(word)
+    return None if dec is None else (b_word(dec[0]), b_index(dec[1]))
+
+
+PADDED = Addressing(
+    walk=_padded_walk, decode=_padded_decode, wrap_len=lambda code: b_index(code) + 1
+)
 
 
 def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    """The plain column from the plain scan, then the max column over p and
-    the min column, the same over reverse(p), from one walk of the padded
-    addresses: run the indexed machine on the payload, keep stabilized
-    limits.
-
-    Machine b_word(n) is parsed once per n and skipped when it does not parse
-    or has no OUT (it then never emits, so no payload gives it a limit).
-    Each address is run once for both orders, and a run's limit report
-    depends only on its first-occurrence emissions, so one outcome per order
-    is kept per distinct raw_first."""
+    """The plain column from the RAW walk of the programs that contain HALT,
+    then the max column over p and the min column, the same over reverse(p),
+    from one PADDED walk of the machines that contain OUT: run each address
+    once, keep stabilized limits. A run's limit report depends only on its
+    first-occurrence emissions, so one outcome per order is kept per
+    distinct raw_first."""
+    if b.max_prog_len > MAX_PROG_LEN:
+        raise ResourceError(
+            f"max program length {b.max_prog_len} exceeds the desk-scale ceiling of {MAX_PROG_LEN} bits"
+        )
     table = ComplexityTable(b)
-    table.plain = _plain_scan(ranks, b)
+    plain = table.plain
+    for w, instrs, x in RAW.walk(b.max_prog_len, HALT):
+        _, halted, _, reg_a, _ = _execute(instrs, x, b.fuel)
+        if halted and reg_a < ranks and reg_a not in plain:
+            plain[reg_a] = w
     orders = (p, reverse(p))
     sides = ((table.k_max, set()), (table.k_min, set()))  # (column, censored) per order
     horizon = b.horizon
-    machines = [parse_program(b_word(n)) for n in range(b.max_prog_len)]
     outcomes: dict[tuple, tuple] = {}  # raw_first -> per order, None or (rank, stabilized)
-    for n, m in _address_blocks(b.max_prog_len):
-        instrs = machines[n]
-        if instrs is None or ("OUT", None) not in instrs:
-            continue
-        first = (1 << m) - 1
-        for v in range(1 << m):
-            raw_first = _execute(instrs, first + v, b.fuel)[0]
-            per_order = outcomes.get(raw_first)
-            if per_order is None:
-                per_order = outcomes[raw_first] = tuple(
-                    _limit_outcome(order, raw_first, ranks, horizon, b.window) for order in orders
-                )
-            for (found, censored), outcome in zip(sides, per_order):
-                if outcome is None:
-                    continue
-                rank, stabilized = outcome
-                if not stabilized:
-                    censored.add(rank)
-                elif rank not in found:
-                    payload = format(v, f"0{m}b") if m else ""
-                    found[rank] = "0" * n + "1" + payload
+    for w, instrs, x in PADDED.walk(b.max_prog_len, OUT):
+        raw_first = _execute(instrs, x, b.fuel)[0]
+        per_order = outcomes.get(raw_first)
+        if per_order is None:
+            per_order = outcomes[raw_first] = tuple(
+                _limit_outcome(order, raw_first, ranks, horizon, b.window) for order in orders
+            )
+        for (found, censored), outcome in zip(sides, per_order):
+            if outcome is None:
+                continue
+            rank, stabilized = outcome
+            if not stabilized:
+                censored.add(rank)
+            elif rank not in found:
+                found[rank] = w
     for found, censored in sides:
         table.censored |= censored - found.keys()
     return table
@@ -200,22 +208,22 @@ def _limit_outcome(order: PosetInstance, raw_first, ranks: int, horizon: int, wi
 
 
 def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
-    """Replay every witness under its claimed semantics; VerificationError on
-    the first mismatch."""
+    """Replay every witness through its column's addressing under its
+    claimed semantics; VerificationError on the first mismatch."""
     b = table.budget
-    for rank, w in table.plain.items():
-        res = run_emitting(p, w, 0, b.fuel)
-        if not (res.halted and res.reg_a == rank):
-            raise VerificationError(f"plain witness for rank {rank} does not replay")
-    for attr, order in (("k_max", p), ("k_min", reverse(p))):
+    columns = (("plain", p, RAW), ("k_max", p, PADDED), ("k_min", reverse(p), PADDED))
+    for attr, order, addressing in columns:
         for rank, w in getattr(table, attr).items():
-            dec = decode_padded(w)
+            dec = addressing.decode(w)
             if dec is None:
-                raise VerificationError(f"{attr} witness for rank {rank} is not padded")
-            n, payload = dec
-            res = run_emitting(order, b_word(n), b_index(payload), b.fuel)
-            report = limit_report_from_trace(res.trace, b.horizon, b.window)
-            if report.status != STABILIZED or order.rank(report.current) != rank:
+                raise VerificationError(f"{attr} witness for rank {rank} addresses no machine")
+            res = run_emitting(order, *dec, b.fuel)
+            if attr == "plain":
+                ok = res.halted and res.reg_a == rank
+            else:
+                report = limit_report_from_trace(res.trace, b.horizon, b.window)
+                ok = report.status == STABILIZED and order.rank(report.current) == rank
+            if not ok:
                 raise VerificationError(f"{attr} witness for rank {rank} does not replay")
 
 
@@ -258,15 +266,15 @@ def wrap_program(code: str) -> str:
 
 
 def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[int]:
-    """max over plain rows of |encode_padded(b_index(wrap(w)), "")| - |w|,
-    verifying that each wrapped witness replays to the plain rank as a
-    max-limit. The unary machine index makes this constant large; it is a
-    diagnostic, not a claimed optimality bound.
+    """max over plain rows of PADDED.wrap_len(wrap(w)) - |w|, verifying that
+    each wrapped witness replays to the plain rank as a max-limit. The unary
+    machine index makes this constant large; it is a diagnostic, not a
+    claimed optimality bound.
 
-    Rows whose wrapped run does not stabilize within the table's own budget
-    are censored out of the measurement (None when none stabilize); a
-    stabilized run landing on the wrong value is a genuine wrapper bug and
-    raises.
+    Rows whose wrapped run emits nothing within the horizon or the fuel, or
+    does not stabilize within the table's own budget, are censored out of
+    the measurement (None when none stabilize); a run that emits a value
+    other than the plain rank is a genuine wrapper bug and raises.
     """
     b = table.budget
     c_wrap = None
@@ -274,14 +282,14 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
         wrapped = wrap_program(w)
         res = run_emitting(p, wrapped, 0, b.fuel)
         report = limit_report_from_trace(res.trace, b.horizon, b.window)
-        if report.current is None or p.rank(report.current) != rank:
+        if report.current is None:
+            continue
+        if p.rank(report.current) != rank:
             raise VerificationError(
                 f"wrapped witness for rank {rank} does not replay to its value"
             )
-        if report.status != STABILIZED:
-            continue
-        q = encode_padded(b_index(wrapped), "")
-        c_wrap = max(c_wrap if c_wrap is not None else 0, len(q) - len(w))
+        if report.status == STABILIZED:
+            c_wrap = max(c_wrap or 0, PADDED.wrap_len(wrapped) - len(w))
     return c_wrap
 
 
@@ -299,30 +307,28 @@ def paired_decompress(
         raise ConfigError(f"rank {d_rank} has no max-side witness")
     if d_rank not in table.k_min:
         raise ConfigError(f"rank {d_rank} has no min-side witness")
-    n1, p1 = decode_padded(table.k_max[d_rank])
-    n2, p2 = decode_padded(table.k_min[d_rank])
-    f = vm_max_evaluator(p, n1)
-    g = vm_max_evaluator(reverse(p), n2)
-    return common_value_dovetail(p, f, g, p1, p2, b.t_budget + b.fuel)
+    code_f, x_f = PADDED.decode(table.k_max[d_rank])
+    code_g, x_g = PADDED.decode(table.k_min[d_rank])
+    f = vm_max_evaluator(p, code_f)
+    g = vm_max_evaluator(reverse(p), code_g)
+    return common_value_dovetail(p, f, g, x_f, x_g, b.t_budget + b.fuel)
 
 
 # --------------------------------------------------------------- diagonal
 
 
-def default_program_family(weak: PosetInstance, b: Budget):
-    """p -> kept traces of the weak max- and min-machines addressed by the
-    padded coding, or None when p is outside the coding's range. One run
-    per address feeds both traces."""
+def _address_family(addressing: Addressing, weak: PosetInstance, fuel: int):
+    """word -> kept traces of the weak max- and min-machines that the word
+    addresses, or None outside the addressing's range. One run per word
+    feeds both traces."""
     down = reverse(weak)
 
-    def family(p_word: str):
-        dec = decode_padded(p_word)
+    def family(word: str):
+        dec = addressing.decode(word)
         if dec is None:
             return None
-        n, payload = dec
-        instrs = parse_program(b_word(n))
-        raw_first = () if instrs is None else _execute(instrs, b_index(payload), b.fuel)[0]
-        return kept_trace(raw_first, weak.unrank, weak.leq), kept_trace(raw_first, down.unrank, down.leq)
+        res = run_emitting(weak, *dec, fuel)
+        return res.trace, kept_trace(res.raw_first, down.unrank, down.leq)
 
     return family
 
@@ -370,7 +376,7 @@ def diagonal_hard(
     z_index = {e: j for j, e in enumerate(family)}
 
     if program_family is None:
-        program_family = default_program_family(weak, b)
+        program_family = _address_family(PADDED, weak, b.fuel)
     horizon = b.horizon
     events: list[tuple[int, int]] = []  # (step, family index)
     per_trace_ok = True
@@ -440,35 +446,6 @@ def diagonal_hard(
         )
     )
     return f_elem, g_elem, audit
-
-
-# ----------------------------------------------------------------- oracle
-
-
-class OracleStub:
-    """Bounded existential oracle: answers "exists t < horizon with property"
-    by brute force and counts its calls. Deterministic by construction."""
-
-    def __init__(self, horizon: int):
-        if horizon < 1:
-            raise ConfigError("oracle horizon must be positive")
-        self.horizon = horizon
-        self.calls = 0
-
-    def exists(self, pred: Callable[[int], bool]) -> bool:
-        self.calls += 1
-        return any(pred(t) for t in range(self.horizon))
-
-
-def oracle_decide(graph: dict, oracle: OracleStub, x, d) -> bool:
-    """Decide F(x) = d from the graph's existential and universal halves with
-    exactly two oracle calls: one for "some stage hits d", one for "some
-    stage escapes above d"."""
-    sigma_pred = graph["sigma_pred"]
-    pi_pred = graph["pi_pred"]
-    hit = oracle.exists(lambda t: sigma_pred(x, t, d))
-    escape = oracle.exists(lambda t: not pi_pred(x, t, d))
-    return hit and not escape
 
 
 # ----------------------------------------------------------------- report

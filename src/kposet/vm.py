@@ -52,7 +52,7 @@ import itertools
 from collections import namedtuple
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .codec import _check_word, b_index, b_word
+from .codec import _check_word, b_word
 from .errors import ConfigError, DomainError, ResourceError
 from .limits import Evaluator
 from .posets import PosetInstance
@@ -129,11 +129,12 @@ _INSTRUCTIONS = _instruction_table()
 
 def iter_programs(
     max_len: int, needs: Optional[tuple[str, Optional[int]]] = None
-) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...]]]:
-    """(code, parse_program(code)) for every code of length <= max_len that
-    parses and, when `needs` is given, contains the instruction `needs`;
+) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...], int]]:
+    """(code, parse_program(code), 0) for every code of length <= max_len
+    that parses and, when `needs` is given, contains the instruction `needs`;
     shortest first and numerically ascending within a length (the witness
-    tie-break order), without visiting any other word.
+    tie-break order), without visiting any other word. This is the walk of
+    the raw addressing, where a word is the program and its input is 0.
 
     Instruction codes are prefix-free, so a depth-first walk that tries the
     next instruction in ascending bit order yields same-length codes in
@@ -176,12 +177,12 @@ def iter_programs(
     def extend(code, instrs, children):
         for bits, one, after in children:
             if after is None:
-                yield code + bits, instrs + one
+                yield code + bits, instrs + one, 0
             else:
                 yield from extend(code + bits, instrs + one, after)
 
     if room[0]:
-        yield "", ()
+        yield "", (), 0
     for length in range(1, max_len + 1):
         if room[length]:
             yield from extend("", (), due[length])
@@ -383,15 +384,14 @@ def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], An
     return at
 
 
-def vm_max_evaluator(p: PosetInstance, n: int) -> Evaluator:
-    """The n-th monotone process of the enumeration: program b_word(n) on
-    input word x (passed through b_index), value at (x, t) = last kept
+def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
+    """A monotone process of the enumeration: program `code` on the input
+    x (a natural number, loaded into reg_b), value at (x, t) = last kept
     emission within t machine steps. Defined only when fuel >= t so the
     fuel-monotonicity contract holds exactly. Runs are shared through
     _fuel_prefix_runs; a query bisects the kept trace at step bound
     min(t + 1, fuel), so step t counts and no step >= fuel does."""
-    code = b_word(n)
-    kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, b_index(x), fuel).trace)
+    kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, x, fuel).trace)
 
     def fn(x, t, fuel):
         if fuel < t:

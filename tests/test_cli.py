@@ -317,6 +317,26 @@ def test_diagonal(capsys):
     assert "--max-len" in capsys.readouterr().err
 
 
+def test_diagonal_considers_every_padded_word(capsys):
+    # alpha(5) = 6: every word of at most 5 bits that contains a 1 addresses
+    # a machine, including the words whose machine does not parse
+    code, out, _ = run(capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "5")
+    assert code == 0
+    audit = json.loads(out)["audit"]
+    assert audit["programs_considered"] == sum(2**length - 1 for length in range(6)) == 57
+
+
+def test_estimate_censors_wrapped_runs_past_the_horizon(capsys):
+    # the wrapped rank-3 witness emits at step 3, past the horizon of 2: its
+    # row is left out of the wrap constant, not reported as a wrapper bug
+    code, out, err = run(capsys, "estimate", "--poset", "nat", "--max-len", "14",
+                         "--ranks", "8", "--t-budget", "2", "--window", "1")
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert json.loads(lines[1][len("# summary: "):])["c_wrap"] is not None
+    assert lines[6] == "3,3,12,,,000000000111,,,,ok"
+
+
 def test_bb_table(capsys):
     code, out, _ = run(capsys, "bb", "--states", "1", "--t-max", "20")
     assert code == 0

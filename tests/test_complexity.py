@@ -10,13 +10,11 @@ from kposet.complexity import (
     MAX_PROG_LEN,
     Budget,
     ComplexityTable,
-    OracleStub,
     complexity_table,
     diagonal_hard,
     hierarchy_report,
     iter_words,
     measure_wrap_constant,
-    oracle_decide,
     paired_decompress,
     verify_table,
     wrap_program,
@@ -287,26 +285,6 @@ def test_diagonal_counting_bound_detects_violation():
     )
     assert not audit["per_trace_at_most_one"]
     assert not audit["passed"]
-
-
-def test_oracle_decide():
-    # synthetic convergent process: f(x, t) = min(t, x), limit x
-    def sigma_pred(x, t, d):
-        return min(t, x) == d
-
-    def pi_pred(x, t, d):
-        return min(t, x) <= d
-
-    graph = {"sigma_pred": sigma_pred, "pi_pred": pi_pred}
-    o = OracleStub(horizon=50)
-    assert oracle_decide(graph, o, 7, 7) is True
-    assert o.calls == 2
-    o2 = OracleStub(horizon=50)
-    assert oracle_decide(graph, o2, 7, 9) is False  # 9 is above the limit
-    assert o2.calls == 2
-    o3 = OracleStub(horizon=50)
-    assert oracle_decide(graph, o3, 7, 3) is False  # 3 is passed through, not final
-    assert o3.calls == 2
 
 
 def test_hierarchy_report_deterministic():

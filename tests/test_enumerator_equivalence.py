@@ -84,10 +84,11 @@ GROW_SHRINK = [(0, 0), (5, 5), (63, 64), (64, 64), (65, 65), (200, 130), (129, 1
 @example(spec="nat", code=READS_INPUT, queries=[(x, q) for q in GROW_SHRINK for x in ("", "0")])
 def test_vm_max_evaluator_matches_slicing_reference(spec, code, queries):
     p = POSETS[spec]
-    n = b_index(code)
-    got, want = vm_max_evaluator(p, n), vm_max_evaluator_ref(p, n)
+    # the reference addresses the machine by index and reads its input word
+    # through b_index, as the enumeration does
+    got, want = vm_max_evaluator(p, code), vm_max_evaluator_ref(p, b_index(code))
     for x, (t, fuel) in queries:
-        assert got(x, t, fuel) == want(x, t, fuel), (x, t, fuel)
+        assert got(b_index(x), t, fuel) == want(x, t, fuel), (x, t, fuel)
 
 
 @settings(max_examples=200, deadline=None)

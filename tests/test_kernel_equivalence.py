@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from reference_impl import plain_scan_ref, run_emitting_ref, run_raw_ref, tables_ref
 
-from kposet.codec import b_index, b_word, decode_padded
+from kposet.codec import b_index, b_word, decode_padded, encode_padded
 from kposet.complexity import (
+    PADDED,
+    RAW,
     Budget,
-    _address_blocks,
+    _address_family,
     complexity_table,
-    default_program_family,
     iter_words,
 )
 from kposet.errors import ConfigError
@@ -87,8 +88,8 @@ def test_kernel_examples_cover_spin_and_cycle():
 def test_iter_programs_is_parse_filter_of_iter_words(max_len):
     want = [w for w in iter_words(max_len) if parse_program(w) is not None]
     got = list(iter_programs(max_len))
-    assert [w for w, _ in got] == want
-    assert all(instrs == parse_program(w) for w, instrs in got)
+    assert [w for w, _, _ in got] == want
+    assert all(instrs == parse_program(w) and x == 0 for w, instrs, x in got)
 
 
 @pytest.mark.parametrize("needs", [("HALT", None), ("OUT", None), ("JZ_B", -1)])
@@ -119,15 +120,36 @@ def test_no_halt_instruction_never_halts(instrs, input_b, fuel):
 
 @pytest.mark.parametrize("max_len", range(15))
 def test_address_walk_is_decode_order_of_iter_words(max_len):
-    want = [decode_padded(w) for w in iter_words(max_len)]
-    want = [d for d in want if d is not None]
-    got = []
-    for n, m in _address_blocks(max_len):
-        for v in range(1 << m):
-            payload = format(v, f"0{m}b") if m else ""
-            assert b_index(payload) == (1 << m) - 1 + v
-            got.append((n, payload))
-    assert got == want
+    # against the codec directly, not through PADDED.decode
+    want = []
+    for w in iter_words(max_len):
+        dec = decode_padded(w)
+        instrs = None if dec is None else parse_program(b_word(dec[0]))
+        if instrs is not None:
+            want.append((w, instrs, b_index(dec[1])))
+    assert list(PADDED.walk(max_len, None)) == want
+
+
+@pytest.mark.parametrize("needs", [None, ("HALT", None), ("OUT", None), ("JZ_B", -1)])
+@pytest.mark.parametrize("addressing", [RAW, PADDED], ids=["raw", "padded"])
+def test_walk_is_decode_filter_of_iter_words(addressing, needs):
+    want = []
+    for w in iter_words(14):
+        dec = addressing.decode(w)
+        if dec is None:
+            continue
+        code, x = dec
+        instrs = parse_program(code)
+        if instrs is not None and (needs is None or needs in instrs):
+            want.append((w, instrs, x))
+    for max_len in range(15):
+        got = list(addressing.walk(max_len, needs))
+        assert got == [t for t in want if len(t[0]) <= max_len]
+    # wrap_len(code) is the length of the word addressing code on input 0
+    for code in iter_words(8):
+        word = code if addressing is RAW else encode_padded(b_index(code), "")
+        assert addressing.decode(word) == (code, 0)
+        assert addressing.wrap_len(code) == len(word)
 
 
 def columns(p, ranks, b):
@@ -171,7 +193,7 @@ def test_tables_match_per_word_scan_with_limit_rows(spec, budget):
 def test_program_family_matches_two_ordered_runs():
     weak = POSETS["prefix:ab"]
     b = Budget(max_prog_len=10, fuel=128, t_budget=128, window=4)
-    family = default_program_family(weak, b)
+    family = _address_family(PADDED, weak, b.fuel)
     for w in iter_words(10):
         dec = decode_padded(w)
         if dec is None:
@@ -244,7 +266,7 @@ def test_growth_loops_match_reference(spec, code, input_b, fuel):
 
 @pytest.mark.parametrize("fuel", [37, 4096])
 def test_kernel_matches_reference_on_every_short_program(fuel):
-    for code, _ in iter_programs(14):
+    for code, _, _ in iter_programs(14):
         assert_same_run(run_emitting(NAT, code, 0, fuel), run_raw_ref(code, 0, fuel))
 
 

@@ -126,28 +126,27 @@ def test_cycle_shortcut_preserves_semantics():
 
 def test_vm_max_evaluator():
     code = assemble(["OUT", "HALT"])
-    n = b_index(code)
-    e = vm_max_evaluator(NAT, n)
-    assert e("", 0, 10) == 0
-    assert e("", 5, 10) == 0
-    assert e("", 5, 3) is None  # fuel must cover the simulation
-    bad = vm_max_evaluator(NAT, b_index("11"))
-    assert all(bad("", t, 20) is None for t in range(5))
+    e = vm_max_evaluator(NAT, code)
+    assert e(0, 0, 10) == 0
+    assert e(0, 5, 10) == 0
+    assert e(0, 5, 3) is None  # fuel must cover the simulation
+    bad = vm_max_evaluator(NAT, "11")
+    assert all(bad(0, t, 20) is None for t in range(5))
     two = assemble(["INC_A", "OUT", "INC_A", "INC_A", "OUT", "HALT"])
-    e2 = vm_max_evaluator(NAT, b_index(two))
-    assert e2("", 1, 20) == 1
-    assert e2("", 3, 20) == 1
-    assert e2("", 4, 20) == 3
-    rep = budgeted_limit(NAT, e2, "", 10, 20, window=2)
+    e2 = vm_max_evaluator(NAT, two)
+    assert e2(0, 1, 20) == 1
+    assert e2(0, 3, 20) == 1
+    assert e2(0, 4, 20) == 3
+    rep = budgeted_limit(NAT, e2, 0, 10, 20, window=2)
     assert rep.current == 3 and rep.status == STABILIZED
 
 
 def test_vm_max_evaluator_reads_input():
     # JZ_B branches on the input register
     code = assemble([("JZ_B", 4), "INC_A", "OUT", "HALT", "OUT", "HALT"])
-    e = vm_max_evaluator(NAT, b_index(code))
-    assert budgeted_limit(NAT, e, "", 10, 20, window=2).current == 0
-    assert budgeted_limit(NAT, e, "0", 10, 20, window=2).current == 1
+    e = vm_max_evaluator(NAT, code)
+    assert budgeted_limit(NAT, e, 0, 10, 20, window=2).current == 0
+    assert budgeted_limit(NAT, e, 1, 10, 20, window=2).current == 1
 
 
 def test_busy_beaver_basics():
