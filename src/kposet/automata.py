@@ -18,8 +18,6 @@ looks the DFA up in it.
 
 from __future__ import annotations
 
-import json
-import threading
 from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
@@ -37,8 +35,6 @@ __all__ = [
     "reg_rank",
     "reg_unrank",
     "canonical_regex",
-    "dfa_to_json",
-    "dfa_from_json",
     "EMPTY_EXPRESSION",
 ]
 
@@ -155,35 +151,6 @@ class Dfa(namedtuple("Dfa", "n start accept delta alphabet canonical", defaults=
 
     def accepts(self, word: str) -> bool:
         return self.step(self.start, word) in self.accept
-
-
-def dfa_to_json(d: Dfa) -> str:
-    return json.dumps(
-        {
-            "n": d.n,
-            "start": d.start,
-            "accept": sorted(d.accept),
-            "delta": [list(row) for row in d.delta],
-        },
-        sort_keys=True,
-    )
-
-
-def dfa_from_json(text: str, alphabet: Sequence[str]) -> Dfa:
-    try:
-        data = json.loads(text)
-        d = Dfa(
-            n=int(data["n"]),
-            start=int(data["start"]),
-            accept=frozenset(int(x) for x in data["accept"]),
-            delta=tuple(tuple(int(x) for x in row) for row in data["delta"]),
-            alphabet=tuple(alphabet),
-        )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad DFA JSON: {exc}") from exc
-    if len(d.delta) != d.n or any(len(row) != len(d.alphabet) for row in d.delta):
-        raise ConfigError("DFA transition table has the wrong shape")
-    return d
 
 
 def _thompson(ast: RegexAst | None):
@@ -367,7 +334,7 @@ def quotient_evaluator(l: Dfa, words: Sequence[str]) -> Evaluator:
 
 class _Enumeration:
     """Append-only enumeration of regular languages, deduplicated by
-    canonical DFA; shared per alphabet and safe to extend under a lock.
+    canonical DFA; shared per alphabet.
 
     The texts over Sigma + '+*·()' are ordered length-lexicographically by
     `symbols`, and a language's rank comes from the first text denoting it.
@@ -384,7 +351,6 @@ class _Enumeration:
         self.languages: list[Dfa] = []
         self.by_dfa: dict[Dfa, int] = {}
         self.scanned = 0
-        self.lock = threading.Lock()
         self._gen = self._texts()
         self._pending = next(self._gen)  # peeked, so a ceiling loses nothing
 
@@ -435,33 +401,30 @@ class _Enumeration:
             length += 1
 
     def extend_to(self, count: int, max_texts: int):
-        with self.lock:
-            while len(self.languages) <= count:
-                index, text = self._pending
-                if index >= max_texts:
-                    self.scanned = max(self.scanned, max_texts)
-                    raise ResourceError(
-                        f"regular-language enumeration ceiling hit after {max_texts} texts"
-                    )
-                self._pending = next(self._gen)
-                self.scanned = index + 1
-                dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
-                if dfa not in self.by_dfa:
-                    self.by_dfa[dfa] = len(self.languages)
-                    self.languages.append(dfa)
+        while len(self.languages) <= count:
+            index, text = self._pending
+            if index >= max_texts:
+                self.scanned = max(self.scanned, max_texts)
+                raise ResourceError(
+                    f"regular-language enumeration ceiling hit after {max_texts} texts"
+                )
+            self._pending = next(self._gen)
+            self.scanned = index + 1
+            dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
+            if dfa not in self.by_dfa:
+                self.by_dfa[dfa] = len(self.languages)
+                self.languages.append(dfa)
 
 
 _enumerations: dict[tuple[str, ...], _Enumeration] = {}
-_enum_lock = threading.Lock()
 
 ENUMERATION_TEXT_CEILING = 400_000
 
 
 def _enumeration_for(sigma: tuple[str, ...]) -> _Enumeration:
-    with _enum_lock:
-        if sigma not in _enumerations:
-            _enumerations[sigma] = _Enumeration(sigma)
-        return _enumerations[sigma]
+    if sigma not in _enumerations:
+        _enumerations[sigma] = _Enumeration(sigma)
+    return _enumerations[sigma]
 
 
 def reg_unrank(k: int, sigma: Sequence[str]) -> Dfa:

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import tempfile
-from collections import namedtuple
 from typing import Optional
 
 from .errors import ConfigError, DomainError, KposetError, ResourceError
@@ -31,18 +30,10 @@ _INTERACTION_MODES = ("cap", "minus", "setminus")
 __all__ = ["main"]
 
 
-class RunConfig(namedtuple(
-    "RunConfig", "command poset pair max_len fuel t_budget window ranks seed threads extra",
-    defaults=(None,) * 7 + (0, 1, None),  # command is required; seed 0, threads 1, the rest None
-)):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in self._asdict().items() if v is not None}
-        extra = d.pop("extra", None)
-        if extra:
-            d.update(extra)
-        return d
+def _config(args, **fields) -> dict:
+    """The configuration a report records: the command, --seed, --threads
+    and the command's own fields."""
+    return {"command": args.command, "seed": args.seed, "threads": args.threads, **fields}
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -81,18 +72,18 @@ def _split_pair(pair: str):
     return parse_poset_spec(parts[0]), parse_poset_spec(parts[1])
 
 
-def _csv_report(config: RunConfig, header: list[str], rows: list[list]) -> str:
+def _csv_report(config: dict, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config.to_dict(), sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _json_report(config: RunConfig, payload: dict) -> str:
+def _json_report(config: dict, payload: dict) -> str:
     return json.dumps(
-        {"config": config.to_dict(), **payload}, sort_keys=True, indent=2
+        {"config": config, **payload}, sort_keys=True, indent=2
     ) + "\n"
 
 
@@ -102,14 +93,13 @@ def _json_report(config: RunConfig, payload: dict) -> str:
 def cmd_estimate(args) -> int:
     from . import complexity
 
-    cfg = RunConfig(
-        command="estimate", poset=args.poset, max_len=args.max_len,
-        fuel=args.fuel, t_budget=args.t_budget, window=args.window,
-        ranks=args.ranks, seed=args.seed, threads=args.threads,
+    cfg = _config(
+        args, poset=args.poset, max_len=args.max_len, fuel=args.fuel,
+        t_budget=args.t_budget, window=args.window, ranks=args.ranks,
     )
     p = parse_poset_spec(args.poset)
     b = complexity.Budget(args.max_len, args.fuel, args.t_budget, args.window)
-    text = complexity.hierarchy_report(p, args.ranks, b, config=cfg.to_dict())
+    text = complexity.hierarchy_report(p, args.ranks, b, config=cfg)
     _emit(text, args.out)
     return 0
 
@@ -126,10 +116,7 @@ def cmd_quotient(args) -> int:
     for w in words:
         if any(c not in set(sigma) for c in w):
             raise ConfigError(f"quotient word {w!r} is not over {args.alphabet!r}")
-    cfg = RunConfig(
-        command="quotient", seed=args.seed, threads=args.threads,
-        extra={"regex": args.regex, "alphabet": args.alphabet, "m_words": words},
-    )
+    cfg = _config(args, regex=args.regex, alphabet=args.alphabet, m_words=words)
     e = automata.quotient_evaluator(lang, words)
     rows = []
     final = None
@@ -145,9 +132,8 @@ def cmd_conditions(args) -> int:
     from . import analysis
 
     weak_p, strong_p = _split_pair(args.pair)
-    cfg = RunConfig(
-        command="conditions", pair=args.pair, seed=args.seed, threads=args.threads,
-        extra={"k": args.k, "condition": args.condition, "fragment": args.fragment},
+    cfg = _config(
+        args, pair=args.pair, k=args.k, condition=args.condition, fragment=args.fragment,
     )
     pair, elems = analysis.order_pair_fragment(weak_p, strong_p, args.fragment)
     if args.condition == "star":
@@ -170,10 +156,7 @@ def cmd_dilworth(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file!r}: {exc}") from exc
     fp = analysis.FinitePoset.from_json(text)
-    cfg = RunConfig(
-        command="dilworth", seed=args.seed, threads=args.threads,
-        extra={"file": os.path.basename(args.file)},
-    )
+    cfg = _config(args, file=os.path.basename(args.file))
     antichain, cover = analysis.dilworth(fp)
     payload = {
         "antichain": [fp.name_of(i) for i in antichain],
@@ -190,11 +173,9 @@ def cmd_diagonal(args) -> int:
     from . import analysis, complexity
 
     weak_p, strong_p = _split_pair(args.pair)
-    cfg = RunConfig(
-        command="diagonal", pair=args.pair, fuel=args.fuel,
-        t_budget=args.t_budget, window=args.window, seed=args.seed,
-        threads=args.threads,
-        extra={"i": args.i, "alpha_shift": args.alpha_shift},
+    cfg = _config(
+        args, pair=args.pair, fuel=args.fuel, t_budget=args.t_budget,
+        window=args.window, i=args.i, alpha_shift=args.alpha_shift,
     )
     # diagonal_hard reads no length field (it runs the words shorter than
     # alpha(i)); the ceiling only makes the Budget valid
@@ -218,10 +199,7 @@ def cmd_bb(args) -> int:
 
     # the largest n first: its call checks both sizes before any other walk
     top = vm.busy_beaver_row(args.states, args.t_max)
-    cfg = RunConfig(
-        command="bb", seed=args.seed, threads=args.threads,
-        extra={"states": args.states, "t_max": args.t_max},
-    )
+    cfg = _config(args, states=args.states, t_max=args.t_max)
     rows = []
     for n in range(args.states + 1):
         row = top if n == args.states else vm.busy_beaver_row(n, args.t_max)
@@ -250,10 +228,7 @@ def cmd_cardre(args) -> int:
     n = _program_index(args)
     if args.t_max < 0:
         raise ConfigError("--t-max must be a natural number")
-    cfg = RunConfig(
-        command="cardre", seed=args.seed, threads=args.threads,
-        extra={"index": n, "t_max": args.t_max},
-    )
+    cfg = _config(args, index=n, t_max=args.t_max)
     e = vm.card_re_evaluator(n)
     rows = [[t, e(None, t, args.t_max)] for t in range(args.t_max + 1)]
     _emit(_csv_report(cfg, ["t", "count"], rows), args.out)
@@ -271,10 +246,8 @@ def cmd_interact(args) -> int:
         raise ConfigError(f"--x wants a comma-separated set of naturals: {exc}") from exc
     finsets = parse_poset_spec("finsets")
     finsets.rank(xs)  # DomainError unless every member is a natural
-    cfg = RunConfig(
-        command="interact", t_budget=args.t_budget, window=args.window,
-        seed=args.seed, threads=args.threads,
-        extra={"mode": args.mode, "index": n, "x": list(xs)},
+    cfg = _config(
+        args, t_budget=args.t_budget, window=args.window, mode=args.mode, index=n, x=list(xs),
     )
     order = reverse(finsets) if args.mode == "setminus" else finsets
     e = vm.set_interaction_evaluators(n, args.mode)

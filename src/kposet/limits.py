@@ -16,7 +16,6 @@ coordinate sum, then increasing first coordinate) so runs are reproducible.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from typing import Any, Callable, Iterable, Sequence
 
@@ -40,8 +39,6 @@ __all__ = [
     "restrict_to_mixed_set",
     "common_value_dovetail",
     "trace_evaluator",
-    "evaluator_from_json",
-    "trace_to_csv",
 ]
 
 STABILIZED = "stabilized-within-budget"
@@ -62,10 +59,6 @@ class Trace(namedtuple("Trace", "points")):
 
     def values(self) -> list[Any]:
         return [d for _, d in self.points]
-
-
-def trace_to_csv(p: PosetInstance, trace: Trace) -> str:
-    return "\n".join(f"{t},{p.rank(d)}" for t, d in trace.points)
 
 
 class Evaluator:
@@ -91,13 +84,6 @@ def trace_evaluator(points: Iterable[tuple[int, Any]], cost: int = 0) -> Evaluat
         return table.get(t)
 
     return Evaluator(fn)
-
-
-def evaluator_from_json(p: PosetInstance, text: str) -> Evaluator:
-    """Load the test fixture format {"points": [[t, rank], ...], "cost": c}."""
-    data = json.loads(text)
-    pts = [(int(t), p.unrank(int(r))) for t, r in data["points"]]
-    return trace_evaluator(pts, cost=int(data.get("cost", 0)))
 
 
 LimitReport = namedtuple("LimitReport", "current last_change_t stable_for status")

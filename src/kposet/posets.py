@@ -21,7 +21,7 @@ reg:<alphabet> are the languages' canonical DFAs (``automata.Dfa``).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import ConfigError, DomainError
 
@@ -29,8 +29,6 @@ __all__ = [
     "PosetInstance",
     "parse_poset_spec",
     "reverse",
-    "finite_greatest",
-    "escape_element",
     "closure_rows",
 ]
 
@@ -331,39 +329,3 @@ def parse_poset_spec(spec: str) -> PosetInstance:
         return _discrete(parse_poset_spec(spec[9:-1]))
     raise ConfigError(f"unknown poset spec: {spec!r}")
 
-
-# ------------------------------------------------------- finite-set helpers
-
-
-def _check_element_set(p: PosetInstance, elems: Sequence[Any]) -> list[Any]:
-    ranks = [p.rank(e) for e in elems]
-    if len(set(ranks)) != len(ranks):
-        raise DomainError(f"element set has duplicates: {list(elems)!r}")
-    return list(elems)
-
-
-def finite_greatest(p: PosetInstance, elems: Sequence[Any]) -> Any | None:
-    """The greatest element of a finite set if it exists (every member lies
-    below it), else None. Note: greatest, not merely maximal."""
-    elems = _check_element_set(p, elems)
-    for g in elems:
-        if all(p.leq(s, g) for s in elems):
-            return g
-    return None
-
-
-def escape_element(p: PosetInstance, elems: Sequence[Any], search_bound: int) -> Any | None:
-    """First element d in rank order with s not<= d for every s in the set,
-    scanning ranks 0..search_bound-1; None when the scan exhausts.
-
-    This is the desk-scale dovetailing gamma used by the diagonalizations:
-    an element that dominates nothing in the given set.
-    """
-    if search_bound < 1:
-        raise ConfigError(f"search_bound must be >= 1, got {search_bound}")
-    elems = _check_element_set(p, elems)
-    for r in range(search_bound):
-        d = p.unrank(r)
-        if all(not p.leq(s, d) for s in elems):
-            return d
-    return None

@@ -67,10 +67,11 @@ __all__ = [
     "kept_trace",
     "vm_max_evaluator",
     "TmSpec",
-    "busy_beaver_bb",
-    "card_re",
+    "busy_beaver_row",
+    "card_re_evaluator",
     "set_interaction_evaluators",
     "BB_STATE_BOUND",
+    "BB_T_MAX_CEILING",
 ]
 
 # 3-bit opcodes; JZ_A/JZ_B carry a 5-bit two's-complement relative offset
@@ -406,7 +407,8 @@ def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
 
 # ------------------------------------------------------------- busy beaver
 
-BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_bb (n+1 machine states)
+BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_row (n+1 machine states)
+BB_T_MAX_CEILING = 256  # largest t_max accepted; n = 2 takes about 9 s there on a 2-CPU host
 
 
 class TmSpec(namedtuple("TmSpec", "states table")):
@@ -442,21 +444,22 @@ def run_tm(spec: TmSpec, max_steps: int) -> tuple[bool, int, int]:
     return False, max_steps, len(visited)
 
 
-def busy_beaver_bb(n: int, t: int) -> int:
-    """Max over 0 and the cells visited by (n+1)-state machines halting
-    within t steps from blank tape; monotone in both arguments."""
-    return busy_beaver_row(n, t)[t]
-
-
 def busy_beaver_row(n: int, t_max: int) -> list[int]:
     """bb(n, t) for t = 0..t_max in one walk of the transition tree: the
     most cells of a machine halting at each step, then a running max over
-    the steps."""
+    the steps.
+
+    bb(n, t) is the max over 0 and the cells visited by (n+1)-state machines
+    halting within t steps from blank tape; monotone in both arguments."""
     if n < 0 or t_max < 0:
         raise ConfigError(f"busy beaver sizes must be natural numbers, got n={n}, t_max={t_max}")
     if n > BB_STATE_BOUND:
         raise ResourceError(
             f"busy beaver enumeration is bounded at n <= {BB_STATE_BOUND}"
+        )
+    if t_max > BB_T_MAX_CEILING:
+        raise ResourceError(
+            f"busy beaver t_max={t_max} exceeds the desk-scale ceiling of {BB_T_MAX_CEILING} steps"
         )
     at_step = [0] * (t_max + 1)
     for _reached, halted, steps, cells in _tree_leaves(n + 1, t_max):
@@ -525,19 +528,15 @@ def _tree_leaves(states: int, t_max: int) -> Iterator[tuple[tuple, bool, int, in
 # ------------------------------------------------- enumerable-set counters
 
 
-def card_re(n: int, t: int) -> int:
-    """h(n, t): distinct values emitted (unfiltered) by program b_word(n) on
-    input 0 within t steps; the budgeted max-limit of h is the cardinality
-    of the enumerated set when that set is finite."""
-    if t < 0:
-        raise ConfigError("t must be a natural number")
-    return card_re_evaluator(n)(None, t, t)
-
-
 def card_re_evaluator(n: int) -> Evaluator:
     """h(n, t) as an evaluator; every (t, fuel) query is answered from one
     run of b_word(n) through _fuel_prefix_runs, by a bisect on the
-    step-ordered first emissions at step bound t."""
+    step-ordered first emissions at step bound t.
+
+    h(n, t) = e(None, t, t) is the number of distinct values emitted
+    (unfiltered) by program b_word(n) on input 0 within t steps; the
+    budgeted max-limit of h is the cardinality of the enumerated set when
+    that set is finite."""
     instrs = parse_program(b_word(n))
     emitted_at = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else _execute(instrs, 0, fuel)[0])
 

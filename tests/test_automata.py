@@ -9,8 +9,6 @@ from kposet.automata import (
     Dfa,
     canonical_regex,
     canonicalize_dfa,
-    dfa_from_json,
-    dfa_to_json,
     language_leq,
     parse_regex,
     quotient,
@@ -228,10 +226,3 @@ def test_language_leq_antisymmetric_on_canonical():
         if language_leq(d1, d2) and language_leq(d2, d1):
             assert d1 == d2
 
-
-def test_dfa_json_roundtrip():
-    d = lang(f"a{CONCAT}b")
-    back = dfa_from_json(dfa_to_json(d), AB)
-    assert canonicalize_dfa(back) == d
-    with pytest.raises(ConfigError):
-        dfa_from_json('{"n": 1}', AB)

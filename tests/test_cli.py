@@ -61,6 +61,51 @@ def test_estimate_threads_recorded_not_used(capsys):
     assert len(set(bodies.values())) == 1
 
 
+_PROGRAM = "000110000000110111"  # the README's cardre/interact program
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("estimate", "--poset", "nat", "--max-len", "8", "--fuel", "64",
+      "--t-budget", "64", "--window", "4", "--ranks", "2"),
+     {"command": "estimate", "poset": "nat", "max_len": 8, "fuel": 64, "t_budget": 64,
+      "window": 4, "ranks": 2, "seed": 0, "threads": 1}),
+    (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a,b", "--seed", "3"),
+     {"command": "quotient", "regex": "a·b", "alphabet": "ab", "m_words": ["a", "b"],
+      "seed": 3, "threads": 1}),
+    (("conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2", "--fragment", "6",
+      "--threads", "2"),
+     {"command": "conditions", "pair": "prefix:ab/lexico:a<b", "k": 2, "condition": "star",
+      "fragment": 6, "seed": 0, "threads": 2}),
+    (("dilworth", "--file", "ORDER"),
+     {"command": "dilworth", "file": "order.json", "seed": 0, "threads": 1}),
+    (("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1", "--fuel", "64",
+      "--t-budget", "64", "--window", "4"),
+     {"command": "diagonal", "pair": "prefix:ab/lexico:a<b", "fuel": 64, "t_budget": 64,
+      "window": 4, "i": 1, "alpha_shift": 1, "seed": 0, "threads": 1}),
+    (("bb", "--states", "1", "--t-max", "5"),
+     {"command": "bb", "states": 1, "t_max": 5, "seed": 0, "threads": 1}),
+    (("cardre", "--program", _PROGRAM, "--t-max", "5"),
+     {"command": "cardre", "index": 286774, "t_max": 5, "seed": 0, "threads": 1}),
+    (("interact", "--mode", "cap", "--index", "7", "--x", "2,1", "--t-budget", "5",
+      "--window", "2"),
+     {"command": "interact", "mode": "cap", "index": 7, "x": [1, 2], "t_budget": 5,
+      "window": 2, "seed": 0, "threads": 1}),
+], ids=["estimate", "quotient", "conditions", "dilworth", "diagonal", "bb", "cardre",
+        "interact"])
+def test_report_config(tmp_path, capsys, argv, config):
+    # the exact configuration each command records: its keys and values
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
+    argv = [str(order) if a == "ORDER" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if out.startswith("# config: "):
+        recorded = json.loads(out.split("\n", 1)[0][len("# config: "):])
+    else:
+        recorded = json.loads(out)["config"]
+    assert recorded == config
+
+
 def test_estimate_zero_ranks(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     code, _, _ = run(
@@ -354,6 +399,18 @@ def test_bb_resource_ceiling(capsys):
     code, _, err = run(capsys, "bb", "--states", "9", "--t-max", "5")
     assert code == 3
     assert "bounded" in err
+
+
+@pytest.mark.parametrize("states", ["0", "2"])
+def test_bb_step_ceiling(capsys, states):
+    # 257 is the first t_max above BB_T_MAX_CEILING; at --states 2 the walk
+    # alone would take seconds, so it shows the ceiling comes before it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bb", "--states", states, "--t-max", "257")
+    assert code == 3
+    assert out == ""
+    assert err == "kposet: busy beaver t_max=257 exceeds the desk-scale ceiling of 256 steps\n"
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("argv", [

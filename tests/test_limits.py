@@ -12,7 +12,6 @@ from kposet.limits import (
     Trace,
     budgeted_limit,
     common_value_dovetail,
-    evaluator_from_json,
     limit_report_from_trace,
     monotone_filter,
     normalize,
@@ -21,7 +20,6 @@ from kposet.limits import (
     split_by_distinct,
     totalize,
     trace_evaluator,
-    trace_to_csv,
 )
 from kposet.posets import parse_poset_spec, reverse
 
@@ -318,8 +316,6 @@ def test_common_value_dovetail():
 
 
 def test_common_value_matches_greatest_on_convergent_pairs():
-    from kposet.posets import finite_greatest
-
     rng = random.Random(23)
     for _ in range(200):
         v = rng.randrange(0, 30)
@@ -330,19 +326,8 @@ def test_common_value_matches_greatest_on_convergent_pairs():
         g = trace_evaluator(list(enumerate(down)))
         got = common_value_dovetail(NAT, f, g, None, None, 40)
         assert got == v
-        assert finite_greatest(NAT, sorted(set(up))) == v == up[-1]
-        assert finite_greatest(reverse(NAT), sorted(set(down))) == down[-1] == v
-
-
-def test_trace_csv_and_json_loader():
-    tr = Trace(((0, 3), (4, 7)))
-    assert trace_to_csv(NAT, tr) == "0,3\n4,7"
-    e = evaluator_from_json(NAT, '{"points": [[0, 3], [4, 7]], "cost": 2}')
-    assert e(None, 0, 2) == 3
-    assert e(None, 0, 1) is None
-    assert e(None, 4, 5) == 7
-    with pytest.raises(ConfigError):
-        Trace(((3, 1), (3, 2)))
+        assert v == up[-1]
+        assert down[-1] == v
 
 
 def test_derived_constructions_preserve_limits_random():

@@ -6,12 +6,7 @@ import pytest
 
 from kposet.analysis import FinitePoset
 from kposet.errors import ConfigError, DomainError
-from kposet.posets import (
-    escape_element,
-    finite_greatest,
-    parse_poset_spec,
-    reverse,
-)
+from kposet.posets import parse_poset_spec, reverse
 
 
 def words_up_to(alphabet, max_len):
@@ -92,29 +87,6 @@ def test_rank_unrank():
     for p in (nat, pre, zz, fs):
         for i in range(200):
             assert p.rank(p.unrank(i)) == i
-
-
-def test_finite_greatest():
-    nat = parse_poset_spec("nat")
-    assert finite_greatest(nat, [3, 7, 5]) == 7
-    pre = parse_poset_spec("prefix:ab")
-    assert finite_greatest(pre, ["a", "b"]) is None
-    assert finite_greatest(pre, ["a", "ab", "abb"]) == "abb"
-    assert finite_greatest(nat, []) is None
-
-
-def test_escape_element():
-    zz = parse_poset_spec("int")
-    assert escape_element(zz, [0], 10) == -1
-    nat = parse_poset_spec("nat")
-    assert escape_element(nat, [0], 100) is None
-    # first escape in rank order for S={"a"} is the empty word: "a" is not a
-    # prefix of it, so "a" not<= eps holds
-    pre = parse_poset_spec("prefix:ab")
-    assert escape_element(pre, ["a"], 10) == ""
-    assert escape_element(pre, [""], 10) is None
-    with pytest.raises(ConfigError):
-        escape_element(nat, [0], 0)
 
 
 def test_partial_order_laws_random():

@@ -6,7 +6,6 @@ import pytest
 
 from kposet.analysis import FinitePoset, OrderPair
 from kposet.automata import parse_regex, to_canonical_dfa
-from kposet.cli import RunConfig
 from kposet.complexity import Budget, ComplexityTable
 from kposet.errors import ConfigError
 from kposet.limits import LimitReport, Trace
@@ -20,7 +19,6 @@ TM_TABLE = {(0, 0): (1, "R", "H"), (0, 1): (1, "L", 0)}
 
 FROZEN = {
     "PosetInstance": (parse_poset_spec("nat"), "spec"),
-    "RunConfig": (RunConfig("estimate"), "seed"),
     "Trace": (Trace(((0, "a"),)), "points"),
     "LimitReport": (LimitReport(None, 0, 0, "no-value"), "status"),
     "RunResult": (RunResult((), (), False, 0, 0, 0), "halted"),
@@ -83,12 +81,6 @@ def test_finite_poset_equality_ignores_rows():
             if a == b:
                 assert hash(a) == hash(b)
     assert posets[0] == posets[1]
-
-
-def test_run_config_to_dict():
-    cfg = RunConfig("quotient", max_len=4, extra={"regex": "a"})
-    assert cfg.to_dict() == {"command": "quotient", "max_len": 4, "seed": 0, "threads": 1,
-                             "regex": "a"}
 
 
 def test_table_records_are_mutable_and_unshared():

@@ -12,9 +12,7 @@ from kposet.vm import (
     BB_STATE_BOUND,
     TmSpec,
     assemble,
-    busy_beaver_bb,
     busy_beaver_row,
-    card_re,
     card_re_evaluator,
     parse_program,
     run_emitting,
@@ -151,14 +149,14 @@ def test_vm_max_evaluator_reads_input():
 
 def test_busy_beaver_basics():
     for n in (0, 1):
-        assert busy_beaver_bb(n, 0) == 0
-    assert busy_beaver_bb(0, 1) == 2  # one halting move visits two cells
+        assert busy_beaver_row(n, 0)[0] == 0
+    assert busy_beaver_row(0, 1)[1] == 2  # one halting move visits two cells
     row0 = busy_beaver_row(0, 10)
     assert row0 == [busy_beaver_bb_ref(0, t) for t in range(11)]
     for a, b in zip(row0, row0[1:]):
         assert a <= b
     with pytest.raises(ResourceError):
-        busy_beaver_bb(BB_STATE_BOUND + 1, 5)
+        busy_beaver_row(BB_STATE_BOUND + 1, 5)
     for n, t_max in ((-1, 5), (1, -1), (BB_STATE_BOUND + 1, -1)):
         with pytest.raises(ConfigError):
             busy_beaver_row(n, t_max)
@@ -166,7 +164,7 @@ def test_busy_beaver_basics():
 
 def test_busy_beaver_monotone_in_states():
     for t in (0, 3, 8):
-        assert busy_beaver_bb(0, t) <= busy_beaver_bb(1, t)
+        assert busy_beaver_row(0, t)[t] <= busy_beaver_row(1, t)[t]
 
 
 def test_tm_spec_run():
@@ -182,28 +180,30 @@ def test_card_re():
         ["INC_A", "INC_A", "OUT", "OUT", "INC_A", "INC_A", "INC_A", "OUT", "HALT"]
     )
     n = b_index(code)
-    vals = [card_re(n, t) for t in range(12)]
+    e = card_re_evaluator(n)
+    vals = [e(None, t, t) for t in range(12)]
     assert vals[0] == 0
     assert vals[-1] == 2  # distinct emissions are {2, 5}
     for a, b in zip(vals, vals[1:]):
         assert a <= b
-    e = card_re_evaluator(n)
     rep = budgeted_limit(NAT, e, None, 20, 20, window=2)
     assert rep.current == 2 and rep.status == STABILIZED
 
 
 def test_card_re_parse_failure_counts_zero():
     n = b_index("11")
-    assert all(card_re(n, t) == 0 for t in range(6))
-    rep = budgeted_limit(NAT, card_re_evaluator(n), None, 10, 10, window=2)
+    e = card_re_evaluator(n)
+    assert all(e(None, t, t) == 0 for t in range(6))
+    rep = budgeted_limit(NAT, e, None, 10, 10, window=2)
     assert rep.current == 0
 
 
 def test_card_re_unbounded():
     code = assemble(["INC_A", "OUT", ("JZ_B", -2)])
     n = b_index(code)
-    assert card_re(n, 40) > card_re(n, 20) > 0
-    rep = budgeted_limit(NAT, card_re_evaluator(n), None, 60, 60, window=5)
+    e = card_re_evaluator(n)
+    assert e(None, 40, 40) > e(None, 20, 20) > 0
+    rep = budgeted_limit(NAT, e, None, 60, 60, window=5)
     assert rep.status == STILL_CHANGING
 
 
@@ -214,7 +214,7 @@ def test_card_re_matches_bruteforce_distinct_count():
         n = b_index(bits)
         res = run_emitting(NAT, bits, 0, 30)
         log = [v for step, v in res.raw_first if step < 30]
-        assert card_re(n, 30) == len(set(log))
+        assert card_re_evaluator(n)(None, 30, 30) == len(set(log))
 
 
 FINSETS = parse_poset_spec("finsets")
