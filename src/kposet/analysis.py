@@ -45,7 +45,8 @@ SUBSET_SEARCH_BOUND = 16  # carrier ceiling for exhaustive subset searches
 
 def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Parse the JSON finite-order format without closing it. Both keys must
-    hold lists and every index must be an int, else ConfigError."""
+    hold lists, the element names must differ after str() and every index
+    must be an int, else ConfigError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -53,6 +54,11 @@ def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("elements", "lt"))):
         raise ConfigError('finite-order JSON needs "elements" and "lt" lists')
     names = [str(x) for x in data["elements"]]
+    seen = set()
+    for name in names:  # a repeated name would make the report ambiguous
+        if name in seen:
+            raise ConfigError(f"duplicate element name {name!r}")
+        seen.add(name)
     pairs = []
     for pair in data["lt"]:
         # bool is an int subclass; true/false are not indices

@@ -7,19 +7,21 @@ symbols; '()' is the empty-word expression and there is no implicit
 concatenation. The evaluation map zeta is total: ill-formed text (including
 the empty text) denotes the empty language rather than raising.
 
-Canonical form is the minimal total DFA with states renumbered breadth-first
-from the start over the alphabet in declared order, so two DFAs accept the
-same language exactly when they are structurally equal. That makes language
-identity a hash lookup, which the enumeration (eta) uses to list each
-regular language exactly once. The elements of the `reg:` poset are these
-canonical DFAs themselves: unranking indexes the enumeration and ranking
-looks the DFA up in it.
+An expression is compiled through Glushkov's position automaton (one state
+per symbol occurrence and no epsilon moves), determinised over sets of
+positions. Canonical form is the minimal total DFA with states renumbered
+breadth-first from the start over the alphabet in declared order, so two
+DFAs accept the same language exactly when they are structurally equal.
+That makes language identity a hash lookup, which the enumeration (eta)
+uses to list each regular language exactly once. The elements of the
+`reg:` poset are these canonical DFAs themselves: unranking indexes the
+enumeration and ranking looks the DFA up in it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
 from .limits import Evaluator
@@ -153,85 +155,55 @@ class Dfa(namedtuple("Dfa", "n start accept delta alphabet canonical", defaults=
         return self.step(self.start, word) in self.accept
 
 
-def _thompson(ast: RegexAst | None):
-    """AST -> epsilon-NFA as ([(src, symbol|None, dst)], start, accept).
-    None denotes the empty language."""
-    edges: list[tuple[int, Optional[int], int]] = []
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node) -> tuple[int, int]:
-        if node.op == "sym":
-            s, t = fresh(), fresh()
-            edges.append((s, node.sym, t))
-            return s, t
-        if node.op == "eps":
-            s, t = fresh(), fresh()
-            edges.append((s, None, t))
-            return s, t
-        if node.op == "alt":
-            s, t = fresh(), fresh()
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            edges.extend([(s, None, ls), (s, None, rs), (lt, None, t), (rt, None, t)])
-            return s, t
-        if node.op == "cat":
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            edges.append((lt, None, rs))
-            return ls, rt
-        if node.op == "star":
-            s, t = fresh(), fresh()
-            ls, lt = build(node.left)
-            edges.extend([(s, None, ls), (lt, None, t), (s, None, t), (lt, None, ls)])
-            return s, t
-        raise AssertionError(node.op)
-
-    if ast is None:
-        s, t = fresh(), fresh()  # no edge between them: accepts nothing
-        return edges, s, t
-    start, acc = build(ast)
-    return edges, start, acc
-
-
-def _subset_construct(edges, start, acc, alphabet) -> Dfa:
+def _positions_dfa(ast: RegexAst | None, alphabet: tuple[str, ...]) -> Dfa:
+    """Glushkov's position automaton, determinised. Each symbol occurrence
+    is a position (1, 2, ...) and position 0 is the start; one walk of the
+    AST gives every node its (nullable, first, last) and every position its
+    follow set, and a DFA state is a set of positions, accepting when it
+    holds a last position (or the start, for a nullable expression). The
+    automaton has no epsilon moves, so no closure is taken. None denotes
+    the empty language."""
     sym_index = {c: i for i, c in enumerate(alphabet)}
-    eps: dict[int, list[int]] = {}
-    bysym: dict[tuple[int, int], list[int]] = {}
-    for (s, c, t) in edges:
-        if c is None:
-            eps.setdefault(s, []).append(t)
-        else:
-            bysym.setdefault((s, sym_index[c]), []).append(t)
+    symbol = [None]  # symbol[p]: the symbol index of position p
+    follow: list[set[int]] = [set()]
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        out = set(states)
-        while stack:
-            s = stack.pop()
-            for t in eps.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
+    def walk(node) -> tuple[bool, set[int], set[int]]:
+        if node.op == "sym":
+            symbol.append(sym_index[node.sym])
+            follow.append(set())
+            return False, {len(symbol) - 1}, {len(symbol) - 1}
+        if node.op == "eps":
+            return True, set(), set()
+        nullable, first, last = walk(node.left)
+        if node.op == "star":
+            for p in last:
+                follow[p] |= first
+            return True, first, last
+        nullable2, first2, last2 = walk(node.right)
+        if node.op == "alt":
+            return nullable or nullable2, first | first2, last | last2
+        for p in last:  # "cat"
+            follow[p] |= first2
+        return (nullable and nullable2, first | first2 if nullable else first,
+                last | last2 if nullable2 else last2)
 
+    nullable, first, last = walk(ast) if ast is not None else (False, set(), set())
+    follow[0] = first
+    accepting = last | {0} if nullable else last
     return _powerset_dfa(
-        closure(frozenset([start])),
-        lambda cur, a: closure(frozenset(t for s in cur for t in bysym.get((s, a), ()))),
-        lambda st: acc in st,
+        frozenset([0]),
+        lambda cur, a: frozenset(q for p in cur for q in follow[p] if symbol[q] == a),
+        lambda st: not accepting.isdisjoint(st),
         alphabet,
     )
 
 
 def _powerset_dfa(start, move, accepting, alphabet) -> Dfa:
     """The one breadth-first numbering: a walk over the states reachable
-    from `start` (state sets in the powerset construction, blocks in
-    canonicalisation), move(state, a) giving the successor on symbol index
-    a. States are numbered in discovery order and a state is accepting when
-    accepting(state) holds."""
+    from `start` (position sets of the position automaton, state sets of a
+    quotient, blocks in canonicalisation), move(state, a) giving the
+    successor on symbol index a. States are numbered in discovery order and
+    a state is accepting when accepting(state) holds."""
     index = {start: 0}
     order = [start]
     rows = []
@@ -274,8 +246,8 @@ def _canonical(d: Dfa) -> Dfa:
 
 
 def to_canonical_dfa(ast: RegexAst | None, sigma: Sequence[str]) -> Dfa:
-    """Thompson, subset construction, then the canonical form."""
-    return _canonical(_subset_construct(*_thompson(ast), tuple(sigma)))
+    """The position automaton, determinised, then the canonical form."""
+    return _canonical(_positions_dfa(ast, tuple(sigma)))
 
 
 def canonicalize_dfa(d: Dfa) -> Dfa:

@@ -108,22 +108,25 @@ def cmd_quotient(args) -> int:
     from . import automata
 
     sigma = tuple(_parse_alphabet(args.alphabet))
-    ast = automata.parse_regex(args.regex, sigma)
-    if ast is None:
-        raise ConfigError(f"not a well-formed expression: {args.regex!r}")
-    lang = automata.to_canonical_dfa(ast, sigma)
     words = args.m_words.split(",")
-    for w in words:
-        if any(c not in set(sigma) for c in w):
-            raise ConfigError(f"quotient word {w!r} is not over {args.alphabet!r}")
+    try:  # parsing, compiling and rendering recurse once per nesting level
+        ast = automata.parse_regex(args.regex, sigma)
+        if ast is None:
+            raise ConfigError(f"not a well-formed expression: {args.regex!r}")
+        lang = automata.to_canonical_dfa(ast, sigma)
+        for w in words:
+            if any(c not in set(sigma) for c in w):
+                raise ConfigError(f"quotient word {w!r} is not over {args.alphabet!r}")
+        e = automata.quotient_evaluator(lang, words)
+        rows = []
+        for t in range(len(words)):
+            rows.append([t, automata.canonical_regex(e(None, t, len(words)))])
+    except RecursionError:
+        raise ResourceError(
+            f"expression of {len(args.regex)} characters nests too deeply to evaluate"
+        ) from None
+    rows.append(["final", rows[-1][1]])
     cfg = _config(args, regex=args.regex, alphabet=args.alphabet, m_words=words)
-    e = automata.quotient_evaluator(lang, words)
-    rows = []
-    final = None
-    for t in range(len(words)):
-        final = e(None, t, len(words))
-        rows.append([t, automata.canonical_regex(final)])
-    rows.append(["final", automata.canonical_regex(final)])
     _emit(_csv_report(cfg, ["t", "quotient"], rows), args.out)
     return 0
 

@@ -1,7 +1,7 @@
 """Bit-exact word codings used by the complexity constructions.
 
 Binary words are plain Python strings over '0'/'1' (that string form is the
-serialization contract for witness columns in CSV reports). Four codings live
+serialization contract for witness columns in CSV reports). Five codings live
 here:
 
   * ``bin_word``      standard MSB-first binary representation, bin(0) = "0"

@@ -20,12 +20,18 @@ that scan or rebuild the sliced emissions per query, the busy-beaver loops
 (one enumeration per bb(n, t), and a row raised step by step per machine),
 the two separate breadth-first subset constructions behind the canonical
 DFA and the quotient, and the canonical form as a block automaton from
-Moore refinement renumbered by its own breadth-first walk. The busy-beaver loops run every total
-transition table, enumerated by enumerate_tm_specs, the brute force the
-package replaced with a walk of the transition tree.
+Moore refinement renumbered by its own breadth-first walk. The busy-beaver
+loops run every total transition table, enumerated by enumerate_tm_specs,
+the brute force the package replaced with a walk of the transition tree.
+
+Expressions reach their canonical DFA here by Thompson's construction: an
+epsilon-NFA with two fresh states per AST node, determinised by a subset
+construction that takes epsilon-closures. The package compiles through the
+position automaton instead, so canonical_dfa_ref shares only the parser
+with to_canonical_dfa.
 
 The last class is the regular-language enumeration from before it skipped
-ill-formed texts: every text in length-lex order goes through the whole
+ill-formed texts: every text in length-lex order goes through this file's
 canonical-DFA pipeline and counts one toward the ceiling.
 """
 
@@ -35,13 +41,7 @@ import itertools
 from typing import Any, Sequence
 
 from kposet.errors import ConfigError, ResourceError
-from kposet.automata import (
-    CONCAT,
-    Dfa,
-    _thompson,
-    parse_regex,
-    to_canonical_dfa,
-)
+from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
@@ -446,6 +446,50 @@ def busy_beaver_row_ref(n: int, t_max: int) -> list[int]:
     return row
 
 
+def thompson_ref(ast: RegexAst | None):
+    """AST -> epsilon-NFA as ([(src, symbol|None, dst)], start, accept).
+    None denotes the empty language."""
+    edges: list[tuple[int, str | None, int]] = []
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return counter[0] - 1
+
+    def build(node) -> tuple[int, int]:
+        if node.op == "sym":
+            s, t = fresh(), fresh()
+            edges.append((s, node.sym, t))
+            return s, t
+        if node.op == "eps":
+            s, t = fresh(), fresh()
+            edges.append((s, None, t))
+            return s, t
+        if node.op == "alt":
+            s, t = fresh(), fresh()
+            ls, lt = build(node.left)
+            rs, rt = build(node.right)
+            edges.extend([(s, None, ls), (s, None, rs), (lt, None, t), (rt, None, t)])
+            return s, t
+        if node.op == "cat":
+            ls, lt = build(node.left)
+            rs, rt = build(node.right)
+            edges.append((lt, None, rs))
+            return ls, rt
+        if node.op == "star":
+            s, t = fresh(), fresh()
+            ls, lt = build(node.left)
+            edges.extend([(s, None, ls), (lt, None, t), (s, None, t), (lt, None, ls)])
+            return s, t
+        raise AssertionError(node.op)
+
+    if ast is None:
+        s, t = fresh(), fresh()  # no edge between them: accepts nothing
+        return edges, s, t
+    start, acc = build(ast)
+    return edges, start, acc
+
+
 def subset_construct_ref(edges, start, acc, alphabet) -> Dfa:
     """Subset construction over an epsilon-NFA, states numbered in BFS order."""
     k = len(alphabet)
@@ -543,7 +587,7 @@ def canonicalize_dfa_ref(d: Dfa) -> Dfa:
 def canonical_dfa_ref(ast, sigma) -> Dfa:
     """Thompson, the subset construction above, minimisation, renumbering."""
     sigma = tuple(sigma)
-    return canonicalize_dfa_ref(subset_construct_ref(*_thompson(ast), sigma))
+    return canonicalize_dfa_ref(subset_construct_ref(*thompson_ref(ast), sigma))
 
 
 def quotient_ref(l: Dfa, words) -> Dfa:
@@ -598,7 +642,7 @@ class EnumerationRef:
                 )
             text = next(self._gen)
             self.scanned += 1
-            dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
+            dfa = canonical_dfa_ref(parse_regex(text, self.sigma), self.sigma)
             if dfa not in self.by_dfa:
                 self.by_dfa[dfa] = len(self.languages)
                 self.languages.append(dfa)

@@ -182,6 +182,32 @@ def test_quotient_bad_alphabet(capsys, alphabet):
     assert err == f"kposet: {exc.value}\n"
 
 
+@pytest.mark.parametrize("regex", [
+    "(" * 247 + "a" + ")" * 247,
+    "a" + "*" * 1000,
+    "·".join(["a"] * 1000),
+], ids=["parentheses", "stars", "concatenation"])
+def test_quotient_nested_too_deeply_exits_3(capsys, regex):
+    # the parser (parentheses) or the compiler (a star or concatenation
+    # chain) recurses once per level, past the interpreter's limit here
+    code, out, err = run(capsys, "quotient", "--regex", regex, "--alphabet", "a", "--m-words", "a")
+    assert code == 3 and out == ""
+    assert err == f"kposet: expression of {len(regex)} characters nests too deeply to evaluate\n"
+
+
+def test_quotient_long_union_within_the_limit_exits_0():
+    # as long as the refused expressions above but shallow enough for a
+    # fresh process: no length ceiling refuses it
+    regex = "+".join(["a"] * 991)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kposet.cli", "quotient", "--regex", regex, "--alphabet", "a",
+         "--m-words", "a"],
+        capture_output=True, text=True, env=_kposet_env(PYTHONUTF8="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("final,()\n")
+
+
 def test_conditions_star(capsys):
     code, out, _ = run(
         capsys, "conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "3",
@@ -344,6 +370,15 @@ def test_dilworth_malformed_order(tmp_path, capsys):
     code, _, err = run(capsys, "dilworth", "--file", str(f))
     assert code == 2
     assert "bad lt pair" in err
+
+
+def test_dilworth_duplicate_names_refused(tmp_path, capsys):
+    # 1 and "1" are both named "1", so a chain ["1", "1"] would be ambiguous
+    f = tmp_path / "dup.json"
+    f.write_text(json.dumps({"elements": [1, "1"], "lt": [[0, 1]]}))
+    code, out, err = run(capsys, "dilworth", "--file", str(f))
+    assert code == 2 and out == ""
+    assert err == "kposet: duplicate element name '1'\n"
 
 
 def test_diagonal(capsys):

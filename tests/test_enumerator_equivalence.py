@@ -4,6 +4,7 @@ walk of the transition tree, the one powerset construction behind
 canonical DFAs and quotients, and the canonical form whose breadth-first
 numbering that construction now also gives."""
 
+import itertools
 import json
 import time
 
@@ -20,13 +21,13 @@ from reference_impl import (
     quotient_ref,
     set_interaction_ref,
     subset_construct_ref,
+    thompson_ref,
     vm_max_evaluator_ref,
 )
 
 from kposet.automata import (
     CONCAT,
     Dfa,
-    _thompson,
     canonicalize_dfa,
     parse_regex,
     quotient,
@@ -198,9 +199,28 @@ alphabets = st.sampled_from([("a", "b"), ("a", "b", "c")])
 @given(text=regex_texts, sigma=alphabets)
 @example(text="", sigma=("a", "b"))
 @example(text=f"(a+b)*{CONCAT}b{CONCAT}(a+b)", sigma=("a", "b"))
+# nullable, empty-word and nested-star cases, where Thompson's automaton
+# leans on epsilon-closures and the position automaton on the start position
+@example(text="(()*)*", sigma=("a", "b"))
+@example(text="()", sigma=("a", "b"))
+@example(text=f"(()+a){CONCAT}b*", sigma=("a", "b"))
+@example(text=f"((a)*)*{CONCAT}()", sigma=("a", "b"))
 def test_canonical_dfa_matches_reference(text, sigma):
     ast = parse_regex(text, sigma)
     assert to_canonical_dfa(ast, sigma) == canonical_dfa_ref(ast, sigma)
+
+
+def test_canonical_dfa_matches_reference_on_every_short_text():
+    sigma = ("a", "b")
+    symbols = list(sigma) + list("+*" + CONCAT + "()")
+    checked = 0
+    for length in range(1, 7):
+        for chars in itertools.product(symbols, repeat=length):
+            ast = parse_regex("".join(chars), sigma)
+            if ast is not None:
+                assert to_canonical_dfa(ast, sigma) == canonical_dfa_ref(ast, sigma), chars
+                checked += 1
+    assert checked == 482  # the well-formed texts of 1 to 6 symbols
 
 
 @st.composite
@@ -234,7 +254,7 @@ def test_quotient_matches_reference(text, sigma, words, minimal):
     if minimal:
         l = to_canonical_dfa(ast, sigma)
     else:  # the unminimised subset automaton: reached sets of several states
-        l = subset_construct_ref(*_thompson(ast), sigma)
+        l = subset_construct_ref(*thompson_ref(ast), sigma)
     assert quotient(l, words) == quotient_ref(l, words)
 
 
