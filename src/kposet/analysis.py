@@ -11,9 +11,12 @@ lexicographically first maximum antichain greedily, in polynomial time, and
 the dagger condition rests on the same width. The condition checkers search
 subsets in one fixed deterministic order: increasing maximum rank first,
 then lexicographically on the ascending rank tuple, so the returned witness
-is a function of the input alone. `chain_antichain_family` picks its family
-from the order pair itself: a closed form for prefix:xy / lexico:x<y, the
-first check_star witness on a rank-bounded fragment otherwise.
+is a function of the input alone. The search cuts every branch that cannot
+reach the smallest size a witness needs (k for star, k + 1 for dagger),
+which leaves that order and the witnesses unchanged. `chain_antichain_family`
+picks its family from the order pair itself: a closed form for prefix:xy /
+lexico:x<y, the first check_star witness on a rank-bounded fragment
+otherwise.
 """
 
 from __future__ import annotations
@@ -219,16 +222,21 @@ def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
 
 
 def _first_clique(
-    adj: Sequence[int], accept: Callable[[int, int], bool], max_size: int
+    adj: Sequence[int], accept: Callable[[int, int], bool], min_size: int, max_size: int
 ) -> list[int] | None:
-    """The first clique of the graph adj (bit rows) with at most max_size
-    members that accept(mask, size) takes, in the documented search order:
-    increasing maximum element, then lexicographically on the ascending
-    tuple. A clique is extended only by smaller elements than its maximum
+    """The first clique of the graph adj (bit rows) with min_size to
+    max_size members that accept(mask, size) takes, in the documented search
+    order: increasing maximum element, then lexicographically on the
+    ascending tuple. accept must refuse every clique of fewer than min_size
+    members. A clique is extended only by smaller elements than its maximum
     that are adjacent to all its members, in ascending order, so the walk
-    is a lexicographic preorder that skips every non-clique."""
+    is a lexicographic preorder that skips every non-clique; a branch whose
+    clique and candidates together fall short of min_size is cut, since its
+    cliques only grow from the candidates."""
 
     def extend(mask: int, size: int, cand: int) -> int | None:
+        if size + cand.bit_count() < min_size:
+            return None
         if accept(mask, size):
             return mask
         if size == max_size:
@@ -256,7 +264,7 @@ def check_star(pair: OrderPair, k: int) -> list[int] | None:
     _subset_search_ceiling(pair.weak.n)
     strong, weak = pair.strong.comparability_masks(), pair.weak.comparability_masks()
     adj = [s & ~w for s, w in zip(strong, weak)]
-    found = _first_clique(adj, lambda mask, size: size == k, k)
+    found = _first_clique(adj, lambda mask, size: size == k, k, k)
     return None if found is None else _strong_sort(pair, found)
 
 
@@ -279,7 +287,7 @@ def check_dagger(pair: OrderPair, k: int) -> list[int] | None:
         # no cover has more chains than members
         return size > k and _width(pair.weak.rows, mask) > k
 
-    found = _first_clique(pair.strong.comparability_masks(), needs_more_chains, n)
+    found = _first_clique(pair.strong.comparability_masks(), needs_more_chains, k + 1, n)
     return None if found is None else _strong_sort(pair, found)
 
 

@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
-DIAGONAL_ALPHA_CAP = 8  # largest alpha(i) diagonal_hard audits (family of 2^9 words)
+DIAGONAL_ALPHA_CAP = 11  # largest alpha(i) diagonal_hard audits (family of 2^12 words)
 HALT, OUT = ("HALT", None), ("OUT", None)
 
 
@@ -369,10 +369,8 @@ def diagonal_hard(
     for a, bb_ in zip(family, family[1:]):
         if not strong.lt(a, bb_):
             raise VerificationError("family is not an ascending strong chain")
-    for idx1 in range(len(family)):
-        for idx2 in range(idx1 + 1, len(family)):
-            if weak.leq(family[idx1], family[idx2]) or weak.leq(family[idx2], family[idx1]):
-                raise VerificationError("family is not a weak antichain")
+    if not weak.is_antichain(family):
+        raise VerificationError("family is not a weak antichain")
     z_index = {e: j for j, e in enumerate(family)}
 
     if program_family is None:

@@ -2,8 +2,10 @@
 
 A PosetInstance bundles the bijection between naturals and elements (``rank``/
 ``unrank``) and the order decider (``leq``). Order properties are computed
-from ``leq``, never declared. Instances are immutable and all operations are
-pure, so they can be shared freely.
+from ``leq``, never declared; the one exception is ``is_antichain``, which an
+order may answer with an exact test of its own (the prefix order sorts the
+words once instead of comparing every pair). Instances are immutable and all
+operations are pure, so they can be shared freely.
 
 Instances come from a small spec DSL:
 
@@ -21,6 +23,7 @@ reg:<alphabet> are the languages' canonical DFAs (``automata.Dfa``).
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 from typing import Any, Iterable
 
 from .errors import ConfigError, DomainError
@@ -33,9 +36,13 @@ __all__ = [
 ]
 
 
-class PosetInstance(namedtuple("PosetInstance", "spec unrank_fn rank_fn leq_fn fmt_fn", defaults=(str,))):
+class PosetInstance(namedtuple(
+    "PosetInstance", "spec unrank_fn rank_fn leq_fn fmt_fn antichain_fn", defaults=(str, None)
+)):
     """The spec, the rank bijection (unrank_fn, rank_fn), the order decider
-    leq_fn and the element printer fmt_fn, used through the methods below."""
+    leq_fn, the element printer fmt_fn and an optional exact antichain test
+    antichain_fn (None: compare every pair through leq), used through the
+    methods below."""
 
     __slots__ = ()
 
@@ -53,6 +60,14 @@ class PosetInstance(namedtuple("PosetInstance", "spec unrank_fn rank_fn leq_fn f
     def lt(self, a: Any, b: Any) -> bool:
         return a != b and self.leq_fn(a, b)
 
+    def is_antichain(self, elems: Iterable[Any]) -> bool:
+        """True when no two of elems are comparable; a repeated element is
+        comparable with itself. Without antichain_fn every pair goes through
+        leq, which validates the elements it compares."""
+        if self.antichain_fn is not None:
+            return self.antichain_fn(elems)
+        return not any(self.leq(a, b) or self.leq(b, a) for a, b in combinations(elems, 2))
+
     def format_elem(self, e: Any) -> str:
         return self.fmt_fn(e)
 
@@ -62,7 +77,8 @@ class PosetInstance(namedtuple("PosetInstance", "spec unrank_fn rank_fn leq_fn f
 
 def reverse(p: PosetInstance) -> PosetInstance:
     """The reverse order on the same carrier; min-semantics everywhere is
-    max-semantics over reverse(p), never a separate code path."""
+    max-semantics over reverse(p), never a separate code path. The antichains
+    do not change, so the antichain test carries over."""
     return p._replace(spec=f"rev({p.spec})", leq_fn=lambda a, b: p.leq_fn(b, a))
 
 
@@ -71,7 +87,8 @@ def _discrete(p: PosetInstance) -> PosetInstance:
         p.leq_fn(a, b)  # validate the pair against the carrier
         return a == b
 
-    return p._replace(spec=f"discrete({p.spec})", leq_fn=leq)
+    # p's antichain test would reject comparable pairs that are distinct here
+    return p._replace(spec=f"discrete({p.spec})", leq_fn=leq, antichain_fn=None)
 
 
 # ---------------------------------------------------------------- carriers
@@ -169,12 +186,19 @@ def _prefix(alphabet: str) -> PosetInstance:
         check(b)
         return b.startswith(a)
 
+    def antichain(words):
+        # in sorted order every word between a and an extension of a also
+        # extends a, so a comparable pair shows up between neighbours
+        words = sorted(map(check, words))
+        return not any(b.startswith(a) for a, b in zip(words, words[1:]))
+
     return PosetInstance(
         spec=f"prefix:{alphabet}",
         unrank_fn=unrank,
         rank_fn=rank,
         leq_fn=leq,
         fmt_fn=lambda w: w if w else "ε",
+        antichain_fn=antichain,
     )
 
 

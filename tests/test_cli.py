@@ -285,13 +285,31 @@ def test_estimate_length_ceiling(capsys):
 
 
 def test_diagonal_alpha_cap(capsys):
-    # --i 8 is alpha(i) = 9, the first above DIAGONAL_ALPHA_CAP
+    # --i 11 is alpha(i) = 12, the first above DIAGONAL_ALPHA_CAP
     start = time.perf_counter()
-    code, out, err = run(capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "8")
+    code, out, err = run(capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "11")
     assert code == 3
     assert out == ""
-    assert "alpha(i) = 9 exceeds the desk-scale cap of 8" in err
+    assert "alpha(i) = 12 exceeds the desk-scale cap of 11" in err
     assert time.perf_counter() - start < 5
+
+
+def test_diagonal_at_i_7(capsys):
+    # alpha(i) = 8: a family of 512 words, each prefix-incomparable with the rest
+    code, out, _ = run(capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "7")
+    assert code == 0
+    data = json.loads(out)
+    audit = data["audit"]
+    assert (audit["z_size"], audit["programs_considered"], audit["passed"]) == (512, 247, True)
+    assert (data["f"], data["g"]) == ("a" * 511 + "b", "b")
+
+
+def test_diagonal_at_the_alpha_cap(capsys):
+    # --i 10 is alpha(i) = 11 = DIAGONAL_ALPHA_CAP: a family of 4096 words
+    code, out, _ = run(capsys, "diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "10")
+    assert code == 0
+    audit = json.loads(out)["audit"]
+    assert (audit["alpha_i"], audit["z_size"], audit["passed"]) == (11, 4096, True)
 
 
 def test_dilworth(tmp_path, capsys):

@@ -260,6 +260,12 @@ def test_diagonal_hard_rejects_bad_generator():
         diagonal_hard(
             weak, strong, lambda i, size: ["b"] * size, lambda j: 1, 0, SMALL
         )
+    with pytest.raises(VerificationError, match="not a weak antichain"):
+        # a, aa, aaa, ... ascend in lexico:a<b but are prefixes of each other
+        diagonal_hard(
+            weak, strong, lambda i, size: ["a" * (j + 1) for j in range(size)],
+            lambda j: 1, 0, SMALL,
+        )
     for alpha in (DIAGONAL_ALPHA_CAP + 1, 17):
         # the cap comes before the generator builds the family
         with pytest.raises(ResourceError, match=f"cap of {DIAGONAL_ALPHA_CAP}$"):

@@ -28,9 +28,10 @@ from kposet.analysis import (
     check_star,
     max_antichain,
     min_chain_cover,
+    order_pair_fragment,
 )
 from kposet.errors import ConfigError, ResourceError
-from kposet.posets import _parse_order_expr, closure_rows
+from kposet.posets import _parse_order_expr, closure_rows, parse_poset_spec
 
 MAX_N = 8
 
@@ -84,6 +85,10 @@ def test_closure_rows_matches_fixpoint(rel):
 @given(pair=order_pairs())
 @example(pair=(4, set(), {(0, 2), (0, 3), (1, 2), (1, 3)}))
 @example(pair=(5, set(), {(i, j) for i in range(5) for j in range(i + 1, 5)}))
+@example(pair=(6, {(0, 2), (1, 4), (3, 5)}, {(i, i + 1) for i in range(5)}))
+@example(pair=(3, {(0, 1), (1, 2)}, {(0, 1), (1, 2)}))
+@example(pair=(1, set(), set()))
+@example(pair=(0, set(), set()))
 def test_order_kernel_matches_reference(pair):
     n, weak_rel, strong_rel = pair
     weak_lt, strong_lt = closure_ref(weak_rel), closure_ref(strong_rel)
@@ -99,6 +104,20 @@ def test_order_kernel_matches_reference(pair):
         assert check_star(order_pair, k) == check_star_ref(n, weak_lt, strong_lt, k), k
     for k in range(0, n + 2):
         assert check_dagger(order_pair, k) == check_dagger_ref(n, weak_lt, strong_lt, k), k
+
+
+@pytest.mark.parametrize("strong_spec", ["lexico:a<b", "lexico:a;b"])
+def test_pruned_searches_at_the_size_limit(strong_spec):
+    """At every k up to n + 1, k = n - 1, n and n + 1 included (where the
+    size bound cuts the most), the clique searches return the subset walks'
+    witnesses, or None, on prefix:ab fragments."""
+    weak_p, strong_p = parse_poset_spec("prefix:ab"), parse_poset_spec(strong_spec)
+    for n in (2, 3, 6, 9, 12):
+        pair, _ = order_pair_fragment(weak_p, strong_p, n)
+        weak_lt, strong_lt = pair.weak.lt, pair.strong.lt
+        for k in range(1, n + 2):
+            assert check_star(pair, k) == check_star_ref(n, weak_lt, strong_lt, k), (n, k)
+            assert check_dagger(pair, k) == check_dagger_ref(n, weak_lt, strong_lt, k), (n, k)
 
 
 chains = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4).map("<".join)

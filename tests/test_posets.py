@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kposet.analysis import FinitePoset
 from kposet.errors import ConfigError, DomainError
@@ -209,3 +211,58 @@ def test_finite_order_from_json():
     ):
         with pytest.raises(ConfigError):
             FinitePoset.from_json(bad)
+
+
+ANTICHAIN_ALPHABETS = {
+    "prefix:ab": "ab",
+    "prefix:abc": "abc",
+    "rev(prefix:ab)": "ab",
+    "discrete(prefix:ab)": "ab",
+    "lexico:a<b": "ab",
+    "lexico:a;b": "ab",
+}
+
+
+@st.composite
+def specs_and_words(draw):
+    spec = draw(st.sampled_from(sorted(ANTICHAIN_ALPHABETS)))
+    words = st.text(ANTICHAIN_ALPHABETS[spec], max_size=4)
+    return spec, draw(st.lists(words, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=specs_and_words())
+@example(case=("prefix:ab", ["ab", "b", "ab"]))
+@example(case=("prefix:ab", ["ab", "b", "a"]))
+@example(case=("prefix:abc", ["c", "ab", "ba", "a"]))
+@example(case=("rev(prefix:ab)", ["b", "ba", "a"]))
+@example(case=("discrete(prefix:ab)", ["a", "ab", "a"]))
+@example(case=("lexico:a;b", ["a", "b", ""]))
+def test_is_antichain_matches_the_pairwise_definition(case):
+    """The per-order test agrees with "no two listed words are comparable",
+    a repeated word included."""
+    spec, words = case
+    p = parse_poset_spec(spec)
+    pairwise = not any(
+        p.leq(a, b) or p.leq(b, a) for a, b in itertools.combinations(words, 2)
+    )
+    assert p.is_antichain(words) == pairwise
+
+
+def test_is_antichain_validates_the_words():
+    # prefix orders take the sorted test, the others compare pairs via leq
+    assert parse_poset_spec("prefix:ab").antichain_fn is not None
+    assert parse_poset_spec("rev(prefix:ab)").antichain_fn is not None
+    assert parse_poset_spec("lexico:a<b").antichain_fn is None
+    for spec, alphabet in ANTICHAIN_ALPHABETS.items():
+        p = parse_poset_spec(spec)
+        for bad in ("d", 5, None, ("a",)):
+            with pytest.raises(DomainError):
+                p.is_antichain([bad, alphabet])
+
+
+def test_discrete_resets_the_antichain_test():
+    # distinct words are incomparable in discrete(p), even when p orders them
+    assert parse_poset_spec("discrete(prefix:ab)").is_antichain(["a", "ab"]) is True
+    assert parse_poset_spec("prefix:ab").is_antichain(["a", "ab"]) is False
+    assert parse_poset_spec("discrete(prefix:ab)").is_antichain(["a", "a"]) is False
