@@ -1,7 +1,7 @@
 """kposet: a desk-scale workbench for max/min program-size complexities
 over computable partially ordered sets.
 
-Subpackages:
+Modules:
 
   posets      computable partial orders (N, Z, words, finite sets, regular
               languages) behind a single rank/leq interface

@@ -313,16 +313,13 @@ class _Enumeration:
     Only the empty text (the empty language, rank 0) and the well-formed
     texts are generated and canonicalised: every other text denotes the
     empty language again and cannot add one. The skipped texts still count
-    toward the `max_texts` ceiling, and `scanned` is the length-lex index
-    just past the last text taken, so both read as if every text had been
-    scanned."""
+    toward the `max_texts` ceiling, as if every text had been scanned."""
 
     def __init__(self, sigma: tuple[str, ...]):
         self.sigma = sigma
         self.symbols = list(sigma) + list("+*" + CONCAT + "()")
         self.languages: list[Dfa] = []
         self.by_dfa: dict[Dfa, int] = {}
-        self.scanned = 0
         self._gen = self._texts()
         self._pending = next(self._gen)  # peeked, so a ceiling loses nothing
 
@@ -376,12 +373,10 @@ class _Enumeration:
         while len(self.languages) <= count:
             index, text = self._pending
             if index >= max_texts:
-                self.scanned = max(self.scanned, max_texts)
                 raise ResourceError(
                     f"regular-language enumeration ceiling hit after {max_texts} texts"
                 )
             self._pending = next(self._gen)
-            self.scanned = index + 1
             dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
             if dfa not in self.by_dfa:
                 self.by_dfa[dfa] = len(self.languages)

@@ -3,10 +3,12 @@
 Commands: estimate | quotient | conditions | dilworth | diagonal | bb
 | cardre | interact. Tabular output is RFC-4180 CSV with '#'-prefixed
 header lines carrying the full run configuration; structured witnesses are
-JSON with the configuration embedded. Reports are byte-identical across
-reruns with the same configuration and seed, and files are written once,
-atomically. Exit codes: 0 success, 2 configuration error, 3 desk-scale
-resource ceiling.
+JSON with the configuration embedded. Each handler returns its report and
+`main` writes it. The configuration is every parsed option but `--out` and
+`--program`, with the values a handler derives from them in their place.
+Reports are byte-identical across reruns with the same configuration, and
+files are written once, atomically. Exit codes: 0 success, 2 configuration error,
+3 desk-scale resource ceiling.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ _INTERACTION_MODES = ("cap", "minus", "setminus")
 __all__ = ["main"]
 
 
-def _config(args, **fields) -> dict:
-    """The configuration a report records: the command, --seed, --threads
-    and the command's own fields."""
-    return {"command": args.command, "seed": args.seed, "threads": args.threads, **fields}
+def _config(args, **derived) -> dict:
+    """The configuration a report records: every parsed option but the
+    handler, --out and --program, with the `derived` values in their place."""
+    config = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "program")}
+    config.update(derived)
+    return config
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -72,9 +76,13 @@ def _split_pair(pair: str):
     return parse_poset_spec(parts[0]), parse_poset_spec(parts[1])
 
 
+def _config_line(config: dict) -> str:
+    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
+
+
 def _csv_report(config: dict, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    buf.write(_config_line(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -90,21 +98,15 @@ def _json_report(config: dict, payload: dict) -> str:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> str:
     from . import complexity
 
-    cfg = _config(
-        args, poset=args.poset, max_len=args.max_len, fuel=args.fuel,
-        t_budget=args.t_budget, window=args.window, ranks=args.ranks,
-    )
     p = parse_poset_spec(args.poset)
     b = complexity.Budget(args.max_len, args.fuel, args.t_budget, args.window)
-    text = complexity.hierarchy_report(p, args.ranks, b, config=cfg)
-    _emit(text, args.out)
-    return 0
+    return _config_line(_config(args)) + complexity.hierarchy_report(p, args.ranks, b)
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args) -> str:
     from . import automata
 
     sigma = tuple(_parse_alphabet(args.alphabet))
@@ -126,18 +128,13 @@ def cmd_quotient(args) -> int:
             f"expression of {len(args.regex)} characters nests too deeply to evaluate"
         ) from None
     rows.append(["final", rows[-1][1]])
-    cfg = _config(args, regex=args.regex, alphabet=args.alphabet, m_words=words)
-    _emit(_csv_report(cfg, ["t", "quotient"], rows), args.out)
-    return 0
+    return _csv_report(_config(args, m_words=words), ["t", "quotient"], rows)
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args) -> str:
     from . import analysis
 
     weak_p, strong_p = _split_pair(args.pair)
-    cfg = _config(
-        args, pair=args.pair, k=args.k, condition=args.condition, fragment=args.fragment,
-    )
     pair, elems = analysis.order_pair_fragment(weak_p, strong_p, args.fragment)
     if args.condition == "star":
         found = analysis.check_star(pair, args.k)
@@ -146,11 +143,10 @@ def cmd_conditions(args) -> int:
     witness = None
     if found is not None:
         witness = [strong_p.format_elem(elems[i]) for i in found]
-    _emit(_json_report(cfg, {"witness": witness}), args.out)
-    return 0
+    return _json_report(_config(args), {"witness": witness})
 
 
-def cmd_dilworth(args) -> int:
+def cmd_dilworth(args) -> str:
     from . import analysis
 
     try:
@@ -159,7 +155,6 @@ def cmd_dilworth(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file!r}: {exc}") from exc
     fp = analysis.FinitePoset.from_json(text)
-    cfg = _config(args, file=os.path.basename(args.file))
     antichain, cover = analysis.dilworth(fp)
     payload = {
         "antichain": [fp.name_of(i) for i in antichain],
@@ -168,77 +163,63 @@ def cmd_dilworth(args) -> int:
         "cover_size": len(cover),
         "dilworth_equal": len(antichain) == len(cover),
     }
-    _emit(_json_report(cfg, payload), args.out)
-    return 0
+    return _json_report(_config(args, file=os.path.basename(args.file)), payload)
 
 
-def cmd_diagonal(args) -> int:
+def cmd_diagonal(args) -> str:
     from . import analysis, complexity
 
     weak_p, strong_p = _split_pair(args.pair)
-    cfg = _config(
-        args, pair=args.pair, fuel=args.fuel, t_budget=args.t_budget,
-        window=args.window, i=args.i, alpha_shift=args.alpha_shift,
-    )
     # diagonal_hard reads no length field (it runs the words shorter than
     # alpha(i)); the ceiling only makes the Budget valid
     b = complexity.Budget(complexity.MAX_PROG_LEN, args.fuel, args.t_budget, args.window)
     f_elem, g_elem, audit = complexity.diagonal_hard(
         weak_p, strong_p,
         lambda i, size: analysis.chain_antichain_family(weak_p, strong_p, size),
-        lambda j: j + args.alpha_shift, args.i, b,
+        lambda j: j + 1, args.i, b,
     )
     payload = {
         "f": strong_p.format_elem(f_elem),
         "g": strong_p.format_elem(g_elem),
         "audit": audit,
     }
-    _emit(_json_report(cfg, payload), args.out)
-    return 0
+    return _json_report(_config(args), payload)
 
 
-def cmd_bb(args) -> int:
+def cmd_bb(args) -> str:
     from . import vm
 
     # the largest n first: its call checks both sizes before any other walk
     top = vm.busy_beaver_row(args.states, args.t_max)
-    cfg = _config(args, states=args.states, t_max=args.t_max)
     rows = []
     for n in range(args.states + 1):
         row = top if n == args.states else vm.busy_beaver_row(n, args.t_max)
         rows.extend([n, t, row[t]] for t in range(args.t_max + 1))
-    _emit(_csv_report(cfg, ["n", "t", "bb"], rows), args.out)
-    return 0
+    return _csv_report(_config(args), ["n", "t", "bb"], rows)
 
 
 def _program_index(args) -> int:
-    if args.program is not None and args.index is not None:
-        raise ConfigError("give --index or --program, not both")
-    if args.program is not None:
-        if any(c not in "01" for c in args.program):
-            raise ConfigError("--program wants a binary word")
-        from .codec import b_index
-
-        return b_index(args.program)
-    if args.index is not None:
+    if args.program is None:
         return args.index
-    raise ConfigError("give --index or --program")
+    if any(c not in "01" for c in args.program):
+        raise ConfigError("--program wants a binary word")
+    from .codec import b_index
+
+    return b_index(args.program)
 
 
-def cmd_cardre(args) -> int:
+def cmd_cardre(args) -> str:
     from . import vm
 
     n = _program_index(args)
     if args.t_max < 0:
         raise ConfigError("--t-max must be a natural number")
-    cfg = _config(args, index=n, t_max=args.t_max)
     e = vm.card_re_evaluator(n)
     rows = [[t, e(None, t, args.t_max)] for t in range(args.t_max + 1)]
-    _emit(_csv_report(cfg, ["t", "count"], rows), args.out)
-    return 0
+    return _csv_report(_config(args, index=n), ["t", "count"], rows)
 
 
-def cmd_interact(args) -> int:
+def cmd_interact(args) -> str:
     from . import vm
     from .limits import budgeted_limit
 
@@ -249,9 +230,6 @@ def cmd_interact(args) -> int:
         raise ConfigError(f"--x wants a comma-separated set of naturals: {exc}") from exc
     finsets = parse_poset_spec("finsets")
     finsets.rank(xs)  # DomainError unless every member is a natural
-    cfg = _config(
-        args, t_budget=args.t_budget, window=args.window, mode=args.mode, index=n, x=list(xs),
-    )
     order = reverse(finsets) if args.mode == "setminus" else finsets
     e = vm.set_interaction_evaluators(n, args.mode)
     trace = []
@@ -267,8 +245,7 @@ def cmd_interact(args) -> int:
         "limit": list(report.current) if report.current is not None else None,
         "status": report.status,
     }
-    _emit(_json_report(cfg, payload), args.out)
-    return 0
+    return _json_report(_config(args, index=n, x=list(xs)), payload)
 
 
 # -------------------------------------------------------------- arg parsing
@@ -276,7 +253,6 @@ def cmd_interact(args) -> int:
 
 def _add_common(sub, budget=True):
     sub.add_argument("--out", help="output file (atomic write); stdout otherwise")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     sub.add_argument(
         "--threads", type=int, default=1,
         help="recorded in the report configuration; enumeration is serial",
@@ -285,6 +261,12 @@ def _add_common(sub, budget=True):
         sub.add_argument("--fuel", type=int, default=4096, help="machine steps per run")
         sub.add_argument("--t-budget", type=int, default=4096, help="approximation clock budget")
         sub.add_argument("--window", type=int, default=8, help="stability window")
+
+
+def _add_program(sub):
+    which = sub.add_mutually_exclusive_group(required=True)
+    which.add_argument("--index", type=int)
+    which.add_argument("--program", help="program bits (alternative to --index)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dia = subs.add_parser("diagonal", help="diagonal hardness audit")
     dia.add_argument("--pair", required=True, help="weak-spec/strong-spec")
-    dia.add_argument("--i", type=int, required=True)
-    dia.add_argument("--alpha-shift", type=int, default=1, help="alpha(i) = i + shift")
+    dia.add_argument("--i", type=int, required=True, help="alpha(i) = i + 1")
     _add_common(dia)
     dia.set_defaults(fn=cmd_diagonal)
 
@@ -336,16 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     bbp.set_defaults(fn=cmd_bb)
 
     car = subs.add_parser("cardre", help="enumerable-set counting table")
-    car.add_argument("--index", type=int)
-    car.add_argument("--program", help="program bits (alternative to --index)")
+    _add_program(car)
     car.add_argument("--t-max", type=int, required=True)
     _add_common(car, budget=False)
     car.set_defaults(fn=cmd_cardre)
 
     inter = subs.add_parser("interact", help="finite-set interaction trace")
     inter.add_argument("--mode", choices=list(_INTERACTION_MODES), required=True)
-    inter.add_argument("--index", type=int)
-    inter.add_argument("--program", help="program bits (alternative to --index)")
+    _add_program(inter)
     inter.add_argument("--x", required=True, help="comma-separated finite set")
     inter.add_argument("--t-budget", type=int, default=256)
     inter.add_argument("--window", type=int, default=8)
@@ -363,7 +342,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        _emit(args.fn(args), args.out)
+        return 0
     except (ConfigError, DomainError) as exc:
         print(f"kposet: {exc}", file=sys.stderr)
         return 2

@@ -394,16 +394,23 @@ def diagonal_hard(
     events.sort()
     bound = size - 2
 
+    # `excluded` only grows, so the least unexcluded index only rises and the
+    # greatest only falls; once nothing is left both walks keep their value
     excluded: set[int] = set()
-    least_walk: list[tuple[int, int]] = [(0, 0)]  # (step, family index)
-    greatest_walk: list[tuple[int, int]] = [(0, size - 1)]
+    least, greatest = 0, size - 1
+    least_walk: list[tuple[int, int]] = [(0, least)]  # (step, family index)
+    greatest_walk: list[tuple[int, int]] = [(0, greatest)]
     bound_ok = True
     for step, j in events:
         excluded.add(j)
         if len(excluded) > bound:
             bound_ok = False
-        least = next(idx for idx in range(size) if idx not in excluded)
-        greatest = next(idx for idx in range(size - 1, -1, -1) if idx not in excluded)
+        if len(excluded) == size:
+            continue
+        while least in excluded:
+            least += 1
+        while greatest in excluded:
+            greatest -= 1
         if least != least_walk[-1][1]:
             least_walk.append((step, least))
         if greatest != greatest_walk[-1][1]:
@@ -449,19 +456,14 @@ def diagonal_hard(
 # ----------------------------------------------------------------- report
 
 
-def hierarchy_report(
-    p: PosetInstance,
-    ranks: int,
-    b: Budget,
-    config: Optional[dict] = None,
-) -> str:
+def hierarchy_report(p: PosetInstance, ranks: int, b: Budget) -> str:
     """CSV of the plain, max and min columns with summary constants.
 
     Columns: rank, element, k_plain, k_max, k_min, witness_plain,
-    witness_max, witness_min, pair_len, status. Header comment lines carry
-    the run configuration and the measured diagnostics c1 = max(k_max -
-    k_plain), c2 = max(k_min - k_plain) and the wrap constant; pair_len is
-    the composite-program length |c(max_witness, min_witness)| of the paired
+    witness_max, witness_min, pair_len, status. A header comment line
+    carries the measured diagnostics c1 = max(k_max - k_plain), c2 =
+    max(k_min - k_plain) and the wrap constant; pair_len is the
+    composite-program length |c(max_witness, min_witness)| of the paired
     decompressor. Byte-identical across reruns with the same inputs.
     """
     if ranks < 0:
@@ -473,8 +475,6 @@ def hierarchy_report(
     c1 = max((len(w) - len(plain[r]) for r, w in table.k_max.items() if r in plain), default=None)
     c2 = max((len(w) - len(plain[r]) for r, w in table.k_min.items() if r in plain), default=None)
     buf = io.StringIO()
-    if config is not None:
-        buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     buf.write(
         "# summary: "
         + json.dumps({"c1": c1, "c2": c2, "c_wrap": c_wrap}, sort_keys=True)

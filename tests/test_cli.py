@@ -61,6 +61,12 @@ def test_estimate_threads_recorded_not_used(capsys):
     assert len(set(bodies.values())) == 1
 
 
+def _subcommands():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
 _PROGRAM = "000110000000110111"  # the README's cardre/interact program
 
 
@@ -68,32 +74,33 @@ _PROGRAM = "000110000000110111"  # the README's cardre/interact program
     (("estimate", "--poset", "nat", "--max-len", "8", "--fuel", "64",
       "--t-budget", "64", "--window", "4", "--ranks", "2"),
      {"command": "estimate", "poset": "nat", "max_len": 8, "fuel": 64, "t_budget": 64,
-      "window": 4, "ranks": 2, "seed": 0, "threads": 1}),
-    (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a,b", "--seed", "3"),
+      "window": 4, "ranks": 2, "threads": 1}),
+    (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a,b"),
      {"command": "quotient", "regex": "a·b", "alphabet": "ab", "m_words": ["a", "b"],
-      "seed": 3, "threads": 1}),
+      "threads": 1}),
     (("conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2", "--fragment", "6",
       "--threads", "2"),
      {"command": "conditions", "pair": "prefix:ab/lexico:a<b", "k": 2, "condition": "star",
-      "fragment": 6, "seed": 0, "threads": 2}),
+      "fragment": 6, "threads": 2}),
     (("dilworth", "--file", "ORDER"),
-     {"command": "dilworth", "file": "order.json", "seed": 0, "threads": 1}),
+     {"command": "dilworth", "file": "order.json", "threads": 1}),
     (("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1", "--fuel", "64",
       "--t-budget", "64", "--window", "4"),
      {"command": "diagonal", "pair": "prefix:ab/lexico:a<b", "fuel": 64, "t_budget": 64,
-      "window": 4, "i": 1, "alpha_shift": 1, "seed": 0, "threads": 1}),
+      "window": 4, "i": 1, "threads": 1}),
     (("bb", "--states", "1", "--t-max", "5"),
-     {"command": "bb", "states": 1, "t_max": 5, "seed": 0, "threads": 1}),
+     {"command": "bb", "states": 1, "t_max": 5, "threads": 1}),
     (("cardre", "--program", _PROGRAM, "--t-max", "5"),
-     {"command": "cardre", "index": 286774, "t_max": 5, "seed": 0, "threads": 1}),
+     {"command": "cardre", "index": 286774, "t_max": 5, "threads": 1}),
     (("interact", "--mode", "cap", "--index", "7", "--x", "2,1", "--t-budget", "5",
       "--window", "2"),
      {"command": "interact", "mode": "cap", "index": 7, "x": [1, 2], "t_budget": 5,
-      "window": 2, "seed": 0, "threads": 1}),
+      "window": 2, "threads": 1}),
 ], ids=["estimate", "quotient", "conditions", "dilworth", "diagonal", "bb", "cardre",
         "interact"])
 def test_report_config(tmp_path, capsys, argv, config):
-    # the exact configuration each command records: its keys and values
+    # the exact configuration each command records: its keys, which are the
+    # command and its parser's options less --out and --program, and values
     order = tmp_path / "order.json"
     order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
     argv = [str(order) if a == "ORDER" else a for a in argv]
@@ -103,7 +110,22 @@ def test_report_config(tmp_path, capsys, argv, config):
         recorded = json.loads(out.split("\n", 1)[0][len("# config: "):])
     else:
         recorded = json.loads(out)["config"]
+    dests = {a.dest for a in _subcommands()[argv[0]]._actions} - {"help", "out", "program"}
+    assert set(recorded) == {"command"} | dests
     assert recorded == config
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--poset", "nat", "--ranks", "2", "--seed", "3"),
+    ("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1", "--alpha-shift", "2"),
+], ids=["seed", "alpha-shift"])
+def test_removed_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(list(argv))
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 def test_estimate_zero_ranks(tmp_path, capsys):
@@ -518,8 +540,14 @@ def test_interact(capsys):
 
 
 def test_interact_needs_program(capsys):
-    code, _, _ = run(capsys, "interact", "--mode", "cap", "--x", "1")
-    assert code == 2
+    with pytest.raises(SystemExit) as caught:
+        main(["interact", "--mode", "cap", "--x", "1"])
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
+        "kposet interact: error: one of the arguments --index --program is required\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -527,10 +555,14 @@ def test_interact_needs_program(capsys):
     ("interact", "--mode", "cap", "--x", "1", "--t-budget", "5"),
 ], ids=["cardre", "interact"])
 def test_index_and_program_are_exclusive(capsys, argv):
-    code, out, err = run(capsys, *argv, "--index", "5", "--program", "01")
-    assert code == 2
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--index", "5", "--program", "01"])
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err == "kposet: give --index or --program, not both\n"
+    assert err.endswith(
+        f"kposet {argv[0]}: error: argument --program: not allowed with argument --index\n"
+    )
 
 
 _BASE = {"cli", "errors", "posets"}
@@ -586,9 +618,7 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
 def test_interact_mode_choices_match_vm():
     from kposet.vm import INTERACTION_MODES
 
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    mode = next(a for a in subs.choices["interact"]._actions if a.dest == "mode")
+    mode = next(a for a in _subcommands()["interact"]._actions if a.dest == "mode")
     assert tuple(mode.choices) == INTERACTION_MODES
 
 

@@ -293,17 +293,39 @@ def test_diagonal_counting_bound_detects_violation():
     assert not audit["passed"]
 
 
+def test_diagonal_walks_keep_their_value_once_everything_is_excluded():
+    # traces that name all 8 members leave no unexcluded index: both walks
+    # stay on the last one left, and the audit fails instead of raising
+    weak, strong = prefix_lexico_pair()
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
+    fam8 = gen(0, 8)  # alpha = 2
+
+    def hostile(p_word):
+        if p_word == "0":
+            return tuple(((j, fam8[j]),) for j in range(8))
+        return None
+
+    f, g, audit = diagonal_hard(
+        weak, strong, gen, lambda j: 2, 0, SMALL, program_family=hostile
+    )
+    assert (f, g) == (fam8[7], fam8[7])
+    assert (audit["excluded_total"], audit["f_index"], audit["g_index"]) == (8, 7, 7)
+    assert audit["per_trace_at_most_one"]
+    assert not audit["per_step_bound_ok"]
+    assert not audit["f_not_excluded"]
+    assert not audit["g_not_excluded"]
+    assert not audit["passed"]
+
+
 def test_hierarchy_report_deterministic():
-    cfg = {"poset": "nat", "ranks": 8}
-    a = hierarchy_report(NAT, 8, SMALL, config=cfg)
-    b = hierarchy_report(NAT, 8, SMALL, config=cfg)
+    a = hierarchy_report(NAT, 8, SMALL)
+    b = hierarchy_report(NAT, 8, SMALL)
     assert a == b
     lines = a.strip().split("\n")
-    assert lines[0].startswith("# config:")
-    assert lines[1].startswith("# summary:")
-    header = lines[2].split(",")
+    assert lines[0].startswith("# summary:")
+    header = lines[1].split(",")
     assert header[:5] == ["rank", "element", "k_plain", "k_max", "k_min"]
-    assert len(lines) - 3 == 8  # one row per requested rank
+    assert len(lines) - 2 == 8  # one row per requested rank
 
 
 def test_hierarchy_report_discrete_rows_match():

@@ -1,6 +1,6 @@
 """The `reg:` canonical enumeration against its earlier text-by-text scan in
 reference_impl.py: the same texts at the same length-lex indices (minus the
-ill-formed ones), the same languages, ranks and scan counts, and the same
+ill-formed ones), the same languages, ranks and scan positions, and the same
 ceiling errors, also when a later call raises the ceiling."""
 
 import itertools
@@ -44,6 +44,14 @@ CALLS = {
 }
 
 
+def _next_taken(ref: EnumerationRef) -> int:
+    """The index of the first text the reference has not scanned that the
+    canonical enumeration takes: the empty text or a well-formed one."""
+    texts = itertools.islice(ref.texts(), ref.scanned, None)
+    return next(i for i, text in enumerate(texts, ref.scanned)
+                if i == 0 or parse_regex(text, ref.sigma) is not None)
+
+
 @pytest.mark.parametrize("sigma", ALPHABETS)
 def test_extend_to_matches_reference(sigma):
     new, ref = _Enumeration(sigma), EnumerationRef(sigma)
@@ -62,7 +70,7 @@ def test_extend_to_matches_reference(sigma):
             raised += 1
         assert new.languages == ref.languages
         assert new.by_dfa == ref.by_dfa
-        assert new.scanned == ref.scanned
+        assert new._pending[0] == _next_taken(ref)  # both stopped at the same text
     assert raised >= 2
 
 
@@ -79,7 +87,8 @@ def test_only_well_formed_texts_are_canonicalised(monkeypatch):
     enum.extend_to(40, ENUMERATION_TEXT_CEILING)
     assert asts[0] is None  # the empty text: the empty language at rank 0
     assert None not in asts[1:]
-    assert len(asts) < enum.scanned
+    last_taken, _ = next(itertools.islice(_Enumeration(("a", "b"))._texts(), len(asts) - 1, None))
+    assert len(asts) < last_taken + 1  # fewer texts canonicalised than scanned
 
 
 def test_unrank_past_the_ceiling_raises():
