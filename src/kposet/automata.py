@@ -312,12 +312,21 @@ class _Enumeration:
     `symbols`, and a language's rank comes from the first text denoting it.
     Only the empty text (the empty language, rank 0) and the well-formed
     texts are generated and canonicalised: every other text denotes the
-    empty language again and cannot add one. The skipped texts still count
-    toward the `max_texts` ceiling, as if every text had been scanned."""
+    empty language again and cannot add one. A well-formed text is not
+    canonicalised either when it holds a local redundancy with a strictly
+    shorter rewrite of the same language (`redundant`): the shorter text
+    comes earlier, so such a text is never the first of its language. The
+    texts not canonicalised still count toward the `max_texts` ceiling, as
+    if every text had been scanned."""
 
     def __init__(self, sigma: tuple[str, ...]):
         self.sigma = sigma
         self.symbols = list(sigma) + list("+*" + CONCAT + "()")
+        # e** -> e*, ()* -> (), e·() -> e, ()·e -> e, (()) -> (), (s) -> s
+        # and (s*) -> s*; a '·()' before '*' holds '()*' itself
+        self.redundant = ("**", "()*", CONCAT + "()", "()" + CONCAT, "(())") + tuple(
+            f"({s}{star})" for s in sigma for star in ("", "*")
+        )
         self.languages: list[Dfa] = []
         self.by_dfa: dict[Dfa, int] = {}
         self._gen = self._texts()
@@ -377,6 +386,8 @@ class _Enumeration:
                     f"regular-language enumeration ceiling hit after {max_texts} texts"
                 )
             self._pending = next(self._gen)
+            if any(r in text for r in self.redundant):
+                continue
             dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
             if dfa not in self.by_dfa:
                 self.by_dfa[dfa] = len(self.languages)

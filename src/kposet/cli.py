@@ -232,14 +232,21 @@ def cmd_interact(args) -> str:
     finsets.rank(xs)  # DomainError unless every member is a natural
     order = reverse(finsets) if args.mode == "setminus" else finsets
     e = vm.set_interaction_evaluators(n, args.mode)
+    # budgeted_limit checks its arguments and then asks for t = 0..t_budget
+    # once each, in order; the trace is built from the values it was given
+    values = []
+
+    def recorded(x, t, fuel):
+        values.append(e(x, t, fuel))
+        return values[-1]
+
+    report = budgeted_limit(order, recorded, xs, args.t_budget, args.t_budget, args.window)
     trace = []
     prev = None
-    for t in range(args.t_budget + 1):
-        v = e(xs, t, args.t_budget)
+    for t, v in enumerate(values):
         if v != prev:
             trace.append([t, list(v)])
             prev = v
-    report = budgeted_limit(order, e, xs, args.t_budget, args.t_budget, args.window)
     payload = {
         "trace": trace,
         "limit": list(report.current) if report.current is not None else None,

@@ -23,7 +23,6 @@ from .errors import ConfigError, ContractError, MonotonicityError
 from .posets import PosetInstance
 
 __all__ = [
-    "Trace",
     "Evaluator",
     "LimitReport",
     "STABILIZED",
@@ -35,8 +34,6 @@ __all__ = [
     "normalize",
     "totalize",
     "prefix_normal_form",
-    "split_by_distinct",
-    "restrict_to_mixed_set",
     "common_value_dovetail",
     "trace_evaluator",
 ]
@@ -44,21 +41,6 @@ __all__ = [
 STABILIZED = "stabilized-within-budget"
 STILL_CHANGING = "still-changing"
 NO_VALUE = "no-value"
-
-
-class Trace(namedtuple("Trace", "points")):
-    """Materialized defined points of an approximation process at one input."""
-
-    __slots__ = ()
-
-    def __new__(cls, points: tuple[tuple[int, Any], ...]):
-        ts = [t for t, _ in points]
-        if any(t < 0 for t in ts) or any(a >= b for a, b in zip(ts, ts[1:])):
-            raise ConfigError(f"trace clocks must be strictly increasing: {ts}")
-        return super().__new__(cls, points)
-
-    def values(self) -> list[Any]:
-        return [d for _, d in self.points]
 
 
 class Evaluator:
@@ -294,72 +276,6 @@ def prefix_normal_form(f: Evaluator) -> Evaluator:
             prev_raw = raw
             cur = raw[: min(len(cur) + 1, len(raw))]
         return cur
-
-    return Evaluator(fn)
-
-
-def split_by_distinct(trace: Trace, k: int) -> list[Any]:
-    """The <= k distinct values of a bounded-height trace, in order of first
-    appearance; their singletons partition the trace's value set."""
-    out: list[Any] = []
-    for _, d in trace.points:
-        if d not in out:
-            out.append(d)
-            if len(out) > k:
-                raise ConfigError(
-                    f"trace has more than {k} distinct values"
-                )
-    return out
-
-
-def restrict_to_mixed_set(
-    p: PosetInstance,
-    f_eval: Evaluator,
-    r_pred: Callable[[Any, int], bool],
-    s_pred: Callable[[Any, int], bool],
-    gamma_bound: int = 10_000,
-) -> Evaluator:
-    """Restriction of a t-independent computation F to the mixed set
-    {x : (exists t R(x,t)) and (forall t S(x,t))}.
-
-    Three cases at (x, t): the value F(x) once F converged within t steps and
-    R was seen while S never failed; the t-th iterate of the strictly
-    increasing successor gamma applied to F(x) once S has failed; undefined
-    otherwise. On the mixed set the budgeted limit is exactly F(x); once S
-    fails the trace climbs forever and never stabilizes.
-
-    gamma scans ranks for the first element strictly above its argument
-    (memoized); exhausting the scan means the order has a maximal element
-    within reach, which this construction does not support.
-    """
-    gamma_cache: dict[Any, Any] = {}
-
-    def gamma(d):
-        if d in gamma_cache:
-            return gamma_cache[d]
-        for rk in range(gamma_bound):
-            e = p.unrank(rk)
-            if p.lt(d, e):
-                gamma_cache[d] = e
-                return e
-        raise ConfigError(
-            f"no element strictly above {p.format_elem(d)} within rank {gamma_bound}"
-        )
-
-    def fn(x, t, fuel):
-        fx = f_eval(x, 0, t)
-        if fx is None:
-            return None
-        saw_r = any(r_pred(x, u) for u in range(t + 1))
-        s_failed = any(not s_pred(x, u) for u in range(t + 1))
-        if s_failed:
-            cur = fx
-            for _ in range(t):
-                cur = gamma(cur)
-            return cur
-        if saw_r:
-            return fx
-        return None
 
     return Evaluator(fn)
 

@@ -560,32 +560,39 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     setminus: X minus the values emitted so far            (decreasing;
               consume its limit with rev(finsets))
 
-    Each cached run is kept as the first emission step of every value plus
-    the emitted values in ascending order, so a query reads only X and the
-    emitted values <= max X.
+    The answer at (X, t) depends on t only through k, the number of values
+    <= max X first emitted before step t. So each cached run keeps, per
+    max X, the first emissions of those values in step order, and memoises
+    the answer per (X, k); a run made at a larger fuel starts afresh.
     """
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     instrs = parse_program(b_word(a_index))
-
-    def first_steps(_x, fuel):
-        raw_first = () if instrs is None else _execute(instrs, 0, fuel)[0]
-        first = {v: step for step, v in raw_first}
-        return first, sorted(first)
-
-    emitted_at = _fuel_prefix_runs(first_steps)
+    # a run: its step-ordered first emissions, those <= m per m, answers per (X, k)
+    emitted_at = _fuel_prefix_runs(
+        lambda _x, fuel: (() if instrs is None else _execute(instrs, 0, fuel)[0], {}, {})
+    )
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        first, values = emitted_at(None, fuel)
-        if mode == "minus":
-            below = itertools.islice(values, bisect.bisect_right(values, max(x, default=-1)))
-            es = [y for y in below if first[y] < t]
-            out = {xx - y for xx in x for y in es if xx >= y}
-        else:
-            keep = mode == "cap"
-            out = {xx for xx in x if (first.get(xx, t) < t) == keep}
-        return tuple(sorted(out))
+        raw_first, below, answers = emitted_at(None, fuel)
+        top = max(x, default=-1)
+        firsts = below.get(top)
+        if firsts is None:
+            firsts = below[top] = [(step, v) for step, v in raw_first if v <= top]
+        # (t,) sorts before every (t, v), so no value is compared
+        k = bisect.bisect_left(firsts, (t,))
+        out = answers.get((x, k))
+        if out is None:
+            es = [v for _, v in firsts[:k]]
+            if mode == "minus":
+                out = {xx - y for xx in x for y in es if xx >= y}
+            elif mode == "cap":
+                out = set(x).intersection(es)
+            else:
+                out = set(x).difference(es)
+            out = answers[x, k] = tuple(sorted(out))
+        return out
 
     return Evaluator(fn)

@@ -539,6 +539,17 @@ def test_interact(capsys):
     assert json.loads(out)["limit"] == [2]
 
 
+def test_interact_bad_window_exits_before_the_walk(capsys):
+    # a walk of 10**7 steps would take minutes; the window is checked first
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
+        "--t-budget", "10000000", "--window", "0",
+    )
+    assert (code, out, err) == (2, "", "kposet: window must be >= 1, got 0\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_interact_needs_program(capsys):
     with pytest.raises(SystemExit) as caught:
         main(["interact", "--mode", "cap", "--x", "1"])

@@ -36,7 +36,7 @@ from kposet.automata import (
 from kposet.cli import main
 from kposet.codec import b_index
 from kposet.limits import Evaluator, budgeted_limit
-from kposet.posets import parse_poset_spec
+from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import (
     INTERACTION_MODES,
     TmSpec,
@@ -114,6 +114,21 @@ members = st.one_of(st.integers(0, 40), st.just(10**9))
 @example(mode="minus", code=COUNTER, queries=[((0, 5, 10**9), q) for q in GROW_SHRINK])
 @example(mode="cap", code=COUNTER, queries=[((), q) for q in GROW_SHRINK])
 @example(mode="setminus", code=ZIGZAG, queries=[((0, 1, 2, 2, 9), q) for q in GROW_SHRINK])
+# the answer memo per (X, k), k being the number of values <= max X first
+# emitted before t: many queries between two emissions (COUNTER's steps 1
+# and 4), a new X at the same k, t going down after going up, fuel growing
+# past the cached run (the new run has its own memos; stale ones would stop
+# k at value 21), and X with repeated members and 10**9
+@example(mode="minus", code=COUNTER, queries=[((0, 5, 10**9), (t, 100)) for t in (2, 3, 4, 3, 2, 4, 2)])
+@example(mode="cap", code=COUNTER, queries=[(x, (3, 100)) for x in ((1, 5), (2, 5), (5,), (0, 1, 5), (1, 5))])
+@example(mode="setminus", code=COUNTER,
+         queries=[((1, 2, 9), (t, 200)) for t in (0, 10, 50, 200, 50, 10, 0)])
+@example(mode="cap", code=COUNTER,
+         queries=[((3, 40), q) for q in ((60, 60), (63, 64), (64, 64), (150, 200), (60, 300), (299, 300))])
+@example(mode="minus", code=COUNTER,
+         queries=[((3, 40), q) for q in ((64, 64), (150, 200), (64, 300), (299, 300))])
+@example(mode="minus", code=COUNTER, queries=[((0, 1, 1, 10**9, 10**9), q) for q in GROW_SHRINK])
+@example(mode="setminus", code=ZIGZAG, queries=[((0, 1, 1, 10**9, 10**9), q) for q in GROW_SHRINK])
 def test_set_interaction_matches_slicing_reference(mode, code, queries):
     n = b_index(code)
     got, want = set_interaction_evaluators(n, mode), set_interaction_ref(n, mode)
@@ -263,24 +278,29 @@ def test_interact_with_a_huge_member_matches_reference(tmp_path):
     # up to the member 10**9
     out = tmp_path / "interact.json"
     xs = (0, 5, 10**9)
-    start = time.perf_counter()
-    code = main([
-        "interact", "--program", COUNTER, "--mode", "minus", "--x", "0,5,1000000000",
-        "--t-budget", "3000", "--out", str(out),
-    ])
-    assert code == 0
-    assert time.perf_counter() - start < 60
-    report = json.loads(out.read_text())
+    finsets = parse_poset_spec("finsets")
+    for mode, order in (("minus", finsets), ("cap", finsets), ("setminus", reverse(finsets))):
+        start = time.perf_counter()
+        code = main([
+            "interact", "--program", COUNTER, "--mode", mode, "--x", "0,5,1000000000",
+            "--t-budget", "3000", "--out", str(out),
+        ])
+        assert code == 0
+        assert time.perf_counter() - start < 60
+        report = json.loads(out.read_text())
 
-    want = set_interaction_ref(b_index(COUNTER), "minus")
-    trace, prev = [], None
-    for t in range(3001):
-        v = want(xs, t, 3000)
-        if v != prev:
-            trace.append([t, list(v)])
-            prev = v
-    limit = budgeted_limit(parse_poset_spec("finsets"), Evaluator(want), xs, 3000, 3000, 8)
-    assert report["trace"] == trace
-    assert report["limit"] == list(limit.current)
-    assert report["status"] == limit.status
-    assert len(trace) > 900  # COUNTER emits a new value every 3 steps
+        want = set_interaction_ref(b_index(COUNTER), mode)
+        values = [want(xs, t, 3000) for t in range(3001)]
+        trace, prev = [], None
+        for t, v in enumerate(values):
+            if v != prev:
+                trace.append([t, list(v)])
+                prev = v
+        limit = budgeted_limit(order, Evaluator(lambda x, t, fuel: values[t]), xs, 3000, 3000, 8)
+        assert report["trace"] == trace, mode
+        assert report["limit"] == list(limit.current), mode
+        assert report["status"] == limit.status, mode
+        if mode == "minus":
+            assert len(trace) > 900  # COUNTER emits a new value every 3 steps
+        else:
+            assert [t for t, _ in trace] == [0, 14]  # 5 is first emitted at step 13

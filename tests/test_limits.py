@@ -9,15 +9,12 @@ from kposet.limits import (
     STABILIZED,
     STILL_CHANGING,
     Evaluator,
-    Trace,
     budgeted_limit,
     common_value_dovetail,
     limit_report_from_trace,
     monotone_filter,
     normalize,
     prefix_normal_form,
-    restrict_to_mixed_set,
-    split_by_distinct,
     totalize,
     trace_evaluator,
 )
@@ -239,70 +236,6 @@ def test_prefix_normal_form_violation():
 
     with pytest.raises(MonotonicityError):
         prefix_normal_form(Evaluator(fn))("s", 4, 10)
-
-
-def test_split_by_distinct():
-    tr = Trace(tuple(enumerate(["a", "a", "b", "b", "c"])))
-    assert split_by_distinct(tr, 3) == ["a", "b", "c"]
-    assert split_by_distinct(Trace(((0, "a"), (1, "a"))), 1) == ["a"]
-    tr2 = Trace(tuple(enumerate(["a", "b", "a"])))
-    assert split_by_distinct(tr2, 2) == ["a", "b"]
-    assert set(split_by_distinct(tr2, 2)) == set(tr2.values())
-    with pytest.raises(ConfigError):
-        split_by_distinct(tr, 2)
-
-
-def test_split_by_distinct_preserves_value_set_random():
-    rng = random.Random(53)
-    for _ in range(300):
-        vals = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 10))]
-        tr = Trace(tuple(enumerate(vals)))
-        parts = split_by_distinct(tr, 4)
-        assert set(parts) == set(vals)
-        assert len(parts) == len(set(vals))
-
-
-def test_restrict_to_mixed_set_full():
-    f_eval = Evaluator(lambda x, t, fuel: x if fuel >= 1 else None)
-    e = restrict_to_mixed_set(
-        INT, f_eval, r_pred=lambda x, t: True, s_pred=lambda x, t: True
-    )
-    for x in (-2, 0, 3):
-        rep = budgeted_limit(INT, e, x, 10, 20, window=4)
-        assert rep.current == x
-        assert rep.status == STABILIZED
-
-
-def test_restrict_to_mixed_set_escapes_forever():
-    f_eval = Evaluator(lambda x, t, fuel: x if fuel >= 1 else None)
-    e = restrict_to_mixed_set(
-        INT, f_eval, r_pred=lambda x, t: True, s_pred=lambda x, t: False
-    )
-    vals = [e(0, t, 50) for t in range(1, 21)]
-    assert all(v is not None for v in vals)
-    for a, b in zip(vals, vals[1:]):
-        assert INT.lt(a, b)
-    rep = budgeted_limit(INT, e, 0, 20, 50, window=2)
-    assert rep.status == STILL_CHANGING
-
-
-def test_restrict_to_mixed_set_no_r():
-    f_eval = Evaluator(lambda x, t, fuel: x if fuel >= 1 else None)
-    e = restrict_to_mixed_set(
-        INT, f_eval, r_pred=lambda x, t: False, s_pred=lambda x, t: True
-    )
-    assert all(e(0, t, 50) is None for t in range(10))
-    rep = budgeted_limit(INT, e, 0, 10, 50, window=2)
-    assert rep.status == NO_VALUE
-
-
-def test_restrict_to_mixed_set_needs_no_maximal_element():
-    f_eval = Evaluator(lambda x, t, fuel: x)
-    e = restrict_to_mixed_set(
-        NAT, f_eval, lambda x, t: True, lambda x, t: False, gamma_bound=5
-    )
-    with pytest.raises(ConfigError):
-        e(10, 3, 10)  # nothing above 10 within rank bound 5
 
 
 def test_common_value_dovetail():

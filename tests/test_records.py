@@ -8,7 +8,7 @@ from kposet.analysis import FinitePoset, OrderPair
 from kposet.automata import parse_regex, to_canonical_dfa
 from kposet.complexity import Budget, ComplexityTable
 from kposet.errors import ConfigError
-from kposet.limits import LimitReport, Trace
+from kposet.limits import LimitReport
 from kposet.posets import parse_poset_spec
 from kposet.vm import RunResult, TmSpec
 
@@ -19,7 +19,6 @@ TM_TABLE = {(0, 0): (1, "R", "H"), (0, 1): (1, "L", 0)}
 
 FROZEN = {
     "PosetInstance": (parse_poset_spec("nat"), "spec"),
-    "Trace": (Trace(((0, "a"),)), "points"),
     "LimitReport": (LimitReport(None, 0, 0, "no-value"), "status"),
     "RunResult": (RunResult((), (), False, 0, 0, 0), "halted"),
     "TmSpec": (TmSpec(1, TM_TABLE), "states"),
@@ -43,9 +42,6 @@ def test_frozen_records_reject_assignment(name):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Budget(0, 1, 1, 1), ConfigError, "budget field max_prog_len must be positive"),
     (lambda: Budget(4, 4, 4, 0), ConfigError, "budget field window must be positive"),
-    (lambda: Trace(((1, "a"), (1, "b"))), ConfigError,
-     "trace clocks must be strictly increasing: [1, 1]"),
-    (lambda: Trace(((-1, "a"),)), ConfigError, "trace clocks must be strictly increasing: [-1]"),
     (lambda: TmSpec(1, {(0, 0): (1, "R", "H")}), ConfigError, "transition table misses (0,1)"),
     (lambda: OrderPair(CHAIN, FinitePoset(3, frozenset())), ConfigError,
      "order pair carriers differ"),
@@ -56,7 +52,7 @@ def test_frozen_records_reject_assignment(name):
     (lambda: FinitePoset(2, frozenset({(0, 5)})), ConfigError, "relation pair out of range: (0, 5)"),
     (lambda: FinitePoset(2, frozenset(), ("a",)), ConfigError,
      "names do not match the carrier size"),
-], ids=["budget-len", "budget-window", "trace-repeat", "trace-negative", "tm",
+], ids=["budget-len", "budget-window", "tm",
         "pair-carriers", "pair-extension", "poset-cycle", "poset-range", "poset-names"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error) as caught:

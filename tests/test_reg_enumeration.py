@@ -7,7 +7,7 @@ import itertools
 import time
 
 import pytest
-from reference_impl import EnumerationRef
+from reference_impl import EnumerationRef, canonical_dfa_ref
 
 from kposet import automata
 from kposet.automata import ENUMERATION_TEXT_CEILING, _Enumeration, parse_regex, reg_unrank
@@ -84,11 +84,37 @@ def test_only_well_formed_texts_are_canonicalised(monkeypatch):
 
     monkeypatch.setattr(automata, "to_canonical_dfa", recording)
     enum = _Enumeration(("a", "b"))
-    enum.extend_to(40, ENUMERATION_TEXT_CEILING)
+    enum.extend_to(69, ENUMERATION_TEXT_CEILING)
     assert asts[0] is None  # the empty text: the empty language at rank 0
     assert None not in asts[1:]
+    assert len(enum.languages) == 70
+    assert len(asts) == 184  # 340 without the redundancy test
     last_taken, _ = next(itertools.islice(_Enumeration(("a", "b"))._texts(), len(asts) - 1, None))
     assert len(asts) < last_taken + 1  # fewer texts canonicalised than scanned
+
+
+@pytest.mark.parametrize("sigma, max_len", [(("a", "b"), 6), (("x", "y", "z"), 5)])
+def test_skipped_texts_have_a_shorter_equivalent(sigma, max_len):
+    # every well-formed text that holds a local redundancy denotes the
+    # language of a strictly shorter text, so it is never the first of it
+    enum = _Enumeration(sigma)
+    k = len(enum.symbols)
+    no_longer = (k ** (max_len + 1) - 1) // (k - 1)  # texts of length <= max_len
+    shorter = {canonical_dfa_ref(None, sigma)}  # the empty text
+    length, this_length, matched = 0, set(), set()
+    for index, text in enum._texts():
+        if index >= no_longer:
+            break
+        if len(text) > length:
+            shorter |= this_length
+            length, this_length = len(text), set()
+        dfa = canonical_dfa_ref(parse_regex(text, sigma), sigma)
+        this_length.add(dfa)
+        found = {r for r in enum.redundant if r in text}
+        if found:
+            matched |= found
+            assert dfa in shorter, text
+    assert matched == set(enum.redundant)  # every redundancy was seen
 
 
 def test_unrank_past_the_ceiling_raises():
