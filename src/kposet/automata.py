@@ -313,11 +313,12 @@ class _Enumeration:
     Only the empty text (the empty language, rank 0) and the well-formed
     texts are generated and canonicalised: every other text denotes the
     empty language again and cannot add one. A well-formed text is not
-    canonicalised either when it holds a local redundancy with a strictly
-    shorter rewrite of the same language (`redundant`): the shorter text
-    comes earlier, so such a text is never the first of its language. The
-    texts not canonicalised still count toward the `max_texts` ceiling, as
-    if every text had been scanned."""
+    canonicalised either when a strictly earlier text has the same
+    language, so that it is never the first of it: when it holds a local
+    redundancy with a shorter rewrite (`redundant`), or is a whole-text (e)
+    or a union with two neighbouring operands equal or out of order
+    (`_repeats`). The texts not canonicalised still count toward the
+    `max_texts` ceiling, as if every text had been scanned."""
 
     def __init__(self, sigma: tuple[str, ...]):
         self.sigma = sigma
@@ -327,6 +328,8 @@ class _Enumeration:
         self.redundant = ("**", "()*", CONCAT + "()", "()" + CONCAT, "(())") + tuple(
             f"({s}{star})" for s in sigma for star in ("", "*")
         )
+        self.ranks = str.maketrans({c: chr(i) for i, c in enumerate(self.symbols)})
+        self.plus = "+".translate(self.ranks)
         self.languages: list[Dfa] = []
         self.by_dfa: dict[Dfa, int] = {}
         self._gen = self._texts()
@@ -378,6 +381,30 @@ class _Enumeration:
             yield from extend("", 0, True, False, 0)
             length += 1
 
+    def _repeats(self, text: str) -> bool:
+        """Whether a well-formed text repeats the language of an earlier
+        text in a way `redundant` does not catch: a whole-text (e) with e
+        non-empty (e is shorter), or adjacent top-level '+' operands u, v
+        that are equal (dropping one is shorter) or whose swap gives a text
+        of the same length that is smaller in `symbols` order (union
+        commutes)."""
+        depth, cuts, closed = 0, [-1], None
+        for i, c in enumerate(text):
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+                if not depth and closed is None:
+                    closed = i
+            elif c == "+" and not depth:
+                cuts.append(i)
+        if text[:1] == "(" and closed == len(text) - 1 > 1:
+            return True
+        cuts.append(len(text))
+        # operands in `symbols` order, so str comparison is the text order
+        ops = [text[i + 1:j].translate(self.ranks) for i, j in zip(cuts, cuts[1:])]
+        return any(u == v or v + self.plus + u < u + self.plus + v for u, v in zip(ops, ops[1:]))
+
     def extend_to(self, count: int, max_texts: int):
         while len(self.languages) <= count:
             index, text = self._pending
@@ -386,7 +413,7 @@ class _Enumeration:
                     f"regular-language enumeration ceiling hit after {max_texts} texts"
                 )
             self._pending = next(self._gen)
-            if any(r in text for r in self.redundant):
+            if any(r in text for r in self.redundant) or self._repeats(text):
                 continue
             dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
             if dfa not in self.by_dfa:

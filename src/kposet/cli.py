@@ -120,9 +120,7 @@ def cmd_quotient(args) -> str:
             if any(c not in set(sigma) for c in w):
                 raise ConfigError(f"quotient word {w!r} is not over {args.alphabet!r}")
         e = automata.quotient_evaluator(lang, words)
-        rows = []
-        for t in range(len(words)):
-            rows.append([t, automata.canonical_regex(e(None, t, len(words)))])
+        rows = [[t, automata.canonical_regex(e(None, t, len(words)))] for t in range(len(words))]
     except RecursionError:
         raise ResourceError(
             f"expression of {len(args.regex)} characters nests too deeply to evaluate"
@@ -214,6 +212,8 @@ def cmd_cardre(args) -> str:
     n = _program_index(args)
     if args.t_max < 0:
         raise ConfigError("--t-max must be a natural number")
+    if args.t_max > (ceiling := vm.RUN_STEPS_CEILING):
+        raise ResourceError(f"cardre t_max={args.t_max} exceeds the desk-scale ceiling of {ceiling} steps")
     e = vm.card_re_evaluator(n)
     rows = [[t, e(None, t, args.t_max)] for t in range(args.t_max + 1)]
     return _csv_report(_config(args, index=n), ["t", "count"], rows)
@@ -221,7 +221,6 @@ def cmd_cardre(args) -> str:
 
 def cmd_interact(args) -> str:
     from . import vm
-    from .limits import budgeted_limit
 
     n = _program_index(args)
     try:
@@ -231,27 +230,9 @@ def cmd_interact(args) -> str:
     finsets = parse_poset_spec("finsets")
     finsets.rank(xs)  # DomainError unless every member is a natural
     order = reverse(finsets) if args.mode == "setminus" else finsets
-    e = vm.set_interaction_evaluators(n, args.mode)
-    # budgeted_limit checks its arguments and then asks for t = 0..t_budget
-    # once each, in order; the trace is built from the values it was given
-    values = []
-
-    def recorded(x, t, fuel):
-        values.append(e(x, t, fuel))
-        return values[-1]
-
-    report = budgeted_limit(order, recorded, xs, args.t_budget, args.t_budget, args.window)
-    trace = []
-    prev = None
-    for t, v in enumerate(values):
-        if v != prev:
-            trace.append([t, list(v)])
-            prev = v
-    payload = {
-        "trace": trace,
-        "limit": list(report.current) if report.current is not None else None,
-        "status": report.status,
-    }
+    trace, report = vm.set_interaction_limit(order, n, args.mode, xs, args.t_budget, args.window)
+    payload = {"trace": [[t, list(v)] for t, v in trace], "limit": list(report.current),
+               "status": report.status}
     return _json_report(_config(args, index=n, x=list(xs)), payload)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "STILL_CHANGING",
     "NO_VALUE",
     "budgeted_limit",
+    "check_budget",
     "limit_report_from_trace",
     "monotone_filter",
     "normalize",
@@ -71,6 +72,18 @@ def trace_evaluator(points: Iterable[tuple[int, Any]], cost: int = 0) -> Evaluat
 LimitReport = namedtuple("LimitReport", "current last_change_t stable_for status")
 
 
+def check_budget(t_budget: int, fuel: int, window: int) -> None:
+    """Raise ConfigError unless t_budget and fuel are natural numbers and
+    window >= 1: the argument checks of budgeted_limit, for callers that
+    make the same report another way."""
+    if t_budget < 0 or fuel < 0:
+        raise ConfigError(
+            f"t_budget and fuel must be natural numbers, got {t_budget} and {fuel}"
+        )
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+
+
 def budgeted_limit(
     p: PosetInstance,
     e: Evaluator | Callable[[Any, int, int], Any],
@@ -86,12 +99,7 @@ def budgeted_limit(
     points all carry the same value. Min-limits are this very function over
     reverse(p); there is no separate code path.
     """
-    if t_budget < 0 or fuel < 0:
-        raise ConfigError(
-            f"t_budget and fuel must be natural numbers, got {t_budget} and {fuel}"
-        )
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+    check_budget(t_budget, fuel, window)
     current = None
     have = False
     last_t = 0

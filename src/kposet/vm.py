@@ -53,8 +53,8 @@ from collections import namedtuple
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .codec import _check_word, b_word
-from .errors import ConfigError, DomainError, ResourceError
-from .limits import Evaluator
+from .errors import ConfigError, MonotonicityError, ResourceError
+from .limits import Evaluator, LimitReport, check_budget, limit_report_from_trace
 from .posets import PosetInstance
 
 __all__ = [
@@ -70,8 +70,10 @@ __all__ = [
     "busy_beaver_row",
     "card_re_evaluator",
     "set_interaction_evaluators",
+    "set_interaction_limit",
     "BB_STATE_BOUND",
     "BB_T_MAX_CEILING",
+    "RUN_STEPS_CEILING",
 ]
 
 # 3-bit opcodes; JZ_A/JZ_B carry a 5-bit two's-complement relative offset
@@ -243,12 +245,9 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
     landing state with the previous landing at the same pc; when the
     counters grew by (da, db) >= 0, not both 0, and every counter that grew
     was above 0 at that landing and no DEC has left it at 0 since, the
-    segment repeats forever. The kernel then adds the whole periods that
-    fit in the remaining fuel, records the first occurrences among their
-    OUTs (value v + j*da at step s + j*period) and interprets the
-    remainder, which is shorter than one period; when not one whole period
-    fits it just goes on interpreting. The result equals the honest run
-    step for step."""
+    segment repeats forever, and the whole periods that fit in the
+    remaining fuel are jumped as the module docstring says; when not one
+    fits, it just goes on interpreting."""
     pc, a, b = 0, 0, input_b
     steps = 0
     raw_first: list[tuple[int, int]] = []
@@ -409,6 +408,7 @@ def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
 
 BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_row (n+1 machine states)
 BB_T_MAX_CEILING = 256  # largest t_max accepted; n = 2 takes about 9 s there on a 2-CPU host
+RUN_STEPS_CEILING = 1_000_000  # largest cardre --t-max and interact --t-budget; cardre takes about 3 s there
 
 
 class TmSpec(namedtuple("TmSpec", "states table")):
@@ -551,6 +551,35 @@ def card_re_evaluator(n: int) -> Evaluator:
 INTERACTION_MODES = ("cap", "minus", "setminus")
 
 
+def _interaction_traces(a_index: int, mode: str) -> Callable[[Any, int], list[tuple[int, tuple]]]:
+    """trace(x, fuel): the points (t, answer) where the answer at the set x
+    changes, t = 0 first, in the run of b_word(a_index) on input 0 at fuel
+    or more (_fuel_prefix_runs); kept per (run, x). A first emission at step
+    s may change it from t = s + 1 on, and as it only grows (cap, minus) or
+    only shrinks (setminus), it changes exactly when its size does."""
+    if mode not in INTERACTION_MODES:
+        raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
+    instrs = parse_program(b_word(a_index))
+    runs = _fuel_prefix_runs(lambda _x, fuel: (() if instrs is None else _execute(instrs, 0, fuel)[0], {}))
+
+    def trace(x, fuel):
+        raw_first, traces = runs(None, fuel)
+        if x not in traces:
+            out = set(x) if mode == "setminus" else set()
+            points = traces[x] = [(0, tuple(sorted(out)))]
+            for step, v in raw_first:
+                size = len(out)
+                if mode == "minus":
+                    out.update(m - v for m in x if m >= v)
+                elif v in x:
+                    (out.add if mode == "cap" else out.discard)(v)
+                if len(out) != size:
+                    points.append((step + 1, tuple(sorted(out))))
+        return traces[x]
+
+    return trace
+
+
 def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     """The finite-set interaction processes against the set enumerated by
     program b_word(a_index) on input 0.
@@ -559,40 +588,30 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     minus:    {x - y : x in X, y emitted, x >= y}          (increasing)
     setminus: X minus the values emitted so far            (decreasing;
               consume its limit with rev(finsets))
-
-    The answer at (X, t) depends on t only through k, the number of values
-    <= max X first emitted before step t. So each cached run keeps, per
-    max X, the first emissions of those values in step order, and memoises
-    the answer per (X, k); a run made at a larger fuel starts afresh.
     """
-    if mode not in INTERACTION_MODES:
-        raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
-    instrs = parse_program(b_word(a_index))
-    # a run: its step-ordered first emissions, those <= m per m, answers per (X, k)
-    emitted_at = _fuel_prefix_runs(
-        lambda _x, fuel: (() if instrs is None else _execute(instrs, 0, fuel)[0], {}, {})
-    )
+    trace = _interaction_traces(a_index, mode)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        raw_first, below, answers = emitted_at(None, fuel)
-        top = max(x, default=-1)
-        firsts = below.get(top)
-        if firsts is None:
-            firsts = below[top] = [(step, v) for step, v in raw_first if v <= top]
-        # (t,) sorts before every (t, v), so no value is compared
-        k = bisect.bisect_left(firsts, (t,))
-        out = answers.get((x, k))
-        if out is None:
-            es = [v for _, v in firsts[:k]]
-            if mode == "minus":
-                out = {xx - y for xx in x for y in es if xx >= y}
-            elif mode == "cap":
-                out = set(x).intersection(es)
-            else:
-                out = set(x).difference(es)
-            out = answers[x, k] = tuple(sorted(out))
-        return out
+        points = trace(x, fuel)
+        # the last change point at or before t; (t + 1,) sorts before (t + 1, answer)
+        return points[bisect.bisect_left(points, (t + 1,)) - 1][1]
 
     return Evaluator(fn)
+
+
+def set_interaction_limit(p: PosetInstance, a_index: int, mode: str, x: tuple, t_budget: int,
+                          window: int) -> tuple[list[tuple[int, tuple]], LimitReport]:
+    """The distinct values (t, value) of set_interaction_evaluators(a_index,
+    mode) at x for t = 0..t_budget, each checked to rise in p, and the report
+    and errors of budgeted_limit over them, from one run and no walk over t."""
+    trace = _interaction_traces(a_index, mode)
+    check_budget(t_budget, t_budget, window)
+    if t_budget > (ceiling := RUN_STEPS_CEILING):
+        raise ResourceError(f"interact t_budget={t_budget} exceeds the desk-scale ceiling of {ceiling} steps")
+    points = [point for point in trace(x, t_budget) if point[0] <= t_budget]
+    for (_, last), (t, d) in zip(points, points[1:]):
+        if not p.leq(last, d):
+            raise MonotonicityError(f"process not monotone at t={t}", witness=((t - 1, last), (t, d)))
+    return points, limit_report_from_trace(points, t_budget, window)

@@ -540,7 +540,7 @@ def test_interact(capsys):
 
 
 def test_interact_bad_window_exits_before_the_walk(capsys):
-    # a walk of 10**7 steps would take minutes; the window is checked first
+    # the window is checked first, before the run and the step ceiling
     start = time.perf_counter()
     code, out, err = run(
         capsys, "interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
@@ -548,6 +548,43 @@ def test_interact_bad_window_exits_before_the_walk(capsys):
     )
     assert (code, out, err) == (2, "", "kposet: window must be >= 1, got 0\n")
     assert time.perf_counter() - start < 1
+
+
+@pytest.fixture
+def no_machine_run(monkeypatch):
+    """Fail the test if the machine kernel runs."""
+    from kposet import vm
+
+    def no_run(*args):
+        raise AssertionError("the machine ran")
+
+    monkeypatch.setattr(vm, "_execute", no_run)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("cardre", "--t-max", "1000001"),
+     "kposet: cardre t_max=1000001 exceeds the desk-scale ceiling of 1000000 steps\n"),
+    (("interact", "--mode", "minus", "--x", "1,2", "--t-budget", "1000001"),
+     "kposet: interact t_budget=1000001 exceeds the desk-scale ceiling of 1000000 steps\n"),
+], ids=["cardre", "interact"])
+def test_run_steps_ceiling(capsys, no_machine_run, argv, err):
+    # 1000001 is the first value above RUN_STEPS_CEILING; it exits 3 before any run
+    code, out, got = run(capsys, *argv, "--program", "00011010111110")
+    assert (code, out, got) == (3, "", err)
+
+
+@pytest.mark.parametrize("budget, err", [
+    (("--t-budget", "-1"), "kposet: t_budget and fuel must be natural numbers, got -1 and -1\n"),
+    (("--t-budget", "-1", "--window", "0"),
+     "kposet: t_budget and fuel must be natural numbers, got -1 and -1\n"),
+    (("--window", "0"), "kposet: window must be >= 1, got 0\n"),
+    (("--t-budget", "1000001", "--window", "0"), "kposet: window must be >= 1, got 0\n"),
+])
+def test_interact_budget_errors_come_before_any_run(capsys, no_machine_run, budget, err):
+    # budgeted_limit's messages, checked before the machine runs
+    code, out, got = run(capsys, "interact", "--program", "00011010111110", "--mode", "cap",
+                         "--x", "1,2", *budget)
+    assert (code, out, got) == (2, "", err)
 
 
 def test_interact_needs_program(capsys):

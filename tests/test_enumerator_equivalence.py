@@ -35,17 +35,21 @@ from kposet.automata import (
 )
 from kposet.cli import main
 from kposet.codec import b_index
+from kposet.errors import MonotonicityError
 from kposet.limits import Evaluator, budgeted_limit
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import (
     INTERACTION_MODES,
     TmSpec,
+    _execute,
     _tree_leaves,
     assemble,
     busy_beaver_row,
     card_re_evaluator,
+    iter_programs,
     run_tm,
     set_interaction_evaluators,
+    set_interaction_limit,
     vm_max_evaluator,
 )
 
@@ -134,6 +138,68 @@ def test_set_interaction_matches_slicing_reference(mode, code, queries):
     got, want = set_interaction_evaluators(n, mode), set_interaction_ref(n, mode)
     for x, (t, fuel) in queries:
         assert got(x, t, fuel) == want(x, t, fuel), (x, t, fuel)
+
+
+FINSETS = parse_poset_spec("finsets")
+ORDERS = {"cap": FINSETS, "minus": FINSETS, "setminus": reverse(FINSETS)}
+CODES = [code for code, _, _ in iter_programs(14)]
+# the rare short programs with at least three first emissions in 400 steps
+EMITTERS = [code for code, instrs, _ in iter_programs(18, ("OUT", None))
+            if len(_execute(instrs, 0, 400)[0]) >= 3]
+
+
+def _walked_limit(order, n, mode, xs, t_budget, window):
+    """budgeted_limit over set_interaction_evaluators, and the trace of the
+    distinct values it was given, t = 0..t_budget in order."""
+    e, values = set_interaction_evaluators(n, mode), []
+
+    def recorded(x, t, fuel):
+        values.append(e(x, t, fuel))
+        return values[-1]
+
+    report = budgeted_limit(order, recorded, xs, t_budget, t_budget, window)
+    trace = [(t, v) for t, v in enumerate(values) if t == 0 or v != values[t - 1]]
+    return trace, report
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(  # half of the draws from programs that emit
+        st.sampled_from(CODES).map(b_index),
+        st.integers(0, 10**6),
+        st.sampled_from(EMITTERS + [ZIGZAG, READS_INPUT]).map(b_index),
+        st.sampled_from(EMITTERS).map(b_index),
+    ),
+    mode=st.sampled_from(INTERACTION_MODES),
+    members=st.one_of(st.just(set()), st.sets(st.integers(0, 11), min_size=2)),
+    huge=st.booleans(),
+    t_budget=st.integers(0, 400),
+    window=st.integers(1, 20),
+)
+@example(n=b_index(COUNTER), mode="minus", members=set(), huge=True, t_budget=400, window=20)
+@example(n=b_index(COUNTER), mode="cap", members=set(), huge=False, t_budget=0, window=1)
+@example(n=b_index(COUNTER), mode="setminus", members={0, 5, 11}, huge=False, t_budget=16, window=3)
+@example(n=b_index(ZIGZAG), mode="setminus", members={1, 2}, huge=True, t_budget=63, window=8)
+def test_interaction_limit_matches_budgeted_limit(n, mode, members, huge, t_budget, window):
+    # the change points from the run's emissions against the walk over
+    # every t: the same trace, limit and status (the whole report)
+    xs = tuple(sorted(members | ({10**9} if huge else set())))
+    order = ORDERS[mode]
+    got = set_interaction_limit(order, n, mode, xs, t_budget, window)
+    assert got == _walked_limit(order, n, mode, xs, t_budget, window)
+
+
+@pytest.mark.parametrize("mode, order, witness", [
+    ("cap", reverse(FINSETS), ((4, ()), (5, (2,)))),
+    ("setminus", FINSETS, ((4, (2, 5)), (5, (5,)))),
+])
+def test_interaction_limit_reports_a_fall_as_budgeted_limit_does(mode, order, witness):
+    # under the opposite order the first change, COUNTER's 2 at step 4, is
+    # a fall: the same error at the same pair of points
+    for limit in (set_interaction_limit, _walked_limit):
+        with pytest.raises(MonotonicityError, match="^process not monotone at t=5$") as caught:
+            limit(order, b_index(COUNTER), mode, (2, 5), 100, 8)
+        assert caught.value.witness == witness
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -39,7 +39,7 @@ def test_texts_are_the_well_formed_reference_texts(sigma):
 CALLS = {
     ("a",): [(0, 10**6), (3, 10**6), (20, 50), (20, 2000), (8, 2000), (8, 20000), (20, 20000)],
     ("a", "b"): [(3, 10**6), (60, 50), (60, 2000), (15, 2000), (25, 20000), (60, 20000),
-                 (60, 1000)],
+                 (60, 1000), (141, ENUMERATION_TEXT_CEILING), (142, ENUMERATION_TEXT_CEILING)],
     ("x", "y", "z"): [(8, 10**6), (90, 50), (90, 2000), (40, 2000), (60, 20000)],
 }
 
@@ -88,33 +88,57 @@ def test_only_well_formed_texts_are_canonicalised(monkeypatch):
     assert asts[0] is None  # the empty text: the empty language at rank 0
     assert None not in asts[1:]
     assert len(enum.languages) == 70
-    assert len(asts) == 184  # 340 without the redundancy test
+    # 340 with no skip rule, 184 with `redundant` alone; the whole-text
+    # (e) and top-level '+' rules (`_repeats`) skip 88 more
+    assert len(asts) == 96
     last_taken, _ = next(itertools.islice(_Enumeration(("a", "b"))._texts(), len(asts) - 1, None))
     assert len(asts) < last_taken + 1  # fewer texts canonicalised than scanned
 
 
+def _skip_rules(text: str, sigma, symbols) -> set[str]:
+    """The rules a well-formed text breaks, found apart from _Enumeration:
+    "(e)" a whole-text (e), e non-empty; "u+u" equal adjacent top-level '+'
+    operands; "v+u" adjacent ones whose swap is smaller in `symbols` order."""
+    rules = set()
+    if text[0] + text[-1] == "()" and parse_regex(text[1:-1], sigma) is not None:
+        rules.add("(e)")
+    operands, depth, start = [], 0, 0
+    for i, c in enumerate(text + "+"):
+        depth += (c == "(") - (c == ")")
+        if c == "+" and depth == 0:
+            operands.append([symbols.index(s) for s in text[start:i]])
+            start = i + 1
+    plus = [symbols.index("+")]
+    for u, v in zip(operands, operands[1:]):
+        if u == v:
+            rules.add("u+u")
+        elif v + plus + u < u + plus + v:
+            rules.add("v+u")
+    return rules
+
+
 @pytest.mark.parametrize("sigma, max_len", [(("a", "b"), 6), (("x", "y", "z"), 5)])
-def test_skipped_texts_have_a_shorter_equivalent(sigma, max_len):
-    # every well-formed text that holds a local redundancy denotes the
-    # language of a strictly shorter text, so it is never the first of it
+def test_skipped_texts_have_an_earlier_equivalent(sigma, max_len):
+    # every well-formed text that the enumeration does not canonicalise
+    # denotes the language of an earlier text, so it is never the first of
+    # it; and it skips just the texts that hold a redundancy or break a rule
     enum = _Enumeration(sigma)
     k = len(enum.symbols)
     no_longer = (k ** (max_len + 1) - 1) // (k - 1)  # texts of length <= max_len
-    shorter = {canonical_dfa_ref(None, sigma)}  # the empty text
-    length, this_length, matched = 0, set(), set()
+    earlier, matched = set(), set()
     for index, text in enum._texts():
         if index >= no_longer:
             break
-        if len(text) > length:
-            shorter |= this_length
-            length, this_length = len(text), set()
         dfa = canonical_dfa_ref(parse_regex(text, sigma), sigma)
-        this_length.add(dfa)
-        found = {r for r in enum.redundant if r in text}
-        if found:
-            matched |= found
-            assert dfa in shorter, text
-    assert matched == set(enum.redundant)  # every redundancy was seen
+        if index:
+            found = {r for r in enum.redundant if r in text} | _skip_rules(text, sigma, enum.symbols)
+            skipped = any(r in text for r in enum.redundant) or enum._repeats(text)
+            assert skipped == bool(found), text
+            if found:
+                matched |= found
+                assert dfa in earlier, text
+        earlier.add(dfa)
+    assert matched == set(enum.redundant) | {"(e)", "u+u", "v+u"}  # every rule was seen
 
 
 def test_unrank_past_the_ceiling_raises():
