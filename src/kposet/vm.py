@@ -20,26 +20,23 @@ and scans that generate their own programs call the kernel directly.
 
 Halting is decoupled from emitting: HALT only matters for the plain
 (halting-value) semantics. Out-of-range jumps and fall-off-the-end enter a
-dead spin that burns the remaining fuel. A repeat of the full machine state
-(pc, reg_a, reg_b) proves divergence, so the interpreter cuts the run short
-while reporting the fuel as consumed; kept and first-occurrence emissions
-are unaffected.
+dead spin that burns the remaining fuel.
 
 A translated cycle (the two-counter form of the busy-beaver community's
 "translated cycler") is jumped over instead of interpreted. It is a run
-that comes back to the same pc with counters (a + da, b + db), da, db >= 0
-and not both 0, where every counter that grew was above 0 in every state of
-the segment between the two visits. Exactness: an instruction acts the same
-on (a, b) and on (a + da, b + db) unless it tests or decrements a counter
-that is 0 in one and not in the other, which positivity rules out; so the
-shifted segment replays step for step, its end is again shifted by
-(da, db) with its growing counters still positive, and by induction the
-segment repeats forever. The kernel adds the whole periods that fit in the
-remaining fuel, records the first occurrences among their OUTs (the OUT of
-value v at step s recurs as v + j*da at step s + j*period) and interprets
-the shorter remainder, so raw_first, halted, steps and the registers equal
-an honest fuel burn. Such a run never repeats a full state (its counters
-grow without bound), so the cycle cut above cannot fire on it either way.
+that comes back to the same pc with counters (a + da, b + db), da, db >= 0,
+where every counter that grew was above 0 in every state of the segment
+between the two visits; a repeated full state (pc, a, b) is the case
+(da, db) = (0, 0). Exactness: an instruction acts the same on (a, b) and on
+(a + da, b + db) unless it tests or decrements a counter that is 0 in one
+and not in the other, which positivity rules out; so the shifted segment
+replays step for step, its end is again shifted by (da, db) with its
+growing counters still positive, and by induction the segment repeats
+forever. The kernel adds the whole periods that fit in the remaining fuel,
+records the first occurrences among their OUTs (the OUT of value v at step
+s recurs as v + j*da at step s + j*period) and interprets the shorter
+remainder, so every run, raw_first, halted, steps and the registers
+included, equals an honest fuel burn.
 
 The module also hosts the tiny Turing-machine class for the busy beaver
 table and the enumerable-set counters built on raw emissions.
@@ -74,6 +71,7 @@ __all__ = [
     "BB_STATE_BOUND",
     "BB_T_MAX_CEILING",
     "RUN_STEPS_CEILING",
+    "TRACE_MEMBERS_CEILING",
 ]
 
 # 3-bit opcodes; JZ_A/JZ_B carry a 5-bit two's-complement relative offset
@@ -215,9 +213,6 @@ def assemble(instrs: Iterable[tuple[str, Optional[int]] | str]) -> str:
 RunResult = namedtuple("RunResult", "trace raw_first halted steps_used reg_a reg_b")
 
 
-_CYCLE_SET_CAP = 1 << 17  # beyond this, fall back to honest fuel burn
-
-
 def _shifted_firsts(segment, whole, period, da, raw_seen, raw_first) -> None:
     """Record the first occurrences among the OUTs of `whole` skipped
     periods: the OUT at (step, v) of the watched segment recurs in period j
@@ -239,37 +234,27 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
     steps, reg_a, reg_b), raw_first being the (step, rank) pairs of the first
     OUT of each reg_a value. No order is consulted; see kept_trace.
 
-    A translated cycle is jumped over (see the module docstring for why
-    this is exact). Watching starts at the first taken backward jump, so
-    short runs pay nothing for it. Each taken backward jump compares its
-    landing state with the previous landing at the same pc; when the
-    counters grew by (da, db) >= 0, not both 0, and every counter that grew
-    was above 0 at that landing and no DEC has left it at 0 since, the
-    segment repeats forever, and the whole periods that fit in the
-    remaining fuel are jumped as the module docstring says; when not one
-    fits, it just goes on interpreting."""
+    Translated cycles, repeated states included, are jumped over as the
+    module docstring says. The pc of a cycle comes back, so it takes a jump
+    of offset <= 0 in every period; each such landing is compared with one
+    mark (pc, step, a, b), which moves to the landing after 1, 2, 4, ...
+    landings (Brent's schedule). A landing at the mark's pc matches when the counters
+    grew by (da, db) >= 0, and each grown counter was above 0 at the mark
+    and no DEC has left it at 0 since; the whole periods that fit in the
+    remaining fuel are then jumped and the mark is cleared."""
     pc, a, b = 0, 0, input_b
     steps = 0
     raw_first: list[tuple[int, int]] = []
     raw_seen: set[int] = set()
-    halted = False
-    states: set[tuple[int, int, int]] = set()
     n = len(instrs)
-    # watched from the first taken backward jump on: pc -> (step, a, b) of
-    # its last backward landing, and (step, reg_a) of every OUT since then
-    landings: Optional[dict[int, tuple[int, int, int]]] = None
-    outs: list[tuple[int, int]] = []
+    mark_pc, mark_step, mark_a, mark_b = None, 0, 0, 0  # pc None: no mark
+    landed, power = 0, 1  # landings since the mark moved, and the next move
+    outs: list[tuple[int, int]] = []  # (step, reg_a) of every OUT since the mark
     zero_a = zero_b = 0  # last step whose state a DEC left at 0 (state 0 counts too)
     while steps < fuel:
         if pc < 0 or pc >= n:
             steps = fuel  # dead spin
             break
-        key = (pc, a, b)
-        if key in states:
-            steps = fuel  # proven cycle, nothing new can happen
-            break
-        if len(states) < _CYCLE_SET_CAP:
-            states.add(key)
         op, arg = instrs[pc]
         steps += 1
         if op == "INC_A":
@@ -295,44 +280,40 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
         elif op == "JZ_A" or op == "JZ_B":
             if a if op == "JZ_A" else b:
                 pc += 1
-            elif arg >= 0:
+            elif arg > 0:
                 pc += arg
-            else:  # a taken backward jump: compare with the last landing here
+            else:  # a landing: compare with the mark
                 pc += arg
-                if landings is None:
-                    landings = {}
-                last = landings.get(pc)
-                landings[pc] = (steps, a, b)
-                if last is None:
-                    continue
-                s0, a0, b0 = last
-                da, db = a - a0, b - b0
+                da, db = a - mark_a, b - mark_b
                 if (
-                    da >= 0 and db >= 0 and (da or db)
-                    and (not da or (a0 and zero_a < s0))
-                    and (not db or (b0 and zero_b < s0))
+                    pc == mark_pc and da >= 0 and db >= 0
+                    and (not da or (mark_a and zero_a < mark_step))
+                    and (not db or (mark_b and zero_b < mark_step))
                 ):
-                    period = steps - s0
+                    period = steps - mark_step
                     whole = (fuel - steps) // period
                     if whole:
                         if da:
-                            segment = outs[bisect.bisect_left(outs, (s0,)):]
-                            _shifted_firsts(segment, whole, period, da, raw_seen, raw_first)
+                            _shifted_firsts(outs, whole, period, da, raw_seen, raw_first)
                         steps += whole * period
                         a += whole * da
                         b += whole * db
-                        landings.clear()  # older landings span unwatched periods
+                        mark_pc = None  # the mark lies before unwatched periods
+                    continue
+                landed += 1
+                if landed == power:
+                    mark_pc, mark_step, mark_a, mark_b = pc, steps, a, b
+                    landed, power = 0, 2 * power
+                    outs.clear()
         elif op == "OUT":
             if a not in raw_seen:
                 raw_seen.add(a)
                 raw_first.append((steps - 1, a))
-            if landings is not None:
-                outs.append((steps - 1, a))
+            outs.append((steps - 1, a))
             pc += 1
         else:  # HALT
-            halted = True
-            break
-    return tuple(raw_first), halted, steps, a, b
+            return tuple(raw_first), True, steps, a, b
+    return tuple(raw_first), False, steps, a, b
 
 
 def kept_trace(
@@ -409,6 +390,7 @@ def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
 BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_row (n+1 machine states)
 BB_T_MAX_CEILING = 256  # largest t_max accepted; n = 2 takes about 9 s there on a 2-CPU host
 RUN_STEPS_CEILING = 1_000_000  # largest cardre --t-max and interact --t-budget; cardre takes about 3 s there
+TRACE_MEMBERS_CEILING = 1_000_000  # most members listed over the points of one interaction trace
 
 
 class TmSpec(namedtuple("TmSpec", "states table")):
@@ -556,7 +538,9 @@ def _interaction_traces(a_index: int, mode: str) -> Callable[[Any, int], list[tu
     changes, t = 0 first, in the run of b_word(a_index) on input 0 at fuel
     or more (_fuel_prefix_runs); kept per (run, x). A first emission at step
     s may change it from t = s + 1 on, and as it only grows (cap, minus) or
-    only shrinks (setminus), it changes exactly when its size does."""
+    only shrinks (setminus), it changes exactly when its size does. Each
+    point lists the whole answer, so a trace that would list more than
+    TRACE_MEMBERS_CEILING members in all raises ResourceError as it is built."""
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     instrs = parse_program(b_word(a_index))
@@ -566,7 +550,8 @@ def _interaction_traces(a_index: int, mode: str) -> Callable[[Any, int], list[tu
         raw_first, traces = runs(None, fuel)
         if x not in traces:
             out = set(x) if mode == "setminus" else set()
-            points = traces[x] = [(0, tuple(sorted(out)))]
+            points = [(0, tuple(sorted(out)))]
+            listed = len(out)
             for step, v in raw_first:
                 size = len(out)
                 if mode == "minus":
@@ -574,7 +559,14 @@ def _interaction_traces(a_index: int, mode: str) -> Callable[[Any, int], list[tu
                 elif v in x:
                     (out.add if mode == "cap" else out.discard)(v)
                 if len(out) != size:
+                    listed += len(out)
+                    if listed > (ceiling := TRACE_MEMBERS_CEILING):
+                        raise ResourceError(
+                            f"interaction trace exceeds the desk-scale ceiling of {ceiling} listed members"
+                            f" at t={step + 1}"
+                        )
                     points.append((step + 1, tuple(sorted(out))))
+            traces[x] = points
         return traces[x]
 
     return trace

@@ -47,7 +47,6 @@ from kposet.complexity import Budget, iter_words
 from kposet.limits import STABILIZED, limit_report_from_trace
 from kposet.posets import PosetInstance, parse_poset_spec, reverse
 from kposet.vm import (
-    _CYCLE_SET_CAP,
     RunResult,
     TmSpec,
     parse_program,
@@ -58,7 +57,9 @@ from kposet.vm import (
 NAT = parse_poset_spec("nat")
 
 def execute_ordered(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
-    """The interpreter with the kept filter applied at every OUT."""
+    """The interpreter with the kept filter applied at every OUT and no
+    shortcut for cycles: a run that does not halt steps through its whole
+    fuel, and only a dead spin, where nothing changes, is charged at once."""
     pc, a, b = 0, 0, input_b
     steps = 0
     trace: list[tuple[int, Any]] = []
@@ -66,18 +67,11 @@ def execute_ordered(instrs, input_b: int, fuel: int, unrank, leq) -> RunResult:
     raw_seen: set[int] = set()
     kept_last = None
     halted = False
-    states: set[tuple[int, int, int]] = set()
     n = len(instrs)
     while steps < fuel:
         if pc < 0 or pc >= n:
-            steps = fuel  # dead spin
+            steps = fuel  # dead spin: nothing changes any more
             break
-        key = (pc, a, b)
-        if key in states:
-            steps = fuel  # proven cycle, nothing new can happen
-            break
-        if len(states) < _CYCLE_SET_CAP:
-            states.add(key)
         op, arg = instrs[pc]
         step_index = steps
         steps += 1

@@ -573,6 +573,19 @@ def test_run_steps_ceiling(capsys, no_machine_run, argv, err):
     assert (code, out, got) == (3, "", err)
 
 
+@pytest.mark.parametrize("budget", ["10000", "1000000"])
+def test_interact_trace_ceiling(capsys, budget):
+    # minus with a large member lists ~i members at its i-th point, so the
+    # trace grows with the square of the emissions; it stops at the ceiling
+    # of listed members (4226 is the step reached, whatever the budget)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "interact", "--program", "00011010111110", "--mode", "minus",
+                         "--x", "0,5,1000000000", "--t-budget", budget)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == "kposet: interaction trace exceeds the desk-scale ceiling of 1000000 listed members at t=4226\n"
+
+
 @pytest.mark.parametrize("budget, err", [
     (("--t-budget", "-1"), "kposet: t_budget and fuel must be natural numbers, got -1 and -1\n"),
     (("--t-budget", "-1", "--window", "0"),

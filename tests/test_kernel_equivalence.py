@@ -1,6 +1,8 @@
 """The order-free kernel and the generating scans against the order-aware
 reference implementations in reference_impl.py."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,10 @@ DEAD_SPIN = assemble(["INC_A", "OUT", "INC_A"])  # falls off the end
 CYCLE = assemble(["INC_A", "OUT", "DEC_A", "OUT", ("JZ_B", -4)])  # state repeats
 ZIGZAG = assemble(["INC_A", "INC_A", "OUT", "DEC_A", "OUT", "INC_A", "INC_A", "OUT", "HALT"])
 COUNTER = assemble(["INC_A", "OUT", "INC_B", ("JZ_A", -3)])  # never repeats a state
+UP_DOWN = assemble(["INC_A", "DEC_A", ("JZ_A", -2)])  # repeats a state, a = 1 mid-period
+# lands on pc 0 with a = 1 and a = 0 in turn: state (0, 0, 0) repeats every
+# 7 steps, but neighbouring landings never match
+ALT = assemble([("JZ_A", 3), "DEC_A", ("JZ_A", -2), "INC_A", "OUT", ("JZ_B", -5)])
 
 instructions = st.one_of(
     st.sampled_from(["INC_A", "INC_B", "DEC_A", "DEC_B", "OUT", "HALT"]),
@@ -66,6 +72,9 @@ def assert_same_run(got, want):
 @example(spec="lexico:a<b", code=ZIGZAG, input_b=3, fuel=100)
 @example(spec="discrete(finsets)", code=COUNTER, input_b=0, fuel=300)
 @example(spec="rev(int)", code=ZIGZAG, input_b=0, fuel=5)
+@example(spec="nat", code=UP_DOWN, input_b=0, fuel=4096)
+@example(spec="nat", code=ALT, input_b=0, fuel=300)
+@example(spec="rev(nat)", code=ALT, input_b=2, fuel=101)
 def test_kernel_matches_order_aware_reference(spec, code, input_b, fuel):
     p = POSETS[spec]
     assert_same_run(run_emitting(p, code, input_b, fuel), run_emitting_ref(p, code, input_b, fuel))
@@ -73,7 +82,8 @@ def test_kernel_matches_order_aware_reference(spec, code, input_b, fuel):
 
 
 def test_kernel_examples_cover_spin_and_cycle():
-    # the hand-written examples above really exercise the two early exits
+    # the hand-written examples above really exercise the dead spin and a
+    # repeated state, which is jumped as a (0, 0) period
     spin = run_emitting(NAT, DEAD_SPIN, 0, 50)
     assert spin.steps_used == 50 and not spin.halted and len(spin.raw_first) == 1
     cyc = run_emitting(NAT, CYCLE, 0, 200)
@@ -82,6 +92,24 @@ def test_kernel_examples_cover_spin_and_cycle():
     down = run_emitting(POSETS["rev(nat)"], ZIGZAG, 0, 100)
     assert [d for _, d in up.trace] == [2, 3]
     assert [d for _, d in down.trace] == [2, 1]
+
+
+def test_repeated_states_end_with_honest_registers():
+    # a repeated state is jumped as a period, and the remainder interpreted
+    assert UP_DOWN == "00001010011110"
+    res = run_emitting(NAT, UP_DOWN, 0, 4096)
+    assert (res.steps_used, res.reg_a, res.reg_b) == (4096, 1, 0)
+    assert ALT == "100000110101001111000011010111011"
+    start = time.perf_counter()
+    res = run_emitting(NAT, ALT, 0, 10**8)
+    spin = run_emitting(NAT, assemble(["INC_B", ("JZ_A", 0)]), 0, 10**8)  # JZ +0 lands too
+    assert time.perf_counter() - start < 1
+    assert (spin.steps_used, spin.reg_a, spin.reg_b) == (10**8, 0, 1)
+    # period 7 from step 0; 10**8 = 7k + 2 ends after INC_A, so a = 1
+    honest = run_raw_ref(ALT, 0, 9)
+    assert (res.raw_first, res.reg_a, res.reg_b) == (honest.raw_first, honest.reg_a, honest.reg_b)
+    assert (res.raw_first, res.halted, res.steps_used) == (((2, 1),), False, 10**8)
+    assert (res.reg_a, res.reg_b) == (1, 0)
 
 
 @pytest.mark.parametrize("max_len", range(15))

@@ -236,5 +236,15 @@ def test_set_interactions():
         set_interaction_evaluators(0, "union")
 
 
+def test_interaction_trace_ceiling_keeps_no_partial_trace():
+    # each query past the ceiling raises; the cut-off trace is not kept
+    minus = set_interaction_evaluators(b_index("00011010111110"), "minus")
+    xs = (0, 5, 10**9)
+    assert minus(xs, 10, 3000) == (2, 3, 4, 10**9 - 3, 10**9 - 2, 10**9 - 1)  # 1, 2, 3 emitted
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="1000000 listed members at t=4226"):
+            minus(xs, 10, 10000)
+
+
 def test_enumerate_tm_specs_count():
     assert sum(1 for _ in enumerate_tm_specs(1)) == 64
