@@ -313,23 +313,15 @@ class _Enumeration:
     Only the empty text (the empty language, rank 0) and the well-formed
     texts are generated and canonicalised: every other text denotes the
     empty language again and cannot add one. A well-formed text is not
-    canonicalised either when a strictly earlier text has the same
-    language, so that it is never the first of it: when it holds a local
-    redundancy with a shorter rewrite (`redundant`), or is a whole-text (e)
-    or a union with two neighbouring operands equal or out of order
-    (`_repeats`). The texts not canonicalised still count toward the
+    canonicalised either when its `_normal_form` renders to a strictly
+    earlier text: that text has the same language, so this one is never
+    the first of it. The texts not canonicalised still count toward the
     `max_texts` ceiling, as if every text had been scanned."""
 
     def __init__(self, sigma: tuple[str, ...]):
         self.sigma = sigma
         self.symbols = list(sigma) + list("+*" + CONCAT + "()")
-        # e** -> e*, ()* -> (), e·() -> e, ()·e -> e, (()) -> (), (s) -> s
-        # and (s*) -> s*; a '·()' before '*' holds '()*' itself
-        self.redundant = ("**", "()*", CONCAT + "()", "()" + CONCAT, "(())") + tuple(
-            f"({s}{star})" for s in sigma for star in ("", "*")
-        )
         self.ranks = str.maketrans({c: chr(i) for i, c in enumerate(self.symbols)})
-        self.plus = "+".translate(self.ranks)
         self.languages: list[Dfa] = []
         self.by_dfa: dict[Dfa, int] = {}
         self._gen = self._texts()
@@ -381,29 +373,28 @@ class _Enumeration:
             yield from extend("", 0, True, False, 0)
             length += 1
 
-    def _repeats(self, text: str) -> bool:
-        """Whether a well-formed text repeats the language of an earlier
-        text in a way `redundant` does not catch: a whole-text (e) with e
-        non-empty (e is shorter), or adjacent top-level '+' operands u, v
-        that are equal (dropping one is shorter) or whose swap gives a text
-        of the same length that is smaller in `symbols` order (union
-        commutes)."""
-        depth, cuts, closed = 0, [-1], None
-        for i, c in enumerate(text):
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if not depth and closed is None:
-                    closed = i
-            elif c == "+" and not depth:
-                cuts.append(i)
-        if text[:1] == "(" and closed == len(text) - 1 > 1:
-            return True
-        cuts.append(len(text))
-        # operands in `symbols` order, so str comparison is the text order
-        ops = [text[i + 1:j].translate(self.ranks) for i, j in zip(cuts, cuts[1:])]
-        return any(u == v or v + self.plus + u < u + self.plus + v for u, v in zip(ops, ops[1:]))
+    def _key(self, text: str) -> tuple[int, str]:
+        """The length-lex position of a text in `symbols` order."""
+        return len(text), text.translate(self.ranks)
+
+    def _normal_form(self, node: RegexAst) -> RegexAst:
+        """node rebuilt bottom-up by Kleene-algebra identities that keep its
+        language: `_cat` drops the unit (), `_star` folds e** and ()*, and
+        each union is flattened, its operands sorted by rendered text in
+        `symbols` order with repeats dropped. `render_ast` then omits the
+        parentheses that associativity makes redundant."""
+        if node.op == "star":
+            return _star(self._normal_form(node.left))
+        if node.op == "cat":
+            return _cat(self._normal_form(node.left), self._normal_form(node.right))
+        if node.op != "alt":
+            return node
+        terms = {render_ast(t): t for side in (node.left, node.right)
+                 for t in _terms(self._normal_form(side))}
+        union = None
+        for text in sorted(terms, key=lambda t: t.translate(self.ranks)):
+            union = _alt(union, terms[text])
+        return union
 
     def extend_to(self, count: int, max_texts: int):
         while len(self.languages) <= count:
@@ -413,9 +404,12 @@ class _Enumeration:
                     f"regular-language enumeration ceiling hit after {max_texts} texts"
                 )
             self._pending = next(self._gen)
-            if any(r in text for r in self.redundant) or self._repeats(text):
-                continue
-            dfa = to_canonical_dfa(parse_regex(text, self.sigma), self.sigma)
+            ast = parse_regex(text, self.sigma)
+            if ast is not None:
+                ast = self._normal_form(ast)
+                if self._key(render_ast(ast)) < self._key(text):
+                    continue
+            dfa = to_canonical_dfa(ast, self.sigma)
             if dfa not in self.by_dfa:
                 self.by_dfa[dfa] = len(self.languages)
                 self.languages.append(dfa)
@@ -479,6 +473,11 @@ def _alt(a, b):
     if a == b:
         return a
     return RegexAst("alt", left=a, right=b)
+
+
+def _terms(node):
+    """The operands of a union, nested unions flattened."""
+    return _terms(node.left) + _terms(node.right) if node.op == "alt" else [node]
 
 
 def _cat(a, b):

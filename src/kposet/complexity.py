@@ -182,10 +182,11 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
         per_order = outcomes.get(raw_first)
         if per_order is None:
             per_order = outcomes[raw_first] = tuple(
-                _limit_outcome(order, raw_first, ranks, horizon, b.window) for order in orders
+                _limit_rank(order, kept_trace(raw_first, order.unrank, order.leq), horizon, b.window)
+                for order in orders
             )
         for (found, censored), outcome in zip(sides, per_order):
-            if outcome is None:
+            if outcome is None or outcome[0] >= ranks:
                 continue
             rank, stabilized = outcome
             if not stabilized:
@@ -197,14 +198,13 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
     return table
 
 
-def _limit_outcome(order: PosetInstance, raw_first, ranks: int, horizon: int, window: int):
-    """(rank, stabilized) of a run's limit under `order`, or None when the
-    run has no limit value or its rank is not below `ranks`."""
-    report = limit_report_from_trace(kept_trace(raw_first, order.unrank, order.leq), horizon, window)
+def _limit_rank(order: PosetInstance, trace, horizon: int, window: int):
+    """(rank, stabilized) of a kept trace's limit under `order`, or None
+    when the trace has no limit value."""
+    report = limit_report_from_trace(trace, horizon, window)
     if report.current is None:
         return None
-    rank = order.rank(report.current)
-    return (rank, report.status == STABILIZED) if rank < ranks else None
+    return order.rank(report.current), report.status == STABILIZED
 
 
 def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
@@ -221,8 +221,7 @@ def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
             if attr == "plain":
                 ok = res.halted and res.reg_a == rank
             else:
-                report = limit_report_from_trace(res.trace, b.horizon, b.window)
-                ok = report.status == STABILIZED and order.rank(report.current) == rank
+                ok = _limit_rank(order, res.trace, b.horizon, b.window) == (rank, True)
             if not ok:
                 raise VerificationError(f"{attr} witness for rank {rank} does not replay")
 
@@ -281,14 +280,14 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
     for rank, w in sorted(table.plain.items()):
         wrapped = wrap_program(w)
         res = run_emitting(p, wrapped, 0, b.fuel)
-        report = limit_report_from_trace(res.trace, b.horizon, b.window)
-        if report.current is None:
+        outcome = _limit_rank(p, res.trace, b.horizon, b.window)
+        if outcome is None:
             continue
-        if p.rank(report.current) != rank:
+        if outcome[0] != rank:
             raise VerificationError(
                 f"wrapped witness for rank {rank} does not replay to its value"
             )
-        if report.status == STABILIZED:
+        if outcome[1]:
             c_wrap = max(c_wrap or 0, PADDED.wrap_len(wrapped) - len(w))
     return c_wrap
 

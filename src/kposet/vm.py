@@ -368,10 +368,10 @@ def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], An
 def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
     """A monotone process of the enumeration: program `code` on the input
     x (a natural number, loaded into reg_b), value at (x, t) = last kept
-    emission within t machine steps. Defined only when fuel >= t so the
-    fuel-monotonicity contract holds exactly. Runs are shared through
-    _fuel_prefix_runs; a query bisects the kept trace at step bound
-    min(t + 1, fuel), so step t counts and no step >= fuel does."""
+    emission at a step s with s <= t and s < fuel. Defined only when
+    fuel >= t so the fuel-monotonicity contract holds exactly. Runs are
+    shared through _fuel_prefix_runs; a query bisects the kept trace at
+    step bound min(t + 1, fuel)."""
     kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, x, fuel).trace)
 
     def fn(x, t, fuel):

@@ -7,10 +7,20 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_impl import EnumerationRef, canonical_dfa_ref
 
 from kposet import automata
-from kposet.automata import ENUMERATION_TEXT_CEILING, _Enumeration, parse_regex, reg_unrank
+from kposet.automata import (
+    CONCAT,
+    ENUMERATION_TEXT_CEILING,
+    RegexAst,
+    _Enumeration,
+    parse_regex,
+    reg_unrank,
+    render_ast,
+)
 from kposet.cli import main
 from kposet.errors import ResourceError
 
@@ -74,7 +84,9 @@ def test_extend_to_matches_reference(sigma):
     assert raised >= 2
 
 
-def test_only_well_formed_texts_are_canonicalised(monkeypatch):
+def _canonicalised(enum: _Enumeration, count: int, max_texts: int) -> list:
+    """The ASTs that `enum` canonicalises, in order, while it extends to
+    count + 1 languages or until it hits max_texts."""
     asts = []
     canonical = automata.to_canonical_dfa
 
@@ -82,26 +94,44 @@ def test_only_well_formed_texts_are_canonicalised(monkeypatch):
         asts.append(ast)
         return canonical(ast, sigma)
 
-    monkeypatch.setattr(automata, "to_canonical_dfa", recording)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "to_canonical_dfa", recording)
+        try:
+            enum.extend_to(count, max_texts)
+        except ResourceError:
+            pass
+    return asts
+
+
+def test_only_well_formed_texts_are_canonicalised():
     enum = _Enumeration(("a", "b"))
-    enum.extend_to(69, ENUMERATION_TEXT_CEILING)
+    asts = _canonicalised(enum, 69, ENUMERATION_TEXT_CEILING)
+    assert len(enum.languages) == 70
     assert asts[0] is None  # the empty text: the empty language at rank 0
     assert None not in asts[1:]
-    assert len(enum.languages) == 70
-    # 340 with no skip rule, 184 with `redundant` alone; the whole-text
-    # (e) and top-level '+' rules (`_repeats`) skip 88 more
+    # 340 well-formed texts up to 70 languages; the normal form leaves 96
     assert len(asts) == 96
     last_taken, _ = next(itertools.islice(_Enumeration(("a", "b"))._texts(), len(asts) - 1, None))
     assert len(asts) < last_taken + 1  # fewer texts canonicalised than scanned
+    # 1,089 up to 142 languages; the normal form leaves 213
+    more = _canonicalised(enum, 141, ENUMERATION_TEXT_CEILING)
+    assert len(enum.languages) == 142
+    assert len(asts) + len(more) == 213
 
 
-def _skip_rules(text: str, sigma, symbols) -> set[str]:
-    """The rules a well-formed text breaks, found apart from _Enumeration:
-    "(e)" a whole-text (e), e non-empty; "u+u" equal adjacent top-level '+'
-    operands; "v+u" adjacent ones whose swap is smaller in `symbols` order."""
-    rules = set()
+def _former_rules_skip(text: str, sigma, symbols) -> bool:
+    """Whether a well-formed text breaks a skip rule the enumeration had
+    before its normal form: a substring with a shorter rewrite (e** -> e*,
+    ()* -> (), e·() -> e, ()·e -> e, (()) -> (), (s) -> s, (s*) -> s*), a
+    whole-text (e) with e non-empty, or neighbouring top-level '+'
+    operands u, v that are equal or whose swap is smaller in `symbols`
+    order."""
+    patterns = ("**", "()*", CONCAT + "()", "()" + CONCAT, "(())") + tuple(
+        f"({s}{star})" for s in sigma for star in ("", "*"))
+    if any(r in text for r in patterns):
+        return True
     if text[0] + text[-1] == "()" and parse_regex(text[1:-1], sigma) is not None:
-        rules.add("(e)")
+        return True
     operands, depth, start = [], 0, 0
     for i, c in enumerate(text + "+"):
         depth += (c == "(") - (c == ")")
@@ -109,36 +139,55 @@ def _skip_rules(text: str, sigma, symbols) -> set[str]:
             operands.append([symbols.index(s) for s in text[start:i]])
             start = i + 1
     plus = [symbols.index("+")]
-    for u, v in zip(operands, operands[1:]):
-        if u == v:
-            rules.add("u+u")
-        elif v + plus + u < u + plus + v:
-            rules.add("v+u")
-    return rules
+    return any(u == v or v + plus + u < u + plus + v for u, v in zip(operands, operands[1:]))
 
 
 @pytest.mark.parametrize("sigma, max_len", [(("a", "b"), 6), (("x", "y", "z"), 5)])
 def test_skipped_texts_have_an_earlier_equivalent(sigma, max_len):
     # every well-formed text that the enumeration does not canonicalise
     # denotes the language of an earlier text, so it is never the first of
-    # it; and it skips just the texts that hold a redundancy or break a rule
+    # it; and the normal form skips every text the former rules skipped
     enum = _Enumeration(sigma)
     k = len(enum.symbols)
     no_longer = (k ** (max_len + 1) - 1) // (k - 1)  # texts of length <= max_len
-    earlier, matched = set(), set()
-    for index, text in enum._texts():
-        if index >= no_longer:
-            break
+    texts = [text for _, text in itertools.takewhile(
+        lambda pair: pair[0] < no_longer, _Enumeration(sigma)._texts())]
+    asts = _canonicalised(enum, 10**9, no_longer)
+    position = {text: i for i, text in enumerate(texts)}
+    # a canonicalised text's normal form renders to the text itself, so the
+    # rendered normal forms name the canonicalised texts, once and in order
+    taken = [position[render_ast(ast)] for ast in asts[1:]]
+    assert taken == sorted(set(taken))
+    canonicalised = {texts[i] for i in taken}
+    earlier = {canonical_dfa_ref(None, sigma)}
+    for text in texts[1:]:
         dfa = canonical_dfa_ref(parse_regex(text, sigma), sigma)
-        if index:
-            found = {r for r in enum.redundant if r in text} | _skip_rules(text, sigma, enum.symbols)
-            skipped = any(r in text for r in enum.redundant) or enum._repeats(text)
-            assert skipped == bool(found), text
-            if found:
-                matched |= found
-                assert dfa in earlier, text
+        if text not in canonicalised:
+            assert dfa in earlier, text
+        elif _former_rules_skip(text, sigma, enum.symbols):
+            raise AssertionError(f"{text!r} is canonicalised")
         earlier.add(dfa)
-    assert matched == set(enum.redundant) | {"(e)", "u+u", "v+u"}  # every rule was seen
+
+
+def _asts(sigma):
+    leaves = st.sampled_from([RegexAst("sym", sym=c) for c in sigma] + [RegexAst("eps")])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(lambda u, v: RegexAst("alt", left=u, right=v), inner, inner),
+        st.builds(lambda u, v: RegexAst("cat", left=u, right=v), inner, inner),
+        inner.map(lambda u: RegexAst("star", left=u)),
+    ), max_leaves=10)
+
+
+@given(data=st.data(), sigma=st.sampled_from([("a", "b"), ("x", "y", "z")]))
+@settings(max_examples=300, deadline=None)
+def test_normal_form_keeps_the_language_and_is_never_later(data, sigma):
+    ast = data.draw(_asts(sigma))
+    enum = _Enumeration(sigma)
+    normal = enum._normal_form(ast)
+    text = render_ast(normal)
+    assert canonical_dfa_ref(normal, sigma) == canonical_dfa_ref(ast, sigma)
+    assert canonical_dfa_ref(parse_regex(text, sigma), sigma) == canonical_dfa_ref(ast, sigma)
+    assert enum._key(text) <= enum._key(render_ast(ast))
 
 
 def test_unrank_past_the_ceiling_raises():
