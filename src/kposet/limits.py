@@ -12,6 +12,8 @@ True convergence is undecidable, so limit reports never claim it: the best
 status is stabilized-within-budget together with an explicit stability
 window. Dovetailing everywhere uses one fixed diagonal order (increasing
 coordinate sum, then increasing first coordinate) so runs are reproducible.
+_fuel_prefix_runs is the one memo of evaluator work: normalize's search for
+the first value and the vm evaluators' machine runs all go through it.
 """
 
 from __future__ import annotations
@@ -198,6 +200,23 @@ def _greatest_of_chain(p: PosetInstance, values: Iterable[Any]) -> Any:
     return best
 
 
+def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
+    """Memoise run(x, fuel) with one run per input at the largest fuel seen
+    (at least 64, doubling on growth), returned as it is. What a run says
+    about fuel F or less must be the same at every larger fuel, and callers
+    read only that part, so each answer is that of a run at their fuel."""
+    cache: dict[Any, tuple[int, Any]] = {}
+
+    def at(x: Any, fuel: int) -> Any:
+        cached = cache.get(x)
+        if cached is None or cached[0] < fuel:
+            run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
+            cached = cache[x] = (run_fuel, run(x, run_fuel))
+        return cached[1]
+
+    return at
+
+
 def normalize(p: PosetInstance, e: Evaluator) -> Evaluator:
     """Rectangular-domain form of a monotone process.
 
@@ -205,32 +224,22 @@ def normalize(p: PosetInstance, e: Evaluator) -> Evaluator:
     u + f <= fuel makes e(x, u, f) converge (the dovetailed discovery of the
     first value theta(x)); its value is the greatest of {theta(x)} together
     with every e(x, u, t) converging within t steps for u <= t. Budgeted
-    limits agree with the source wherever both stabilize.
+    limits agree with the source wherever both stabilize. The pairs with
+    u + f <= F come first in the diagonal order, so every longer search finds
+    the same first hit (u + f, theta(x)), and one memoised search serves all.
     """
-    theta_cache: dict[tuple[Any, int], Any] = {}
 
-    def theta(x, fuel):
-        # keyed by fuel too, so results never depend on earlier calls
-        key = (x, fuel)
-        if key in theta_cache:
-            return theta_cache[key]
-        value = None
-        for s in range(fuel + 1):
-            for u in range(s + 1):
-                v = e(x, u, s - u)
-                if v is not None:
-                    value = v
-                    break
-            if value is not None:
-                break
-        theta_cache[key] = value
-        return value
+    def first_hit(x, fuel):
+        pairs = ((s, e(x, u, s - u)) for s in range(fuel + 1) for u in range(s + 1))
+        return next(((s, v) for s, v in pairs if v is not None), None)
+
+    hits = _fuel_prefix_runs(first_hit)
 
     def fn(x, t, fuel):
-        first = theta(x, fuel)
-        if first is None:
+        hit = hits(x, fuel)
+        if hit is None or hit[0] > fuel:
             return None
-        delta = [first]
+        delta = [hit[1]]
         for u in range(t + 1):
             v = e(x, u, t)
             if v is not None:

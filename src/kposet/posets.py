@@ -47,7 +47,7 @@ class PosetInstance(namedtuple(
     __slots__ = ()
 
     def unrank(self, n: int) -> Any:
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DomainError(f"rank must be a natural number, got {n!r}")
         return self.unrank_fn(n)
 
@@ -316,16 +316,23 @@ def _finsets() -> PosetInstance:
 
 def _reg(alphabet: str) -> PosetInstance:
     """Regular languages under inclusion; an element is the language's
-    canonical Dfa, so the automata functions serve it unwrapped."""
+    canonical Dfa, so the automata functions serve it unwrapped once it is
+    checked to be a Dfa over the spec's alphabet."""
     alphabet = _parse_alphabet(alphabet)
     from . import automata  # deferred: automata is a heavier module
 
     sigma = tuple(alphabet)
+
+    def check(d):
+        if not isinstance(d, automata.Dfa) or d.alphabet != sigma:
+            raise DomainError(f"not a DFA over {alphabet!r}: {d!r}")
+        return d
+
     return PosetInstance(
         spec=f"reg:{alphabet}",
         unrank_fn=lambda n: automata.reg_unrank(n, sigma),
-        rank_fn=automata.reg_rank,
-        leq_fn=automata.language_leq,
+        rank_fn=lambda d: automata.reg_rank(check(d)),
+        leq_fn=lambda a, b: automata.language_leq(check(a), check(b)),
         fmt_fn=automata.canonical_regex,
     )
 

@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .codec import _check_word, b_word
 from .errors import ConfigError, MonotonicityError, ResourceError
-from .limits import Evaluator, LimitReport, check_budget, limit_report_from_trace
+from .limits import Evaluator, LimitReport, _fuel_prefix_runs, check_budget, limit_report_from_trace
 from .posets import PosetInstance
 
 __all__ = [
@@ -346,25 +346,6 @@ def run_emitting(p: PosetInstance, code: str, input_b: int, fuel: int) -> RunRes
     return RunResult(kept_trace(raw_first, p.unrank, p.leq), raw_first, halted, steps, a, b)
 
 
-def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
-    """Memoise run(x, fuel) with one run per input at the largest fuel seen
-    (at least 64, doubling on growth) and return that cached run as it is,
-    possibly made at a larger fuel than requested. By the fuel-prefix
-    property (a run at fuel F emits exactly the step < F prefix of any
-    longer run) it answers every question about steps below the requested
-    fuel exactly, and callers ask about no other step."""
-    cache: dict[Any, tuple[int, Any]] = {}
-
-    def at(x: Any, fuel: int) -> Any:
-        cached = cache.get(x)
-        if cached is None or cached[0] < fuel:
-            run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
-            cached = cache[x] = (run_fuel, run(x, run_fuel))
-        return cached[1]
-
-    return at
-
-
 def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
     """A monotone process of the enumeration: program `code` on the input
     x (a natural number, loaded into reg_b), value at (x, t) = last kept
@@ -510,22 +491,28 @@ def _tree_leaves(states: int, t_max: int) -> Iterator[tuple[tuple, bool, int, in
 # ------------------------------------------------- enumerable-set counters
 
 
+def _first_emissions(n: int) -> Callable[[int], tuple]:
+    """emitted(fuel): the first emissions (step, value) of b_word(n) on
+    input 0, from one _fuel_prefix_runs run at that fuel or more."""
+    instrs = parse_program(b_word(n))
+    runs = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else _execute(instrs, 0, fuel)[0])
+    return lambda fuel: runs(None, fuel)
+
+
 def card_re_evaluator(n: int) -> Evaluator:
-    """h(n, t) as an evaluator; every (t, fuel) query is answered from one
-    run of b_word(n) through _fuel_prefix_runs, by a bisect on the
-    step-ordered first emissions at step bound t.
+    """h(n, t) as an evaluator; every (t, fuel) query is a bisect of
+    _first_emissions(n) at step bound t.
 
     h(n, t) = e(None, t, t) is the number of distinct values emitted
     (unfiltered) by program b_word(n) on input 0 within t steps; the
     budgeted max-limit of h is the cardinality of the enumerated set when
     that set is finite."""
-    instrs = parse_program(b_word(n))
-    emitted_at = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else _execute(instrs, 0, fuel)[0])
+    emitted = _first_emissions(n)
 
     def fn(x, t, fuel):
         if fuel < t:
             return None
-        return bisect.bisect_left(emitted_at(None, fuel), (t,))
+        return bisect.bisect_left(emitted(fuel), (t,))
 
     return Evaluator(fn)
 
@@ -535,41 +522,37 @@ INTERACTION_MODES = ("cap", "minus", "setminus")
 
 def _interaction_traces(a_index: int, mode: str) -> Callable[[Any, int], list[tuple[int, tuple]]]:
     """trace(x, fuel): the points (t, answer) where the answer at the set x
-    changes, t = 0 first, in the run of b_word(a_index) on input 0 at fuel
-    or more (_fuel_prefix_runs); kept per (run, x). A first emission at step
+    changes, t = 0 first, over the one _first_emissions(a_index) run; a
+    second _fuel_prefix_runs layer keeps them per x. A first emission at step
     s may change it from t = s + 1 on, and as it only grows (cap, minus) or
     only shrinks (setminus), it changes exactly when its size does. Each
     point lists the whole answer, so a trace that would list more than
     TRACE_MEMBERS_CEILING members in all raises ResourceError as it is built."""
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
-    instrs = parse_program(b_word(a_index))
-    runs = _fuel_prefix_runs(lambda _x, fuel: (() if instrs is None else _execute(instrs, 0, fuel)[0], {}))
+    emitted = _first_emissions(a_index)
 
-    def trace(x, fuel):
-        raw_first, traces = runs(None, fuel)
-        if x not in traces:
-            out = set(x) if mode == "setminus" else set()
-            points = [(0, tuple(sorted(out)))]
-            listed = len(out)
-            for step, v in raw_first:
-                size = len(out)
-                if mode == "minus":
-                    out.update(m - v for m in x if m >= v)
-                elif v in x:
-                    (out.add if mode == "cap" else out.discard)(v)
-                if len(out) != size:
-                    listed += len(out)
-                    if listed > (ceiling := TRACE_MEMBERS_CEILING):
-                        raise ResourceError(
-                            f"interaction trace exceeds the desk-scale ceiling of {ceiling} listed members"
-                            f" at t={step + 1}"
-                        )
-                    points.append((step + 1, tuple(sorted(out))))
-            traces[x] = points
-        return traces[x]
+    def changes(x, fuel):
+        out = set(x) if mode == "setminus" else set()
+        points = [(0, tuple(sorted(out)))]
+        listed = len(out)
+        for step, v in emitted(fuel):
+            size = len(out)
+            if mode == "minus":
+                out.update(m - v for m in x if m >= v)
+            elif v in x:
+                (out.add if mode == "cap" else out.discard)(v)
+            if len(out) != size:
+                listed += len(out)
+                if listed > (ceiling := TRACE_MEMBERS_CEILING):
+                    raise ResourceError(
+                        f"interaction trace exceeds the desk-scale ceiling of {ceiling} listed members"
+                        f" at t={step + 1}"
+                    )
+                points.append((step + 1, tuple(sorted(out))))
+        return points
 
-    return trace
+    return _fuel_prefix_runs(changes)
 
 
 def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:

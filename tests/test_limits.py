@@ -178,6 +178,35 @@ def test_normalize_rectangular_domain():
     assert all(defined)
 
 
+def test_normalize_does_not_depend_on_query_order():
+    # theta is first found at s = u + f = 5 + 1; a query at a larger fuel
+    # must not make it visible to a later query at a smaller fuel
+    e = trace_evaluator([(5, 4)], cost=1)
+    f = normalize(NAT, e)
+    assert f(None, 0, 20) == 4
+    assert f(None, 0, 3) is None
+    assert f(None, 0, 5) is None
+    assert f(None, 0, 6) == 4
+
+
+def test_normalize_matches_a_fresh_normalize_per_query():
+    rng = random.Random(25)
+    for _ in range(200):
+        tables = {}
+        for x in range(3):
+            ts = sorted(rng.sample(range(8), rng.randrange(0, 4)))
+            tables[x] = (dict(zip(ts, sorted(rng.randrange(0, 20) for _ in ts))), rng.randrange(0, 4))
+        e = Evaluator(lambda x, t, fuel: tables[x][0].get(t) if fuel >= tables[x][1] else None)
+        shared = normalize(NAT, e)
+        for _ in range(12):
+            x, t, fuel = rng.randrange(3), rng.randrange(10), rng.randrange(150)
+            got = shared(x, t, fuel)
+            assert got == normalize(NAT, e)(x, t, fuel), (tables, x, t, fuel)
+            # defined exactly when some e(x, u, f) with u + f <= fuel converges
+            found = any(e(x, u, f) is not None for u in range(fuel + 1) for f in range(fuel + 1 - u))
+            assert (got is not None) == found, (tables, x, t, fuel)
+
+
 def test_totalize():
     e = trace_evaluator([(0, 0), (1, 1), (2, 2), (3, 3)])
     f = totalize(NAT, e, bottom=0)

@@ -266,3 +266,29 @@ def test_discrete_resets_the_antichain_test():
     assert parse_poset_spec("discrete(prefix:ab)").is_antichain(["a", "ab"]) is True
     assert parse_poset_spec("prefix:ab").is_antichain(["a", "ab"]) is False
     assert parse_poset_spec("discrete(prefix:ab)").is_antichain(["a", "a"]) is False
+
+
+@pytest.mark.parametrize("spec", [
+    "nat", "int", "prefix:ab", "lexico:a<b;c", "finsets", "reg:ab", "rev(nat)", "discrete(prefix:ab)",
+])
+def test_unrank_rejects_bools(spec):
+    # bool is an int subclass, but True is not a rank
+    p = parse_poset_spec(spec)
+    for bad in (True, False):
+        with pytest.raises(DomainError, match="rank must be a natural number"):
+            p.unrank(bad)
+
+
+def test_reg_checks_its_elements():
+    # a language over another alphabet would otherwise take its rank there
+    ab, xy = parse_poset_spec("reg:ab"), parse_poset_spec("reg:xy")
+    assert ab.rank(ab.unrank(5)) == xy.rank(xy.unrank(5)) == 5
+    bottom = ab.unrank(0)
+    for bad in (xy.unrank(5), xy.unrank(0), "a", 5, None):
+        msg = re.escape(f"not a DFA over 'ab': {bad!r}")
+        with pytest.raises(DomainError, match=msg):
+            ab.rank(bad)
+        with pytest.raises(DomainError, match=msg):
+            ab.leq(bad, bottom)
+        with pytest.raises(DomainError, match=msg):
+            ab.leq(bottom, bad)

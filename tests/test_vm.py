@@ -246,5 +246,55 @@ def test_interaction_trace_ceiling_keeps_no_partial_trace():
             minus(xs, 10, 10000)
 
 
+@pytest.fixture
+def machine_runs(monkeypatch):
+    """The fuel of every machine run, in order."""
+    from kposet import vm
+
+    fuels = []
+    execute = vm._execute
+
+    def counted(instrs, input_b, fuel):
+        fuels.append(fuel)
+        return execute(instrs, input_b, fuel)
+
+    monkeypatch.setattr(vm, "_execute", counted)
+    return fuels
+
+
+UNBOUNDED = assemble(["INC_A", "OUT", ("JZ_B", -2)])  # emits 1, 2, 3, ...
+
+
+def test_card_re_runs_the_machine_once(machine_runs):
+    e = card_re_evaluator(b_index(UNBOUNDED))
+    assert [e(None, t, 100) for t in (0, 50, 100)] == [0, 17, 33]
+    assert e(None, 20, 30) == 7  # less fuel: read from the same run
+    assert machine_runs == [100]
+    assert e(None, 150, 150) == 50  # more fuel: one run, at twice the last
+    assert machine_runs == [100, 200]
+
+
+@pytest.mark.parametrize("mode", ["cap", "minus", "setminus"])
+def test_set_interactions_share_one_machine_run(machine_runs, mode):
+    e = set_interaction_evaluators(b_index(UNBOUNDED), mode)
+    sets = [(), (1,), (0, 2, 40), (3, 5, 7, 90)]
+    first = [e(x, 100, 100) for x in sets]
+    lower = [e(x, 20, 50) for x in sets]  # less fuel: read from the same run
+    assert machine_runs == [100]
+    assert [e(x, 100, 300) for x in sets] == first  # more fuel: one run for every set
+    assert machine_runs == [100, 300]
+    fresh = set_interaction_evaluators(b_index(UNBOUNDED), mode)
+    assert lower == [fresh(x, 20, 50) for x in sets]
+
+
+def test_vm_max_evaluator_runs_once_per_input(machine_runs):
+    e = vm_max_evaluator(NAT, UNBOUNDED)
+    assert [e(x, t, 100) for x in (0, 1) for t in (0, 50, 99)] == [None, 17, 33, None, 1, 1]
+    assert e(0, 20, 30) == 7
+    assert machine_runs == [100, 100]
+    assert e(0, 150, 150) == 50
+    assert machine_runs == [100, 100, 200]
+
+
 def test_enumerate_tm_specs_count():
     assert sum(1 for _ in enumerate_tm_specs(1)) == 64
