@@ -3,22 +3,35 @@ over computable partially ordered sets.
 
 Modules:
 
-  posets      computable partial orders (N, Z, words, finite sets, regular
-              languages) behind a single rank/leq interface
-  codec       the binary word codings used by every construction
-  limits      approximation processes, budgeted limit operators and the
-              normalization / totalization / filtering constructions
-  vm          the two-counter rank machine, busy beaver search, enumerable
-              set counters
-  automata    regular expressions, canonical DFAs, language quotients, the
-              canonical enumeration of regular languages
-  analysis    finite-order combinatorics: chains, antichains, Dilworth
-              decompositions, order-pair condition checkers
-  complexity  budgeted complexity tables, the paired decompressor, the
-              diagonal hardness construction, CSV reports
-  cli         the `kposet` command-line front end
+  posets         computable partial orders (N, Z, words, finite sets,
+                 regular languages) behind a single rank/leq interface
+  codec          the binary word codings used by every construction
+  limits         approximation processes (evaluators), limit reports from
+                 change points, the one memo of evaluator work
+  constructions  the evaluator-level limit operator and the normalization /
+                 totalization / filtering / dovetailing constructions
+  vm             the two-counter rank machine: its order-free kernel, the
+                 program walk, kept emissions and the max evaluator
+  enumerable     the enumerable-set counters built on raw emissions
+  busy_beaver    the busy-beaver table over one-tape Turing machines
+  automata       regular expressions, canonical DFAs, language quotients, the
+                 canonical enumeration of regular languages
+  analysis       finite-order combinatorics: chains, antichains, Dilworth
+                 decompositions, order-pair condition checkers
+  complexity     budgeted complexity tables, the paired decompressor, the
+                 diagonal hardness construction, CSV reports
+  cli            the `kposet` command-line front end
+
+The three names below come from `posets`, which is imported on first use,
+so that a command that parses no order spec does not load it.
 """
 
-from .posets import PosetInstance, parse_poset_spec, reverse
-
 __all__ = ["PosetInstance", "parse_poset_spec", "reverse"]
+
+
+def __getattr__(name):
+    if name in __all__:
+        from . import posets
+
+        return getattr(posets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,13 +20,13 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import ConfigError, DomainError, KposetError, ResourceError
-from .posets import _parse_alphabet, parse_poset_spec, reverse
 
-# Each handler imports the layers it drives, so a command loads only those;
-# hence the copy of vm.INTERACTION_MODES (a test keeps the two equal).
+# Each handler imports the layers it drives, posets included, so a command
+# loads only those; hence the copy of enumerable.INTERACTION_MODES (a test
+# keeps the two equal).
 _INTERACTION_MODES = ("cap", "minus", "setminus")
 
 __all__ = ["main"]
@@ -68,6 +68,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _split_pair(pair: str):
+    from .posets import parse_poset_spec
+
     parts = pair.split("/")
     if len(parts) != 2:
         raise ConfigError(
@@ -100,6 +102,7 @@ def _json_report(config: dict, payload: dict) -> str:
 
 def cmd_estimate(args) -> str:
     from . import complexity
+    from .posets import parse_poset_spec
 
     p = parse_poset_spec(args.poset)
     b = complexity.Budget(args.max_len, args.fuel, args.t_budget, args.window)
@@ -108,6 +111,7 @@ def cmd_estimate(args) -> str:
 
 def cmd_quotient(args) -> str:
     from . import automata
+    from .posets import _parse_alphabet
 
     sigma = tuple(_parse_alphabet(args.alphabet))
     words = args.m_words.split(",")
@@ -185,13 +189,13 @@ def cmd_diagonal(args) -> str:
 
 
 def cmd_bb(args) -> str:
-    from . import vm
+    from .busy_beaver import busy_beaver_row
 
     # the largest n first: its call checks both sizes before any other walk
-    top = vm.busy_beaver_row(args.states, args.t_max)
+    top = busy_beaver_row(args.states, args.t_max)
     rows = []
     for n in range(args.states + 1):
-        row = top if n == args.states else vm.busy_beaver_row(n, args.t_max)
+        row = top if n == args.states else busy_beaver_row(n, args.t_max)
         rows.extend([n, t, row[t]] for t in range(args.t_max + 1))
     return _csv_report(_config(args), ["n", "t", "bb"], rows)
 
@@ -207,20 +211,21 @@ def _program_index(args) -> int:
 
 
 def cmd_cardre(args) -> str:
-    from . import vm
+    from . import enumerable
 
     n = _program_index(args)
     if args.t_max < 0:
         raise ConfigError("--t-max must be a natural number")
-    if args.t_max > (ceiling := vm.RUN_STEPS_CEILING):
+    if args.t_max > (ceiling := enumerable.RUN_STEPS_CEILING):
         raise ResourceError(f"cardre t_max={args.t_max} exceeds the desk-scale ceiling of {ceiling} steps")
-    e = vm.card_re_evaluator(n)
+    e = enumerable.card_re_evaluator(n)
     rows = [[t, e(None, t, args.t_max)] for t in range(args.t_max + 1)]
     return _csv_report(_config(args, index=n), ["t", "count"], rows)
 
 
 def cmd_interact(args) -> str:
-    from . import vm
+    from . import enumerable
+    from .posets import parse_poset_spec, reverse
 
     n = _program_index(args)
     try:
@@ -230,7 +235,7 @@ def cmd_interact(args) -> str:
     finsets = parse_poset_spec("finsets")
     finsets.rank(xs)  # DomainError unless every member is a natural
     order = reverse(finsets) if args.mode == "setminus" else finsets
-    trace, report = vm.set_interaction_limit(order, n, args.mode, xs, args.t_budget, args.window)
+    trace, report = enumerable.set_interaction_limit(order, n, args.mode, xs, args.t_budget, args.window)
     payload = {"trace": [[t, list(v)] for t, v in trace], "limit": list(report.current),
                "status": report.status}
     return _json_report(_config(args, index=n, x=list(xs)), payload)
@@ -257,68 +262,94 @@ def _add_program(sub):
     which.add_argument("--program", help="program bits (alternative to --index)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _estimate_arguments(sub):
+    sub.add_argument("--poset", required=True, help="poset spec, e.g. nat or prefix:ab")
+    sub.add_argument("--ranks", type=int, default=32, help="report rows 0..ranks-1")
+    sub.add_argument("--max-len", type=int, default=14, help="max program bits")
+    _add_common(sub)
+    sub.set_defaults(fn=cmd_estimate)
+
+
+def _quotient_arguments(sub):
+    sub.add_argument("--regex", required=True)
+    sub.add_argument("--alphabet", required=True)
+    sub.add_argument("--m-words", required=True, help="comma-separated quotient words")
+    _add_common(sub, budget=False)
+    sub.set_defaults(fn=cmd_quotient)
+
+
+def _conditions_arguments(sub):
+    sub.add_argument("--pair", required=True, help="weak-spec/strong-spec")
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--condition", choices=["star", "dagger"], default="star")
+    sub.add_argument("--fragment", type=int, default=15, help="carrier rank bound")
+    _add_common(sub, budget=False)
+    sub.set_defaults(fn=cmd_conditions)
+
+
+def _dilworth_arguments(sub):
+    sub.add_argument("--file", required=True, help="finite order JSON")
+    _add_common(sub, budget=False)
+    sub.set_defaults(fn=cmd_dilworth)
+
+
+def _diagonal_arguments(sub):
+    sub.add_argument("--pair", required=True, help="weak-spec/strong-spec")
+    sub.add_argument("--i", type=int, required=True, help="alpha(i) = i + 1")
+    _add_common(sub)
+    sub.set_defaults(fn=cmd_diagonal)
+
+
+def _bb_arguments(sub):
+    sub.add_argument("--states", type=int, required=True, help="n (machines have n+1 states)")
+    sub.add_argument("--t-max", type=int, required=True)
+    _add_common(sub, budget=False)
+    sub.set_defaults(fn=cmd_bb)
+
+
+def _cardre_arguments(sub):
+    _add_program(sub)
+    sub.add_argument("--t-max", type=int, required=True)
+    _add_common(sub, budget=False)
+    sub.set_defaults(fn=cmd_cardre)
+
+
+def _interact_arguments(sub):
+    sub.add_argument("--mode", choices=list(_INTERACTION_MODES), required=True)
+    _add_program(sub)
+    sub.add_argument("--x", required=True, help="comma-separated finite set")
+    sub.add_argument("--t-budget", type=int, default=256)
+    sub.add_argument("--window", type=int, default=8)
+    _add_common(sub, budget=False)
+    sub.set_defaults(fn=cmd_interact)
+
+
+# (name, help, the function that adds its arguments), in the order of the help
+_SUBCOMMANDS = (
+    ("estimate", "build the three-table CSV report", _estimate_arguments),
+    ("quotient", "stabilization trace of a language quotient", _quotient_arguments),
+    ("conditions", "chain/antichain condition witnesses", _conditions_arguments),
+    ("dilworth", "max antichain and min chain cover", _dilworth_arguments),
+    ("diagonal", "diagonal hardness audit", _diagonal_arguments),
+    ("bb", "busy beaver table", _bb_arguments),
+    ("cardre", "enumerable-set counting table", _cardre_arguments),
+    ("interact", "finite-set interaction trace", _interact_arguments),
+)
+
+
+def build_parser(only: Optional[Iterable[str]] = None) -> argparse.ArgumentParser:
+    """The kposet parser: every subcommand with its help, and the arguments
+    of every subcommand, or of those named in `only` when it is given."""
     parser = argparse.ArgumentParser(
         prog="kposet",
         description="desk-scale workbench for max/min program-size complexities "
         "over computable partially ordered sets",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    est = subs.add_parser("estimate", help="build the three-table CSV report")
-    est.add_argument("--poset", required=True, help="poset spec, e.g. nat or prefix:ab")
-    est.add_argument("--ranks", type=int, default=32, help="report rows 0..ranks-1")
-    est.add_argument("--max-len", type=int, default=14, help="max program bits")
-    _add_common(est)
-    est.set_defaults(fn=cmd_estimate)
-
-    quo = subs.add_parser("quotient", help="stabilization trace of a language quotient")
-    quo.add_argument("--regex", required=True)
-    quo.add_argument("--alphabet", required=True)
-    quo.add_argument("--m-words", required=True, help="comma-separated quotient words")
-    _add_common(quo, budget=False)
-    quo.set_defaults(fn=cmd_quotient)
-
-    con = subs.add_parser("conditions", help="chain/antichain condition witnesses")
-    con.add_argument("--pair", required=True, help="weak-spec/strong-spec")
-    con.add_argument("--k", type=int, required=True)
-    con.add_argument("--condition", choices=["star", "dagger"], default="star")
-    con.add_argument("--fragment", type=int, default=15, help="carrier rank bound")
-    _add_common(con, budget=False)
-    con.set_defaults(fn=cmd_conditions)
-
-    dil = subs.add_parser("dilworth", help="max antichain and min chain cover")
-    dil.add_argument("--file", required=True, help="finite order JSON")
-    _add_common(dil, budget=False)
-    dil.set_defaults(fn=cmd_dilworth)
-
-    dia = subs.add_parser("diagonal", help="diagonal hardness audit")
-    dia.add_argument("--pair", required=True, help="weak-spec/strong-spec")
-    dia.add_argument("--i", type=int, required=True, help="alpha(i) = i + 1")
-    _add_common(dia)
-    dia.set_defaults(fn=cmd_diagonal)
-
-    bbp = subs.add_parser("bb", help="busy beaver table")
-    bbp.add_argument("--states", type=int, required=True, help="n (machines have n+1 states)")
-    bbp.add_argument("--t-max", type=int, required=True)
-    _add_common(bbp, budget=False)
-    bbp.set_defaults(fn=cmd_bb)
-
-    car = subs.add_parser("cardre", help="enumerable-set counting table")
-    _add_program(car)
-    car.add_argument("--t-max", type=int, required=True)
-    _add_common(car, budget=False)
-    car.set_defaults(fn=cmd_cardre)
-
-    inter = subs.add_parser("interact", help="finite-set interaction trace")
-    inter.add_argument("--mode", choices=list(_INTERACTION_MODES), required=True)
-    _add_program(inter)
-    inter.add_argument("--x", required=True, help="comma-separated finite set")
-    inter.add_argument("--t-budget", type=int, default=256)
-    inter.add_argument("--window", type=int, default=8)
-    _add_common(inter, budget=False)
-    inter.set_defaults(fn=cmd_interact)
-
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if only is None or name in only:
+            add_arguments(sub)
     return parser
 
 
@@ -327,7 +358,10 @@ def main(argv=None) -> int:
         # UTF-8 whatever the locale: Python decoded the argument bytes with
         # the locale's codec, so re-encode them and decode as UTF-8
         argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
-    parser = build_parser()
+    # argparse runs the subcommand named by the first argument that is not an
+    # option (the top level has no option but -h), and only it needs its
+    # arguments: the others are built for nothing
+    parser = build_parser(only=[a for a in argv if not a.startswith("-")][:1])
     args = parser.parse_args(argv)
     try:
         _emit(args.fn(args), args.out)

@@ -36,11 +36,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
-from .limits import (
-    STABILIZED,
-    common_value_dovetail,
-    limit_report_from_trace,
-)
+from .limits import STABILIZED, limit_report_from_trace
 from .posets import PosetInstance, reverse
 from .vm import (
     _execute,
@@ -302,6 +298,8 @@ def paired_decompress(
     return their first common value (the element itself when both witnesses
     stabilize); None when the dovetail budget runs out. The composite
     program length is |encode_pair(max_witness, min_witness)|."""
+    from .constructions import common_value_dovetail
+
     if d_rank not in table.k_max:
         raise ConfigError(f"rank {d_rank} has no max-side witness")
     if d_rank not in table.k_min:

@@ -37,22 +37,20 @@ records the first occurrences among their OUTs (the OUT of value v at step
 s recurs as v + j*da at step s + j*period) and interprets the shorter
 remainder, so every run, raw_first, halted, steps and the registers
 included, equals an honest fuel burn.
-
-The module also hosts the tiny Turing-machine class for the busy beaver
-table and the enumerable-set counters built on raw emissions.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from collections import namedtuple
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
-from .codec import _check_word, b_word
-from .errors import ConfigError, MonotonicityError, ResourceError
-from .limits import Evaluator, LimitReport, _fuel_prefix_runs, check_budget, limit_report_from_trace
-from .posets import PosetInstance
+from .codec import _check_word
+from .errors import ConfigError
+from .limits import Evaluator, _fuel_prefix_runs
+
+if TYPE_CHECKING:
+    from .posets import PosetInstance
 
 __all__ = [
     "OPCODES",
@@ -63,15 +61,6 @@ __all__ = [
     "run_emitting",
     "kept_trace",
     "vm_max_evaluator",
-    "TmSpec",
-    "busy_beaver_row",
-    "card_re_evaluator",
-    "set_interaction_evaluators",
-    "set_interaction_limit",
-    "BB_STATE_BOUND",
-    "BB_T_MAX_CEILING",
-    "RUN_STEPS_CEILING",
-    "TRACE_MEMBERS_CEILING",
 ]
 
 # 3-bit opcodes; JZ_A/JZ_B carry a 5-bit two's-complement relative offset
@@ -364,229 +353,3 @@ def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
         return trace[i - 1][1] if i else None
 
     return Evaluator(fn)
-
-
-# ------------------------------------------------------------- busy beaver
-
-BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_row (n+1 machine states)
-BB_T_MAX_CEILING = 256  # largest t_max accepted; n = 2 takes about 9 s there on a 2-CPU host
-RUN_STEPS_CEILING = 1_000_000  # largest cardre --t-max and interact --t-budget; cardre takes about 3 s there
-TRACE_MEMBERS_CEILING = 1_000_000  # most members listed over the points of one interaction trace
-
-
-class TmSpec(namedtuple("TmSpec", "states table")):
-    """One-tape Turing machine over {blank, 1}; table maps (state, symbol)
-    to (write, move, next) with next a state index or "H"."""
-
-    __slots__ = ()
-
-    def __new__(cls, states: int, table: dict):
-        for q in range(states):
-            for s in (0, 1):
-                if (q, s) not in table:
-                    raise ConfigError(f"transition table misses ({q},{s})")
-        return super().__new__(cls, states, table)
-
-
-def run_tm(spec: TmSpec, max_steps: int) -> tuple[bool, int, int]:
-    """Run from blank tape; returns (halted, steps, cells_visited) where
-    cells = distinct head positions including the final one after a halting
-    move."""
-    tape: dict[int, int] = {}
-    pos = 0
-    state: int | str = 0
-    visited = {0}
-    for step in range(1, max_steps + 1):
-        write, move, nxt = spec.table[(state, tape.get(pos, 0))]
-        tape[pos] = write
-        pos += 1 if move == "R" else -1
-        visited.add(pos)
-        state = nxt
-        if state == "H":
-            return True, step, len(visited)
-    return False, max_steps, len(visited)
-
-
-def busy_beaver_row(n: int, t_max: int) -> list[int]:
-    """bb(n, t) for t = 0..t_max in one walk of the transition tree: the
-    most cells of a machine halting at each step, then a running max over
-    the steps.
-
-    bb(n, t) is the max over 0 and the cells visited by (n+1)-state machines
-    halting within t steps from blank tape; monotone in both arguments."""
-    if n < 0 or t_max < 0:
-        raise ConfigError(f"busy beaver sizes must be natural numbers, got n={n}, t_max={t_max}")
-    if n > BB_STATE_BOUND:
-        raise ResourceError(
-            f"busy beaver enumeration is bounded at n <= {BB_STATE_BOUND}"
-        )
-    if t_max > BB_T_MAX_CEILING:
-        raise ResourceError(
-            f"busy beaver t_max={t_max} exceeds the desk-scale ceiling of {BB_T_MAX_CEILING} steps"
-        )
-    at_step = [0] * (t_max + 1)
-    for _reached, halted, steps, cells in _tree_leaves(n + 1, t_max):
-        if halted and cells > at_step[steps]:
-            at_step[steps] = cells
-    return list(itertools.accumulate(at_step, max))
-
-
-def _tree_leaves(states: int, t_max: int) -> Iterator[tuple[tuple, bool, int, int]]:
-    """The leaves of the transition tree (Brady's tree normal form) of the
-    `states`-state machines run for t_max steps from blank tape.
-
-    A depth-first walk over partial tables: it starts from the empty table
-    and runs the machine; when the run first reads an undefined
-    (state, symbol), it branches over the 2 * 2 * (states + 1) transitions
-    (write, move, next-or-"H", in that nesting order), each branch resuming
-    from the current configuration. A leaf is a run that halts or uses up
-    t_max steps. It is yielded as (reached, halted, steps, cells), the
-    outcome run_tm gives, with reached the ((state, symbol), transition)
-    pairs the run defined, in the order it reached them.
-
-    Exactness: run_tm on a total table only reads the transitions it
-    reaches, so it runs step for step like the partial table of the one
-    leaf whose reached transitions the table contains; every total table
-    falls under exactly one leaf, because the tree branches over every
-    transition at each key it reaches. The tape and the visited cells are
-    bit masks (bit t_max + p for cell p, |p| <= t_max), so branches share
-    them without copies."""
-    transitions = [
-        (write, move, nxt)
-        for write in (0, 1)
-        for move in ("L", "R")
-        for nxt in [*range(states), "H"]
-    ]
-    # popped from the stack in the order above; "H" runs as state -1
-    branches = [
-        ((write, move, nxt), (write, 1 if move == "R" else -1, -1 if nxt == "H" else nxt))
-        for write, move, nxt in reversed(transitions)
-    ]
-    # (table indexed by 2 * state + symbol, reached, state, pos, tape, visited, step)
-    stack = [((None,) * (2 * states), (), 0, t_max, 0, 1 << t_max, 0)]
-    while stack:
-        table, reached, state, pos, tape, visited, step = stack.pop()
-        while step < t_max:
-            key = 2 * state + (tape >> pos & 1)
-            act = table[key]
-            if act is None:
-                head, tail = table[:key], table[key + 1:]
-                where = (state, key & 1)
-                for tr, act in branches:
-                    stack.append((head + (act,) + tail, reached + ((where, tr),),
-                                  state, pos, tape, visited, step))
-                break
-            write, delta, state = act
-            tape = tape | 1 << pos if write else tape & ~(1 << pos)
-            pos += delta
-            visited |= 1 << pos
-            step += 1
-            if state < 0:
-                yield reached, True, step, visited.bit_count()
-                break
-        else:
-            yield reached, False, step, visited.bit_count()
-
-
-# ------------------------------------------------- enumerable-set counters
-
-
-def _first_emissions(n: int) -> Callable[[int], tuple]:
-    """emitted(fuel): the first emissions (step, value) of b_word(n) on
-    input 0, from one _fuel_prefix_runs run at that fuel or more."""
-    instrs = parse_program(b_word(n))
-    runs = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else _execute(instrs, 0, fuel)[0])
-    return lambda fuel: runs(None, fuel)
-
-
-def card_re_evaluator(n: int) -> Evaluator:
-    """h(n, t) as an evaluator; every (t, fuel) query is a bisect of
-    _first_emissions(n) at step bound t.
-
-    h(n, t) = e(None, t, t) is the number of distinct values emitted
-    (unfiltered) by program b_word(n) on input 0 within t steps; the
-    budgeted max-limit of h is the cardinality of the enumerated set when
-    that set is finite."""
-    emitted = _first_emissions(n)
-
-    def fn(x, t, fuel):
-        if fuel < t:
-            return None
-        return bisect.bisect_left(emitted(fuel), (t,))
-
-    return Evaluator(fn)
-
-
-INTERACTION_MODES = ("cap", "minus", "setminus")
-
-
-def _interaction_traces(a_index: int, mode: str) -> Callable[[Any, int], list[tuple[int, tuple]]]:
-    """trace(x, fuel): the points (t, answer) where the answer at the set x
-    changes, t = 0 first, over the one _first_emissions(a_index) run; a
-    second _fuel_prefix_runs layer keeps them per x. A first emission at step
-    s may change it from t = s + 1 on, and as it only grows (cap, minus) or
-    only shrinks (setminus), it changes exactly when its size does. Each
-    point lists the whole answer, so a trace that would list more than
-    TRACE_MEMBERS_CEILING members in all raises ResourceError as it is built."""
-    if mode not in INTERACTION_MODES:
-        raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
-    emitted = _first_emissions(a_index)
-
-    def changes(x, fuel):
-        out = set(x) if mode == "setminus" else set()
-        points = [(0, tuple(sorted(out)))]
-        listed = len(out)
-        for step, v in emitted(fuel):
-            size = len(out)
-            if mode == "minus":
-                out.update(m - v for m in x if m >= v)
-            elif v in x:
-                (out.add if mode == "cap" else out.discard)(v)
-            if len(out) != size:
-                listed += len(out)
-                if listed > (ceiling := TRACE_MEMBERS_CEILING):
-                    raise ResourceError(
-                        f"interaction trace exceeds the desk-scale ceiling of {ceiling} listed members"
-                        f" at t={step + 1}"
-                    )
-                points.append((step + 1, tuple(sorted(out))))
-        return points
-
-    return _fuel_prefix_runs(changes)
-
-
-def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
-    """The finite-set interaction processes against the set enumerated by
-    program b_word(a_index) on input 0.
-
-    cap:      X intersected with the values emitted so far (increasing)
-    minus:    {x - y : x in X, y emitted, x >= y}          (increasing)
-    setminus: X minus the values emitted so far            (decreasing;
-              consume its limit with rev(finsets))
-    """
-    trace = _interaction_traces(a_index, mode)
-
-    def fn(x, t, fuel):
-        if fuel < t:
-            return None
-        points = trace(x, fuel)
-        # the last change point at or before t; (t + 1,) sorts before (t + 1, answer)
-        return points[bisect.bisect_left(points, (t + 1,)) - 1][1]
-
-    return Evaluator(fn)
-
-
-def set_interaction_limit(p: PosetInstance, a_index: int, mode: str, x: tuple, t_budget: int,
-                          window: int) -> tuple[list[tuple[int, tuple]], LimitReport]:
-    """The distinct values (t, value) of set_interaction_evaluators(a_index,
-    mode) at x for t = 0..t_budget, each checked to rise in p, and the report
-    and errors of budgeted_limit over them, from one run and no walk over t."""
-    trace = _interaction_traces(a_index, mode)
-    check_budget(t_budget, t_budget, window)
-    if t_budget > (ceiling := RUN_STEPS_CEILING):
-        raise ResourceError(f"interact t_budget={t_budget} exceeds the desk-scale ceiling of {ceiling} steps")
-    points = [point for point in trace(x, t_budget) if point[0] <= t_budget]
-    for (_, last), (t, d) in zip(points, points[1:]):
-        if not p.leq(last, d):
-            raise MonotonicityError(f"process not monotone at t={t}", witness=((t - 1, last), (t, d)))
-    return points, limit_report_from_trace(points, t_budget, window)

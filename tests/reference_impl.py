@@ -16,8 +16,11 @@ independent of FinitePoset.
 
 The last part holds the enumerator layer from before its one-pass rewrite:
 the run cache that slices its cached run on every call and the evaluators
-that scan or rebuild the sliced emissions per query, the busy-beaver loops
-(one enumeration per bb(n, t), and a row raised step by step per machine),
+that scan or rebuild the sliced emissions per query, the evaluator form of
+the set interactions that the package replaced with one trace per
+command, the Turing machines with their step-by-step interpreter, the
+busy-beaver loops over them (one enumeration per bb(n, t), and a row
+raised step by step per machine),
 the two separate breadth-first subset constructions behind the canonical
 DFA and the quotient, and the canonical form as a block automaton from
 Moore refinement renumbered by its own breadth-first walk. The busy-beaver
@@ -37,21 +40,22 @@ canonical-DFA pipeline and counts one toward the ceiling.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import namedtuple
 from typing import Any, Sequence
 
 from kposet.errors import ConfigError, ResourceError
 from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, iter_words
-from kposet.limits import STABILIZED, limit_report_from_trace
+from kposet.enumerable import INTERACTION_MODES, _first_emissions, _interaction_trace
+from kposet.limits import STABILIZED, Evaluator, _fuel_prefix_runs, limit_report_from_trace
 from kposet.posets import PosetInstance, parse_poset_spec, reverse
 from kposet.vm import (
     RunResult,
-    TmSpec,
     parse_program,
     run_emitting,
-    run_tm,
 )
 
 NAT = parse_poset_spec("nat")
@@ -403,6 +407,64 @@ def set_interaction_ref(a_index: int, mode: str):
         return tuple(sorted(out))
 
     return fn
+
+
+def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
+    """The finite-set interaction processes against the set enumerated by
+    program b_word(a_index) on input 0, as evaluators (see
+    enumerable._interaction_trace for the three modes; consume setminus with
+    rev(finsets)).
+
+    The evaluator form that set_interaction_limit replaced: one
+    _first_emissions run shared by every set, and a second _fuel_prefix_runs
+    layer that keeps the change points per set; a query reads the last
+    change point at or before t."""
+    if mode not in INTERACTION_MODES:
+        raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
+    emitted = _first_emissions(a_index)
+    trace = _fuel_prefix_runs(lambda x, fuel: _interaction_trace(emitted(fuel), mode, x))
+
+    def fn(x, t, fuel):
+        if fuel < t:
+            return None
+        points = trace(x, fuel)
+        # the last change point at or before t; (t + 1,) sorts before (t + 1, answer)
+        return points[bisect.bisect_left(points, (t + 1,)) - 1][1]
+
+    return Evaluator(fn)
+
+
+class TmSpec(namedtuple("TmSpec", "states table")):
+    """One-tape Turing machine over {blank, 1}; table maps (state, symbol)
+    to (write, move, next) with next a state index or "H"."""
+
+    __slots__ = ()
+
+    def __new__(cls, states: int, table: dict):
+        for q in range(states):
+            for s in (0, 1):
+                if (q, s) not in table:
+                    raise ConfigError(f"transition table misses ({q},{s})")
+        return super().__new__(cls, states, table)
+
+
+def run_tm(spec: TmSpec, max_steps: int) -> tuple[bool, int, int]:
+    """Run from blank tape; returns (halted, steps, cells_visited) where
+    cells = distinct head positions including the final one after a halting
+    move."""
+    tape: dict[int, int] = {}
+    pos = 0
+    state: int | str = 0
+    visited = {0}
+    for step in range(1, max_steps + 1):
+        write, move, nxt = spec.table[(state, tape.get(pos, 0))]
+        tape[pos] = write
+        pos += 1 if move == "R" else -1
+        visited.add(pos)
+        state = nxt
+        if state == "H":
+            return True, step, len(visited)
+    return False, max_steps, len(visited)
 
 
 def enumerate_tm_specs(states: int):

@@ -47,18 +47,17 @@ from kposet.complexity import (
     paired_decompress,
     verify_table,
 )
-from kposet.limits import (
-    STABILIZED,
-    Evaluator,
+from kposet.constructions import (
     budgeted_limit,
     monotone_filter,
     normalize,
     prefix_normal_form,
     trace_evaluator,
 )
+from kposet.limits import STABILIZED, Evaluator
 from kposet.posets import parse_poset_spec, reverse
 from kposet.analysis import chain_antichain_family
-from kposet.vm import busy_beaver_row
+from kposet.busy_beaver import busy_beaver_row
 
 from reference_impl import enumerate_tm_specs
 

@@ -18,7 +18,7 @@ from kposet.automata import (
     to_canonical_dfa,
 )
 from kposet.errors import ConfigError
-from kposet.limits import budgeted_limit
+from kposet.constructions import budgeted_limit
 from kposet.posets import parse_poset_spec
 
 AB = ("a", "b")

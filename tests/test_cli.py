@@ -553,12 +553,13 @@ def test_interact_bad_window_exits_before_the_walk(capsys):
 @pytest.fixture
 def no_machine_run(monkeypatch):
     """Fail the test if the machine kernel runs."""
-    from kposet import vm
+    from kposet import enumerable, vm
 
     def no_run(*args):
         raise AssertionError("the machine ran")
 
-    monkeypatch.setattr(vm, "_execute", no_run)
+    for module in (vm, enumerable):  # enumerable binds the kernel by name
+        monkeypatch.setattr(module, "_execute", no_run)
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -584,6 +585,20 @@ def test_interact_trace_ceiling(capsys, budget):
     assert time.perf_counter() - start < 5
     assert (code, out) == (3, "")
     assert err == "kposet: interaction trace exceeds the desk-scale ceiling of 1000000 listed members at t=4226\n"
+
+
+def test_interact_trace_ceiling_counts_only_the_budget(tmp_path, capsys):
+    # 5,000 members 100 apart: each emission adds 5,000 members to minus, so
+    # the 10 emissions before t=30 list 275,000 in all, and the 21 before
+    # t=64 would pass the ceiling; points past the budget do not count
+    xs = ",".join(str(10**6 + 100 * i) for i in range(5000))
+    out = tmp_path / "minus.json"
+    code, _, err = run(capsys, "interact", "--program", "00011010111110", "--mode", "minus",
+                       "--x", xs, "--t-budget", "30", "--out", str(out))
+    assert (code, err) == (0, "")
+    trace = json.loads(out.read_text())["trace"]
+    assert [t for t, _ in trace] == [0] + [3 * j - 1 for j in range(1, 11)]
+    assert len(trace[-1][1]) == 50000
 
 
 @pytest.mark.parametrize("budget, err", [
@@ -627,8 +642,8 @@ def test_index_and_program_are_exclusive(capsys, argv):
 
 
 _BASE = {"cli", "errors", "posets"}
-_MACHINE = _BASE | {"codec", "limits", "vm"}
-_REPORT = _MACHINE | {"complexity"}
+_REPORT = _BASE | {"codec", "limits", "vm", "complexity"}
+_SETS = {"cli", "errors", "codec", "limits", "vm", "enumerable"}  # no posets
 
 # Run one command in a fresh interpreter and print the kposet modules it loaded.
 _PROBE = """
@@ -652,10 +667,10 @@ print(json.dumps([code, loaded, heavy]))
     (("conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2", "--fragment", "6"),
      _BASE | {"analysis"}),
     (("dilworth", "--file", "ORDER"), _BASE | {"analysis"}),
-    (("bb", "--states", "1", "--t-max", "5"), _MACHINE),
-    (("cardre", "--program", "00011010111110", "--t-max", "5"), _MACHINE),
+    (("bb", "--states", "1", "--t-max", "5"), {"cli", "errors", "busy_beaver"}),
+    (("cardre", "--program", "00011010111110", "--t-max", "5"), _SETS),
     (("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
-      "--t-budget", "5"), _MACHINE),
+      "--t-budget", "5"), _SETS | {"posets"}),
     (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
      _BASE | {"limits", "automata"}),
 ], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "diagonal",
@@ -676,11 +691,38 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     assert heavy == []  # records are namedtuples: no dataclass machinery at start-up
 
 
-def test_interact_mode_choices_match_vm():
-    from kposet.vm import INTERACTION_MODES
+def test_interact_mode_choices_match_enumerable():
+    from kposet.enumerable import INTERACTION_MODES
 
     mode = next(a for a in _subcommands()["interact"]._actions if a.dest == "mode")
     assert tuple(mode.choices) == INTERACTION_MODES
+
+
+def _exit(capsys, parse, argv):
+    """The exit code, stdout and stderr of an argv that parse ends in SystemExit."""
+    with pytest.raises(SystemExit) as caught:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return caught.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    [],
+    ["frobnicate", "--poset", "nat"],
+    ["-x", "bb", "--states", "1", "--t-max", "2"],
+    *([name, "-h"] for name in _subcommands()),
+    ["bb", "--states", "1", "-h"],
+    ["bb", "--states", "1"],
+    ["bb", "--states", "one", "--t-max", "2"],
+    ["cardre", "--t-max", "5"],
+    ["interact", "--program", "01", "--mode", "union", "--x", "1"],
+    ["estimate", "--poset", "nat", "--seed", "1"],
+], ids=lambda argv: " ".join(argv) or "bare")
+def test_help_and_usage_match_the_full_parser(capsys, argv):
+    # main builds only the invoked subcommand's arguments; what argparse
+    # prints and the exit code must not show it
+    assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
 
 
 def _kposet_env(**locale):

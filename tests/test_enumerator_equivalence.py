@@ -13,12 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_impl import (
+    TmSpec,
     busy_beaver_bb_ref,
     busy_beaver_row_ref,
     canonical_dfa_ref,
     canonicalize_dfa_ref,
     card_re_evaluator_ref,
     quotient_ref,
+    run_tm,
+    set_interaction_evaluators,
     set_interaction_ref,
     subset_construct_ref,
     thompson_ref,
@@ -33,25 +36,15 @@ from kposet.automata import (
     quotient,
     to_canonical_dfa,
 )
+from kposet.busy_beaver import _tree_leaves, busy_beaver_row
 from kposet.cli import main
 from kposet.codec import b_index
+from kposet.constructions import budgeted_limit
+from kposet.enumerable import INTERACTION_MODES, card_re_evaluator, set_interaction_limit
 from kposet.errors import MonotonicityError
-from kposet.limits import Evaluator, budgeted_limit
+from kposet.limits import Evaluator
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import (
-    INTERACTION_MODES,
-    TmSpec,
-    _execute,
-    _tree_leaves,
-    assemble,
-    busy_beaver_row,
-    card_re_evaluator,
-    iter_programs,
-    run_tm,
-    set_interaction_evaluators,
-    set_interaction_limit,
-    vm_max_evaluator,
-)
+from kposet.vm import _execute, assemble, iter_programs, vm_max_evaluator
 
 SPECS = ("nat", "rev(nat)", "int", "prefix:ab", "rev(finsets)", "lexico:a<b")
 POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}

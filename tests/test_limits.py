@@ -4,20 +4,16 @@ import random
 import pytest
 
 from kposet.errors import ConfigError, ContractError, MonotonicityError
-from kposet.limits import (
-    NO_VALUE,
-    STABILIZED,
-    STILL_CHANGING,
-    Evaluator,
+from kposet.constructions import (
     budgeted_limit,
     common_value_dovetail,
-    limit_report_from_trace,
     monotone_filter,
     normalize,
     prefix_normal_form,
     totalize,
     trace_evaluator,
 )
+from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, limit_report_from_trace
 from kposet.posets import parse_poset_spec, reverse
 
 NAT = parse_poset_spec("nat")

@@ -4,13 +4,15 @@ stays mutable."""
 
 import pytest
 
+from reference_impl import TmSpec
+
 from kposet.analysis import FinitePoset, OrderPair
 from kposet.automata import parse_regex, to_canonical_dfa
 from kposet.complexity import Budget, ComplexityTable
 from kposet.errors import ConfigError
 from kposet.limits import LimitReport
 from kposet.posets import parse_poset_spec
-from kposet.vm import RunResult, TmSpec
+from kposet.vm import RunResult
 
 AB = ("a", "b")
 CHAIN = FinitePoset(2, frozenset({(0, 1)}))

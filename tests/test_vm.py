@@ -2,24 +2,17 @@ import random
 
 import pytest
 
-from reference_impl import busy_beaver_bb_ref, enumerate_tm_specs
+from reference_impl import TmSpec, busy_beaver_bb_ref, enumerate_tm_specs, run_tm, set_interaction_evaluators
 
+from kposet.busy_beaver import BB_STATE_BOUND, busy_beaver_row
+from kposet.cli import main
 from kposet.codec import b_index, b_word
+from kposet.constructions import budgeted_limit
+from kposet.enumerable import card_re_evaluator
 from kposet.errors import ConfigError, DomainError, ResourceError
-from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING, budgeted_limit
+from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import (
-    BB_STATE_BOUND,
-    TmSpec,
-    assemble,
-    busy_beaver_row,
-    card_re_evaluator,
-    parse_program,
-    run_emitting,
-    run_tm,
-    set_interaction_evaluators,
-    vm_max_evaluator,
-)
+from kposet.vm import assemble, parse_program, run_emitting, vm_max_evaluator
 
 NAT = parse_poset_spec("nat")
 
@@ -249,7 +242,7 @@ def test_interaction_trace_ceiling_keeps_no_partial_trace():
 @pytest.fixture
 def machine_runs(monkeypatch):
     """The fuel of every machine run, in order."""
-    from kposet import vm
+    from kposet import enumerable, vm
 
     fuels = []
     execute = vm._execute
@@ -258,7 +251,8 @@ def machine_runs(monkeypatch):
         fuels.append(fuel)
         return execute(instrs, input_b, fuel)
 
-    monkeypatch.setattr(vm, "_execute", counted)
+    for module in (vm, enumerable):  # enumerable binds the kernel by name
+        monkeypatch.setattr(module, "_execute", counted)
     return fuels
 
 
@@ -285,6 +279,16 @@ def test_set_interactions_share_one_machine_run(machine_runs, mode):
     assert machine_runs == [100, 300]
     fresh = set_interaction_evaluators(b_index(UNBOUNDED), mode)
     assert lower == [fresh(x, 20, 50) for x in sets]
+
+
+@pytest.mark.parametrize("mode", ["cap", "minus", "setminus"])
+@pytest.mark.parametrize("t_budget", [5, 3000])
+def test_interact_runs_the_machine_once(machine_runs, capsys, mode, t_budget):
+    # the whole trace comes from one run at fuel t_budget
+    code = main(["interact", "--program", UNBOUNDED, "--mode", mode, "--x", "0,2,5,40",
+                 "--t-budget", str(t_budget)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert machine_runs == [t_budget]
 
 
 def test_vm_max_evaluator_runs_once_per_input(machine_runs):
