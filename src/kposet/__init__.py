@@ -8,18 +8,20 @@ Modules:
   codec          the binary word codings used by every construction
   limits         approximation processes (evaluators), limit reports from
                  change points, the one memo of evaluator work
-  constructions  the evaluator-level limit operator and the normalization /
-                 totalization / filtering / dovetailing constructions
+  constructions  the evaluator-level limit operator, the normalization /
+                 totalization / filtering / dovetailing constructions and
+                 the paired decompressor
   vm             the two-counter rank machine: its order-free kernel, the
                  program walk, kept emissions and the max evaluator
   enumerable     the enumerable-set counters built on raw emissions
   busy_beaver    the busy-beaver table over one-tape Turing machines
   automata       regular expressions, canonical DFAs, language quotients, the
                  canonical enumeration of regular languages
-  analysis       finite-order combinatorics: chains, antichains, Dilworth
-                 decompositions, order-pair condition checkers
-  complexity     budgeted complexity tables, the paired decompressor, the
-                 diagonal hardness construction, CSV reports
+  analysis       finite-order combinatorics: the transitive closure,
+                 chains, antichains, Dilworth decompositions
+  conditions     the star and dagger conditions of order pairs
+  complexity     budgeted complexity tables, the wrap constant, CSV reports
+  diagonal       the diagonal hardness construction and the family it audits
   cli            the `kposet` command-line front end
 
 The three names below come from `posets`, which is imported on first use,

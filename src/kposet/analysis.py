@@ -1,49 +1,53 @@
-"""Finite-order combinatorics: chains, antichains, Dilworth decompositions,
-the chain/antichain condition checkers for order pairs, and the family the
-diagonal audit walks.
+"""Finite-order combinatorics: the one transitive-closure routine, chains,
+antichains and Dilworth decompositions.
 
-A FinitePoset is a strict order on {0..n-1} (transitively closed at
-construction); an OrderPair is a weak order together with a strong extension
-on the same carrier. One Kuhn matching gives the width of any subset (by
-Dilworth, its smallest chain cover); `dilworth` takes the chain cover and
-the width from one matching of the whole order and builds the
-lexicographically first maximum antichain greedily, in polynomial time, and
-the dagger condition rests on the same width. The condition checkers search
-subsets in one fixed deterministic order: increasing maximum rank first,
-then lexicographically on the ascending rank tuple, so the returned witness
-is a function of the input alone. The search cuts every branch that cannot
-reach the smallest size a witness needs (k for star, k + 1 for dagger),
-which leaves that order and the witnesses unchanged. `chain_antichain_family`
-picks its family from the order pair itself: a closed form for prefix:xy /
-lexico:x<y, the first check_star witness on a rank-bounded fragment
-otherwise.
+A FinitePoset is a strict order on {0..n-1}, transitively closed at
+construction by `closure_rows`, which also closes the `lexico:` symbol
+orders. One Kuhn matching gives the width of any subset (by Dilworth, its
+smallest chain cover); `dilworth` takes the chain cover and the width from
+one matching of the whole order and builds the lexicographically first
+maximum antichain greedily, in polynomial time. The dagger condition of
+`conditions` rests on the same width.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
-from .posets import PosetInstance, closure_rows
 
 __all__ = [
     "FinitePoset",
-    "OrderPair",
+    "closure_rows",
     "dilworth",
     "max_antichain",
     "min_chain_cover",
-    "check_star",
-    "check_dagger",
-    "chain_antichain_family",
-    "order_pair_fragment",
     "N_BOUND",
-    "SUBSET_SEARCH_BOUND",
 ]
 
 N_BOUND = 200  # exact antichain/cover work stops here
-SUBSET_SEARCH_BOUND = 16  # carrier ceiling for exhaustive subset searches
+
+
+def closure_rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Transitive closure of a strict relation on {0..n-1} as bit rows
+    (Warshall): bit b of row a is set when a < b. ConfigError for a pair out
+    of range, or when some row i ends with its own bit i set, which means
+    the relation is reflexive or cyclic."""
+    rows = [0] * n
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ConfigError(f"relation pair out of range: {(a, b)}")
+        rows[a] |= 1 << b
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for a in range(n):
+            if rows[a] & bit:
+                rows[a] |= row_k
+    if any(row >> i & 1 for i, row in enumerate(rows)):
+        raise ConfigError("not a strict partial order (reflexive or cyclic)")
+    return rows
 
 
 def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
@@ -118,22 +122,6 @@ class FinitePoset(namedtuple("FinitePoset", "n lt names rows")):
         return masks
 
 
-class OrderPair(namedtuple("OrderPair", "weak strong")):
-    """Two orders on one carrier, the strong one extending the weak one."""
-
-    __slots__ = ()
-
-    def __new__(cls, weak: FinitePoset, strong: FinitePoset):
-        if weak.n != strong.n:
-            raise ConfigError("order pair carriers differ")
-        if not weak.lt <= strong.lt:
-            missing = sorted(weak.lt - strong.lt)[0]
-            raise ConfigError(
-                f"strong order does not extend the weak one (missing {missing})"
-            )
-        return super().__new__(cls, weak, strong)
-
-
 def dilworth(fp: FinitePoset) -> tuple[list[int], list[list[int]]]:
     """The lexicographically first maximum antichain and a minimum chain
     cover, both from one matching of the whole order: by Dilworth the
@@ -199,11 +187,6 @@ def _exact_ceiling(n: int) -> None:
         raise ResourceError(f"carrier too large for exact search: {n} > {N_BOUND}")
 
 
-def _subset_search_ceiling(n: int) -> None:
-    if n > SUBSET_SEARCH_BOUND:
-        raise ResourceError(f"carrier too large for subset search: {n}")
-
-
 def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
     """A minimum family of chains covering the carrier, from the maximum
     matching; by Dilworth its size equals the maximum antichain size."""
@@ -219,123 +202,3 @@ def min_chain_cover(fp: FinitePoset) -> list[list[int]]:
             chain.append(next_of[chain[-1]])
         chains.append(chain)
     return chains
-
-
-def _first_clique(
-    adj: Sequence[int], accept: Callable[[int, int], bool], min_size: int, max_size: int
-) -> list[int] | None:
-    """The first clique of the graph adj (bit rows) with min_size to
-    max_size members that accept(mask, size) takes, in the documented search
-    order: increasing maximum element, then lexicographically on the
-    ascending tuple. accept must refuse every clique of fewer than min_size
-    members. A clique is extended only by smaller elements than its maximum
-    that are adjacent to all its members, in ascending order, so the walk
-    is a lexicographic preorder that skips every non-clique; a branch whose
-    clique and candidates together fall short of min_size is cut, since its
-    cliques only grow from the candidates."""
-
-    def extend(mask: int, size: int, cand: int) -> int | None:
-        if size + cand.bit_count() < min_size:
-            return None
-        if accept(mask, size):
-            return mask
-        if size == max_size:
-            return None
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            found = extend(mask | low, size + 1, cand & adj[low.bit_length() - 1])
-            if found is not None:
-                return found
-        return None
-
-    for m in range(len(adj)):
-        found = extend(1 << m, 1, adj[m] & ((1 << m) - 1))
-        if found is not None:
-            return [i for i in range(m + 1) if found >> i & 1]
-    return None
-
-
-def check_star(pair: OrderPair, k: int) -> list[int] | None:
-    """A k-element strong chain that is a weak antichain, or None after the
-    exhaustive ordered subset search."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    _subset_search_ceiling(pair.weak.n)
-    strong, weak = pair.strong.comparability_masks(), pair.weak.comparability_masks()
-    adj = [s & ~w for s, w in zip(strong, weak)]
-    found = _first_clique(adj, lambda mask, size: size == k, k, k)
-    return None if found is None else _strong_sort(pair, found)
-
-
-def _strong_sort(pair: OrderPair, subset: Sequence[int]) -> list[int]:
-    out = list(subset)
-    out.sort(key=lambda e: sum(1 for f in subset if (f, e) in pair.strong.lt))
-    return out
-
-
-def check_dagger(pair: OrderPair, k: int) -> list[int] | None:
-    """A finite strong chain whose weak restriction needs more than k chains
-    to cover, or None; same search order as check_star. The cover size of
-    a subset is its width in the weak order."""
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
-    n = pair.weak.n
-    _subset_search_ceiling(n)
-
-    def needs_more_chains(mask: int, size: int) -> bool:
-        # no cover has more chains than members
-        return size > k and _width(pair.weak.rows, mask) > k
-
-    found = _first_clique(pair.strong.comparability_masks(), needs_more_chains, k + 1, n)
-    return None if found is None else _strong_sort(pair, found)
-
-
-# ------------------------------------------------- chain/antichain families
-
-
-def chain_antichain_family(
-    weak_p: PosetInstance, strong_p: PosetInstance, size: int
-) -> list:
-    """A size-element strong chain that is a weak antichain, in ascending
-    strong order. The pair prefix:xy / lexico:x<y has the closed form
-    {x^j y : j < size}; every other pair gets the first check_star witness
-    on its first SUBSET_SEARCH_BOUND ranks. The family is not re-checked
-    here: complexity.diagonal_hard checks every family it audits.
-    """
-    if size < 1:
-        raise ConfigError(f"size must be >= 1, got {size}")
-    kind, _, symbols = weak_p.spec.partition(":")
-    if kind == "prefix" and len(symbols) == 2:
-        x, y = symbols
-        if strong_p.spec == f"lexico:{x}<{y}":
-            return [x * (size - 1 - j) + y for j in range(size)]
-    pair, elems = order_pair_fragment(weak_p, strong_p, SUBSET_SEARCH_BOUND)
-    found = check_star(pair, size)
-    if found is None:
-        raise ResourceError(
-            f"no size-{size} witness within the first {SUBSET_SEARCH_BOUND} ranks"
-        )
-    return [elems[i] for i in found]
-
-
-def order_pair_fragment(
-    weak_p: PosetInstance, strong_p: PosetInstance, size: int
-) -> tuple[OrderPair, list]:
-    """The induced order pair on the first `size` ranks of a shared carrier;
-    returns the pair together with the elements in rank order. Sizes above
-    SUBSET_SEARCH_BOUND are refused before the relations are built."""
-    if size < 1:
-        raise ConfigError(f"fragment size must be >= 1, got {size}")
-    _subset_search_ceiling(size)
-    elems = [strong_p.unrank(i) for i in range(size)]
-    if any(weak_p.unrank(i) != e for i, e in enumerate(elems)):
-        raise ConfigError("weak and strong posets do not share a carrier enumeration")
-    names = tuple(strong_p.format_elem(e) for e in elems)
-    weak, strong = (
-        FinitePoset(size, frozenset(
-            (i, j) for i in range(size) for j in range(size) if p.lt(elems[i], elems[j])
-        ), names)
-        for p in (weak_p, strong_p)
-    )
-    return OrderPair(weak, strong), elems

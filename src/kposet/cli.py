@@ -134,14 +134,14 @@ def cmd_quotient(args) -> str:
 
 
 def cmd_conditions(args) -> str:
-    from . import analysis
+    from . import conditions
 
     weak_p, strong_p = _split_pair(args.pair)
-    pair, elems = analysis.order_pair_fragment(weak_p, strong_p, args.fragment)
+    pair, elems = conditions.order_pair_fragment(weak_p, strong_p, args.fragment)
     if args.condition == "star":
-        found = analysis.check_star(pair, args.k)
+        found = conditions.check_star(pair, args.k)
     else:
-        found = analysis.check_dagger(pair, args.k)
+        found = conditions.check_dagger(pair, args.k)
     witness = None
     if found is not None:
         witness = [strong_p.format_elem(elems[i]) for i in found]
@@ -169,15 +169,15 @@ def cmd_dilworth(args) -> str:
 
 
 def cmd_diagonal(args) -> str:
-    from . import analysis, complexity
+    from . import complexity, diagonal
 
     weak_p, strong_p = _split_pair(args.pair)
     # diagonal_hard reads no length field (it runs the words shorter than
     # alpha(i)); the ceiling only makes the Budget valid
     b = complexity.Budget(complexity.MAX_PROG_LEN, args.fuel, args.t_budget, args.window)
-    f_elem, g_elem, audit = complexity.diagonal_hard(
+    f_elem, g_elem, audit = diagonal.diagonal_hard(
         weak_p, strong_p,
-        lambda i, size: analysis.chain_antichain_family(weak_p, strong_p, size),
+        lambda i, size: diagonal.chain_antichain_family(weak_p, strong_p, size),
         lambda j: j + 1, args.i, b,
     )
     payload = {

@@ -1,4 +1,5 @@
-"""Budgeted program-size tables and the constructions built on them.
+"""Budgeted program-size tables: the builder, their replay, the wrap
+constant and the CSV report.
 
 One table, three columns over one machine, each mapping a rank to the
 witness bit string whose length is the table value:
@@ -17,8 +18,10 @@ strings and every table entry replays (verify_table re-checks this).
 Each column's witnesses are the words of one Addressing, which reads a
 word as a machine and its input: RAW (the word is the program, on input 0)
 for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
-b_index(p)) for the max and min columns, the diagonal and the wrap
-constant. complexity_table is the one builder. Each walk generates only
+b_index(p)) for the max and min columns and the wrap constant, and for
+`diagonal`'s audit and `constructions`' paired decompressor, which live
+apart so that `estimate` does not compile them. complexity_table is the one
+builder. Each walk generates only
 what can run, in the witness tie-break order of iter_words: RAW the
 programs that contain HALT, PADDED the addresses of machines that contain
 OUT (no other program can halt or emit). One run per address feeds both
@@ -32,7 +35,7 @@ import csv
 import io
 import json
 from collections import namedtuple
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
@@ -45,7 +48,6 @@ from .vm import (
     kept_trace,
     parse_program,
     run_emitting,
-    vm_max_evaluator,
 )
 
 __all__ = [
@@ -59,15 +61,11 @@ __all__ = [
     "verify_table",
     "wrap_program",
     "measure_wrap_constant",
-    "paired_decompress",
-    "diagonal_hard",
     "hierarchy_report",
     "MAX_PROG_LEN",
-    "DIAGONAL_ALPHA_CAP",
 ]
 
 MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
-DIAGONAL_ALPHA_CAP = 11  # largest alpha(i) diagonal_hard audits (family of 2^12 words)
 HALT, OUT = ("HALT", None), ("OUT", None)
 
 
@@ -286,168 +284,6 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
         if outcome[1]:
             c_wrap = max(c_wrap or 0, PADDED.wrap_len(wrapped) - len(w))
     return c_wrap
-
-
-# -------------------------------------------------------- paired decompress
-
-
-def paired_decompress(
-    p: PosetInstance, table: ComplexityTable, d_rank: int, b: Budget
-) -> Any | None:
-    """Run the max and min witnesses of one rank against each other and
-    return their first common value (the element itself when both witnesses
-    stabilize); None when the dovetail budget runs out. The composite
-    program length is |encode_pair(max_witness, min_witness)|."""
-    from .constructions import common_value_dovetail
-
-    if d_rank not in table.k_max:
-        raise ConfigError(f"rank {d_rank} has no max-side witness")
-    if d_rank not in table.k_min:
-        raise ConfigError(f"rank {d_rank} has no min-side witness")
-    code_f, x_f = PADDED.decode(table.k_max[d_rank])
-    code_g, x_g = PADDED.decode(table.k_min[d_rank])
-    f = vm_max_evaluator(p, code_f)
-    g = vm_max_evaluator(reverse(p), code_g)
-    return common_value_dovetail(p, f, g, x_f, x_g, b.t_budget + b.fuel)
-
-
-# --------------------------------------------------------------- diagonal
-
-
-def _address_family(addressing: Addressing, weak: PosetInstance, fuel: int):
-    """word -> kept traces of the weak max- and min-machines that the word
-    addresses, or None outside the addressing's range. One run per word
-    feeds both traces."""
-    down = reverse(weak)
-
-    def family(word: str):
-        dec = addressing.decode(word)
-        if dec is None:
-            return None
-        res = run_emitting(weak, *dec, fuel)
-        return res.trace, kept_trace(res.raw_first, down.unrank, down.leq)
-
-    return family
-
-
-def diagonal_hard(
-    weak: PosetInstance,
-    strong: PosetInstance,
-    generator: Callable[[int, int], Sequence[Any]],
-    alpha: Callable[[int], int],
-    i: int,
-    b: Budget,
-    program_family=None,
-) -> tuple[Any, Any, dict]:
-    """The finite diagonalization engine: inside a strong chain Z_i that is a
-    weak antichain of size 2^(alpha(i)+1), walk away from every value that
-    any weak-semantics program shorter than alpha(i) produces within budget.
-
-    F_i is the strong-max limit of the least-unexcluded walk; G_i is the
-    strong-min limit of the mirrored greatest-unexcluded walk. The audit
-    re-checks the counting argument instead of assuming it: each program
-    trace meets Z_i at most once (chain against antichain), the excluded set
-    never exceeds 2^(alpha(i)+1) - 2, and F_i, G_i are members of Z_i that no
-    within-budget exclusion ever names.
-    """
-    if i < 0:
-        raise ConfigError(f"i must be a natural number, got {i}")
-    a_i = alpha(i)
-    if a_i < 0:
-        raise ConfigError("alpha must be a total monotone map into N")
-    if a_i > DIAGONAL_ALPHA_CAP:
-        raise ResourceError(f"alpha(i) = {a_i} exceeds the desk-scale cap of {DIAGONAL_ALPHA_CAP}")
-    size = 2 ** (a_i + 1)
-    family = list(generator(i, size))
-    if len(family) != size:
-        raise VerificationError(
-            f"generator returned {len(family)} elements, wanted {size}"
-        )
-    for a, bb_ in zip(family, family[1:]):
-        if not strong.lt(a, bb_):
-            raise VerificationError("family is not an ascending strong chain")
-    if not weak.is_antichain(family):
-        raise VerificationError("family is not a weak antichain")
-    z_index = {e: j for j, e in enumerate(family)}
-
-    if program_family is None:
-        program_family = _address_family(PADDED, weak, b.fuel)
-    horizon = b.horizon
-    events: list[tuple[int, int]] = []  # (step, family index)
-    per_trace_ok = True
-    programs = 0
-    for p_word in iter_words(a_i - 1) if a_i >= 1 else []:
-        traces = program_family(p_word)
-        if traces is None:
-            continue
-        programs += 1
-        for trace in traces:
-            hits = [
-                (step, z_index[d]) for step, d in trace if step <= horizon and d in z_index
-            ]
-            if len(hits) > 1:
-                per_trace_ok = False
-            events.extend(hits)
-    events.sort()
-    bound = size - 2
-
-    # `excluded` only grows, so the least unexcluded index only rises and the
-    # greatest only falls; once nothing is left both walks keep their value
-    excluded: set[int] = set()
-    least, greatest = 0, size - 1
-    least_walk: list[tuple[int, int]] = [(0, least)]  # (step, family index)
-    greatest_walk: list[tuple[int, int]] = [(0, greatest)]
-    bound_ok = True
-    for step, j in events:
-        excluded.add(j)
-        if len(excluded) > bound:
-            bound_ok = False
-        if len(excluded) == size:
-            continue
-        while least in excluded:
-            least += 1
-        while greatest in excluded:
-            greatest -= 1
-        if least != least_walk[-1][1]:
-            least_walk.append((step, least))
-        if greatest != greatest_walk[-1][1]:
-            greatest_walk.append((step, greatest))
-
-    f_report = limit_report_from_trace(least_walk, horizon, b.window)
-    g_report = limit_report_from_trace(greatest_walk, horizon, b.window)
-    f_elem = family[f_report.current]
-    g_elem = family[g_report.current]
-    audit = {
-        "i": i,
-        "alpha_i": a_i,
-        "z_size": size,
-        "programs_considered": programs,
-        "exclusion_events": len(events),
-        "excluded_total": len(excluded),
-        "excluded_bound": bound,
-        "per_step_bound_ok": bound_ok,
-        "per_trace_at_most_one": per_trace_ok,
-        "f_index": f_report.current,
-        "g_index": g_report.current,
-        "f_in_family": f_elem in z_index,
-        "g_in_family": g_elem in z_index,
-        "f_not_excluded": f_report.current not in excluded,
-        "g_not_excluded": g_report.current not in excluded,
-        "f_status": f_report.status,
-        "g_status": g_report.status,
-    }
-    audit["passed"] = all(
-        audit[k]
-        for k in (
-            "per_step_bound_ok",
-            "per_trace_at_most_one",
-            "f_in_family",
-            "g_in_family",
-            "f_not_excluded",
-            "g_not_excluded",
-        )
-    )
-    return f_elem, g_elem, audit
 
 
 # ----------------------------------------------------------------- report

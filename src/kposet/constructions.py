@@ -3,22 +3,26 @@ processes: budgeted_limit walks every t of an evaluator; monotone_filter
 repairs a stream into a monotone one; normalize, totalize and
 prefix_normal_form reshape a process without changing its budgeted limits
 where both stabilize; common_value_dovetail finds the value an increasing
-and a decreasing process share.
+and a decreasing process share, and paired_decompress runs it on the max
+and min witnesses of one table row.
 
-Only the paired decompressor of `complexity` runs one of them
-(common_value_dovetail); the others are the library's reference forms of
-the paper's constructions, which the tests check. They live apart from
-`limits` so that no command compiles them.
+No command runs any of them: they are the library's reference forms of the
+paper's constructions, which the tests check. They live apart from
+`limits` and `complexity` so that no command compiles them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from .complexity import PADDED
 from .errors import ConfigError, ContractError, MonotonicityError
 from .limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, LimitReport, _fuel_prefix_runs, check_budget
+from .posets import reverse
+from .vm import vm_max_evaluator
 
 if TYPE_CHECKING:
+    from .complexity import Budget, ComplexityTable
     from .posets import PosetInstance
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
     "totalize",
     "prefix_normal_form",
     "common_value_dovetail",
+    "paired_decompress",
 ]
 
 
@@ -254,3 +259,21 @@ def common_value_dovetail(
                 if vg in f_seen:
                     return vg
     return None
+
+
+def paired_decompress(
+    p: PosetInstance, table: ComplexityTable, d_rank: int, b: Budget
+) -> Any | None:
+    """Run the max and min witnesses of one rank against each other and
+    return their first common value (the element itself when both witnesses
+    stabilize); None when the dovetail budget runs out. The composite
+    program length is |encode_pair(max_witness, min_witness)|."""
+    if d_rank not in table.k_max:
+        raise ConfigError(f"rank {d_rank} has no max-side witness")
+    if d_rank not in table.k_min:
+        raise ConfigError(f"rank {d_rank} has no min-side witness")
+    code_f, x_f = PADDED.decode(table.k_max[d_rank])
+    code_g, x_g = PADDED.decode(table.k_min[d_rank])
+    f = vm_max_evaluator(p, code_f)
+    g = vm_max_evaluator(reverse(p), code_g)
+    return common_value_dovetail(p, f, g, x_f, x_g, b.t_budget + b.fuel)

@@ -218,6 +218,18 @@ def parse_order_expr_ref(expr: str) -> tuple[str, set[tuple[str, str]]]:
     return "".join(seen), lt
 
 
+def lexico_leq_ref(sym_lt, a: str, b: str) -> bool:
+    """The lexicographic order over a strict symbol relation, one symbol at a
+    time: equal words, a proper prefix, or strictly ordered symbols at the
+    first difference."""
+    if a == b:
+        return True
+    for x, y in zip(a, b):
+        if x != y:
+            return (x, y) in sym_lt
+    return len(a) < len(b)
+
+
 def _kuhn_ref(n: int, lt) -> dict[int, int]:
     succ = [[] for _ in range(n)]
     for (a, b) in sorted(lt):

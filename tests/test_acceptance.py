@@ -11,14 +11,7 @@ import random
 
 import pytest
 
-from kposet.analysis import (
-    FinitePoset,
-    OrderPair,
-    check_dagger,
-    check_star,
-    max_antichain,
-    min_chain_cover,
-)
+from kposet.analysis import FinitePoset, max_antichain, min_chain_cover
 from kposet.automata import (
     CONCAT,
     Dfa,
@@ -39,24 +32,19 @@ from kposet.codec import (
     encode_pair,
     encode_split,
 )
-from kposet.complexity import (
-    Budget,
-    complexity_table,
-    diagonal_hard,
-    measure_wrap_constant,
-    paired_decompress,
-    verify_table,
-)
+from kposet.complexity import Budget, complexity_table, measure_wrap_constant, verify_table
+from kposet.conditions import OrderPair, check_dagger, check_star
 from kposet.constructions import (
     budgeted_limit,
     monotone_filter,
     normalize,
+    paired_decompress,
     prefix_normal_form,
     trace_evaluator,
 )
+from kposet.diagonal import chain_antichain_family, diagonal_hard
 from kposet.limits import STABILIZED, Evaluator
 from kposet.posets import parse_poset_spec, reverse
-from kposet.analysis import chain_antichain_family
 from kposet.busy_beaver import busy_beaver_row
 
 from reference_impl import enumerate_tm_specs

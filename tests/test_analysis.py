@@ -4,17 +4,9 @@ import random
 
 import pytest
 
-from kposet.analysis import (
-    N_BOUND,
-    FinitePoset,
-    OrderPair,
-    chain_antichain_family,
-    check_dagger,
-    check_star,
-    max_antichain,
-    min_chain_cover,
-    order_pair_fragment,
-)
+from kposet.analysis import N_BOUND, FinitePoset, max_antichain, min_chain_cover
+from kposet.conditions import OrderPair, check_dagger, check_star, order_pair_fragment
+from kposet.diagonal import chain_antichain_family
 from kposet.errors import ConfigError, ResourceError
 from kposet.posets import parse_poset_spec
 

@@ -662,19 +662,25 @@ print(json.dumps([code, loaded, heavy]))
     (("estimate", "--poset", "finsets", "--max-len", "6", "--ranks", "2"), _REPORT),
     (("estimate", "--poset", "reg:ab", "--max-len", "6", "--ranks", "2"),
      _REPORT | {"automata"}),
+    (("estimate", "--poset", "lexico:a<b", "--max-len", "6", "--ranks", "2"),
+     _REPORT | {"analysis"}),
     (("diagonal", "--pair", "prefix:ab/lexico:a<b", "--i", "1",
-      "--fuel", "64", "--t-budget", "64", "--window", "4"), _REPORT | {"analysis"}),
+      "--fuel", "64", "--t-budget", "64", "--window", "4"), _REPORT | {"analysis", "diagonal"}),
+    (("diagonal", "--pair", "discrete(nat)/nat", "--i", "1",
+      "--fuel", "64", "--t-budget", "64", "--window", "4"),
+     _REPORT | {"analysis", "diagonal", "conditions"}),
     (("conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "2", "--fragment", "6"),
-     _BASE | {"analysis"}),
-    (("dilworth", "--file", "ORDER"), _BASE | {"analysis"}),
+     _BASE | {"analysis", "conditions"}),
+    (("dilworth", "--file", "ORDER"), {"cli", "errors", "analysis"}),
     (("bb", "--states", "1", "--t-max", "5"), {"cli", "errors", "busy_beaver"}),
     (("cardre", "--program", "00011010111110", "--t-max", "5"), _SETS),
     (("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
       "--t-budget", "5"), _SETS | {"posets"}),
     (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
      _BASE | {"limits", "automata"}),
-], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "diagonal",
-        "conditions", "dilworth", "bb", "cardre", "interact", "quotient"])
+], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
+        "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
+        "interact", "quotient"])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     order = tmp_path / "order.json"
     order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
@@ -696,6 +702,39 @@ def test_interact_mode_choices_match_enumerable():
 
     mode = next(a for a in _subcommands()["interact"]._actions if a.dest == "mode")
     assert tuple(mode.choices) == INTERACTION_MODES
+
+
+# The smallest argv that parses, per subcommand; the handler itself is replaced.
+_MINIMAL_ARGV = {
+    "estimate": ("--poset", "nat"),
+    "quotient": ("--regex", "a", "--alphabet", "a", "--m-words", "a"),
+    "conditions": ("--pair", "nat/nat", "--k", "1"),
+    "dilworth": ("--file", "order.json"),
+    "diagonal": ("--pair", "nat/nat", "--i", "0"),
+    "bb": ("--states", "0", "--t-max", "0"),
+    "cardre": ("--index", "0", "--t-max", "0"),
+    "interact": ("--mode", "cap", "--index", "0", "--x", "1"),
+}
+
+
+def test_handlers_are_the_cmd_attributes_of_cli():
+    # perfbench/child.py times set-up by wrapping every cmd_* attribute
+    from kposet import cli
+
+    names = [name for name, _, _ in cli._SUBCOMMANDS]
+    assert sorted(names) == sorted(_MINIMAL_ARGV)
+    assert sorted(f"cmd_{name}" for name in names) == sorted(
+        attr for attr in vars(cli) if attr.startswith("cmd_"))
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
+def test_main_calls_the_handler_through_the_module_attribute(monkeypatch, capsys, name):
+    from kposet import cli
+
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{name}", lambda args: calls.append(args.command) or "done")
+    assert run(capsys, name, *_MINIMAL_ARGV[name]) == (0, "done\n", "")
+    assert calls == [name]
 
 
 def _exit(capsys, parse, argv):

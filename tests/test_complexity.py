@@ -6,23 +6,21 @@ from hypothesis import strategies as st
 
 from kposet.codec import b_index, decode_padded, encode_pair
 from kposet.complexity import (
-    DIAGONAL_ALPHA_CAP,
     MAX_PROG_LEN,
     Budget,
     ComplexityTable,
     complexity_table,
-    diagonal_hard,
     hierarchy_report,
     iter_words,
     measure_wrap_constant,
-    paired_decompress,
     verify_table,
     wrap_program,
 )
+from kposet.constructions import paired_decompress
+from kposet.diagonal import DIAGONAL_ALPHA_CAP, chain_antichain_family, diagonal_hard
 from kposet.errors import ConfigError, ResourceError, VerificationError
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import assemble, run_emitting
-from kposet.analysis import chain_antichain_family
 
 NAT = parse_poset_spec("nat")
 SMALL = Budget(max_prog_len=12, fuel=256, t_budget=256, window=4)

@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 from reference_impl import plain_scan_ref, run_emitting_ref, run_raw_ref, tables_ref
 
 from kposet.codec import b_index, b_word, decode_padded, encode_padded
-from kposet.complexity import (
-    PADDED,
-    RAW,
-    Budget,
-    _address_family,
-    complexity_table,
-    iter_words,
-)
+from kposet.complexity import PADDED, RAW, Budget, complexity_table, iter_words
+from kposet.diagonal import _address_family
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import _execute, assemble, iter_programs, parse_program, run_emitting

@@ -14,24 +14,17 @@ from reference_impl import (
     check_star_ref,
     closure_ref,
     is_strict_ref,
+    lexico_leq_ref,
     max_antichain_ref,
     max_matching_ref,
     min_chain_cover_ref,
     parse_order_expr_ref,
 )
 
-from kposet.analysis import (
-    N_BOUND,
-    FinitePoset,
-    OrderPair,
-    check_dagger,
-    check_star,
-    max_antichain,
-    min_chain_cover,
-    order_pair_fragment,
-)
-from kposet.errors import ConfigError, ResourceError
-from kposet.posets import _parse_order_expr, closure_rows, parse_poset_spec
+from kposet.analysis import N_BOUND, FinitePoset, closure_rows, max_antichain, min_chain_cover
+from kposet.conditions import OrderPair, check_dagger, check_star, order_pair_fragment
+from kposet.errors import ConfigError, DomainError, ResourceError
+from kposet.posets import _parse_order_expr, parse_poset_spec
 
 MAX_N = 8
 
@@ -138,6 +131,40 @@ def test_parse_order_expr_matches_reference(expr):
             _parse_order_expr(expr)
         return
     assert _parse_order_expr(expr) == want
+
+
+@st.composite
+def lexico_words(draw):
+    """A symbol order, total or partial, and two words over its symbols that
+    share a drawn prefix, so that the first difference falls at any depth
+    and equal words and proper prefixes come up."""
+    expr = draw(st.sampled_from(["a<b", "b<a", "a<b<c", "a<b;c", "a;b;c", "c<a;b<d"]))
+    alphabet = "".join(sorted(set(expr) - set("<;")))
+    common = draw(st.text(alphabet=alphabet, max_size=300))
+    tail = st.text(alphabet=alphabet, max_size=8)
+    return expr, common + draw(tail), common + draw(tail)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=lexico_words())
+@example(case=("a<b", "ab", "ab"))
+@example(case=("a<b", "", ""))
+@example(case=("a<b;c", "ab", "abc"))
+@example(case=("a<b;c", "a" * 4095 + "b", "a" * 4094 + "b"))
+@example(case=("a<b;c", "a" * 300 + "c", "a" * 300 + "b"))
+@example(case=("a;b;c", "ca", "cb"))
+def test_lexico_leq_matches_the_per_symbol_walk(case):
+    expr, a, b = case
+    _, sym_lt = parse_order_expr_ref(expr)
+    p = parse_poset_spec(f"lexico:{expr}")
+    assert p.leq(a, b) == lexico_leq_ref(sym_lt, a, b)
+    assert p.leq(b, a) == lexico_leq_ref(sym_lt, b, a)
+
+
+@pytest.mark.parametrize("a, b", [("ab", "ax"), ("ax", "ab"), ("ab", 1), (None, "ab")])
+def test_lexico_leq_checks_both_words(a, b):
+    with pytest.raises(DomainError):
+        parse_poset_spec("lexico:a<b;c").leq(a, b)
 
 
 @st.composite

@@ -6,9 +6,10 @@ import pytest
 
 from reference_impl import TmSpec
 
-from kposet.analysis import FinitePoset, OrderPair
+from kposet.analysis import FinitePoset
 from kposet.automata import parse_regex, to_canonical_dfa
 from kposet.complexity import Budget, ComplexityTable
+from kposet.conditions import OrderPair
 from kposet.errors import ConfigError
 from kposet.limits import LimitReport
 from kposet.posets import parse_poset_spec
