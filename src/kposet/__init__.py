@@ -6,13 +6,14 @@ Modules:
   posets         computable partial orders (N, Z, words, finite sets,
                  regular languages) behind a single rank/leq interface
   codec          the binary word codings used by every construction
-  limits         approximation processes (evaluators), limit reports from
-                 change points, the one memo of evaluator work
+  limits         approximation processes (evaluators) and limit reports
+                 from change points
   constructions  the evaluator-level limit operator, the normalization /
-                 totalization / filtering / dovetailing constructions and
-                 the paired decompressor
+                 totalization / filtering / dovetailing constructions, the
+                 paired decompressor, the machine's max evaluator and the
+                 one memo of evaluator work
   vm             the two-counter rank machine: its order-free kernel, the
-                 program walk, kept emissions and the max evaluator
+                 program walk and kept emissions
   enumerable     the enumerable-set counters built on raw emissions
   busy_beaver    the busy-beaver table over one-tape Turing machines
   automata       regular expressions, canonical DFAs, language quotients, the

@@ -3,11 +3,12 @@
 Commands: estimate | quotient | conditions | dilworth | diagonal | bb
 | cardre | interact. Tabular output is RFC-4180 CSV with '#'-prefixed
 header lines carrying the full run configuration; structured witnesses are
-JSON with the configuration embedded. Each handler returns its report and
-`main` writes it. The configuration is every parsed option but `--out` and
-`--program`, with the values a handler derives from them in their place.
-Reports are byte-identical across reruns with the same configuration, and
-files are written once, atomically. Exit codes: 0 success, 2 configuration error,
+JSON with the configuration embedded. The handler of command c is the
+module attribute cmd_c; it returns its report and `main` writes it. The
+configuration is every parsed option but `--out` and `--program`, with the
+values a handler derives from them in their place. Reports are
+byte-identical across reruns with the same configuration, and files are
+written once, atomically. Exit codes: 0 success, 2 configuration error,
 3 desk-scale resource ceiling.
 """
 
@@ -33,9 +34,9 @@ __all__ = ["main"]
 
 
 def _config(args, **derived) -> dict:
-    """The configuration a report records: every parsed option but the
-    handler, --out and --program, with the `derived` values in their place."""
-    config = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "program")}
+    """The configuration a report records: every parsed option but --out
+    and --program, with the `derived` values in their place."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "program")}
     config.update(derived)
     return config
 
@@ -211,16 +212,11 @@ def _program_index(args) -> int:
 
 
 def cmd_cardre(args) -> str:
-    from . import enumerable
+    from .enumerable import card_re_row
 
     n = _program_index(args)
-    if args.t_max < 0:
-        raise ConfigError("--t-max must be a natural number")
-    if args.t_max > (ceiling := enumerable.RUN_STEPS_CEILING):
-        raise ResourceError(f"cardre t_max={args.t_max} exceeds the desk-scale ceiling of {ceiling} steps")
-    e = enumerable.card_re_evaluator(n)
-    rows = [[t, e(None, t, args.t_max)] for t in range(args.t_max + 1)]
-    return _csv_report(_config(args, index=n), ["t", "count"], rows)
+    row = card_re_row(n, args.t_max)
+    return _csv_report(_config(args, index=n), ["t", "count"], list(enumerate(row)))
 
 
 def cmd_interact(args) -> str:
@@ -267,7 +263,6 @@ def _estimate_arguments(sub):
     sub.add_argument("--ranks", type=int, default=32, help="report rows 0..ranks-1")
     sub.add_argument("--max-len", type=int, default=14, help="max program bits")
     _add_common(sub)
-    sub.set_defaults(fn=cmd_estimate)
 
 
 def _quotient_arguments(sub):
@@ -275,7 +270,6 @@ def _quotient_arguments(sub):
     sub.add_argument("--alphabet", required=True)
     sub.add_argument("--m-words", required=True, help="comma-separated quotient words")
     _add_common(sub, budget=False)
-    sub.set_defaults(fn=cmd_quotient)
 
 
 def _conditions_arguments(sub):
@@ -284,34 +278,29 @@ def _conditions_arguments(sub):
     sub.add_argument("--condition", choices=["star", "dagger"], default="star")
     sub.add_argument("--fragment", type=int, default=15, help="carrier rank bound")
     _add_common(sub, budget=False)
-    sub.set_defaults(fn=cmd_conditions)
 
 
 def _dilworth_arguments(sub):
     sub.add_argument("--file", required=True, help="finite order JSON")
     _add_common(sub, budget=False)
-    sub.set_defaults(fn=cmd_dilworth)
 
 
 def _diagonal_arguments(sub):
     sub.add_argument("--pair", required=True, help="weak-spec/strong-spec")
     sub.add_argument("--i", type=int, required=True, help="alpha(i) = i + 1")
     _add_common(sub)
-    sub.set_defaults(fn=cmd_diagonal)
 
 
 def _bb_arguments(sub):
     sub.add_argument("--states", type=int, required=True, help="n (machines have n+1 states)")
     sub.add_argument("--t-max", type=int, required=True)
     _add_common(sub, budget=False)
-    sub.set_defaults(fn=cmd_bb)
 
 
 def _cardre_arguments(sub):
     _add_program(sub)
     sub.add_argument("--t-max", type=int, required=True)
     _add_common(sub, budget=False)
-    sub.set_defaults(fn=cmd_cardre)
 
 
 def _interact_arguments(sub):
@@ -321,7 +310,6 @@ def _interact_arguments(sub):
     sub.add_argument("--t-budget", type=int, default=256)
     sub.add_argument("--window", type=int, default=8)
     _add_common(sub, budget=False)
-    sub.set_defaults(fn=cmd_interact)
 
 
 # (name, help, the function that adds its arguments), in the order of the help
@@ -363,8 +351,9 @@ def main(argv=None) -> int:
     # arguments: the others are built for nothing
     parser = build_parser(only=[a for a in argv if not a.startswith("-")][:1])
     args = parser.parse_args(argv)
+    handler = globals()[f"cmd_{args.command}"]  # read now, so a wrapped cmd_* is the one run
     try:
-        _emit(args.fn(args), args.out)
+        _emit(handler(args), args.out)
         return 0
     except (ConfigError, DomainError) as exc:
         print(f"kposet: {exc}", file=sys.stderr)

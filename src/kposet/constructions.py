@@ -4,22 +4,25 @@ repairs a stream into a monotone one; normalize, totalize and
 prefix_normal_form reshape a process without changing its budgeted limits
 where both stabilize; common_value_dovetail finds the value an increasing
 and a decreasing process share, and paired_decompress runs it on the max
-and min witnesses of one table row.
+and min witnesses of one table row, read as vm_max_evaluator processes.
 
 No command runs any of them: they are the library's reference forms of the
 paper's constructions, which the tests check. They live apart from
-`limits` and `complexity` so that no command compiles them.
+`limits`, `vm` and `complexity` so that no command compiles them. So does
+_fuel_prefix_runs, the one memo of evaluator work, which normalize's search
+for the first value and vm_max_evaluator's machine runs share.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .complexity import PADDED
 from .errors import ConfigError, ContractError, MonotonicityError
-from .limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, LimitReport, _fuel_prefix_runs, check_budget
+from .limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, LimitReport, check_budget
 from .posets import reverse
-from .vm import vm_max_evaluator
+from .vm import run_emitting
 
 if TYPE_CHECKING:
     from .complexity import Budget, ComplexityTable
@@ -33,8 +36,27 @@ __all__ = [
     "totalize",
     "prefix_normal_form",
     "common_value_dovetail",
+    "vm_max_evaluator",
     "paired_decompress",
 ]
+
+
+def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
+    """Memoise run(x, fuel) with one run per input at the largest fuel seen
+    (the first fuel asked, then at least twice the last on growth), returned
+    as it is. What a run says about fuel F or less must be the same at every
+    larger fuel, and callers read only that part, so each answer is that of
+    a run at their fuel."""
+    cache: dict[Any, tuple[int, Any]] = {}
+
+    def at(x: Any, fuel: int) -> Any:
+        cached = cache.get(x)
+        if cached is None or cached[0] < fuel:
+            run_fuel = max(fuel, 2 * cached[0]) if cached else fuel
+            cached = cache[x] = (run_fuel, run(x, run_fuel))
+        return cached[1]
+
+    return at
 
 
 def budgeted_limit(
@@ -259,6 +281,26 @@ def common_value_dovetail(
                 if vg in f_seen:
                     return vg
     return None
+
+
+def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
+    """A monotone process of the enumeration: program `code` on the input
+    x (a natural number, loaded into reg_b), value at (x, t) = last kept
+    emission at a step s with s <= t and s < fuel. Defined only when
+    fuel >= t so the fuel-monotonicity contract holds exactly. Runs are
+    shared through _fuel_prefix_runs; a query bisects the kept trace at
+    step bound min(t + 1, fuel)."""
+    kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, x, fuel).trace)
+
+    def fn(x, t, fuel):
+        if fuel < t:
+            return None
+        trace = kept_at(x, fuel)
+        # (bound,) sorts before every (bound, d), so no element is compared
+        i = bisect.bisect_left(trace, (min(t + 1, fuel),))
+        return trace[i - 1][1] if i else None
+
+    return Evaluator(fn)
 
 
 def paired_decompress(

@@ -2,62 +2,54 @@
 values it emits (unfiltered) on input 0, read from the raw first emissions
 of the order-free kernel in `vm`.
 
-card_re_evaluator counts the values emitted so far; set_interaction_limit
-traces a finite set X against them (cap, minus, setminus) and reports its
-budgeted limit.
+Each command makes one kernel run and reads it in one pass: card_re_row
+counts the values emitted before each t, and set_interaction_limit traces a
+finite set X against them (cap, minus, setminus) and reports its budgeted
+limit. No evaluator and no memo is involved.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import TYPE_CHECKING, Callable, Iterable
+import itertools
+from typing import TYPE_CHECKING, Iterable
 
 from .codec import b_word
 from .errors import ConfigError, MonotonicityError, ResourceError
-from .limits import Evaluator, LimitReport, _fuel_prefix_runs, check_budget, limit_report_from_trace
+from .limits import LimitReport, check_budget, limit_report_from_trace
 from .vm import _execute, parse_program
 
 if TYPE_CHECKING:
     from .posets import PosetInstance
 
 __all__ = [
-    "card_re_evaluator",
+    "card_re_row",
     "set_interaction_limit",
     "INTERACTION_MODES",
     "RUN_STEPS_CEILING",
     "TRACE_MEMBERS_CEILING",
 ]
 
-RUN_STEPS_CEILING = 1_000_000  # largest cardre --t-max and interact --t-budget; cardre takes about 3 s there
+RUN_STEPS_CEILING = 1_000_000  # largest cardre --t-max and interact --t-budget; cardre takes about 0.6 s there
 TRACE_MEMBERS_CEILING = 1_000_000  # most members listed over the points of one interaction trace
 
 INTERACTION_MODES = ("cap", "minus", "setminus")
 
 
-def _first_emissions(n: int) -> Callable[[int], tuple]:
-    """emitted(fuel): the first emissions (step, value) of b_word(n) on
-    input 0, from one _fuel_prefix_runs run at that fuel or more."""
+def card_re_row(n: int, t_max: int) -> list[int]:
+    """h(n, t) for t = 0..t_max from one run at fuel t_max: the number of
+    distinct values emitted (unfiltered) by program b_word(n) on input 0
+    before step t, i.e. the first emissions with step < t. A program that
+    does not parse emits nothing. The budgeted max-limit of h is the
+    cardinality of the enumerated set when that set is finite."""
+    if t_max < 0:
+        raise ConfigError("--t-max must be a natural number")
+    if t_max > (ceiling := RUN_STEPS_CEILING):
+        raise ResourceError(f"cardre t_max={t_max} exceeds the desk-scale ceiling of {ceiling} steps")
     instrs = parse_program(b_word(n))
-    runs = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else _execute(instrs, 0, fuel)[0])
-    return lambda fuel: runs(None, fuel)
-
-
-def card_re_evaluator(n: int) -> Evaluator:
-    """h(n, t) as an evaluator; every (t, fuel) query is a bisect of
-    _first_emissions(n) at step bound t.
-
-    h(n, t) = e(None, t, t) is the number of distinct values emitted
-    (unfiltered) by program b_word(n) on input 0 within t steps; the
-    budgeted max-limit of h is the cardinality of the enumerated set when
-    that set is finite."""
-    emitted = _first_emissions(n)
-
-    def fn(x, t, fuel):
-        if fuel < t:
-            return None
-        return bisect.bisect_left(emitted(fuel), (t,))
-
-    return Evaluator(fn)
+    new_at = [0] * (t_max + 1)
+    for step, _ in () if instrs is None else _execute(instrs, 0, t_max)[0]:
+        new_at[step + 1] += 1  # counted from t = step + 1 on; every step is below the fuel
+    return list(itertools.accumulate(new_at))
 
 
 def _interaction_trace(emitted: Iterable[tuple[int, int]], mode: str, x: tuple) -> list[tuple[int, tuple]]:

@@ -10,11 +10,9 @@ must be monotone increasing in t under the ambient order on its domain
 True convergence is undecidable, so limit reports never claim it: the best
 status is stabilized-within-budget together with an explicit stability
 window. limit_report_from_trace makes the report from the points where a
-process changes; the evaluator-level operators (budgeted_limit, which walks
-every t, and the normalization / totalization / filtering constructions)
-are in `constructions`. _fuel_prefix_runs is the one memo of evaluator
-work: normalize's search for the first value and the machine runs of the
-vm and enumerable evaluators all go through it.
+process changes. Everything that walks or memoises an evaluator (the
+budgeted_limit operator, which walks every t, the constructions and their
+memo) is in `constructions`, which no command loads.
 """
 
 from __future__ import annotations
@@ -81,22 +79,4 @@ def limit_report_from_trace(
     tail_run = t_budget - last_t + 1
     status = STABILIZED if tail_run >= window else STILL_CHANGING
     return LimitReport(current, last_t, t_budget - last_t, status)
-
-
-def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
-    """Memoise run(x, fuel) with one run per input at the largest fuel seen
-    (at least 64, doubling on growth), returned as it is. What a run says
-    about fuel F or less must be the same at every larger fuel, and callers
-    read only that part, so each answer is that of a run at their fuel."""
-    cache: dict[Any, tuple[int, Any]] = {}
-
-    def at(x: Any, fuel: int) -> Any:
-        cached = cache.get(x)
-        if cached is None or cached[0] < fuel:
-            run_fuel = max(fuel, 64, 2 * cached[0] if cached else 0)
-            cached = cache[x] = (run_fuel, run(x, run_fuel))
-        return cached[1]
-
-    return at
-
 

@@ -37,17 +37,18 @@ records the first occurrences among their OUTs (the OUT of value v at step
 s recurs as v + j*da at step s + j*period) and interprets the shorter
 remainder, so every run, raw_first, halted, steps and the registers
 included, equals an honest fuel burn.
+
+This module is the kernel and the program walk only; the evaluator over its
+runs, vm_max_evaluator, lives in `constructions`, its one user.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import namedtuple
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from .codec import _check_word
 from .errors import ConfigError
-from .limits import Evaluator, _fuel_prefix_runs
 
 if TYPE_CHECKING:
     from .posets import PosetInstance
@@ -60,7 +61,6 @@ __all__ = [
     "RunResult",
     "run_emitting",
     "kept_trace",
-    "vm_max_evaluator",
 ]
 
 # 3-bit opcodes; JZ_A/JZ_B carry a 5-bit two's-complement relative offset
@@ -334,22 +334,3 @@ def run_emitting(p: PosetInstance, code: str, input_b: int, fuel: int) -> RunRes
     raw_first, halted, steps, a, b = _execute(instrs, input_b, fuel)
     return RunResult(kept_trace(raw_first, p.unrank, p.leq), raw_first, halted, steps, a, b)
 
-
-def vm_max_evaluator(p: PosetInstance, code: str) -> Evaluator:
-    """A monotone process of the enumeration: program `code` on the input
-    x (a natural number, loaded into reg_b), value at (x, t) = last kept
-    emission at a step s with s <= t and s < fuel. Defined only when
-    fuel >= t so the fuel-monotonicity contract holds exactly. Runs are
-    shared through _fuel_prefix_runs; a query bisects the kept trace at
-    step bound min(t + 1, fuel)."""
-    kept_at = _fuel_prefix_runs(lambda x, fuel: run_emitting(p, code, x, fuel).trace)
-
-    def fn(x, t, fuel):
-        if fuel < t:
-            return None
-        trace = kept_at(x, fuel)
-        # (bound,) sorts before every (bound, d), so no element is compared
-        i = bisect.bisect_left(trace, (min(t + 1, fuel),))
-        return trace[i - 1][1] if i else None
-
-    return Evaluator(fn)

@@ -49,8 +49,10 @@ from kposet.errors import ConfigError, ResourceError
 from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, iter_words
-from kposet.enumerable import INTERACTION_MODES, _first_emissions, _interaction_trace
-from kposet.limits import STABILIZED, Evaluator, _fuel_prefix_runs, limit_report_from_trace
+from kposet import vm
+from kposet.constructions import _fuel_prefix_runs
+from kposet.enumerable import INTERACTION_MODES, _interaction_trace
+from kposet.limits import STABILIZED, Evaluator, limit_report_from_trace
 from kposet.posets import PosetInstance, parse_poset_spec, reverse
 from kposet.vm import (
     RunResult,
@@ -428,13 +430,15 @@ def set_interaction_evaluators(a_index: int, mode: str) -> Evaluator:
     rev(finsets)).
 
     The evaluator form that set_interaction_limit replaced: one
-    _first_emissions run shared by every set, and a second _fuel_prefix_runs
-    layer that keeps the change points per set; a query reads the last
-    change point at or before t."""
+    _fuel_prefix_runs memo of the machine's first emissions, shared by every
+    set, and a second one that keeps the change points per set; a query
+    reads the last change point at or before t."""
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
-    emitted = _first_emissions(a_index)
-    trace = _fuel_prefix_runs(lambda x, fuel: _interaction_trace(emitted(fuel), mode, x))
+    instrs = parse_program(b_word(a_index))
+    # the kernel is read through its module, so that a test can count its runs
+    emitted = _fuel_prefix_runs(lambda _x, fuel: () if instrs is None else vm._execute(instrs, 0, fuel)[0])
+    trace = _fuel_prefix_runs(lambda x, fuel: _interaction_trace(emitted(None, fuel), mode, x))
 
     def fn(x, t, fuel):
         if fuel < t:

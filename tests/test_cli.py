@@ -615,6 +615,17 @@ def test_interact_budget_errors_come_before_any_run(capsys, no_machine_run, budg
     assert (code, out, got) == (2, "", err)
 
 
+@pytest.mark.parametrize("t_max, status, err", [
+    ("-1", 2, "kposet: --t-max must be a natural number\n"),
+    ("1000001", 3, "kposet: cardre t_max=1000001 exceeds the desk-scale ceiling of 1000000 steps\n"),
+    ("3", 2, "kposet: b_word needs a natural number, got -1\n"),
+])
+def test_cardre_checks_t_max_before_the_program(capsys, no_machine_run, t_max, status, err):
+    # --t-max's two checks come first, then the index, all before any run
+    code, out, got = run(capsys, "cardre", "--index", "-1", "--t-max", t_max)
+    assert (code, out, got) == (status, "", err)
+
+
 def test_interact_needs_program(capsys):
     with pytest.raises(SystemExit) as caught:
         main(["interact", "--mode", "cap", "--x", "1"])

@@ -39,12 +39,12 @@ from kposet.automata import (
 from kposet.busy_beaver import _tree_leaves, busy_beaver_row
 from kposet.cli import main
 from kposet.codec import b_index
-from kposet.constructions import budgeted_limit
-from kposet.enumerable import INTERACTION_MODES, card_re_evaluator, set_interaction_limit
+from kposet.constructions import budgeted_limit, vm_max_evaluator
+from kposet.enumerable import INTERACTION_MODES, card_re_row, set_interaction_limit
 from kposet.errors import MonotonicityError
 from kposet.limits import Evaluator
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import _execute, assemble, iter_programs, vm_max_evaluator
+from kposet.vm import _execute, assemble, iter_programs
 
 SPECS = ("nat", "rev(nat)", "int", "prefix:ab", "rev(finsets)", "lexico:a<b")
 POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}
@@ -89,14 +89,14 @@ def test_vm_max_evaluator_matches_slicing_reference(spec, code, queries):
 
 
 @settings(max_examples=200, deadline=None)
-@given(code=programs, queries=st.lists(clocks, min_size=1, max_size=30))
-@example(code=COUNTER, queries=GROW_SHRINK)
-@example(code=ZIGZAG, queries=GROW_SHRINK)
-def test_card_re_evaluator_matches_slicing_reference(code, queries):
+@given(code=programs, t_max=st.integers(0, 300))
+@example(code=COUNTER, t_max=300)
+@example(code=ZIGZAG, t_max=8)
+@example(code="11", t_max=5)
+def test_card_re_row_matches_slicing_reference(code, t_max):
     n = b_index(code)
-    got, want = card_re_evaluator(n), card_re_evaluator_ref(n)
-    for t, fuel in queries:
-        assert got(None, t, fuel) == want(None, t, fuel), (t, fuel)
+    row, want = card_re_row(n, t_max), card_re_evaluator_ref(n)
+    assert row == [want(None, t, t_max) for t in range(t_max + 1)]
 
 
 members = st.one_of(st.integers(0, 40), st.just(10**9))

@@ -185,6 +185,19 @@ def test_normalize_does_not_depend_on_query_order():
     assert f(None, 0, 6) == 4
 
 
+def test_normalize_searches_only_up_to_the_fuel_asked():
+    # the memo starts at the fuel of the first query and doubles on growth
+    calls = []
+    nowhere = Evaluator(lambda x, t, fuel: calls.append((t, fuel)))
+    f = normalize(NAT, nowhere)
+    assert f(None, 0, 3) is None
+    assert len(calls) == 10  # the (u, f) pairs with u + f <= 3
+    assert f(None, 0, 2) is None
+    assert len(calls) == 10  # less fuel: read from the same search
+    assert f(None, 0, 4) is None
+    assert len(calls) == 10 + 28  # more fuel: one search, up to twice the last
+
+
 def test_normalize_matches_a_fresh_normalize_per_query():
     rng = random.Random(25)
     for _ in range(200):

@@ -7,12 +7,12 @@ from reference_impl import TmSpec, busy_beaver_bb_ref, enumerate_tm_specs, run_t
 from kposet.busy_beaver import BB_STATE_BOUND, busy_beaver_row
 from kposet.cli import main
 from kposet.codec import b_index, b_word
-from kposet.constructions import budgeted_limit
-from kposet.enumerable import card_re_evaluator
+from kposet.constructions import budgeted_limit, vm_max_evaluator
+from kposet.enumerable import card_re_row
 from kposet.errors import ConfigError, DomainError, ResourceError
 from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import assemble, parse_program, run_emitting, vm_max_evaluator
+from kposet.vm import assemble, parse_program, run_emitting
 
 NAT = parse_poset_spec("nat")
 
@@ -168,35 +168,37 @@ def test_tm_spec_run():
         TmSpec(1, {(0, 0): (1, "R", "H")})
 
 
+def _row_process(row):
+    """The evaluator whose value at (x, t, fuel) is row[t]."""
+    return lambda _x, t, _fuel: row[t]
+
+
 def test_card_re():
     code = assemble(
         ["INC_A", "INC_A", "OUT", "OUT", "INC_A", "INC_A", "INC_A", "OUT", "HALT"]
     )
     n = b_index(code)
-    e = card_re_evaluator(n)
-    vals = [e(None, t, t) for t in range(12)]
+    vals = card_re_row(n, 11)
     assert vals[0] == 0
     assert vals[-1] == 2  # distinct emissions are {2, 5}
     for a, b in zip(vals, vals[1:]):
         assert a <= b
-    rep = budgeted_limit(NAT, e, None, 20, 20, window=2)
+    rep = budgeted_limit(NAT, _row_process(card_re_row(n, 20)), None, 20, 20, window=2)
     assert rep.current == 2 and rep.status == STABILIZED
 
 
 def test_card_re_parse_failure_counts_zero():
     n = b_index("11")
-    e = card_re_evaluator(n)
-    assert all(e(None, t, t) == 0 for t in range(6))
-    rep = budgeted_limit(NAT, e, None, 10, 10, window=2)
+    assert card_re_row(n, 5) == [0] * 6
+    rep = budgeted_limit(NAT, _row_process(card_re_row(n, 10)), None, 10, 10, window=2)
     assert rep.current == 0
 
 
 def test_card_re_unbounded():
     code = assemble(["INC_A", "OUT", ("JZ_B", -2)])
     n = b_index(code)
-    e = card_re_evaluator(n)
-    assert e(None, 40, 40) > e(None, 20, 20) > 0
-    rep = budgeted_limit(NAT, e, None, 60, 60, window=5)
+    assert card_re_row(n, 40)[40] > card_re_row(n, 20)[20] > 0
+    rep = budgeted_limit(NAT, _row_process(card_re_row(n, 60)), None, 60, 60, window=5)
     assert rep.status == STILL_CHANGING
 
 
@@ -206,8 +208,10 @@ def test_card_re_matches_bruteforce_distinct_count():
         bits = "".join(rng.choice("01") for _ in range(rng.randrange(0, 20)))
         n = b_index(bits)
         res = run_emitting(NAT, bits, 0, 30)
-        log = [v for step, v in res.raw_first if step < 30]
-        assert card_re_evaluator(n)(None, 30, 30) == len(set(log))
+        row = card_re_row(n, 30)
+        for t in range(31):
+            log = [v for step, v in res.raw_first if step < t]
+            assert row[t] == len(set(log)), (bits, t)
 
 
 FINSETS = parse_poset_spec("finsets")
@@ -260,12 +264,17 @@ UNBOUNDED = assemble(["INC_A", "OUT", ("JZ_B", -2)])  # emits 1, 2, 3, ...
 
 
 def test_card_re_runs_the_machine_once(machine_runs):
-    e = card_re_evaluator(b_index(UNBOUNDED))
-    assert [e(None, t, 100) for t in (0, 50, 100)] == [0, 17, 33]
-    assert e(None, 20, 30) == 7  # less fuel: read from the same run
+    row = card_re_row(b_index(UNBOUNDED), 100)
+    assert [row[t] for t in (0, 20, 50, 100)] == [0, 7, 17, 33]
     assert machine_runs == [100]
-    assert e(None, 150, 150) == 50  # more fuel: one run, at twice the last
-    assert machine_runs == [100, 200]
+
+
+@pytest.mark.parametrize("t_max", [5, 3000])
+def test_cardre_runs_the_machine_once(machine_runs, capsys, t_max):
+    # every row comes from one run at fuel t_max
+    code = main(["cardre", "--program", UNBOUNDED, "--t-max", str(t_max)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert machine_runs == [t_max]
 
 
 @pytest.mark.parametrize("mode", ["cap", "minus", "setminus"])
