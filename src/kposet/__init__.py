@@ -16,8 +16,8 @@ Modules:
                  program walk and kept emissions
   enumerable     the enumerable-set counters built on raw emissions
   busy_beaver    the busy-beaver table over one-tape Turing machines
-  automata       regular expressions, canonical DFAs, language quotients, the
-                 canonical enumeration of regular languages
+  automata       regular expressions, canonical DFAs, language quotients and
+                 their one-pass trace, the canonical enumeration of languages
   analysis       finite-order combinatorics: the transitive closure,
                  chains, antichains, Dilworth decompositions
   conditions     the star and dagger conditions of order pairs

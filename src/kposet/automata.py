@@ -1,5 +1,5 @@
-"""Regular languages as a computable poset: parsing, canonical DFAs,
-decidable inclusion, quotients, and the canonical enumeration.
+"""Regular languages as a computable poset: parsing, canonical DFAs, decidable
+inclusion, quotients, the quotient trace in one pass, and the canonical enumeration.
 
 The expression language over an alphabet Sigma uses union '+', explicit
 concatenation '·', postfix star '*', parentheses, and single-character
@@ -24,7 +24,6 @@ from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, ResourceError, VerificationError
-from .limits import Evaluator
 
 __all__ = [
     "RegexAst",
@@ -33,7 +32,7 @@ __all__ = [
     "to_canonical_dfa",
     "language_leq",
     "quotient",
-    "quotient_evaluator",
+    "quotient_trace",
     "reg_rank",
     "reg_unrank",
     "canonical_regex",
@@ -258,9 +257,7 @@ def canonicalize_dfa(d: Dfa) -> Dfa:
 def language_leq(l1: Dfa, l2: Dfa) -> bool:
     """L(l1) subseteq L(l2) by emptiness of l1 minus l2 on the product."""
     if l1.alphabet != l2.alphabet:
-        raise ConfigError(
-            f"alphabet mismatch: {l1.alphabet} vs {l2.alphabet}"
-        )
+        raise ConfigError(f"alphabet mismatch: {l1.alphabet} vs {l2.alphabet}")
     k = len(l1.alphabet)
     seen = {(l1.start, l2.start)}
     stack = [(l1.start, l2.start)]
@@ -276,29 +273,35 @@ def language_leq(l1: Dfa, l2: Dfa) -> bool:
     return True
 
 
-def quotient(l: Dfa, words: Iterable[str]) -> Dfa:
-    """M^-1 L: the language read from the set of states that the words of M
-    reach from the start (no word: the empty language); canonical on return."""
+def _quotient_from(l: Dfa, reached: frozenset) -> Dfa:
+    """The canonical language read from a set of states of l (none: the empty language)."""
     return canonicalize_dfa(_powerset_dfa(
-        frozenset(l.step(l.start, w) for w in words),
+        reached,
         lambda cur, a: frozenset(l.delta[q][a] for q in cur),
         lambda st: bool(st & l.accept),
         l.alphabet,
     ))
 
 
-def quotient_evaluator(l: Dfa, words: Sequence[str]) -> Evaluator:
-    """The quotient approximation process over the reg poset: value at t is
-    the quotient of l by the first t+1 enumerated words. Monotone increasing
-    under inclusion, and the value changes at most |states(l)| times because
-    the reached state set only grows."""
-    if not l.canonical:
-        l = canonicalize_dfa(l)
+def quotient(l: Dfa, words: Iterable[str]) -> Dfa:
+    """M^-1 L: the language read from the set of states that the words of M
+    reach from the start (no word: the empty language); canonical on return."""
+    return _quotient_from(l, frozenset(l.step(l.start, w) for w in words))
 
-    def fn(x, t, fuel):
-        return quotient(l, words[: t + 1])
 
-    return Evaluator(fn)
+def quotient_trace(l: Dfa, words: Iterable[str]) -> list[tuple[int, Dfa]]:
+    """The points (t, quotient(l, words[:t+1])) where the value changes, t = 0 first, in one
+    pass: the value grows under inclusion and is rebuilt only when a word reaches a new state,
+    so there are at most l.n points (a new state need not change the language)."""
+    reached, points = set(), []
+    for t, w in enumerate(words):
+        q = l.step(l.start, w)
+        if q not in reached:
+            reached.add(q)
+            d = _quotient_from(l, frozenset(reached))
+            if not points or points[-1][1] != d:
+                points.append((t, d))
+    return points
 
 
 # -------------------------------------------------- canonical enumeration
@@ -535,7 +538,5 @@ def canonical_regex(d: Dfa) -> str:
     text = EMPTY_EXPRESSION if final is None else render_ast(final)
     back = to_canonical_dfa(parse_regex(text, d.alphabet), d.alphabet)
     if back != d:
-        raise VerificationError(
-            f"state elimination produced {text!r}, which does not round-trip"
-        )
+        raise VerificationError(f"state elimination produced {text!r}, which does not round-trip")
     return text

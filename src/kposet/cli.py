@@ -9,7 +9,7 @@ configuration is every parsed option but `--out` and `--program`, with the
 values a handler derives from them in their place. Reports are
 byte-identical across reruns with the same configuration, and files are
 written once, atomically. Exit codes: 0 success, 2 configuration error,
-3 desk-scale resource ceiling.
+3 desk-scale resource ceiling or input nested past the recursion limit.
 """
 
 from __future__ import annotations
@@ -73,9 +73,7 @@ def _split_pair(pair: str):
 
     parts = pair.split("/")
     if len(parts) != 2:
-        raise ConfigError(
-            f"--pair wants weak-spec/strong-spec, got {pair!r}"
-        )
+        raise ConfigError(f"--pair wants weak-spec/strong-spec, got {pair!r}")
     return parse_poset_spec(parts[0]), parse_poset_spec(parts[1])
 
 
@@ -93,9 +91,7 @@ def _csv_report(config: dict, header: list[str], rows: list[list]) -> str:
 
 
 def _json_report(config: dict, payload: dict) -> str:
-    return json.dumps(
-        {"config": config, **payload}, sort_keys=True, indent=2
-    ) + "\n"
+    return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
 
 # ----------------------------------------------------------------- commands
@@ -124,12 +120,12 @@ def cmd_quotient(args) -> str:
         for w in words:
             if any(c not in set(sigma) for c in w):
                 raise ConfigError(f"quotient word {w!r} is not over {args.alphabet!r}")
-        e = automata.quotient_evaluator(lang, words)
-        rows = [[t, automata.canonical_regex(e(None, t, len(words)))] for t in range(len(words))]
+        points = [(t, automata.canonical_regex(d)) for t, d in automata.quotient_trace(lang, words)]
     except RecursionError:
-        raise ResourceError(
-            f"expression of {len(args.regex)} characters nests too deeply to evaluate"
-        ) from None
+        raise ResourceError(f"expression of {len(args.regex)} characters nests too deeply"
+                            " to evaluate") from None
+    ends = [t for t, _ in points[1:]] + [len(words)]
+    rows = [[t, text] for (start, text), end in zip(points, ends) for t in range(start, end)]
     rows.append(["final", rows[-1][1]])
     return _csv_report(_config(args, m_words=words), ["t", "quotient"], rows)
 
@@ -229,7 +225,7 @@ def cmd_interact(args) -> str:
     except ValueError as exc:
         raise ConfigError(f"--x wants a comma-separated set of naturals: {exc}") from exc
     finsets = parse_poset_spec("finsets")
-    finsets.rank(xs)  # DomainError unless every member is a natural
+    finsets.leq((), xs)  # DomainError unless every member is a natural; builds no bit mask
     order = reverse(finsets) if args.mode == "setminus" else finsets
     trace, report = enumerable.set_interaction_limit(order, n, args.mode, xs, args.t_budget, args.window)
     payload = {"trace": [[t, list(v)] for t, v in trace], "limit": list(report.current),
@@ -360,6 +356,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceError as exc:
         print(f"kposet: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:  # a spec, order file or expression nested past the interpreter's limit
+        print(f"kposet: {args.command} input nests too deeply to evaluate", file=sys.stderr)
         return 3
     except KposetError as exc:  # pragma: no cover - internal failures
         print(f"kposet: internal error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from kposet.automata import (
     canonicalize_dfa,
     parse_regex,
     quotient,
-    quotient_evaluator,
+    quotient_trace,
     to_canonical_dfa,
 )
 from kposet.codec import (
@@ -408,13 +408,7 @@ def test_criterion_10_quotients():
             assert q.accepts(u) == expect, (m, u)
         # stabilization bound: the quotient value changes at most
         # |states(l)| times along any enumeration of m
-        e = quotient_evaluator(l, m)
-        changes = []
-        for t in range(len(m)):
-            v = e(None, t, 10)
-            if not changes or changes[-1] != v:
-                changes.append(v)
-        assert len(changes) <= l.n
+        assert len(quotient_trace(l, m)) <= l.n
     for _ in range(200):
         d = _random_min_dfa(rng)
         back = to_canonical_dfa(parse_regex(canonical_regex(d), AB), AB)

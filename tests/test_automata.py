@@ -12,13 +12,13 @@ from kposet.automata import (
     language_leq,
     parse_regex,
     quotient,
-    quotient_evaluator,
+    quotient_trace,
     reg_rank,
     reg_unrank,
     to_canonical_dfa,
 )
 from kposet.errors import ConfigError
-from kposet.constructions import budgeted_limit
+from kposet.limits import STABILIZED, limit_report_from_trace
 from kposet.posets import parse_poset_spec
 
 AB = ("a", "b")
@@ -126,21 +126,18 @@ def test_quotient_monotone_in_m():
     assert language_leq(quotient(l, m1), quotient(l, m2))
 
 
-def test_quotient_evaluator_stabilizes():
-    reg = parse_poset_spec("reg:ab")
+def test_quotient_trace_stabilizes():
     l = lang(f"(a+b)*{CONCAT}b")
-    e = quotient_evaluator(l, ["a", "ab", "a"])
-    rep = budgeted_limit(reg, e, None, 10, 10, window=2)
+    words = ["a", "ab", "a"]
+    trace = quotient_trace(l, words)
+    assert trace == [(0, quotient(l, ["a"])), (1, quotient(l, ["a", "ab"]))]
+    rep = limit_report_from_trace(trace, 10, window=2)
     assert rep.current == quotient(l, ["a", "ab"])
+    assert (rep.last_change_t, rep.status) == (1, STABILIZED)
     # change count bounded by the state count
-    values = []
-    for t in range(10):
-        v = e(None, t, 10)
-        if not values or values[-1] != v:
-            values.append(v)
-    assert len(values) <= l.n
-    const = quotient_evaluator(l, [""])
-    assert const(None, 5, 5) == l
+    assert len(trace) <= l.n
+    assert quotient_trace(l, [""]) == [(0, l)]
+    assert quotient_trace(l, []) == []
 
 
 def test_reg_rank_unrank():

@@ -688,7 +688,7 @@ print(json.dumps([code, loaded, heavy]))
     (("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
       "--t-budget", "5"), _SETS | {"posets"}),
     (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
-     _BASE | {"limits", "automata"}),
+     _BASE | {"automata"}),
 ], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
         "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
         "interact", "quotient"])
@@ -837,3 +837,91 @@ def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask):
         os.umask(previous)
     assert code == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+_DEEP_SPEC = "rev(" * 990 + "nat" + ")" * 990  # parses; the walk's nested leq calls overflow
+_HOSTILE_PROGRAM = ("--program", "00011010111110")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("estimate", "--poset", _DEEP_SPEC, "--max-len", "6", "--ranks", "2"), 3),
+    (("dilworth", "--file", "DEEP"), 3),
+    (("interact", *_HOSTILE_PROGRAM, "--mode", "cap", "--x", "1,-2"), 2),
+    (("interact", *_HOSTILE_PROGRAM, "--mode", "cap", "--x", "1,b"), 2),
+    (("interact", *_HOSTILE_PROGRAM, "--mode", "cap", "--x", "1", "--t-budget", "-1"), 2),
+    (("interact", *_HOSTILE_PROGRAM, "--mode", "cap", "--x", "1", "--window", "0"), 2),
+    (("interact", *_HOSTILE_PROGRAM, "--mode", "minus", "--x", "1", "--t-budget", "1000001"), 3),
+    (("interact", "--program", "012", "--mode", "cap", "--x", "1"), 2),
+    (("cardre", *_HOSTILE_PROGRAM, "--t-max", "-1"), 2),
+    (("cardre", *_HOSTILE_PROGRAM, "--t-max", "1000001"), 3),
+    (("cardre", "--index", "-1", "--t-max", "3"), 2),
+    (("quotient", "--regex", "((", "--alphabet", "ab", "--m-words", "a"), 2),
+    (("quotient", "--regex", "a", "--alphabet", "aa", "--m-words", "a"), 2),
+    (("quotient", "--regex", "a", "--alphabet", "", "--m-words", "a"), 2),
+    (("quotient", "--regex", "a", "--alphabet", "ab", "--m-words", "a,c"), 2),
+    (("quotient", "--regex", "(" * 1200 + "a" + ")" * 1200, "--alphabet", "a", "--m-words", "a"), 3),
+], ids=["estimate-deep-spec", "dilworth-deep-json", "interact-negative-member",
+        "interact-non-number", "interact-negative-budget", "interact-window", "interact-ceiling",
+        "interact-non-binary", "cardre-negative", "cardre-ceiling", "cardre-index",
+        "quotient-regex", "quotient-repeated-alphabet", "quotient-empty-alphabet",
+        "quotient-word", "quotient-deep-regex"])
+def test_hostile_input_exits_with_one_error_line(tmp_path, argv, code):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [str(deep) if a == "DEEP" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "kposet.cli", *argv],
+                          capture_output=True, text=True, env=_kposet_env(PYTHONUTF8="1"))
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("kposet: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_input_nested_too_deeply_names_its_command(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(capsys, "dilworth", "--file", str(deep)) == (
+        3, "", "kposet: dilworth input nests too deeply to evaluate\n")
+
+
+# Run interact in a fresh interpreter; print its exit code and peak RSS in MB
+# (VmHWM: ru_maxrss can carry the RSS of the forking test process over exec).
+_RSS_PROBE = """
+import json, sys
+from kposet.cli import main
+code = main(sys.argv[1:])
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(json.dumps([code, int(hwm.split()[1]) // 1024]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("member", [10**9, 10**20])
+def test_interact_huge_member_builds_no_bit_mask(tmp_path, member):
+    # the members are checked one by one: a bit mask of 2**member bits would
+    # take ~250 MB at 10**9 and overflow at 10**20
+    out = tmp_path / "interact.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, "interact", *_HOSTILE_PROGRAM, "--mode", "cap",
+         "--x", f"0,5,{member}", "--t-budget", "300", "--out", str(out)],
+        capture_output=True, text=True, env=_kposet_env(PYTHONUTF8="1"),
+    )
+    assert proc.stderr == ""
+    code, rss_mb = json.loads(proc.stdout)
+    assert code == 0 and rss_mb < 100
+    assert json.loads(out.read_text())["config"]["x"] == [0, 5, member]
+
+
+def test_quotient_renders_once_per_change_point(monkeypatch, capsys):
+    from kposet import automata
+
+    rendered = []
+    render = automata.canonical_regex
+    monkeypatch.setattr(automata, "canonical_regex", lambda d: rendered.append(d) or render(d))
+    words = ["a", "ab", "aab", "b", "ba", "bb"]
+    code, out, _ = run(capsys, "quotient", "--regex", "(a+b)*·b", "--alphabet", "ab",
+                       "--m-words", ",".join(words))
+    assert code == 0
+    lang = automata.to_canonical_dfa(automata.parse_regex("(a+b)*·b", "ab"), "ab")
+    trace = automata.quotient_trace(lang, words)
+    assert rendered == [d for _, d in trace] and len(rendered) == 2
+    assert len(out.strip().split("\n")) == 2 + len(words) + 1  # config, header, rows, final

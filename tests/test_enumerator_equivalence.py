@@ -7,6 +7,7 @@ numbering that construction now also gives."""
 import itertools
 import json
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,8 +35,10 @@ from kposet.automata import (
     canonicalize_dfa,
     parse_regex,
     quotient,
+    quotient_trace,
     to_canonical_dfa,
 )
+from kposet import automata
 from kposet.busy_beaver import _tree_leaves, busy_beaver_row
 from kposet.cli import main
 from kposet.codec import b_index
@@ -332,16 +335,42 @@ def test_quotient_matches_reference(text, sigma, words, minimal):
     assert quotient(l, words) == quotient_ref(l, words)
 
 
-def test_interact_with_a_huge_member_matches_reference(tmp_path):
-    # a query reads only X and the emitted values <= max X; nothing walks
-    # up to the member 10**9
+@settings(max_examples=300, deadline=None)
+@given(
+    text=regex_texts,
+    sigma=alphabets,
+    words=st.lists(st.text(alphabet="ab", max_size=4), max_size=12),
+    minimal=st.booleans(),
+)
+@example(text="a", sigma=("a", "b"), words=[], minimal=True)
+# "a" reaches a new state whose language adds nothing: one point, two builds
+@example(text=f"(a+b)*{CONCAT}b", sigma=("a", "b"), words=["ab", "a"], minimal=True)
+def test_quotient_trace_matches_reference_at_every_t(text, sigma, words, minimal):
+    ast = parse_regex(text, sigma)
+    if minimal:
+        l = to_canonical_dfa(ast, sigma)
+    else:  # the unminimised subset automaton: reached sets of several states
+        l = subset_construct_ref(*thompson_ref(ast), sigma)
+    with mock.patch.object(automata, "_quotient_from", wraps=automata._quotient_from) as build:
+        trace = quotient_trace(l, words)
+    # one build per newly reached state, not one per word
+    assert build.call_count == len({l.step(l.start, w) for w in words})
+    assert len(trace) <= l.n
+    assert [t for t, _ in trace[:1]] == ([0] if words else [])
+    for (t0, d0), (t1, d1) in zip(trace, trace[1:]):
+        assert t0 < t1 and d0 != d1
+    for t in range(len(words)):
+        assert [d for s, d in trace if s <= t][-1] == quotient_ref(l, words[: t + 1]), t
+
+
+def _check_interact_against_reference(tmp_path, xs):
+    """interact's report on COUNTER equals the oracle's in every mode."""
     out = tmp_path / "interact.json"
-    xs = (0, 5, 10**9)
     finsets = parse_poset_spec("finsets")
     for mode, order in (("minus", finsets), ("cap", finsets), ("setminus", reverse(finsets))):
         start = time.perf_counter()
         code = main([
-            "interact", "--program", COUNTER, "--mode", mode, "--x", "0,5,1000000000",
+            "interact", "--program", COUNTER, "--mode", mode, "--x", ",".join(map(str, xs)),
             "--t-budget", "3000", "--out", str(out),
         ])
         assert code == 0
@@ -363,3 +392,14 @@ def test_interact_with_a_huge_member_matches_reference(tmp_path):
             assert len(trace) > 900  # COUNTER emits a new value every 3 steps
         else:
             assert [t for t, _ in trace] == [0, 14]  # 5 is first emitted at step 13
+
+
+def test_interact_with_a_huge_member_matches_reference(tmp_path):
+    # a query reads only X and the emitted values <= max X; nothing walks
+    # up to the member 10**9
+    _check_interact_against_reference(tmp_path, (0, 5, 10**9))
+
+
+def test_interact_with_a_member_past_any_bit_mask_matches_reference(tmp_path):
+    # 1 << 10**20 overflows: the members are checked without a bit mask
+    _check_interact_against_reference(tmp_path, (0, 5, 10**20))
