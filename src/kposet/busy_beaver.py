@@ -1,5 +1,5 @@
-"""The busy-beaver table: bb(n, t) from one walk of the transition tree of
-the one-tape Turing machines over {blank, 1}.
+"""The busy-beaver table: bb(n, t) from one walk of the symmetry-reduced
+transition tree of the one-tape Turing machines over {blank, 1}.
 
 It shares nothing with the counter-machine kernel of `vm`, so the `bb`
 command loads this module and `errors` alone.
@@ -12,16 +12,17 @@ from typing import Iterator
 
 from .errors import ConfigError, ResourceError
 
-__all__ = ["busy_beaver_row", "BB_STATE_BOUND", "BB_T_MAX_CEILING"]
+__all__ = ["busy_beaver_row", "BB_STATE_BOUND", "BB_T_MAX_CEILING", "BB3_T_MAX_CEILING"]
 
-BB_STATE_BOUND = 2  # largest n accepted by busy_beaver_row (n+1 machine states)
-BB_T_MAX_CEILING = 256  # largest t_max accepted; n = 2 takes about 9 s there on a 2-CPU host
+BB_STATE_BOUND = 3  # largest n accepted by busy_beaver_row (n+1 machine states)
+BB_T_MAX_CEILING = 256  # largest t_max at n <= 2; n = 2 takes about 0.2 s there on a 2-CPU host
+BB3_T_MAX_CEILING = 80  # largest t_max at n = 3; the bb command takes about 8 s there on a 2-CPU host
 
 
 def busy_beaver_row(n: int, t_max: int) -> list[int]:
-    """bb(n, t) for t = 0..t_max in one walk of the transition tree: the
-    most cells of a machine halting at each step, then a running max over
-    the steps.
+    """bb(n, t) for t = 0..t_max in one walk of the reduced transition
+    tree: the most cells of a machine halting at each step, then a running
+    max over the steps.
 
     bb(n, t) is the max over 0 and the cells visited by (n+1)-state machines
     halting within t steps from blank tape; monotone in both arguments."""
@@ -31,70 +32,81 @@ def busy_beaver_row(n: int, t_max: int) -> list[int]:
         raise ResourceError(
             f"busy beaver enumeration is bounded at n <= {BB_STATE_BOUND}"
         )
-    if t_max > BB_T_MAX_CEILING:
+    if t_max > (ceiling := BB3_T_MAX_CEILING if n == 3 else BB_T_MAX_CEILING):
         raise ResourceError(
-            f"busy beaver t_max={t_max} exceeds the desk-scale ceiling of {BB_T_MAX_CEILING} steps"
+            f"busy beaver t_max={t_max} exceeds the desk-scale ceiling of {ceiling} steps"
         )
     at_step = [0] * (t_max + 1)
-    for _reached, halted, steps, cells in _tree_leaves(n + 1, t_max):
-        if halted and cells > at_step[steps]:
+    for steps, cells in _halting_leaves(n + 1, t_max):
+        if cells > at_step[steps]:
             at_step[steps] = cells
     return list(itertools.accumulate(at_step, max))
 
 
-def _tree_leaves(states: int, t_max: int) -> Iterator[tuple[tuple, bool, int, int]]:
-    """The leaves of the transition tree (Brady's tree normal form) of the
-    `states`-state machines run for t_max steps from blank tape.
+def _halting_leaves(states: int, t_max: int) -> Iterator[tuple[int, int]]:
+    """(steps, cells) for the halting leaves of the transition tree of the
+    `states`-state machines run for t_max steps from blank tape, reduced by
+    the symmetries of the tree (A. H. Brady, Math. Comp. 40, 1983).
 
-    A depth-first walk over partial tables: it starts from the empty table
-    and runs the machine; when the run first reads an undefined
-    (state, symbol), it branches over the 2 * 2 * (states + 1) transitions
-    (write, move, next-or-"H", in that nesting order), each branch resuming
-    from the current configuration. A leaf is a run that halts or uses up
-    t_max steps. It is yielded as (reached, halted, steps, cells), with
-    reached the ((state, symbol), transition) pairs the run defined, in the
-    order it reached them, and cells the distinct head positions, the final
-    one after a halting move included.
+    The tree is a depth-first walk over partial tables: it starts from the
+    empty table and runs the machine; when the run first reads an undefined
+    (state, symbol), it branches over the transitions (write, move,
+    next-or-"H") there, each branch resuming from the current
+    configuration. A leaf is a run that halts or uses up t_max steps; cells
+    counts the distinct head positions, the final one after a halting move
+    included. Every total table falls under exactly one leaf of the full
+    tree, which runs it step for step, so the halting leaves' (steps,
+    cells) are those of the halting machines. The walk drops four kinds of
+    branch, each of whose halting leaves equal those of a kept sibling or
+    are none; by induction on the depth, the (steps, cells) pairs of the
+    halting leaves, and so the row, stay those of the full tree:
 
-    Exactness: a run of a total table only reads the transitions it
-    reaches, so it runs step for step like the partial table of the one
-    leaf whose reached transitions the table contains; every total table
-    falls under exactly one leaf, because the tree branches over every
-    transition at each key it reaches. The tape and the visited cells are
-    bit masks (bit t_max + p for cell p, |p| <= t_max), so branches share
-    them without copies."""
-    transitions = [
-        (write, move, nxt)
-        for write in (0, 1)
-        for move in ("L", "R")
-        for nxt in [*range(states), "H"]
+    - States are numbered in the order the run first enters them: a new
+      transition goes to a used state, to the lowest unused state u, or to
+      H. The branch to an unused j > u is the image of the branch to u
+      under the swap of u and j, which fixes the table so far (neither
+      state occurs in it) and the configuration (the current state is
+      used), and runs every table in it as the image table runs.
+    - The first transition, read at (0, blank) on a blank tape, moves R
+      only: the branch that moves L is the mirror image, L and R swapped
+      everywhere, of the one that moves R, with the same steps and cells.
+    - A halting transition writes 0 only: the run ends on that move, so
+      nothing reads the symbol it writes.
+    - The last undefined entry takes halting transitions only. The walk
+      defines an entry only when the run reads it, and a halting entry
+      ends the run at once, so no table on the stack has one: a
+      non-halting child there is a total table that never halts.
+
+    The tape and the visited cells are bit masks (bit t_max + p for cell p,
+    |p| <= t_max), so branches share them without copies."""
+    # non_halting[used][first]: the (write, move, next) a new entry may take
+    # when states 0..used-1 are used, with the used count after it
+    non_halting = [
+        [[((write, delta, nxt), max(used, nxt + 1))
+          for write in (0, 1) for delta in moves for nxt in range(min(used + 1, states))]
+         for moves in ((1, -1), (1,))]
+        for used in range(states + 1)
     ]
-    # popped from the stack in the order above; "H" runs as state -1
-    branches = [
-        ((write, move, nxt), (write, 1 if move == "R" else -1, -1 if nxt == "H" else nxt))
-        for write, move, nxt in reversed(transitions)
-    ]
-    # (table indexed by 2 * state + symbol, reached, state, pos, tape, visited, step)
-    stack = [((None,) * (2 * states), (), 0, t_max, 0, 1 << t_max, 0)]
+    # (table indexed by 2 * state + symbol, used, undefined, state, pos, tape, visited, step)
+    stack = [((None,) * (2 * states), 1, 2 * states, 0, t_max, 0, 1 << t_max, 0)]
     while stack:
-        table, reached, state, pos, tape, visited, step = stack.pop()
+        table, used, undefined, state, pos, tape, visited, step = stack.pop()
         while step < t_max:
             key = 2 * state + (tape >> pos & 1)
             act = table[key]
             if act is None:
-                head, tail = table[:key], table[key + 1:]
-                where = (state, key & 1)
-                for tr, act in branches:
-                    stack.append((head + (act,) + tail, reached + ((where, tr),),
-                                  state, pos, tape, visited, step))
+                first = undefined == 2 * states
+                yield step + 1, (visited | 1 << pos + 1).bit_count()
+                if not first:
+                    yield step + 1, (visited | 1 << pos - 1).bit_count()
+                if undefined > 1:
+                    head, tail = table[:key], table[key + 1:]
+                    for act, now_used in non_halting[used][first]:
+                        stack.append((head + (act,) + tail, now_used, undefined - 1,
+                                      state, pos, tape, visited, step))
                 break
             write, delta, state = act
             tape = tape | 1 << pos if write else tape & ~(1 << pos)
             pos += delta
             visited |= 1 << pos
             step += 1
-            if state < 0:
-                yield reached, True, step, visited.bit_count()
-                break
-        else:
-            yield reached, False, step, visited.bit_count()

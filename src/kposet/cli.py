@@ -23,7 +23,7 @@ import sys
 import tempfile
 from typing import Iterable, Optional
 
-from .errors import ConfigError, DomainError, KposetError, ResourceError
+from .errors import ConfigError, DomainError, KposetError, ResourceError, _parse_alphabet
 
 # Each handler imports the layers it drives, posets included, so a command
 # loads only those; hence the copy of enumerable.INTERACTION_MODES (a test
@@ -108,7 +108,6 @@ def cmd_estimate(args) -> str:
 
 def cmd_quotient(args) -> str:
     from . import automata
-    from .posets import _parse_alphabet
 
     sigma = tuple(_parse_alphabet(args.alphabet))
     words = args.m_words.split(",")
@@ -217,17 +216,13 @@ def cmd_cardre(args) -> str:
 
 def cmd_interact(args) -> str:
     from . import enumerable
-    from .posets import parse_poset_spec, reverse
 
     n = _program_index(args)
     try:
         xs = tuple(sorted({int(v) for v in args.x.split(",") if v != ""}))
     except ValueError as exc:
         raise ConfigError(f"--x wants a comma-separated set of naturals: {exc}") from exc
-    finsets = parse_poset_spec("finsets")
-    finsets.leq((), xs)  # DomainError unless every member is a natural; builds no bit mask
-    order = reverse(finsets) if args.mode == "setminus" else finsets
-    trace, report = enumerable.set_interaction_limit(order, n, args.mode, xs, args.t_budget, args.window)
+    trace, report = enumerable.set_interaction_limit(n, args.mode, xs, args.t_budget, args.window)
     payload = {"trace": [[t, list(v)] for t, v in trace], "limit": list(report.current),
                "status": report.status}
     return _json_report(_config(args, index=n, x=list(xs)), payload)

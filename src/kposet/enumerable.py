@@ -5,21 +5,19 @@ of the order-free kernel in `vm`.
 Each command makes one kernel run and reads it in one pass: card_re_row
 counts the values emitted before each t, and set_interaction_limit traces a
 finite set X against them (cap, minus, setminus) and reports its budgeted
-limit. No evaluator and no memo is involved.
+limit. No evaluator and no memo is involved, and no order code: X and the
+trace are checked under inclusion here.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .codec import b_word
-from .errors import ConfigError, MonotonicityError, ResourceError
+from .errors import ConfigError, DomainError, MonotonicityError, ResourceError
 from .limits import LimitReport, check_budget, limit_report_from_trace
 from .vm import _execute, parse_program
-
-if TYPE_CHECKING:
-    from .posets import PosetInstance
 
 __all__ = [
     "card_re_row",
@@ -85,22 +83,32 @@ def _interaction_trace(emitted: Iterable[tuple[int, int]], mode: str, x: tuple) 
     return points
 
 
-def set_interaction_limit(p: PosetInstance, a_index: int, mode: str, x: tuple, t_budget: int,
+def _check_monotone(points: list[tuple[int, tuple]], grows: bool) -> None:
+    """Raise MonotonicityError at the first change point of an interaction
+    trace whose answer is not a superset (grows) or a subset (not grows)
+    of the answer before it."""
+    for (_, last), (t, d) in zip(points, points[1:]):
+        if not (set(last) <= set(d) if grows else set(last) >= set(d)):
+            raise MonotonicityError(f"process not monotone at t={t}", witness=((t - 1, last), (t, d)))
+
+
+def set_interaction_limit(a_index: int, mode: str, x: tuple, t_budget: int,
                           window: int) -> tuple[list[tuple[int, tuple]], LimitReport]:
-    """The distinct values (t, value) of the interaction of x with the set
-    enumerated by program b_word(a_index) on input 0 (see
-    _interaction_trace), for t = 0..t_budget, each checked to rise in p
-    (consume setminus with rev(finsets)), and the report and errors of
-    budgeted_limit over them, from one run at fuel t_budget and no walk
-    over t."""
+    """The distinct values (t, value) of the interaction of the finite set
+    x, a sorted duplicate-free tuple, with the set enumerated by program
+    b_word(a_index) on input 0 (see _interaction_trace), for t =
+    0..t_budget, each checked to rise under inclusion (to fall for
+    setminus), and the report and errors of budgeted_limit over them, from
+    one run at fuel t_budget and no walk over t."""
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
+    if (any(not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in x)
+            or list(x) != sorted(set(x))):
+        raise DomainError(f"not a sorted duplicate-free tuple of naturals: {x!r}")
     instrs = parse_program(b_word(a_index))
     check_budget(t_budget, t_budget, window)
     if t_budget > (ceiling := RUN_STEPS_CEILING):
         raise ResourceError(f"interact t_budget={t_budget} exceeds the desk-scale ceiling of {ceiling} steps")
     points = _interaction_trace(() if instrs is None else _execute(instrs, 0, t_budget)[0], mode, x)
-    for (_, last), (t, d) in zip(points, points[1:]):
-        if not p.leq(last, d):
-            raise MonotonicityError(f"process not monotone at t={t}", witness=((t - 1, last), (t, d)))
+    _check_monotone(points, grows=mode != "setminus")
     return points, limit_report_from_trace(points, t_budget, window)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the alphabet check that
+`posets` and the `quotient` command share, kept here so that `quotient`
+loads no order code.
 
 The CLI maps ConfigError/DomainError to exit code 2 and ResourceError to
 exit code 3; everything else is a genuine bug.
@@ -39,3 +41,13 @@ class ContractError(KposetError):
 class VerificationError(KposetError):
     """An internal self-check failed: a witness did not replay, a generated
     family did not verify, or a round-trip broke."""
+
+
+def _parse_alphabet(text: str) -> str:
+    """text, as an alphabet of distinct single-character symbols; ConfigError
+    when it is empty or repeats a symbol."""
+    if not text:
+        raise ConfigError("alphabet must not be empty")
+    if len(set(text)) != len(text):
+        raise ConfigError(f"alphabet has repeated symbols: {text!r}")
+    return text

@@ -26,7 +26,7 @@ from collections import namedtuple
 from itertools import combinations
 from typing import Any, Iterable
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _parse_alphabet
 
 __all__ = [
     "PosetInstance",
@@ -134,10 +134,10 @@ def _word_carrier(alphabet: str):
     """Length-lexicographic rank/unrank over the declared symbol listing."""
     k = len(alphabet)
     index = {c: i for i, c in enumerate(alphabet)}
-    symbols = frozenset(alphabet)
 
     def check(w):
-        if not isinstance(w, str) or not symbols.issuperset(w):
+        # one C-level pass: strip leaves "" exactly when every symbol is in alphabet
+        if not isinstance(w, str) or w.strip(alphabet):
             raise DomainError(f"not a word over {alphabet!r}: {w!r}")
         return w
 
@@ -166,14 +166,6 @@ def _word_carrier(alphabet: str):
         return base + idx
 
     return check, unrank, rank
-
-
-def _parse_alphabet(text: str) -> str:
-    if not text:
-        raise ConfigError("alphabet must not be empty")
-    if len(set(text)) != len(text):
-        raise ConfigError(f"alphabet has repeated symbols: {text!r}")
-    return text
 
 
 def _prefix(alphabet: str) -> PosetInstance:

@@ -20,12 +20,15 @@ that scan or rebuild the sliced emissions per query, the evaluator form of
 the set interactions that the package replaced with one trace per
 command, the Turing machines with their step-by-step interpreter, the
 busy-beaver loops over them (one enumeration per bb(n, t), and a row
-raised step by step per machine),
+raised step by step per machine), the full transition tree that the
+package walks with its symmetry cuts,
 the two separate breadth-first subset constructions behind the canonical
 DFA and the quotient, and the canonical form as a block automaton from
 Moore refinement renumbered by its own breadth-first walk. The busy-beaver
 loops run every total transition table, enumerated by enumerate_tm_specs,
-the brute force the package replaced with a walk of the transition tree.
+the brute force the package replaced with a walk of the transition tree;
+_tree_leaves walks that tree with no cut, as the package did before it
+dropped the branches that Brady's symmetries repeat.
 
 Expressions reach their canonical DFA here by Thompson's construction: an
 epsilon-NFA with two fresh states per AST node, determinised by a subset
@@ -43,7 +46,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import namedtuple
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from kposet.errors import ConfigError, ResourceError
 from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
@@ -516,6 +519,74 @@ def busy_beaver_row_ref(n: int, t_max: int) -> list[int]:
             for t in range(steps, t_max + 1):
                 row[t] = max(row[t], cells)
     return row
+
+
+def busy_beaver_tree_row_ref(n: int, t_max: int) -> list[int]:
+    """bb(n, t) for t = 0..t_max from the halting leaves of the full
+    transition tree (_tree_leaves), the walk before its symmetry cuts."""
+    at_step = [0] * (t_max + 1)
+    for _reached, halted, steps, cells in _tree_leaves(n + 1, t_max):
+        if halted and cells > at_step[steps]:
+            at_step[steps] = cells
+    return list(itertools.accumulate(at_step, max))
+
+
+def _tree_leaves(states: int, t_max: int) -> Iterator[tuple[tuple, bool, int, int]]:
+    """The leaves of the transition tree (Brady's tree normal form) of the
+    `states`-state machines run for t_max steps from blank tape.
+
+    A depth-first walk over partial tables: it starts from the empty table
+    and runs the machine; when the run first reads an undefined
+    (state, symbol), it branches over the 2 * 2 * (states + 1) transitions
+    (write, move, next-or-"H", in that nesting order), each branch resuming
+    from the current configuration. A leaf is a run that halts or uses up
+    t_max steps. It is yielded as (reached, halted, steps, cells), with
+    reached the ((state, symbol), transition) pairs the run defined, in the
+    order it reached them, and cells the distinct head positions, the final
+    one after a halting move included.
+
+    Exactness: a run of a total table only reads the transitions it
+    reaches, so it runs step for step like the partial table of the one
+    leaf whose reached transitions the table contains; every total table
+    falls under exactly one leaf, because the tree branches over every
+    transition at each key it reaches. The tape and the visited cells are
+    bit masks (bit t_max + p for cell p, |p| <= t_max), so branches share
+    them without copies."""
+    transitions = [
+        (write, move, nxt)
+        for write in (0, 1)
+        for move in ("L", "R")
+        for nxt in [*range(states), "H"]
+    ]
+    # popped from the stack in the order above; "H" runs as state -1
+    branches = [
+        ((write, move, nxt), (write, 1 if move == "R" else -1, -1 if nxt == "H" else nxt))
+        for write, move, nxt in reversed(transitions)
+    ]
+    # (table indexed by 2 * state + symbol, reached, state, pos, tape, visited, step)
+    stack = [((None,) * (2 * states), (), 0, t_max, 0, 1 << t_max, 0)]
+    while stack:
+        table, reached, state, pos, tape, visited, step = stack.pop()
+        while step < t_max:
+            key = 2 * state + (tape >> pos & 1)
+            act = table[key]
+            if act is None:
+                head, tail = table[:key], table[key + 1:]
+                where = (state, key & 1)
+                for tr, act in branches:
+                    stack.append((head + (act,) + tail, reached + ((where, tr),),
+                                  state, pos, tape, visited, step))
+                break
+            write, delta, state = act
+            tape = tape | 1 << pos if write else tape & ~(1 << pos)
+            pos += delta
+            visited |= 1 << pos
+            step += 1
+            if state < 0:
+                yield reached, True, step, visited.bit_count()
+                break
+        else:
+            yield reached, False, step, visited.bit_count()
 
 
 def thompson_ref(ast: RegexAst | None):

@@ -454,13 +454,14 @@ def _oracle_bb_row(states, t_max):
 
 def test_criterion_12_busy_beaver():
     t_max = 30
-    rows = [busy_beaver_row(n, t_max) for n in (0, 1, 2)]
+    # n = 3 at t <= 10 only: its walk takes about 0.1 s a step
+    rows = [busy_beaver_row(n, t_max) for n in (0, 1, 2)] + [busy_beaver_row(3, 10)]
     for row in rows:
         for a, b in zip(row, row[1:]):
             assert a <= b
     for lower, upper in zip(rows, rows[1:]):
-        for t in range(t_max + 1):
+        for t in range(len(upper)):
             assert lower[t] <= upper[t]
     for n in (0, 1):
         assert rows[n] == _oracle_bb_row(n + 1, t_max)
-    print("PASS criterion 12: bb monotone in t and in n <= 2; n <= 1 matches the independent oracle")
+    print("PASS criterion 12: bb monotone in t and in n <= 3; n <= 1 matches the independent oracle")

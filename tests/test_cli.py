@@ -9,6 +9,7 @@ import time
 import pytest
 
 import kposet
+from kposet import busy_beaver
 from kposet.cli import build_parser, main
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec
@@ -202,6 +203,19 @@ def test_quotient_bad_alphabet(capsys, alphabet):
     assert code == 2
     assert out == ""
     assert err == f"kposet: {exc.value}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("interact", "--program", "00011010111110", "--mode", "cap", "--x=-1,2"),
+     "kposet: not a sorted duplicate-free tuple of naturals: (-1, 2)\n"),
+    (("quotient", "--regex", "a", "--alphabet", "", "--m-words", "a"),
+     "kposet: alphabet must not be empty\n"),
+    (("quotient", "--regex", "a", "--alphabet", "aa", "--m-words", "a"),
+     "kposet: alphabet has repeated symbols: 'aa'\n"),
+], ids=["interact-negative-member", "quotient-empty-alphabet", "quotient-repeated-alphabet"])
+def test_member_and_alphabet_errors_keep_their_text(capsys, argv, err):
+    # interact and quotient make these checks without loading posets
+    assert run(capsys, *argv) == (2, "", err)
 
 
 @pytest.mark.parametrize("regex", [
@@ -470,22 +484,29 @@ def test_bb_table(capsys):
     assert set(by_n) == {0, 1}
 
 
-def test_bb_resource_ceiling(capsys):
-    code, _, err = run(capsys, "bb", "--states", "9", "--t-max", "5")
-    assert code == 3
-    assert "bounded" in err
+def _no_walk(*_):
+    raise AssertionError("the walk started")
 
 
-@pytest.mark.parametrize("states", ["0", "2"])
-def test_bb_step_ceiling(capsys, states):
-    # 257 is the first t_max above BB_T_MAX_CEILING; at --states 2 the walk
-    # alone would take seconds, so it shows the ceiling comes before it
-    start = time.perf_counter()
-    code, out, err = run(capsys, "bb", "--states", states, "--t-max", "257")
+def test_bb_resource_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(busy_beaver, "_halting_leaves", _no_walk)
+    for states in ("4", "9"):
+        code, out, err = run(capsys, "bb", "--states", states, "--t-max", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "kposet: busy beaver enumeration is bounded at n <= 3\n"
+
+
+@pytest.mark.parametrize("states", ["0", "2", "3"])
+def test_bb_step_ceiling(capsys, monkeypatch, states):
+    # the first t_max above the ceiling of n = states (256 up to 2, 80 at
+    # 3) exits before any walk starts
+    ceiling = 80 if states == "3" else 256
+    monkeypatch.setattr(busy_beaver, "_halting_leaves", _no_walk)
+    code, out, err = run(capsys, "bb", "--states", states, "--t-max", str(ceiling + 1))
     assert code == 3
     assert out == ""
-    assert err == "kposet: busy beaver t_max=257 exceeds the desk-scale ceiling of 256 steps\n"
-    assert time.perf_counter() - start < 5
+    assert err == f"kposet: busy beaver t_max={ceiling + 1} exceeds the desk-scale ceiling of {ceiling} steps\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -686,9 +707,9 @@ print(json.dumps([code, loaded, heavy]))
     (("bb", "--states", "1", "--t-max", "5"), {"cli", "errors", "busy_beaver"}),
     (("cardre", "--program", "00011010111110", "--t-max", "5"), _SETS),
     (("interact", "--program", "00011010111110", "--mode", "cap", "--x", "1,2",
-      "--t-budget", "5"), _SETS | {"posets"}),
+      "--t-budget", "5"), _SETS),
     (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
-     _BASE | {"automata"}),
+     {"cli", "errors", "automata"}),
 ], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
         "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
         "interact", "quotient"])

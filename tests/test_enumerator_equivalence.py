@@ -1,6 +1,7 @@
 """The enumerator layer against its earlier code in reference_impl.py: the
 unsliced run cache behind the evaluators, the busy-beaver row built by one
-walk of the transition tree, the one powerset construction behind
+walk of the symmetry-reduced transition tree against the full tree, the
+full tree against the machines it runs, the one powerset construction behind
 canonical DFAs and quotients, and the canonical form whose breadth-first
 numbering that construction now also gives."""
 
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from reference_impl import (
     TmSpec,
+    _tree_leaves,
     busy_beaver_bb_ref,
     busy_beaver_row_ref,
+    busy_beaver_tree_row_ref,
     canonical_dfa_ref,
     canonicalize_dfa_ref,
     card_re_evaluator_ref,
@@ -39,15 +42,21 @@ from kposet.automata import (
     to_canonical_dfa,
 )
 from kposet import automata
-from kposet.busy_beaver import _tree_leaves, busy_beaver_row
+from kposet.busy_beaver import busy_beaver_row
 from kposet.cli import main
 from kposet.codec import b_index
 from kposet.constructions import budgeted_limit, vm_max_evaluator
-from kposet.enumerable import INTERACTION_MODES, card_re_row, set_interaction_limit
+from kposet.enumerable import (
+    INTERACTION_MODES,
+    _check_monotone,
+    _interaction_trace,
+    card_re_row,
+    set_interaction_limit,
+)
 from kposet.errors import MonotonicityError
 from kposet.limits import Evaluator
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import _execute, assemble, iter_programs
+from kposet.vm import _execute, assemble, iter_programs, parse_program
 
 SPECS = ("nat", "rev(nat)", "int", "prefix:ab", "rev(finsets)", "lexico:a<b")
 POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}
@@ -181,7 +190,7 @@ def test_interaction_limit_matches_budgeted_limit(n, mode, members, huge, t_budg
     # every t: the same trace, limit and status (the whole report)
     xs = tuple(sorted(members | ({10**9} if huge else set())))
     order = ORDERS[mode]
-    got = set_interaction_limit(order, n, mode, xs, t_budget, window)
+    got = set_interaction_limit(n, mode, xs, t_budget, window)
     assert got == _walked_limit(order, n, mode, xs, t_budget, window)
 
 
@@ -190,11 +199,14 @@ def test_interaction_limit_matches_budgeted_limit(n, mode, members, huge, t_budg
     ("setminus", FINSETS, ((4, (2, 5)), (5, (5,)))),
 ])
 def test_interaction_limit_reports_a_fall_as_budgeted_limit_does(mode, order, witness):
-    # under the opposite order the first change, COUNTER's 2 at step 4, is
-    # a fall: the same error at the same pair of points
-    for limit in (set_interaction_limit, _walked_limit):
+    # under the opposite direction the first change, COUNTER's 2 at step 4,
+    # is a fall: the same error at the same pair of points
+    points = _interaction_trace(_execute(parse_program(COUNTER), 0, 100)[0], mode, (2, 5))
+    checks = (lambda: _check_monotone(points, grows=mode == "setminus"),
+              lambda: _walked_limit(order, b_index(COUNTER), mode, (2, 5), 100, 8))
+    for check in checks:
         with pytest.raises(MonotonicityError, match="^process not monotone at t=5$") as caught:
-            limit(order, b_index(COUNTER), mode, (2, 5), 100, 8)
+            check()
         assert caught.value.witness == witness
 
 
@@ -203,6 +215,24 @@ def test_interaction_limit_reports_a_fall_as_budgeted_limit_does(mode, order, wi
 def test_busy_beaver_matches_brute_force(n, t_max):
     assert busy_beaver_row(n, t_max) == busy_beaver_row_ref(n, t_max)
     assert busy_beaver_row(n, t_max)[t_max] == busy_beaver_bb_ref(n, t_max)
+
+
+@pytest.fixture(scope="module")
+def tree_rows():
+    """The full tree's row at (n, 80) for n <= 2 and at (3, 6); its first
+    t + 1 entries are its row at (n, t), as bb(n, t) does not depend on
+    t_max."""
+    return [busy_beaver_tree_row_ref(n, 80) for n in range(3)] + [busy_beaver_tree_row_ref(3, 6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_t=st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 80)),
+                     st.tuples(st.just(3), st.integers(0, 6))))
+@example(n_t=(2, 80))
+@example(n_t=(3, 6))
+def test_busy_beaver_row_matches_the_full_tree(tree_rows, n_t):
+    n, t_max = n_t
+    assert busy_beaver_row(n, t_max) == tree_rows[n][:t_max + 1]
 
 
 @pytest.mark.parametrize("states, t_max", [(1, 60), (2, 0), (2, 1), (2, 60), (3, 50)])

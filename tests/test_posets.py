@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kposet.analysis import FinitePoset
 from kposet.errors import ConfigError, DomainError
-from kposet.posets import parse_poset_spec, reverse
+from kposet.posets import _word_carrier, parse_poset_spec, reverse
 
 
 def words_up_to(alphabet, max_len):
@@ -73,6 +73,26 @@ def test_word_carrier_rejects_foreign_words():
                 p.leq(bad, "a")
         with pytest.raises(DomainError, match="not a word over 'ab': 'abx'"):
             p.rank("abx")
+
+
+_SYMBOLS = "abc\u00e9 \n"  # a small pool, so that words often lie over the alphabet
+
+
+@settings(max_examples=400, deadline=None)
+@given(alphabet=st.text(_SYMBOLS, min_size=1, max_size=4).filter(lambda a: len(set(a)) == len(a)),
+       w=st.one_of(st.text(_SYMBOLS, max_size=8), st.text(max_size=8)))
+@example(alphabet="ab", w="")
+@example(alphabet="ab", w="acb")  # a foreign symbol between two of the alphabet's
+@example(alphabet="ab", w="cab")
+@example(alphabet="a", w="aaa")
+def test_word_check_is_the_symbol_set_test(alphabet, w):
+    check, _, _ = _word_carrier(alphabet)
+    if frozenset(alphabet).issuperset(w):
+        assert check(w) == w
+    else:
+        with pytest.raises(DomainError) as caught:
+            check(w)
+        assert str(caught.value) == f"not a word over {alphabet!r}: {w!r}"
 
 
 def test_rank_unrank():
