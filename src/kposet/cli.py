@@ -10,18 +10,22 @@ values a handler derives from them in their place. Reports are
 byte-identical across reruns with the same configuration, and files are
 written once, atomically. Exit codes: 0 success, 2 configuration error,
 3 desk-scale resource ceiling or input nested past the recursion limit.
+
+Both parsers read the option table _SUBCOMMANDS. `<command> (--flag value)*`
+with full flag names skips argparse: it is imported only to print help and
+usage errors, and for the other forms it accepts (abbreviations, --flag=value,
+a flag given twice, a value starting with '-').
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
 import sys
 import tempfile
-from typing import Iterable, Optional
+from types import SimpleNamespace
+from typing import Optional
 
 from .errors import ConfigError, DomainError, KposetError, ResourceError, _parse_alphabet
 
@@ -82,6 +86,8 @@ def _config_line(config: dict) -> str:
 
 
 def _csv_report(config: dict, header: list[str], rows: list[list]) -> str:
+    import csv  # here, so that the commands that write JSON do not load it
+
     buf = io.StringIO()
     buf.write(_config_line(config))
     writer = csv.writer(buf, lineterminator="\n")
@@ -230,105 +236,101 @@ def cmd_interact(args) -> str:
 
 # -------------------------------------------------------------- arg parsing
 
-
-def _add_common(sub, budget=True):
-    sub.add_argument("--out", help="output file (atomic write); stdout otherwise")
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="recorded in the report configuration; enumeration is serial",
-    )
-    if budget:
-        sub.add_argument("--fuel", type=int, default=4096, help="machine steps per run")
-        sub.add_argument("--t-budget", type=int, default=4096, help="approximation clock budget")
-        sub.add_argument("--window", type=int, default=8, help="stability window")
-
-
-def _add_program(sub):
-    which = sub.add_mutually_exclusive_group(required=True)
-    which.add_argument("--index", type=int)
-    which.add_argument("--program", help="program bits (alternative to --index)")
-
-
-def _estimate_arguments(sub):
-    sub.add_argument("--poset", required=True, help="poset spec, e.g. nat or prefix:ab")
-    sub.add_argument("--ranks", type=int, default=32, help="report rows 0..ranks-1")
-    sub.add_argument("--max-len", type=int, default=14, help="max program bits")
-    _add_common(sub)
-
-
-def _quotient_arguments(sub):
-    sub.add_argument("--regex", required=True)
-    sub.add_argument("--alphabet", required=True)
-    sub.add_argument("--m-words", required=True, help="comma-separated quotient words")
-    _add_common(sub, budget=False)
-
-
-def _conditions_arguments(sub):
-    sub.add_argument("--pair", required=True, help="weak-spec/strong-spec")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--condition", choices=["star", "dagger"], default="star")
-    sub.add_argument("--fragment", type=int, default=15, help="carrier rank bound")
-    _add_common(sub, budget=False)
-
-
-def _dilworth_arguments(sub):
-    sub.add_argument("--file", required=True, help="finite order JSON")
-    _add_common(sub, budget=False)
-
-
-def _diagonal_arguments(sub):
-    sub.add_argument("--pair", required=True, help="weak-spec/strong-spec")
-    sub.add_argument("--i", type=int, required=True, help="alpha(i) = i + 1")
-    _add_common(sub)
-
-
-def _bb_arguments(sub):
-    sub.add_argument("--states", type=int, required=True, help="n (machines have n+1 states)")
-    sub.add_argument("--t-max", type=int, required=True)
-    _add_common(sub, budget=False)
+# The option table both parsers read. Per option, flag: (type, default,
+# required, choices, help); `required` is True, False or _ONE_OF (one of them).
+_ONE_OF = "one of"
+_COMMON = {
+    "--out": (str, None, False, None, "output file (atomic write); stdout otherwise"),
+    "--threads": (int, 1, False, None,
+                  "recorded in the report configuration; enumeration is serial"),
+}
+_BUDGET = {
+    "--fuel": (int, 4096, False, None, "machine steps per run"),
+    "--t-budget": (int, 4096, False, None, "approximation clock budget"),
+    "--window": (int, 8, False, None, "stability window"),
+}
+_PROGRAM = {
+    "--index": (int, None, _ONE_OF, None, None),
+    "--program": (str, None, _ONE_OF, None, "program bits (alternative to --index)"),
+}
+# name: (help, options), in the order of the help
+_SUBCOMMANDS = {
+    "estimate": ("build the three-table CSV report", {
+        "--poset": (str, None, True, None, "poset spec, e.g. nat or prefix:ab"),
+        "--ranks": (int, 32, False, None, "report rows 0..ranks-1"),
+        "--max-len": (int, 14, False, None, "max program bits"), **_COMMON, **_BUDGET}),
+    "quotient": ("stabilization trace of a language quotient", {
+        "--regex": (str, None, True, None, None),
+        "--alphabet": (str, None, True, None, None),
+        "--m-words": (str, None, True, None, "comma-separated quotient words"), **_COMMON}),
+    "conditions": ("chain/antichain condition witnesses", {
+        "--pair": (str, None, True, None, "weak-spec/strong-spec"),
+        "--k": (int, None, True, None, None),
+        "--condition": (str, "star", False, ("star", "dagger"), None),
+        "--fragment": (int, 15, False, None, "carrier rank bound"), **_COMMON}),
+    "dilworth": ("max antichain and min chain cover", {
+        "--file": (str, None, True, None, "finite order JSON"), **_COMMON}),
+    "diagonal": ("diagonal hardness audit", {
+        "--pair": (str, None, True, None, "weak-spec/strong-spec"),
+        "--i": (int, None, True, None, "alpha(i) = i + 1"), **_COMMON, **_BUDGET}),
+    "bb": ("busy beaver table", {
+        "--states": (int, None, True, None, "n (machines have n+1 states)"),
+        "--t-max": (int, None, True, None, None), **_COMMON}),
+    "cardre": ("enumerable-set counting table", {
+        **_PROGRAM, "--t-max": (int, None, True, None, None), **_COMMON}),
+    "interact": ("finite-set interaction trace", {
+        "--mode": (str, None, True, _INTERACTION_MODES, None),
+        **_PROGRAM,
+        "--x": (str, None, True, None, "comma-separated finite set"),
+        "--t-budget": (int, 256, False, None, None),
+        "--window": (int, 8, False, None, None), **_COMMON}),
+}
 
 
-def _cardre_arguments(sub):
-    _add_program(sub)
-    sub.add_argument("--t-max", type=int, required=True)
-    _add_common(sub, budget=False)
+def _parse_strict(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What argparse makes of `<command> (--flag value)*` when every flag is
+    a full name given at most once, no value starts with '-', and the types,
+    choices and required options hold; None for any other argv."""
+    options = _SUBCOMMANDS[argv[0]][1] if argv and argv[0] in _SUBCOMMANDS else {}
+    given = dict(zip(argv[1::2], argv[2::2]))  # flag: value
+    one_of = [flag for flag, option in options.items() if option[2] is _ONE_OF]
+    if (not options or len(given) < len(argv) // 2  # a flag given twice, or a flag with no value
+            or not given.keys() <= options.keys() or any(v.startswith("-") for v in given.values())
+            or one_of and sum(flag in given for flag in one_of) != 1):
+        return None
+    parsed = {"command": argv[0]}
+    for flag, (kind, default, required, choices, _) in options.items():
+        if flag not in given and required is True:
+            return None
+        try:
+            value = kind(given[flag]) if flag in given else default
+        except ValueError:
+            return None
+        if flag in given and choices is not None and value not in choices:
+            return None
+        parsed[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**parsed)
 
 
-def _interact_arguments(sub):
-    sub.add_argument("--mode", choices=list(_INTERACTION_MODES), required=True)
-    _add_program(sub)
-    sub.add_argument("--x", required=True, help="comma-separated finite set")
-    sub.add_argument("--t-budget", type=int, default=256)
-    sub.add_argument("--window", type=int, default=8)
-    _add_common(sub, budget=False)
+def build_parser():
+    """The argparse parser, built from _SUBCOMMANDS: it prints help and usage
+    errors, and parses the argv that _parse_strict leaves to it."""
+    import argparse
 
-
-# (name, help, the function that adds its arguments), in the order of the help
-_SUBCOMMANDS = (
-    ("estimate", "build the three-table CSV report", _estimate_arguments),
-    ("quotient", "stabilization trace of a language quotient", _quotient_arguments),
-    ("conditions", "chain/antichain condition witnesses", _conditions_arguments),
-    ("dilworth", "max antichain and min chain cover", _dilworth_arguments),
-    ("diagonal", "diagonal hardness audit", _diagonal_arguments),
-    ("bb", "busy beaver table", _bb_arguments),
-    ("cardre", "enumerable-set counting table", _cardre_arguments),
-    ("interact", "finite-set interaction trace", _interact_arguments),
-)
-
-
-def build_parser(only: Optional[Iterable[str]] = None) -> argparse.ArgumentParser:
-    """The kposet parser: every subcommand with its help, and the arguments
-    of every subcommand, or of those named in `only` when it is given."""
     parser = argparse.ArgumentParser(
-        prog="kposet",
-        description="desk-scale workbench for max/min program-size complexities "
-        "over computable partially ordered sets",
-    )
+        prog="kposet", description="desk-scale workbench for max/min program-size "
+        "complexities over computable partially ordered sets")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in _SUBCOMMANDS:
-        sub = subs.add_parser(name, help=help_text)
-        if only is None or name in only:
-            add_arguments(sub)
+    for name, (command_help, options) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=command_help)
+        group = None
+        for flag, (kind, default, required, choices, help_text) in options.items():
+            target = sub
+            if required is _ONE_OF:
+                group = group or sub.add_mutually_exclusive_group(required=True)
+                target, required = group, False
+            target.add_argument(flag, type=kind, default=default, required=required,
+                                choices=choices, help=help_text)
     return parser
 
 
@@ -337,11 +339,7 @@ def main(argv=None) -> int:
         # UTF-8 whatever the locale: Python decoded the argument bytes with
         # the locale's codec, so re-encode them and decode as UTF-8
         argv = [os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]
-    # argparse runs the subcommand named by the first argument that is not an
-    # option (the top level has no option but -h), and only it needs its
-    # arguments: the others are built for nothing
-    parser = build_parser(only=[a for a in argv if not a.startswith("-")][:1])
-    args = parser.parse_args(argv)
+    args = _parse_strict(argv) or build_parser().parse_args(argv)
     handler = globals()[f"cmd_{args.command}"]  # read now, so a wrapped cmd_* is the one run
     try:
         _emit(handler(args), args.out)

@@ -1,4 +1,6 @@
-import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import stat
@@ -7,9 +9,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kposet
-from kposet import busy_beaver
+from kposet import busy_beaver, cli
 from kposet.cli import build_parser, main
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec
@@ -62,12 +66,6 @@ def test_estimate_threads_recorded_not_used(capsys):
     assert len(set(bodies.values())) == 1
 
 
-def _subcommands():
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    return subs.choices
-
-
 _PROGRAM = "000110000000110111"  # the README's cardre/interact program
 
 
@@ -111,7 +109,8 @@ def test_report_config(tmp_path, capsys, argv, config):
         recorded = json.loads(out.split("\n", 1)[0][len("# config: "):])
     else:
         recorded = json.loads(out)["config"]
-    dests = {a.dest for a in _subcommands()[argv[0]]._actions} - {"help", "out", "program"}
+    flags = cli._SUBCOMMANDS[argv[0]][1]
+    dests = {flag[2:].replace("-", "_") for flag in flags} - {"out", "program"}
     assert set(recorded) == {"command"} | dests
     assert recorded == config
 
@@ -683,8 +682,9 @@ import json, sys
 from kposet.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m[len("kposet."):] for m in sys.modules if m.startswith("kposet."))
-heavy = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
-print(json.dumps([code, loaded, heavy]))
+heavy = sorted(m for m in ("dataclasses", "inspect", "argparse", "gettext", "locale")
+               if m in sys.modules)
+print(json.dumps([code, loaded, heavy, "csv" in sys.modules]))
 """
 
 
@@ -723,17 +723,21 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
         [sys.executable, "-c", _PROBE, *argv, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, loaded, heavy = json.loads(proc.stdout)
+    code, loaded, heavy, csv_loaded = json.loads(proc.stdout)
     assert code == 0
     assert set(loaded) == layers
-    assert heavy == []  # records are namedtuples: no dataclass machinery at start-up
+    # records are namedtuples, so no dataclass machinery at start-up, and a
+    # well-formed command line is parsed without argparse
+    assert heavy == []
+    if argv[0] in ("conditions", "dilworth", "interact"):  # JSON reports: no layer writes CSV
+        assert not csv_loaded
 
 
 def test_interact_mode_choices_match_enumerable():
     from kposet.enumerable import INTERACTION_MODES
 
-    mode = next(a for a in _subcommands()["interact"]._actions if a.dest == "mode")
-    assert tuple(mode.choices) == INTERACTION_MODES
+    _, _, _, choices, _ = cli._SUBCOMMANDS["interact"][1]["--mode"]
+    assert choices == INTERACTION_MODES
 
 
 # The smallest argv that parses, per subcommand; the handler itself is replaced.
@@ -751,9 +755,7 @@ _MINIMAL_ARGV = {
 
 def test_handlers_are_the_cmd_attributes_of_cli():
     # perfbench/child.py times set-up by wrapping every cmd_* attribute
-    from kposet import cli
-
-    names = [name for name, _, _ in cli._SUBCOMMANDS]
+    names = list(cli._SUBCOMMANDS)
     assert sorted(names) == sorted(_MINIMAL_ARGV)
     assert sorted(f"cmd_{name}" for name in names) == sorted(
         attr for attr in vars(cli) if attr.startswith("cmd_"))
@@ -761,8 +763,6 @@ def test_handlers_are_the_cmd_attributes_of_cli():
 
 @pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
 def test_main_calls_the_handler_through_the_module_attribute(monkeypatch, capsys, name):
-    from kposet import cli
-
     calls = []
     monkeypatch.setattr(cli, f"cmd_{name}", lambda args: calls.append(args.command) or "done")
     assert run(capsys, name, *_MINIMAL_ARGV[name]) == (0, "done\n", "")
@@ -782,18 +782,128 @@ def _exit(capsys, parse, argv):
     [],
     ["frobnicate", "--poset", "nat"],
     ["-x", "bb", "--states", "1", "--t-max", "2"],
-    *([name, "-h"] for name in _subcommands()),
+    *([name, "-h"] for name in cli._SUBCOMMANDS),
     ["bb", "--states", "1", "-h"],
     ["bb", "--states", "1"],
     ["bb", "--states", "one", "--t-max", "2"],
     ["cardre", "--t-max", "5"],
     ["interact", "--program", "01", "--mode", "union", "--x", "1"],
     ["estimate", "--poset", "nat", "--seed", "1"],
+    ["cardre", "--index", "1", "--program", "01", "--t-max", "3"],
+    ["bb", "--states", "1", "--t-max"],
+    ["estimate", "--poset=nat", "--bogus", "1"],
 ], ids=lambda argv: " ".join(argv) or "bare")
 def test_help_and_usage_match_the_full_parser(capsys, argv):
-    # main builds only the invoked subcommand's arguments; what argparse
-    # prints and the exit code must not show it
+    # main parses a well-formed argv without argparse; the argv it must leave
+    # to argparse print the same and exit with the same code as the full parser
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+# Values that int() may or may not take, and values argparse may or may not
+# read as an option; the strict parser must agree with argparse on each.
+_ODD_VALUES = ("", "one", "1.5", "0x1", "1e3", " 7", "+3", "1_0", "\u0663", "a b", "=",
+               "-1", "-x", "-", "--", "-h", "--out", "-a b", "-1,2")
+_PERTURBATIONS = ("none", "abbreviate", "equals", "repeat", "dash", "unknown", "help",
+                  "non-integer", "bad choice", "drop", "both", "lone flag", "extra")
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed argv built from the option table, with at most one
+    perturbation; and whether it has one."""
+    command = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    options = cli._SUBCOMMANDS[command][1]
+
+    def valid(flag):
+        kind, _, _, choices, _ = options[flag]
+        if choices is not None:
+            return draw(st.sampled_from(choices))
+        if kind is int:
+            return str(draw(st.integers(0, 10**6)))
+        return draw(st.text("ab01,:/<()", max_size=6))
+
+    one_of = [flag for flag, option in options.items() if option[2] is cli._ONE_OF]
+    chosen = draw(st.sampled_from(one_of)) if one_of else None
+    pairs = draw(st.permutations([
+        [flag, valid(flag)] for flag, option in options.items()
+        if option[2] is True or flag == chosen or option[2] is False and draw(st.booleans())]))
+    kind = draw(st.sampled_from(_PERTURBATIONS))
+    at = draw(st.integers(0, len(pairs)))  # where an inserted pair goes
+    i = draw(st.integers(0, len(pairs) - 1))  # the pair a perturbation changes
+    flag = pairs[i][0]
+
+    def put(flag, value):  # flag's value, added at `at` if the argv lacks the flag
+        pair = next((p for p in pairs if p[0] == flag), None)
+        if pair is None:
+            pairs.insert(at, [flag, value])
+        else:
+            pair[1] = value
+
+    with_choices = [flag for flag, option in options.items() if option[3] is not None]
+    if kind == "abbreviate":
+        pairs[i][0] = flag[:draw(st.integers(1, len(flag) - 1))]
+    elif kind == "equals":
+        pairs[i] = [f"{flag}={pairs[i][1]}"]
+    elif kind == "repeat":  # argparse converts and checks every value it reads
+        again = draw(st.one_of(st.just(valid(flag)), st.sampled_from(_ODD_VALUES)))
+        pairs.insert(i, [flag, again])
+    elif kind == "dash":
+        pairs[i][1] = draw(st.sampled_from([v for v in _ODD_VALUES if v.startswith("-")]))
+    elif kind == "unknown":
+        pairs.insert(at, [draw(st.sampled_from(["--bogus", "--seed", "--poset", "--h"])), "1"])
+    elif kind == "help":
+        pairs.insert(at, [draw(st.sampled_from(["-h", "--help"]))])
+    elif kind == "non-integer":
+        put(draw(st.sampled_from([f for f, option in options.items() if option[0] is int])),
+            draw(st.sampled_from(_ODD_VALUES)))
+    elif kind == "bad choice" and with_choices:
+        put(draw(st.sampled_from(with_choices)),
+            draw(st.sampled_from(["union", "STAR", "", "sta"])))
+    elif kind == "drop":
+        del pairs[i]
+    elif kind == "both" and one_of:
+        pairs = [p for p in pairs if p[0] not in one_of]
+        pairs[at:at] = [[f, valid(f)] for f in one_of if draw(st.booleans())]
+    elif kind == "lone flag":
+        del pairs[i][1]
+    elif kind == "extra":
+        pairs.insert(at, [draw(st.sampled_from(["x", "1", command]))])
+    return [command, *(token for pair in pairs for token in pair)], kind != "none"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_argvs())
+def test_strict_parser_is_argparse_where_it_parses(case):
+    # the strict parser is a partial function that equals argparse wherever
+    # it is defined, and it is defined on every well-formed argv
+    argv, perturbed = case
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    got = cli._parse_strict(argv)
+    assert got is not None or perturbed
+    assert got is None or vars(got) == expected
+
+
+def test_strict_parser_takes_every_benchmark_command(tmp_path):
+    # perfbench/workloads.py, loaded by path as test_benchmark_checks.py does
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = written
+    for workload in workloads.WORKLOADS:
+        for cmd in workloads.commands(workload, 0, str(tmp_path)):
+            argv = [*cmd.argv, "--threads", "1", "--out", str(tmp_path / f"{cmd.label}.out")]
+            got = cli._parse_strict(argv)
+            assert got is not None, cmd.label
+            assert vars(got) == vars(build_parser().parse_args(argv)), cmd.label
 
 
 def _kposet_env(**locale):
