@@ -8,10 +8,6 @@ Modules:
   codec          the binary word codings used by every construction
   limits         approximation processes (evaluators) and limit reports
                  from change points
-  constructions  the evaluator-level limit operator, the normalization /
-                 totalization / filtering / dovetailing constructions, the
-                 paired decompressor, the machine's max evaluator and the
-                 one memo of evaluator work
   vm             the two-counter rank machine: its order-free kernel, the
                  program walk and kept emissions
   enumerable     the enumerable-set counters built on raw emissions
@@ -24,6 +20,11 @@ Modules:
   complexity     budgeted complexity tables, the wrap constant, CSV reports
   diagonal       the diagonal hardness construction and the family it audits
   cli            the `kposet` command-line front end
+
+Every module is loaded by some command. The evaluator-level constructions
+(the budgeted limit operator, normalization, totalization, prefix normal
+form, the max/min dovetail and the paired decompressor), which no command
+runs, live with the tests in tests/constructions.py.
 
 The three names below come from `posets`, which is imported on first use,
 so that a command that parses no order spec does not load it.

@@ -1,4 +1,4 @@
-"""Bit-exact word codings used by the complexity constructions.
+"""Bit-exact word codings used by the complexity tables and their addresses.
 
 Binary words are plain Python strings over '0'/'1' (that string form is the
 serialization contract for witness columns in CSV reports). Five codings live

@@ -19,10 +19,10 @@ Each column's witnesses are the words of one Addressing, which reads a
 word as a machine and its input: RAW (the word is the program, on input 0)
 for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
 b_index(p)) for the max and min columns and the wrap constant, and for
-`diagonal`'s audit and `constructions`' paired decompressor, which live
-apart so that `estimate` does not compile them. complexity_table is the one
-builder. Each walk generates only
-what can run, in the witness tie-break order of iter_words: RAW the
+`diagonal`'s audit, which lives apart so that `estimate` does not compile
+it, and the paired decompressor in the tests' `constructions` module, which
+no command runs. complexity_table is the one builder. Each walk generates
+only what can run, in the witness tie-break order of iter_words: RAW the
 programs that contain HALT, PADDED the addresses of machines that contain
 OUT (no other program can halt or emit). One run per address feeds both
 orders, and the limit side applies each order's kept filter once per

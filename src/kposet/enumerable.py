@@ -62,14 +62,24 @@ def _interaction_trace(emitted: Iterable[tuple[int, int]], mode: str, x: tuple) 
     and as it only grows (cap, minus) or only shrinks (setminus), it
     changes exactly when its size does. Each point lists the whole answer,
     so a trace that would list more than TRACE_MEMBERS_CEILING members in
-    all raises ResourceError as it is built."""
+    all raises ResourceError as it is built.
+
+    minus keeps mex, the least natural missing from the answer, and skips
+    an emission v with max X - v < mex: each new x - y it could add is at
+    most max X - v, and all of 0..mex-1 are in already. So once the answer
+    holds 0..max X - v, every later emission costs O(1)."""
     out = set(x) if mode == "setminus" else set()
     points = [(0, tuple(sorted(out)))]
     listed = len(out)
+    top, mex = max(x, default=-1), 0
     for step, v in emitted:
         size = len(out)
         if mode == "minus":
+            if top - v < mex:
+                continue
             out.update(m - v for m in x if m >= v)
+            while mex in out:
+                mex += 1
         elif v in x:
             (out.add if mode == "cap" else out.discard)(v)
         if len(out) != size:
@@ -98,8 +108,9 @@ def set_interaction_limit(a_index: int, mode: str, x: tuple, t_budget: int,
     x, a sorted duplicate-free tuple, with the set enumerated by program
     b_word(a_index) on input 0 (see _interaction_trace), for t =
     0..t_budget, each checked to rise under inclusion (to fall for
-    setminus), and the report and errors of budgeted_limit over them, from
-    one run at fuel t_budget and no walk over t."""
+    setminus), and the report and errors that the budgeted limit over them
+    (budgeted_limit, in the tests' constructions) would give, from one run
+    at fuel t_budget and no walk over t."""
     if mode not in INTERACTION_MODES:
         raise ConfigError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     if (any(not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in x)

@@ -10,9 +10,11 @@ must be monotone increasing in t under the ambient order on its domain
 True convergence is undecidable, so limit reports never claim it: the best
 status is stabilized-within-budget together with an explicit stability
 window. limit_report_from_trace makes the report from the points where a
-process changes. Everything that walks or memoises an evaluator (the
-budgeted_limit operator, which walks every t, the constructions and their
-memo) is in `constructions`, which no command loads.
+process changes. No command walks or memoises an evaluator: the
+budgeted_limit operator, which walks every t, the constructions on
+evaluators and their memo are reference forms of the paper's constructions
+that only the tests run, so they live in the test suite's `constructions`
+module (tests/constructions.py), not in the package.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ NO_VALUE = "no-value"
 
 
 class Evaluator:
-    """A budgeted partial map (x, t, fuel) -> value or None; rejects a negative t or fuel."""
+    """A budgeted partial map (x, t, fuel) -> value or None; rejects a negative t or fuel.
+
+    No command builds one; the tests' constructions and oracles do. It stays
+    in the package because the benchmark tracer wraps its __call__ by name
+    (`CLASS_METHODS` in perfbench/tracer.py); the tracer rework of ROADMAP
+    item 19 drops that hook, and then this class can join the constructions.
+    """
 
     def __init__(self, fn: Callable[[Any, int, int], Any]):
         self._fn = fn
@@ -54,8 +62,9 @@ LimitReport = namedtuple("LimitReport", "current last_change_t stable_for status
 
 def check_budget(t_budget: int, fuel: int, window: int) -> None:
     """Raise ConfigError unless t_budget and fuel are natural numbers and
-    window >= 1: the argument checks of budgeted_limit, for callers that
-    make the same report another way."""
+    window >= 1: the argument checks of the budgeted limit over an evaluator
+    (budgeted_limit, in the tests' constructions), for callers that make the
+    same report another way."""
     if t_budget < 0 or fuel < 0:
         raise ConfigError(
             f"t_budget and fuel must be natural numbers, got {t_budget} and {fuel}"
@@ -67,9 +76,10 @@ def check_budget(t_budget: int, fuel: int, window: int) -> None:
 def limit_report_from_trace(
     trace: Sequence[tuple[int, Any]], t_budget: int, window: int
 ) -> LimitReport:
-    """Fast path equivalent to budgeted_limit over an evaluator whose value at
-    t is the last trace point with clock <= t (trace clocks strictly
-    increasing, values strictly changing at each point)."""
+    """The report of the budgeted limit over an evaluator (budgeted_limit, in
+    the tests' constructions) whose value at t is the last trace point with
+    clock <= t (trace clocks strictly increasing, values strictly changing at
+    each point), read from the trace without walking t."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     pts = [(t, d) for t, d in trace if t <= t_budget]

@@ -38,8 +38,9 @@ s recurs as v + j*da at step s + j*period) and interprets the shorter
 remainder, so every run, raw_first, halted, steps and the registers
 included, equals an honest fuel burn.
 
-This module is the kernel and the program walk only; the evaluator over its
-runs, vm_max_evaluator, lives in `constructions`, its one user.
+This module is the kernel and the program walk only. The evaluator over its
+runs, vm_max_evaluator, is a construction that no command runs; it lives
+with the others in the tests' `constructions` module.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ where both stabilize; common_value_dovetail finds the value an increasing
 and a decreasing process share, and paired_decompress runs it on the max
 and min witnesses of one table row, read as vm_max_evaluator processes.
 
-No command runs any of them: they are the library's reference forms of the
-paper's constructions, which the tests check. They live apart from
-`limits`, `vm` and `complexity` so that no command compiles them. So does
-_fuel_prefix_runs, the one memo of evaluator work, which normalize's search
-for the first value and vm_max_evaluator's machine runs share.
+No command runs any of them: they are reference forms of the paper's
+constructions, which the tests check against the definitions. So they live
+here, beside the oracles of reference_impl, and the kposet package holds
+only what its commands run. So does _fuel_prefix_runs, the one memo of
+evaluator work, which normalize's search for the first value and
+vm_max_evaluator's machine runs share.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from __future__ import annotations
 import bisect
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .complexity import PADDED
-from .errors import ConfigError, ContractError, MonotonicityError
-from .limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, LimitReport, check_budget
-from .posets import reverse
-from .vm import run_emitting
+from kposet.complexity import PADDED
+from kposet.errors import ConfigError, ContractError, MonotonicityError
+from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, LimitReport, check_budget
+from kposet.posets import reverse
+from kposet.vm import run_emitting
 
 if TYPE_CHECKING:
-    from .complexity import Budget, ComplexityTable
-    from .posets import PosetInstance
+    from kposet.complexity import Budget, ComplexityTable
+    from kposet.posets import PosetInstance
 
 __all__ = [
     "budgeted_limit",

@@ -53,7 +53,7 @@ from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import Budget, iter_words
 from kposet import vm
-from kposet.constructions import _fuel_prefix_runs
+from constructions import _fuel_prefix_runs
 from kposet.enumerable import INTERACTION_MODES, _interaction_trace
 from kposet.limits import STABILIZED, Evaluator, limit_report_from_trace
 from kposet.posets import PosetInstance, parse_poset_spec, reverse

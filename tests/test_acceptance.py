@@ -34,7 +34,7 @@ from kposet.codec import (
 )
 from kposet.complexity import Budget, complexity_table, measure_wrap_constant, verify_table
 from kposet.conditions import OrderPair, check_dagger, check_star
-from kposet.constructions import (
+from constructions import (
     budgeted_limit,
     monotone_filter,
     normalize,

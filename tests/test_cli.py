@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -621,6 +622,21 @@ def test_interact_trace_ceiling_counts_only_the_budget(tmp_path, capsys):
     assert len(trace[-1][1]) == 50000
 
 
+def test_interact_minus_skips_emissions_once_the_answer_is_whole(capsys):
+    # X = 0..19999: the first emission, 1, makes the answer 0..19998, and a
+    # later emission v can add only x - v <= 19999 - v, all in already; so
+    # the ~10,000 emissions before t = 30000 are skipped, not O(|X|) each
+    xs = ",".join(str(m) for m in range(20000))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "interact", "--program", "00011010111110", "--mode", "minus",
+                         "--x", xs, "--t-budget", "30000")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["trace"] == [[0, []], [2, list(range(19999))]]
+    assert (data["limit"], data["status"]) == (list(range(19999)), "stabilized-within-budget")
+
+
 @pytest.mark.parametrize("budget, err", [
     (("--t-budget", "-1"), "kposet: t_budget and fuel must be natural numbers, got -1 and -1\n"),
     (("--t-budget", "-1", "--window", "0"),
@@ -688,7 +704,8 @@ print(json.dumps([code, loaded, heavy, "csv" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("argv, layers", [
+# A command line of each kind and the kposet modules it loads.
+_COMMAND_LAYERS = [
     (("estimate", "--poset", "nat", "--max-len", "6", "--ranks", "2"), _REPORT),
     (("estimate", "--poset", "prefix:ab", "--max-len", "6", "--ranks", "2"), _REPORT),
     (("estimate", "--poset", "finsets", "--max-len", "6", "--ranks", "2"), _REPORT),
@@ -710,9 +727,13 @@ print(json.dumps([code, loaded, heavy, "csv" in sys.modules]))
       "--t-budget", "5"), _SETS),
     (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
      {"cli", "errors", "automata"}),
-], ids=["estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
-        "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
-        "interact", "quotient"])
+]
+
+
+@pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS, ids=[
+    "estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
+    "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
+    "interact", "quotient"])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     order = tmp_path / "order.json"
     order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
@@ -731,6 +752,12 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     assert heavy == []
     if argv[0] in ("conditions", "dilworth", "interact"):  # JSON reports: no layer writes CSV
         assert not csv_loaded
+
+
+def test_every_package_module_is_loaded_by_some_command():
+    # the package is what its commands run; code that only tests run lives in tests/
+    loaded = set().union(*(layers for _, layers in _COMMAND_LAYERS))
+    assert loaded == {m.name for m in pkgutil.iter_modules(kposet.__path__)}
 
 
 def test_interact_mode_choices_match_enumerable():

@@ -16,7 +16,7 @@ from kposet.complexity import (
     verify_table,
     wrap_program,
 )
-from kposet.constructions import paired_decompress
+from constructions import paired_decompress
 from kposet.diagonal import DIAGONAL_ALPHA_CAP, chain_antichain_family, diagonal_hard
 from kposet.errors import ConfigError, ResourceError, VerificationError
 from kposet.posets import parse_poset_spec, reverse

@@ -1,4 +1,5 @@
-"""Every name that a kposet module lists in __all__ resolves in it."""
+"""Every name that a kposet module, or the tests' constructions module,
+lists in __all__ resolves in it."""
 
 import importlib
 import pkgutil
@@ -7,7 +8,8 @@ import pytest
 
 import kposet
 
-MODULES = ["kposet"] + sorted(f"kposet.{m.name}" for m in pkgutil.iter_modules(kposet.__path__))
+MODULES = (["kposet"] + sorted(f"kposet.{m.name}" for m in pkgutil.iter_modules(kposet.__path__))
+           + ["constructions"])
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kposet.errors import ConfigError, ContractError, MonotonicityError
-from kposet.constructions import (
+from constructions import (
     budgeted_limit,
     common_value_dovetail,
     monotone_filter,

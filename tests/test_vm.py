@@ -7,7 +7,7 @@ from reference_impl import TmSpec, busy_beaver_bb_ref, enumerate_tm_specs, run_t
 from kposet.busy_beaver import BB_STATE_BOUND, busy_beaver_row
 from kposet.cli import main
 from kposet.codec import b_index, b_word
-from kposet.constructions import budgeted_limit, vm_max_evaluator
+from constructions import budgeted_limit, vm_max_evaluator
 from kposet.enumerable import card_re_row
 from kposet.errors import ConfigError, DomainError, ResourceError
 from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING
