@@ -24,9 +24,9 @@ it, and the paired decompressor in the tests' `constructions` module, which
 no command runs. complexity_table is the one builder. Each walk generates
 only what can run, in the witness tie-break order of iter_words: RAW the
 programs that contain HALT, PADDED the addresses of machines that contain
-OUT (no other program can halt or emit). One run per address feeds both
-orders, and the limit side applies each order's kept filter once per
-distinct run.
+OUT (no other program can halt or emit). limit_corpus groups the PADDED
+words by their run's raw_first; the max/min columns and the audit read it,
+one kept filter per order and distinct run.
 """
 
 from __future__ import annotations
@@ -57,15 +57,18 @@ __all__ = [
     "RAW",
     "PADDED",
     "iter_words",
+    "limit_corpus",
     "complexity_table",
     "verify_table",
     "wrap_program",
     "measure_wrap_constant",
     "hierarchy_report",
     "MAX_PROG_LEN",
+    "RANKS_CEILING",
 ]
 
 MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
+RANKS_CEILING = 250_000  # most report rows; finsets takes about 1 s there on a 2-CPU host
 HALT, OUT = ("HALT", None), ("OUT", None)
 
 
@@ -150,44 +153,46 @@ PADDED = Addressing(
 )
 
 
+def limit_corpus(max_len: int, fuel: int) -> dict[tuple, list[str]]:
+    """raw_first -> the PADDED words of length <= max_len whose OUT machines
+    make that run within fuel, in walk order. A run's kept trace under any
+    order depends on raw_first alone. Empty below 14 bits: the first OUT
+    machine is b_word(13) = 110 = OUT, at 0^13 1."""
+    corpus: dict[tuple, list[str]] = {}
+    for w, instrs, x in PADDED.walk(max_len, OUT):
+        corpus.setdefault(_execute(instrs, x, fuel)[0], []).append(w)
+    return corpus
+
+
 def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
     """The plain column from the RAW walk of the programs that contain HALT,
     then the max column over p and the min column, the same over reverse(p),
-    from one PADDED walk of the machines that contain OUT: run each address
-    once, keep stabilized limits. A run's limit report depends only on its
-    first-occurrence emissions, so one outcome per order is kept per
-    distinct raw_first."""
+    from the first word of each distinct run in the limit corpus."""
     if b.max_prog_len > MAX_PROG_LEN:
         raise ResourceError(
             f"max program length {b.max_prog_len} exceeds the desk-scale ceiling of {MAX_PROG_LEN} bits"
         )
+    if ranks > RANKS_CEILING:
+        raise ResourceError(f"ranks {ranks} exceeds the desk-scale ceiling of {RANKS_CEILING}")
     table = ComplexityTable(b)
     plain = table.plain
     for w, instrs, x in RAW.walk(b.max_prog_len, HALT):
         _, halted, _, reg_a, _ = _execute(instrs, x, b.fuel)
         if halted and reg_a < ranks and reg_a not in plain:
             plain[reg_a] = w
-    orders = (p, reverse(p))
-    sides = ((table.k_max, set()), (table.k_min, set()))  # (column, censored) per order
-    horizon = b.horizon
-    outcomes: dict[tuple, tuple] = {}  # raw_first -> per order, None or (rank, stabilized)
-    for w, instrs, x in PADDED.walk(b.max_prog_len, OUT):
-        raw_first = _execute(instrs, x, b.fuel)[0]
-        per_order = outcomes.get(raw_first)
-        if per_order is None:
-            per_order = outcomes[raw_first] = tuple(
-                _limit_rank(order, kept_trace(raw_first, order.unrank, order.leq), horizon, b.window)
-                for order in orders
-            )
-        for (found, censored), outcome in zip(sides, per_order):
+    corpus = limit_corpus(b.max_prog_len, b.fuel)
+    for found, order in ((table.k_max, p), (table.k_min, reverse(p))):
+        censored = set()
+        for raw_first, words in corpus.items():
+            trace = kept_trace(raw_first, order.unrank, order.leq)
+            outcome = _limit_rank(order, trace, b.horizon, b.window)
             if outcome is None or outcome[0] >= ranks:
                 continue
             rank, stabilized = outcome
             if not stabilized:
                 censored.add(rank)
             elif rank not in found:
-                found[rank] = w
-    for found, censored in sides:
+                found[rank] = words[0]
         table.censored |= censored - found.keys()
     return table
 

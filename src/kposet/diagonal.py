@@ -6,19 +6,20 @@ argument on the way.
 `chain_antichain_family` picks the family from the order pair itself: a
 closed form for prefix:xy / lexico:x<y, the first `conditions.check_star`
 witness on a rank-bounded fragment otherwise, which is the only path that
-loads `conditions`. The program family reads the `PADDED` words of
-`complexity`.
+loads `conditions`. The programs are the `PADDED` words of
+`complexity.limit_corpus`, which is empty below 14 bits: no audit under
+the cap sees an exclusion.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .complexity import PADDED, Addressing, Budget, iter_words
+from .complexity import Budget, limit_corpus
 from .errors import ConfigError, ResourceError, VerificationError
 from .limits import limit_report_from_trace
 from .posets import PosetInstance, reverse
-from .vm import kept_trace, run_emitting
+from .vm import kept_trace
 
 __all__ = [
     "chain_antichain_family",
@@ -57,22 +58,6 @@ def chain_antichain_family(
     return [elems[i] for i in found]
 
 
-def _address_family(addressing: Addressing, weak: PosetInstance, fuel: int):
-    """word -> kept traces of the weak max- and min-machines that the word
-    addresses, or None outside the addressing's range. One run per word
-    feeds both traces."""
-    down = reverse(weak)
-
-    def family(word: str):
-        dec = addressing.decode(word)
-        if dec is None:
-            return None
-        res = run_emitting(weak, *dec, fuel)
-        return res.trace, kept_trace(res.raw_first, down.unrank, down.leq)
-
-    return family
-
-
 def diagonal_hard(
     weak: PosetInstance,
     strong: PosetInstance,
@@ -80,7 +65,7 @@ def diagonal_hard(
     alpha: Callable[[int], int],
     i: int,
     b: Budget,
-    program_family=None,
+    runs: Optional[Iterable[tuple]] = None,
 ) -> tuple[Any, Any, dict]:
     """The finite diagonalization engine: inside a strong chain Z_i that is a
     weak antichain of size 2^(alpha(i)+1), walk away from every value that
@@ -91,7 +76,9 @@ def diagonal_hard(
     re-checks the counting argument instead of assuming it: each program
     trace meets Z_i at most once (chain against antichain), the excluded set
     never exceeds 2^(alpha(i)+1) - 2, and F_i, G_i are members of Z_i that no
-    within-budget exclusion ever names.
+    within-budget exclusion ever names. The programs are the 2^alpha(i) - 1
+    - alpha(i) PADDED words shorter than alpha(i); `runs`, one (max trace,
+    min trace) pair per word, replaces their traces.
     """
     if i < 0:
         raise ConfigError(f"i must be a natural number, got {i}")
@@ -113,17 +100,17 @@ def diagonal_hard(
         raise VerificationError("family is not a weak antichain")
     z_index = {e: j for j, e in enumerate(family)}
 
-    if program_family is None:
-        program_family = _address_family(PADDED, weak, b.fuel)
+    if runs is None:
+        down = reverse(weak)
+        runs = []
+        for raw_first, words in limit_corpus(a_i - 1, b.fuel).items():
+            traces = (kept_trace(raw_first, weak.unrank, weak.leq),
+                      kept_trace(raw_first, down.unrank, down.leq))
+            runs += [traces] * len(words)  # events count once per word
     horizon = b.horizon
     events: list[tuple[int, int]] = []  # (step, family index)
     per_trace_ok = True
-    programs = 0
-    for p_word in iter_words(a_i - 1) if a_i >= 1 else []:
-        traces = program_family(p_word)
-        if traces is None:
-            continue
-        programs += 1
+    for traces in runs:
         for trace in traces:
             hits = [
                 (step, z_index[d]) for step, d in trace if step <= horizon and d in z_index
@@ -164,7 +151,7 @@ def diagonal_hard(
         "i": i,
         "alpha_i": a_i,
         "z_size": size,
-        "programs_considered": programs,
+        "programs_considered": 2**a_i - 1 - a_i,
         "exclusion_events": len(events),
         "excluded_total": len(excluded),
         "excluded_bound": bound,

@@ -320,6 +320,19 @@ def test_estimate_length_ceiling(capsys):
         assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("ranks", ["250001", "100000000"])
+def test_estimate_ranks_ceiling(capsys, monkeypatch, ranks):
+    # 250001 is the first value above RANKS_CEILING; it exits 3 before either walk
+    from kposet import complexity
+
+    def no_run(*args):
+        raise AssertionError("the machine ran")
+
+    monkeypatch.setattr(complexity, "_execute", no_run)
+    code, out, err = run(capsys, "estimate", "--poset", "finsets", "--max-len", "6", "--ranks", ranks)
+    assert (code, out, err) == (3, "", f"kposet: ranks {ranks} exceeds the desk-scale ceiling of 250000\n")
+
+
 def test_diagonal_alpha_cap(capsys):
     # --i 11 is alpha(i) = 12, the first above DIAGONAL_ALPHA_CAP
     start = time.perf_counter()

@@ -12,6 +12,7 @@ from kposet.complexity import (
     complexity_table,
     hierarchy_report,
     iter_words,
+    limit_corpus,
     measure_wrap_constant,
     verify_table,
     wrap_program,
@@ -229,21 +230,29 @@ def test_diagonal_hard_alpha_zero():
     assert g == gen(0, 2)[1]
 
 
+@pytest.mark.parametrize("alpha", range(DIAGONAL_ALPHA_CAP + 1))
+def test_diagonal_audits_the_padded_words_below_alpha(alpha):
+    # the audited programs are the words shorter than alpha that address a
+    # machine, and none of them addresses an OUT machine: that is why the
+    # PADDED audit reports exclusion_events = 0 up to the cap
+    weak, strong = prefix_lexico_pair()
+    gen = lambda i, size: chain_antichain_family(weak, strong, size)
+    _, _, audit = diagonal_hard(weak, strong, gen, lambda j: alpha, 0, SMALL)
+    addressed = [w for w in iter_words(alpha - 1) if decode_padded(w) is not None]
+    assert audit["programs_considered"] == len(addressed)
+    assert limit_corpus(alpha - 1, SMALL.fuel) == {}
+    assert audit["exclusion_events"] == 0
+
+
 def test_diagonal_hard_with_synthetic_exclusions():
     weak, strong = prefix_lexico_pair()
     gen = lambda i, size: chain_antichain_family(weak, strong, size)
     family = gen(0, 8)  # alpha = 2
-
-    def program_family(p_word):
-        # two synthetic weak-semantics programs hitting the family's ends
-        if p_word == "0":
-            return ((0, family[0]),), ()
-        if p_word == "1":
-            return ((3, family[7]),), ((5, family[1]),)
-        return None
+    # two synthetic weak-semantics programs hitting the family's ends
+    runs = [(((0, family[0]),), ()), (((3, family[7]),), ((5, family[1]),))]
 
     f, g, audit = diagonal_hard(
-        weak, strong, gen, lambda j: j + 2, 0, SMALL, program_family=program_family
+        weak, strong, gen, lambda j: j + 2, 0, SMALL, runs=runs
     )
     assert audit["passed"], audit
     assert f not in {family[0], family[7], family[1]}
@@ -276,16 +285,12 @@ def test_diagonal_counting_bound_detects_violation():
     weak, strong = prefix_lexico_pair()
     gen = lambda i, size: chain_antichain_family(weak, strong, size)
     fam8 = gen(0, 8)  # alpha = 2
-
-    def hostile(p_word):
-        # a single trace meeting the antichain twice breaks the counting
-        # argument's hypothesis; the audit must notice rather than assume
-        if p_word == "0":
-            return ((0, fam8[0]), (1, fam8[1])), ((2, fam8[2]),)
-        return None
+    # a single trace meeting the antichain twice breaks the counting
+    # argument's hypothesis; the audit must notice rather than assume
+    hostile = [(((0, fam8[0]), (1, fam8[1])), ((2, fam8[2]),))]
 
     f, g, audit = diagonal_hard(
-        weak, strong, gen, lambda j: 2, 0, SMALL, program_family=hostile
+        weak, strong, gen, lambda j: 2, 0, SMALL, runs=hostile
     )
     assert not audit["per_trace_at_most_one"]
     assert not audit["passed"]
@@ -297,14 +302,10 @@ def test_diagonal_walks_keep_their_value_once_everything_is_excluded():
     weak, strong = prefix_lexico_pair()
     gen = lambda i, size: chain_antichain_family(weak, strong, size)
     fam8 = gen(0, 8)  # alpha = 2
-
-    def hostile(p_word):
-        if p_word == "0":
-            return tuple(((j, fam8[j]),) for j in range(8))
-        return None
+    hostile = [(((j, fam8[j]),), ((j + 1, fam8[j + 1]),)) for j in range(0, 8, 2)]
 
     f, g, audit = diagonal_hard(
-        weak, strong, gen, lambda j: 2, 0, SMALL, program_family=hostile
+        weak, strong, gen, lambda j: 2, 0, SMALL, runs=hostile
     )
     assert (f, g) == (fam8[7], fam8[7])
     assert (audit["excluded_total"], audit["f_index"], audit["g_index"]) == (8, 7, 7)

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from reference_impl import plain_scan_ref, run_emitting_ref, run_raw_ref, tables_ref
 
 from kposet.codec import b_index, b_word, decode_padded, encode_padded
-from kposet.complexity import PADDED, RAW, Budget, complexity_table, iter_words
-from kposet.diagonal import _address_family
+from kposet.complexity import PADDED, RAW, Budget, complexity_table, iter_words, limit_corpus
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import _execute, assemble, iter_programs, parse_program, run_emitting
+from kposet.vm import _execute, assemble, iter_programs, kept_trace, parse_program, run_emitting
 
 BASE_SPECS = ("nat", "int", "prefix:ab", "finsets", "lexico:a<b")
 SPECS = BASE_SPECS + tuple(f"rev({s})" for s in BASE_SPECS) + tuple(
@@ -212,21 +211,32 @@ def test_tables_match_per_word_scan_with_limit_rows(spec, budget):
         assert 0 in k_max and 0 in k_min
 
 
-def test_program_family_matches_two_ordered_runs():
+@pytest.mark.parametrize("max_len", [14, 16, 18])
+def test_limit_corpus_matches_per_word_scan(max_len):
+    # every word whose machine contains OUT, grouped by its run in walk
+    # order: the same words, as many times, with both kept traces per word.
+    # Up to 18 bits the only such machine is b_word(13) = OUT, whose
+    # 2^(max_len-13) - 1 words all make one run
     weak = POSETS["prefix:ab"]
-    b = Budget(max_prog_len=10, fuel=128, t_budget=128, window=4)
-    family = _address_family(PADDED, weak, b.fuel)
-    for w in iter_words(10):
+    down = reverse(weak)
+    fuel = 128
+    want: dict = {}
+    for w in iter_words(max_len):
         dec = decode_padded(w)
-        if dec is None:
-            assert family(w) is None
+        if dec is None or ("OUT", None) not in (parse_program(b_word(dec[0])) or ()):
             continue
-        n, payload = dec
-        args = (b_word(n), b_index(payload), b.fuel)
-        assert family(w) == (
-            run_emitting_ref(weak, *args).trace,
-            run_emitting_ref(reverse(weak), *args).trace,
-        )
+        args = (b_word(dec[0]), b_index(dec[1]), fuel)
+        run = run_emitting_ref(weak, *args)
+        want.setdefault(run.raw_first, []).append((w, run.trace, run_emitting_ref(down, *args).trace))
+    got = {
+        raw_first: [
+            (w, kept_trace(raw_first, weak.unrank, weak.leq), kept_trace(raw_first, down.unrank, down.leq))
+            for w in words
+        ]
+        for raw_first, words in limit_corpus(max_len, fuel).items()
+    }
+    assert list(got.items()) == list(want.items())
+    assert [len(words) for words in want.values()] == [2 ** (max_len - 13) - 1]
 
 
 # ------------------------------------------------ translated-cycle jumps
