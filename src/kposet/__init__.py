@@ -25,17 +25,4 @@ Every module is loaded by some command. The evaluator-level constructions
 (the budgeted limit operator, normalization, totalization, prefix normal
 form, the max/min dovetail and the paired decompressor), which no command
 runs, live with the tests in tests/constructions.py.
-
-The three names below come from `posets`, which is imported on first use,
-so that a command that parses no order spec does not load it.
 """
-
-__all__ = ["PosetInstance", "parse_poset_spec", "reverse"]
-
-
-def __getattr__(name):
-    if name in __all__:
-        from . import posets
-
-        return getattr(posets, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

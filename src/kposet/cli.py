@@ -46,18 +46,23 @@ def _config(args, **derived) -> dict:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temp file beside path; an OSError (a missing folder,
+    path a directory) becomes a ConfigError and leaves no temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kposet-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kposet-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         raise
 
 

@@ -5,7 +5,8 @@ serialization contract for witness columns in CSV reports). Five codings live
 here:
 
   * ``bin_word``      standard MSB-first binary representation, bin(0) = "0"
-  * ``b_word``        the length-monotone bijection N <-> {0,1}*
+  * ``b_word``        the length-monotone bijection N <-> {0,1}*, binary
+                      i + 1 without its leading 1
   * ``encode_padded`` unary-prefixed padding 0^n 1 p
   * ``encode_split``  the k-block header 0^i 1^(k-i) p
   * ``encode_pair``   the injective pairing whose length is
@@ -34,7 +35,9 @@ __all__ = [
 
 
 def _check_word(w: str) -> str:
-    if not isinstance(w, str) or any(c not in "01" for c in w):
+    # strip leaves "" exactly when every symbol is 0 or 1; it runs before any
+    # int(..., 2), which would also accept "_" and surrounding whitespace
+    if not isinstance(w, str) or w.strip("01"):
         raise DomainError(f"not a binary word: {w!r}")
     return w
 
@@ -53,29 +56,19 @@ def _is_canonical_bin(w: str) -> bool:
 def b_word(i: int) -> str:
     """Bijection N -> {0,1}*: b(0) = eps, b(2n+1) = b(n)0, b(2n+2) = b(n)1.
 
-    Length-monotone: i < j implies |b(i)| <= |b(j)|, and the first 2^k - 1
-    indices enumerate exactly the words of length < k.
+    That recursion is bijective base 2 with the digits 1, 2 written as 0, 1,
+    so b(i) is binary i + 1 without its leading 1. Length-monotone: i < j
+    implies |b(i)| <= |b(j)|, and the first 2^k - 1 indices enumerate exactly
+    the words of length < k, in numeric order within a length.
     """
     if i < 0:
         raise DomainError(f"b_word needs a natural number, got {i}")
-    out = []
-    while i > 0:
-        if i % 2 == 1:
-            out.append("0")
-            i = (i - 1) // 2
-        else:
-            out.append("1")
-            i = (i - 2) // 2
-    return "".join(reversed(out))
+    return format(i + 1, "b")[1:]
 
 
 def b_index(w: str) -> int:
-    """Inverse of b_word."""
-    _check_word(w)
-    i = 0
-    for c in w:
-        i = 2 * i + (1 if c == "0" else 2)
-    return i
+    """Inverse of b_word: the word read in binary behind a leading 1, minus 1."""
+    return int("1" + _check_word(w), 2) - 1
 
 
 def encode_padded(n: int, p: str) -> str:
@@ -109,10 +102,8 @@ def decode_split(w: str, k: int) -> tuple[int, str] | None:
     if k < 1 or len(w) < k:
         return None
     head = w[:k]
-    i = 0
-    while i < k and head[i] == "0":
-        i += 1
-    if i < 1 or any(c != "1" for c in head[i:]):
+    i = k - len(head.lstrip("0"))
+    if i < 1 or head[i:].strip("1"):
         return None
     return i, w[k:]
 
@@ -145,9 +136,7 @@ def decode_pair(r: str) -> tuple[str, str] | None:
     if not r:
         return None
     lead = r[0]
-    z = 0
-    while z < len(r) and r[z] == lead:
-        z += 1
+    z = len(r) - len(r.lstrip(lead))
     if z == len(r):
         return None
     b = r[z + 1: z + 1 + z]

@@ -22,7 +22,7 @@ b_index(p)) for the max and min columns and the wrap constant, and for
 `diagonal`'s audit, which lives apart so that `estimate` does not compile
 it, and the paired decompressor in the tests' `constructions` module, which
 no command runs. complexity_table is the one builder. Each walk generates
-only what can run, in the witness tie-break order of iter_words: RAW the
+only what can run, in b_word order (the witness tie-break): RAW the
 programs that contain HALT, PADDED the addresses of machines that contain
 OUT (no other program can halt or emit). limit_corpus groups the PADDED
 words by their run's raw_first; the max/min columns and the audit read it,
@@ -35,7 +35,7 @@ import csv
 import io
 import json
 from collections import namedtuple
-from typing import Iterable, Optional
+from typing import Optional
 
 from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
@@ -56,7 +56,6 @@ __all__ = [
     "Addressing",
     "RAW",
     "PADDED",
-    "iter_words",
     "limit_corpus",
     "complexity_table",
     "verify_table",
@@ -104,20 +103,11 @@ class ComplexityTable:
         self.censored: set[int] = set()
 
 
-def iter_words(max_len: int) -> Iterable[str]:
-    """All binary words of length <= max_len, shortest first, numerically
-    ascending within a length (the tie-break order for witnesses)."""
-    yield ""
-    for length in range(1, max_len + 1):
-        for v in range(1 << length):
-            yield format(v, f"0{length}b")
-
-
 class Addressing(namedtuple("Addressing", "walk decode wrap_len")):
     """How a word addresses a machine and the input it runs on.
 
     walk(max_len, needs) yields (word, instrs, input) for the words of length
-    <= max_len in iter_words order, skipping every word whose machine does
+    <= max_len in b_word order, skipping every word whose machine does
     not parse or (unless needs is None) lacks the instruction `needs`;
     decode(word) is (code, input), None outside the coding's range;
     wrap_len(code) is the length of the word that addresses code on input 0.

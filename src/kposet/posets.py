@@ -15,9 +15,11 @@ Instances come from a small spec DSL:
 ``<order-expr>`` lists chains of single-character symbols separated by ';',
 e.g. ``a<b<c`` (total) or ``a<b;c`` (c incomparable to both). The element
 enumeration for word posets is length-lexicographic in the declared symbol
-order and does not depend on the order relation, so order pairs such as
-prefix:ab / lexico:a<b share one carrier and one rank map. The elements of
-reg:<alphabet> are the languages' canonical DFAs (``automata.Dfa``).
+order (a word's rank is the word read in bijective base k, the symbols as
+digits 1..k) and does not depend on the order relation, so order pairs such
+as prefix:ab / lexico:a<b share one carrier and one rank map. A finite set's
+rank is its bit mask. The elements of reg:<alphabet> are the languages'
+canonical DFAs (``automata.Dfa``).
 """
 
 from __future__ import annotations
@@ -131,9 +133,12 @@ def _int() -> PosetInstance:
 
 
 def _word_carrier(alphabet: str):
-    """Length-lexicographic rank/unrank over the declared symbol listing."""
+    """Length-lexicographic rank/unrank over the declared symbol listing:
+    rank is Horner's rule in bijective base k over the digits index[c] + 1,
+    unrank takes them back with divmod(n - 1, k). A unary alphabet keeps its
+    O(1) forms, where the digit loop would take one step per symbol."""
     k = len(alphabet)
-    index = {c: i for i, c in enumerate(alphabet)}
+    index = {c: i + 1 for i, c in enumerate(alphabet)}
 
     def check(w):
         # one C-level pass: strip leaves "" exactly when every symbol is in alphabet
@@ -144,26 +149,20 @@ def _word_carrier(alphabet: str):
     def unrank(n):
         if k == 1:
             return alphabet * n
-        length, count = 0, 1
-        while n >= count:
-            n -= count
-            length += 1
-            count *= k
         digits = []
-        for _ in range(length):
-            digits.append(alphabet[n % k])
-            n //= k
+        while n:
+            n, d = divmod(n - 1, k)
+            digits.append(alphabet[d])
         return "".join(reversed(digits))
 
     def rank(w):
         check(w)
         if k == 1:
             return len(w)
-        base = (k ** len(w) - 1) // (k - 1)
-        idx = 0
+        n = 0
         for c in w:
-            idx = idx * k + index[c]
-        return base + idx
+            n = n * k + index[c]
+        return n
 
     return check, unrank, rank
 
@@ -265,21 +264,11 @@ def _finsets() -> PosetInstance:
         return e
 
     def unrank(n):
-        out = []
-        pos = 0
-        while n:
-            if n & 1:
-                out.append(pos)
-            n >>= 1
-            pos += 1
-        return tuple(out)
+        return tuple(i for i, bit in enumerate(reversed(format(n, "b"))) if bit == "1")
 
     def rank(e):
-        check(e)
-        mask = 0
-        for x in e:
-            mask |= 1 << x
-        return mask
+        # the sum equals the OR, since check rejects repeated members
+        return sum(1 << x for x in check(e))
 
     def leq(a, b):
         check(a)

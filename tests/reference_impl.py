@@ -39,6 +39,12 @@ with to_canonical_dfa.
 The last class is the regular-language enumeration from before it skipped
 ill-formed texts: every text in length-lex order goes through this file's
 canonical-DFA pipeline and counts one toward the ceiling.
+
+The file ends with the rank bijections as digit loops, from before the
+package wrote them in closed form: the b-coding of words, the shortlex word
+carrier with its length search, and the finite-set bit mask. iter_words,
+the witness tie-break order the scans above walk, is b_word over an initial
+segment of N.
 """
 
 from __future__ import annotations
@@ -48,10 +54,10 @@ import itertools
 from collections import namedtuple
 from typing import Any, Iterator, Sequence
 
-from kposet.errors import ConfigError, ResourceError
+from kposet.errors import ConfigError, DomainError, ResourceError
 from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
 from kposet.codec import b_index, b_word, decode_padded
-from kposet.complexity import Budget, iter_words
+from kposet.complexity import Budget
 from kposet import vm
 from constructions import _fuel_prefix_runs
 from kposet.enumerable import INTERACTION_MODES, _interaction_trace
@@ -789,3 +795,79 @@ class EnumerationRef:
             if dfa not in self.by_dfa:
                 self.by_dfa[dfa] = len(self.languages)
                 self.languages.append(dfa)
+
+
+def iter_words(max_len: int) -> Iterator[str]:
+    """All binary words of length <= max_len, shortest first, numerically
+    ascending within a length (the tie-break order for witnesses): b_word
+    over 0 ... 2^(max_len + 1) - 2."""
+    return map(b_word, range((1 << (max_len + 1)) - 1))
+
+
+def b_word_ref(i: int) -> str:
+    """b(0) = eps, b(2n+1) = b(n)0, b(2n+2) = b(n)1, one digit per step."""
+    if i < 0:
+        raise DomainError(f"b_word needs a natural number, got {i}")
+    out = []
+    while i > 0:
+        if i % 2 == 1:
+            out.append("0")
+            i = (i - 1) // 2
+        else:
+            out.append("1")
+            i = (i - 2) // 2
+    return "".join(reversed(out))
+
+
+def b_index_ref(w: str) -> int:
+    if not isinstance(w, str) or any(c not in "01" for c in w):
+        raise DomainError(f"not a binary word: {w!r}")
+    i = 0
+    for c in w:
+        i = 2 * i + (1 if c == "0" else 2)
+    return i
+
+
+def shortlex_unrank_ref(alphabet: str, n: int) -> str:
+    """Find the length by subtracting the count of each shorter length, then
+    write the offset in base k with leading zeros."""
+    k = len(alphabet)
+    length, count = 0, 1
+    while n >= count:
+        n -= count
+        length += 1
+        count *= k
+    digits = []
+    for _ in range(length):
+        digits.append(alphabet[n % k])
+        n //= k
+    return "".join(reversed(digits))
+
+
+def shortlex_rank_ref(alphabet: str, w: str) -> int:
+    """The count of shorter words plus the word's base-k value."""
+    k = len(alphabet)
+    if k == 1:
+        return len(w)
+    idx = 0
+    for c in w:
+        idx = idx * k + alphabet.index(c)
+    return (k ** len(w) - 1) // (k - 1) + idx
+
+
+def finset_unrank_ref(n: int) -> tuple[int, ...]:
+    out = []
+    pos = 0
+    while n:
+        if n & 1:
+            out.append(pos)
+        n >>= 1
+        pos += 1
+    return tuple(out)
+
+
+def finset_rank_ref(e: tuple[int, ...]) -> int:
+    mask = 0
+    for x in e:
+        mask |= 1 << x
+    return mask

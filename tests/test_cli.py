@@ -129,6 +129,17 @@ def test_removed_options_exit_2(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
+@pytest.mark.parametrize("target", ["missing/t.csv", "."], ids=["missing-folder", "directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    code, out, err = run(
+        capsys, "estimate", "--poset", "nat", "--max-len", "8", "--ranks", "2", "--out", path,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"kposet: cannot write {path!r}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []  # no temp file left behind
+
+
 def test_estimate_zero_ranks(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     code, _, _ = run(

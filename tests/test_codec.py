@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference_impl import b_index_ref, b_word_ref
 from kposet.codec import (
     b_index,
     b_word,
@@ -51,6 +54,49 @@ def test_b_word_initial_segments():
     for k in range(1, 13):
         words = {b_word(i) for i in range(2**k - 1)}
         assert words == set(w for w in all_words(k - 1))
+
+
+def test_b_word_closed_form_matches_the_digit_loop_exhaustively():
+    for i in range(1 << 16):
+        w = b_word_ref(i)
+        assert b_word(i) == w
+        assert b_index(w) == b_index_ref(w) == i
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(0, 2**200))
+@example(i=10**20)
+@example(i=2**70)
+@example(i=2**70 - 1)
+@example(i=3**50)
+def test_b_word_closed_form_matches_the_digit_loop(i):
+    w = b_word_ref(i)
+    assert b_word(i) == w
+    assert b_index(w) == i
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.text("01", max_size=220))
+def test_b_index_closed_form_matches_the_digit_loop(w):
+    assert b_index(w) == b_index_ref(w)
+
+
+@pytest.mark.parametrize("bad", ["1_0", " 1", "1 ", "0\n", "2", "+1", "0b1", "\u0661", 1, None, b"01", ["0"]])
+def test_malformed_words_raise_domain_error(bad):
+    # int(w, 2) alone would accept "1_0" and surrounding whitespace
+    msg = f"not a binary word: {bad!r}"
+    for decode in (b_index, b_index_ref, decode_padded, lambda w: decode_split(w, 1), decode_pair):
+        with pytest.raises(DomainError) as caught:
+            decode(bad)
+        assert str(caught.value) == msg
+
+
+@pytest.mark.parametrize("i", [-1, -2, -(2**70)])
+def test_b_word_rejects_negative_indices(i):
+    for encode in (b_word, b_word_ref):
+        with pytest.raises(DomainError) as caught:
+            encode(i)
+        assert str(caught.value) == f"b_word needs a natural number, got {i}"
 
 
 def test_padded():
@@ -111,6 +157,22 @@ def test_pair_exhaustive_small():
             assert r not in seen, (p, q, seen[r])
             seen[r] = (p, q)
             assert decode_pair(r) == (p, q)
+
+
+def test_split_and_pair_decode_exactly_the_encoder_range():
+    # every word up to 12 bits: the decoders accept the encoders' words and
+    # nothing else, which pins the leading-run counts in both
+    words = list(all_words(12))
+    for k in range(1, 7):
+        split = {encode_split(i, k, p): (i, p) for i in range(1, k + 1) for p in all_words(12 - k)}
+        assert [decode_split(w, k) for w in words] == [split.get(w) for w in words]
+    pair = {}
+    for p in all_words(9):
+        for q in all_words(9 - len(p)):
+            r = encode_pair(p, q)
+            if len(r) <= 12:
+                pair[r] = (p, q)
+    assert [decode_pair(w) for w in words] == [pair.get(w) for w in words]
 
 
 def test_pair_decode_encode_identity_on_accepted():

@@ -11,13 +11,13 @@ from kposet.complexity import (
     ComplexityTable,
     complexity_table,
     hierarchy_report,
-    iter_words,
     limit_corpus,
     measure_wrap_constant,
     verify_table,
     wrap_program,
 )
 from constructions import paired_decompress
+from reference_impl import iter_words
 from kposet.diagonal import DIAGONAL_ALPHA_CAP, chain_antichain_family, diagonal_hard
 from kposet.errors import ConfigError, ResourceError, VerificationError
 from kposet.posets import parse_poset_spec, reverse

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_impl import finset_rank_ref, finset_unrank_ref, shortlex_rank_ref, shortlex_unrank_ref
 from kposet.analysis import FinitePoset
 from kposet.errors import ConfigError, DomainError
 from kposet.posets import _word_carrier, parse_poset_spec, reverse
@@ -109,6 +110,55 @@ def test_rank_unrank():
     for p in (nat, pre, zz, fs):
         for i in range(200):
             assert p.rank(p.unrank(i)) == i
+
+
+_ALPHABETS = st.lists(st.characters(), min_size=1, max_size=6, unique=True).map("".join)
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc", "abcd", "abcdef"])
+def test_word_carrier_closed_form_matches_the_length_search_exhaustively(alphabet):
+    _, unrank, rank = _word_carrier(alphabet)
+    for n in range(2000 if alphabet == "a" else 1 << 14):  # unary: the reference is O(n)
+        w = shortlex_unrank_ref(alphabet, n)
+        assert unrank(n) == w and rank(w) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(alphabet=_ALPHABETS, n=st.integers(0, 2**200), data=st.data())
+@example(alphabet="a", n=0, data=None)
+def test_word_carrier_closed_form_matches_the_length_search(alphabet, n, data):
+    _, unrank, rank = _word_carrier(alphabet)
+    if len(alphabet) == 1:
+        n %= 5000  # the reference counts a unary word out one symbol at a time
+    w = shortlex_unrank_ref(alphabet, n)
+    assert unrank(n) == w and rank(w) == n
+    if data is not None:
+        w = data.draw(st.text(alphabet, max_size=60))
+        assert rank(w) == shortlex_rank_ref(alphabet, w) and unrank(rank(w)) == w
+
+
+def test_finsets_closed_form_matches_the_shift_loop_exhaustively():
+    fs = parse_poset_spec("finsets")
+    for n in range(1 << 16):
+        e = finset_unrank_ref(n)
+        assert fs.unrank(n) == e and fs.rank(e) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.sets(st.integers(0, 500), max_size=64), n=st.integers(0, 2**200))
+def test_finsets_closed_form_matches_the_shift_loop(members, n):
+    fs = parse_poset_spec("finsets")
+    e = tuple(sorted(members))
+    assert fs.rank(e) == finset_rank_ref(e) and fs.unrank(fs.rank(e)) == e
+    assert fs.unrank(n) == finset_unrank_ref(n) and fs.rank(fs.unrank(n)) == n
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (2, 1), (-1,), (True,), (1.0,), [1], "01", None])
+def test_finsets_rank_rejects_malformed_sets(bad):
+    msg = f"not a sorted duplicate-free tuple of naturals: {bad!r}"
+    with pytest.raises(DomainError) as caught:
+        parse_poset_spec("finsets").rank(bad)
+    assert str(caught.value) == msg
 
 
 def test_partial_order_laws_random():
