@@ -17,9 +17,10 @@ Modules:
   analysis       finite-order combinatorics: the transitive closure,
                  chains, antichains, Dilworth decompositions
   conditions     the star and dagger conditions of order pairs
-  complexity     budgeted complexity tables, the wrap constant, CSV reports
+  complexity     budgeted complexity tables, the wrap constant, and the
+                 estimate report's summary and rows
   diagonal       the diagonal hardness construction and the family it audits
-  cli            the `kposet` command-line front end
+  cli            the `kposet` command-line front end; it writes every report
 
 Every module is loaded by some command. The evaluator-level constructions
 (the budgeted limit operator, normalization, totalization, prefix normal

@@ -2,8 +2,9 @@
 
 Commands: estimate | quotient | conditions | dilworth | diagonal | bb
 | cardre | interact. Tabular output is RFC-4180 CSV with '#'-prefixed
-header lines carrying the full run configuration; structured witnesses are
-JSON with the configuration embedded. The handler of command c is the
+header lines carrying the full run configuration (and estimate's summary);
+structured witnesses are JSON with the configuration embedded. The layers
+return data and this module alone writes the reports. The handler of command c is the
 module attribute cmd_c; it returns its report and `main` writes it. The
 configuration is every parsed option but `--out` and `--program`, with the
 values a handler derives from them in their place. Reports are
@@ -25,7 +26,7 @@ import os
 import sys
 import tempfile
 from types import SimpleNamespace
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, DomainError, KposetError, ResourceError, _parse_alphabet
 
@@ -86,15 +87,14 @@ def _split_pair(pair: str):
     return parse_poset_spec(parts[0]), parse_poset_spec(parts[1])
 
 
-def _config_line(config: dict) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
-
-
-def _csv_report(config: dict, header: list[str], rows: list[list]) -> str:
+def _csv_report(lines: dict, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A '# key: json' line per entry of `lines` (the configuration first),
+    then the CSV header and rows; a None cell is written empty."""
     import csv  # here, so that the commands that write JSON do not load it
 
     buf = io.StringIO()
-    buf.write(_config_line(config))
+    for key, value in lines.items():
+        buf.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -114,7 +114,9 @@ def cmd_estimate(args) -> str:
 
     p = parse_poset_spec(args.poset)
     b = complexity.Budget(args.max_len, args.fuel, args.t_budget, args.window)
-    return _config_line(_config(args)) + complexity.hierarchy_report(p, args.ranks, b)
+    summary, rows = complexity.hierarchy_report(p, args.ranks, b)
+    return _csv_report({"config": _config(args), "summary": summary},
+                       complexity.REPORT_COLUMNS, rows)
 
 
 def cmd_quotient(args) -> str:
@@ -128,7 +130,7 @@ def cmd_quotient(args) -> str:
             raise ConfigError(f"not a well-formed expression: {args.regex!r}")
         lang = automata.to_canonical_dfa(ast, sigma)
         for w in words:
-            if any(c not in set(sigma) for c in w):
+            if w.strip(args.alphabet):  # "" exactly when every symbol is in the alphabet
                 raise ConfigError(f"quotient word {w!r} is not over {args.alphabet!r}")
         points = [(t, automata.canonical_regex(d)) for t, d in automata.quotient_trace(lang, words)]
     except RecursionError:
@@ -137,7 +139,7 @@ def cmd_quotient(args) -> str:
     ends = [t for t, _ in points[1:]] + [len(words)]
     rows = [[t, text] for (start, text), end in zip(points, ends) for t in range(start, end)]
     rows.append(["final", rows[-1][1]])
-    return _csv_report(_config(args, m_words=words), ["t", "quotient"], rows)
+    return _csv_report({"config": _config(args, m_words=words)}, ["t", "quotient"], rows)
 
 
 def cmd_conditions(args) -> str:
@@ -204,13 +206,13 @@ def cmd_bb(args) -> str:
     for n in range(args.states + 1):
         row = top if n == args.states else busy_beaver_row(n, args.t_max)
         rows.extend([n, t, row[t]] for t in range(args.t_max + 1))
-    return _csv_report(_config(args), ["n", "t", "bb"], rows)
+    return _csv_report({"config": _config(args)}, ["n", "t", "bb"], rows)
 
 
 def _program_index(args) -> int:
     if args.program is None:
         return args.index
-    if any(c not in "01" for c in args.program):
+    if args.program.strip("01"):  # "" exactly when every symbol is 0 or 1
         raise ConfigError("--program wants a binary word")
     from .codec import b_index
 
@@ -222,7 +224,7 @@ def cmd_cardre(args) -> str:
 
     n = _program_index(args)
     row = card_re_row(n, args.t_max)
-    return _csv_report(_config(args, index=n), ["t", "count"], list(enumerate(row)))
+    return _csv_report({"config": _config(args, index=n)}, ["t", "count"], enumerate(row))
 
 
 def cmd_interact(args) -> str:

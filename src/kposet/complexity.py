@@ -1,5 +1,5 @@
 """Budgeted program-size tables: the builder, their replay, the wrap
-constant and the CSV report.
+constant and the report's summary and rows, which `cli` writes as CSV.
 
 One table, three columns over one machine, each mapping a rank to the
 witness bit string whose length is the table value:
@@ -31,11 +31,8 @@ one kept filter per order and distinct run.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import namedtuple
-from typing import Optional
+from typing import Iterator, Optional
 
 from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
@@ -62,6 +59,7 @@ __all__ = [
     "wrap_program",
     "measure_wrap_constant",
     "hierarchy_report",
+    "REPORT_COLUMNS",
     "MAX_PROG_LEN",
     "RANKS_CEILING",
 ]
@@ -284,15 +282,18 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
 # ----------------------------------------------------------------- report
 
 
-def hierarchy_report(p: PosetInstance, ranks: int, b: Budget) -> str:
-    """CSV of the plain, max and min columns with summary constants.
+REPORT_COLUMNS = ("rank", "element", "k_plain", "k_max", "k_min",
+                  "witness_plain", "witness_max", "witness_min", "pair_len", "status")
 
-    Columns: rank, element, k_plain, k_max, k_min, witness_plain,
-    witness_max, witness_min, pair_len, status. A header comment line
-    carries the measured diagnostics c1 = max(k_max - k_plain), c2 =
-    max(k_min - k_plain) and the wrap constant; pair_len is the
+
+def hierarchy_report(p: PosetInstance, ranks: int, b: Budget) -> tuple[dict, Iterator[list]]:
+    """(summary, rows) of the plain, max and min columns. summary holds the
+    measured diagnostics c1 = max(k_max - k_plain), c2 = max(k_min -
+    k_plain) and the wrap constant c_wrap. rows yields one row per rank in
+    REPORT_COLUMNS order, None for an empty cell; pair_len is the
     composite-program length |c(max_witness, min_witness)| of the paired
-    decompressor. Byte-identical across reruns with the same inputs.
+    decompressor. The table is built, replayed and measured before this
+    returns; only the rows are made as they are read.
     """
     if ranks < 0:
         raise ConfigError(f"ranks must be a natural number, got {ranks}")
@@ -302,23 +303,15 @@ def hierarchy_report(p: PosetInstance, ranks: int, b: Budget) -> str:
     plain = table.plain
     c1 = max((len(w) - len(plain[r]) for r, w in table.k_max.items() if r in plain), default=None)
     c2 = max((len(w) - len(plain[r]) for r, w in table.k_min.items() if r in plain), default=None)
-    buf = io.StringIO()
-    buf.write(
-        "# summary: "
-        + json.dumps({"c1": c1, "c2": c2, "c_wrap": c_wrap}, sort_keys=True)
-        + "\n"
-    )
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "rank", "element", "k_plain", "k_max", "k_min",
-            "witness_plain", "witness_max", "witness_min", "pair_len", "status",
-        ]
-    )
+    return {"c1": c1, "c2": c2, "c_wrap": c_wrap}, _report_rows(p, ranks, table)
+
+
+def _report_rows(p: PosetInstance, ranks: int, table: ComplexityTable):
+    columns = (table.plain, table.k_max, table.k_min)
     for rank in range(ranks):
-        witnesses = [column.get(rank) for column in (plain, table.k_max, table.k_min)]
+        witnesses = [column.get(rank) for column in columns]
         _, w_max, w_min = witnesses
-        pair_len = ""
+        pair_len = None
         if w_max is not None and w_min is not None:
             pair_len = len(encode_pair(w_max, w_min))
         if rank in table.censored:
@@ -326,11 +319,6 @@ def hierarchy_report(p: PosetInstance, ranks: int, b: Budget) -> str:
         elif any(w is not None for w in witnesses):
             status = "ok"
         else:
-            status = ""
-        writer.writerow(
-            [rank, p.format_elem(p.unrank(rank))]
-            + ["" if w is None else len(w) for w in witnesses]  # k_plain, k_max, k_min
-            + ["" if w is None else w for w in witnesses]
-            + [pair_len, status]
-        )
-    return buf.getvalue()
+            status = None
+        lengths = [None if w is None else len(w) for w in witnesses]  # k_plain, k_max, k_min
+        yield [rank, p.format_elem(p.unrank(rank)), *lengths, *witnesses, pair_len, status]

@@ -229,6 +229,19 @@ def test_member_and_alphabet_errors_keep_their_text(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv, err", [
+    *((("cardre", "--program", program, "--t-max", "5"), "kposet: --program wants a binary word\n")
+      for program in ("1_0", " 1", "2", "\u0661")),
+    (("interact", "--program", "1_0", "--mode", "cap", "--x", "1"),
+     "kposet: --program wants a binary word\n"),
+    (("quotient", "--regex", "a", "--alphabet", "ab", "--m-words", "a,c"),
+     "kposet: quotient word 'c' is not over 'ab'\n"),
+], ids=["underscore", "space", "digit-2", "arabic-indic-1", "interact", "quotient-word"])
+def test_word_checks_keep_their_text(capsys, argv, err):
+    # int(..., 2) would take "1_0" and " 1"; every symbol must be 0 or 1
+    assert run(capsys, *argv) == (2, "", err)
+
+
 @pytest.mark.parametrize("regex", [
     "(" * 247 + "a" + ")" * 247,
     "a" + "*" * 1000,
@@ -776,6 +789,15 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     assert heavy == []
     if argv[0] in ("conditions", "dilworth", "interact"):  # JSON reports: no layer writes CSV
         assert not csv_loaded
+
+
+def test_complexity_leaves_the_report_format_to_cli():
+    # complexity returns the report as data; cli alone writes CSV and JSON
+    src = os.path.dirname(os.path.dirname(kposet.__file__))
+    probe = 'import sys, kposet.complexity; print(sorted({"csv", "json"} & set(sys.modules)))'
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_every_package_module_is_loaded_by_some_command():

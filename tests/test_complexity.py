@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kposet.codec import b_index, decode_padded, encode_pair
 from kposet.complexity import (
     MAX_PROG_LEN,
+    REPORT_COLUMNS,
     Budget,
     ComplexityTable,
     complexity_table,
@@ -110,10 +111,9 @@ def test_censored_rows():
     table = complexity_table(NAT, 4, tight)
     assert 0 in table.censored
     assert 0 not in table.k_max and 0 not in table.k_min
-    text = hierarchy_report(NAT, 4, tight)
-    lines = text.strip().split("\n")
-    assert '"c_wrap": null' in lines[0]  # nothing can stabilize at window 8
-    assert lines[2].endswith("censored")
+    summary, rows = hierarchy_report(NAT, 4, tight)
+    assert summary["c_wrap"] is None  # nothing can stabilize at window 8
+    assert dict(zip(REPORT_COLUMNS, next(rows)))["status"] == "censored"
 
 
 def test_k_min_equals_k_max_under_discrete():
@@ -317,20 +317,23 @@ def test_diagonal_walks_keep_their_value_once_everything_is_excluded():
 
 
 def test_hierarchy_report_deterministic():
-    a = hierarchy_report(NAT, 8, SMALL)
-    b = hierarchy_report(NAT, 8, SMALL)
-    assert a == b
-    lines = a.strip().split("\n")
-    assert lines[0].startswith("# summary:")
-    header = lines[1].split(",")
-    assert header[:5] == ["rank", "element", "k_plain", "k_max", "k_min"]
-    assert len(lines) - 2 == 8  # one row per requested rank
+    # at FULL the limit columns hold rank 0, so the rerun compares them too
+    a, b = (hierarchy_report(NAT, 8, FULL) for _ in range(2))
+    summary, rows = a[0], list(a[1])
+    assert (summary, rows) == (b[0], list(b[1]))
+    assert set(summary) == {"c1", "c2", "c_wrap"}
+    assert REPORT_COLUMNS[:5] == ("rank", "element", "k_plain", "k_max", "k_min")
+    assert [row[0] for row in rows] == list(range(8))  # one row per requested rank
+    assert all(len(row) == len(REPORT_COLUMNS) for row in rows)
+    assert rows[0][3] is not None and rows[0][4] is not None
 
 
 def test_hierarchy_report_discrete_rows_match():
+    # no OUT machine is shorter than 14 bits, so SMALL (12) leaves the limit
+    # columns empty; FULL (14) fills them at rank 0
     disc = parse_poset_spec("discrete(nat)")
-    text = hierarchy_report(disc, 8, SMALL)
-    for line in text.strip().split("\n")[3:]:
-        cells = line.split(",")
-        k_max, k_min = cells[3], cells[4]
-        assert k_max == k_min
+    _, rows = hierarchy_report(disc, 8, FULL)
+    rows = [dict(zip(REPORT_COLUMNS, row)) for row in rows]
+    assert all(row["k_max"] == row["k_min"] for row in rows)
+    first = rows[0]
+    assert (first["k_max"], first["k_min"], first["pair_len"], first["status"]) == (14, 14, 37, "ok")
