@@ -22,8 +22,12 @@ Modules:
   diagonal       the diagonal hardness construction and the family it audits
   cli            the `kposet` command-line front end; it writes every report
 
-Every module is loaded by some command. The evaluator-level constructions
-(the budgeted limit operator, normalization, totalization, prefix normal
-form, the max/min dovetail and the paired decompressor), which no command
-runs, live with the tests in tests/constructions.py.
+Every function here is entered by some command, bar a commented few (the
+`__repr__`s, a broken-contract error and the `Evaluator` the benchmark
+tracer wraps); tests/test_cli.py checks it under a call profile. What no
+command runs lives with the tests: the evaluator-level constructions (the
+budgeted limit operator, normalization, totalization, prefix normal form,
+the max/min dovetail and the paired decompressor) in tests/constructions.py,
+and the unused codings, the induced suborder, word acceptance and the
+one-shot quotient in tests/reference_impl.py.
 """

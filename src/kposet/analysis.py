@@ -22,7 +22,6 @@ __all__ = [
     "FinitePoset",
     "closure_rows",
     "dilworth",
-    "max_antichain",
     "min_chain_cover",
     "N_BOUND",
 ]
@@ -99,20 +98,8 @@ class FinitePoset(namedtuple("FinitePoset", "n lt names rows")):
         _exact_ceiling(len(names))
         return FinitePoset(len(names), frozenset(pairs), tuple(names))
 
-    def comparable(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.lt or (b, a) in self.lt
-
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names else str(i)
-
-    def restrict(self, subset: Sequence[int]) -> "FinitePoset":
-        """The induced order on the given elements (renumbered 0..len-1)."""
-        idx = {e: i for i, e in enumerate(subset)}
-        lt = frozenset(
-            (idx[a], idx[b]) for (a, b) in self.lt if a in idx and b in idx
-        )
-        names = tuple(self.name_of(e) for e in subset)
-        return FinitePoset(len(subset), lt, names)
 
     def comparability_masks(self) -> list[int]:
         """Bit b of masks[a] set when a and b are distinct and comparable."""
@@ -142,11 +129,6 @@ def dilworth(fp: FinitePoset) -> tuple[list[int], list[list[int]]]:
     if len(chosen) != width or any(comp[a] >> b & 1 for a in chosen for b in chosen):
         raise VerificationError("antichain disagrees with the matching bound")
     return chosen, cover
-
-
-def max_antichain(fp: FinitePoset) -> list[int]:
-    """The antichain of dilworth(fp)."""
-    return dilworth(fp)[0]
 
 
 def _max_matching(rows: Sequence[int]) -> dict[int, int]:

@@ -1,5 +1,5 @@
 """Regular languages as a computable poset: parsing, canonical DFAs, decidable
-inclusion, quotients, the quotient trace in one pass, and the canonical enumeration.
+inclusion, the quotient trace in one pass, and the canonical enumeration.
 
 The expression language over an alphabet Sigma uses union '+', explicit
 concatenation '·', postfix star '*', parentheses, and single-character
@@ -31,7 +31,6 @@ __all__ = [
     "Dfa",
     "to_canonical_dfa",
     "language_leq",
-    "quotient",
     "quotient_trace",
     "reg_rank",
     "reg_unrank",
@@ -149,9 +148,6 @@ class Dfa(namedtuple("Dfa", "n start accept delta alphabet canonical", defaults=
                 raise ConfigError(f"symbol {c!r} outside alphabet {self.alphabet}")
             state = self.delta[state][index[c]]
         return state
-
-    def accepts(self, word: str) -> bool:
-        return self.step(self.start, word) in self.accept
 
 
 def _positions_dfa(ast: RegexAst | None, alphabet: tuple[str, ...]) -> Dfa:
@@ -283,16 +279,11 @@ def _quotient_from(l: Dfa, reached: frozenset) -> Dfa:
     ))
 
 
-def quotient(l: Dfa, words: Iterable[str]) -> Dfa:
-    """M^-1 L: the language read from the set of states that the words of M
-    reach from the start (no word: the empty language); canonical on return."""
-    return _quotient_from(l, frozenset(l.step(l.start, w) for w in words))
-
-
 def quotient_trace(l: Dfa, words: Iterable[str]) -> list[tuple[int, Dfa]]:
-    """The points (t, quotient(l, words[:t+1])) where the value changes, t = 0 first, in one
-    pass: the value grows under inclusion and is rebuilt only when a word reaches a new state,
-    so there are at most l.n points (a new state need not change the language)."""
+    """The points (t, M_t^-1 L) where the value changes, t = 0 first, with M_t = words[:t+1]:
+    the language read from the set of states that the words of M_t reach from the start. In
+    one pass: the value grows under inclusion and is rebuilt only when a word reaches a new
+    state, so there are at most l.n points (a new state need not change the language)."""
     reached, points = set(), []
     for t, w in enumerate(words):
         q = l.step(l.start, w)

@@ -34,10 +34,6 @@ class MonotonicityError(KposetError):
         self.witness = witness
 
 
-class ContractError(KposetError):
-    """A caller-side contract (e.g. bottom element really is a bottom) failed."""
-
-
 class VerificationError(KposetError):
     """An internal self-check failed: a witness did not replay, a generated
     family did not verify, or a round-trip broke."""

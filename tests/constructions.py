@@ -11,7 +11,9 @@ constructions, which the tests check against the definitions. So they live
 here, beside the oracles of reference_impl, and the kposet package holds
 only what its commands run. So does _fuel_prefix_runs, the one memo of
 evaluator work, which normalize's search for the first value and
-vm_max_evaluator's machine runs share.
+vm_max_evaluator's machine runs share. ContractError, the error a
+construction raises when its caller breaks a precondition (an empty value
+chain, a process that is not total), lives here with them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import bisect
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from kposet.complexity import PADDED
-from kposet.errors import ConfigError, ContractError, MonotonicityError
+from kposet.errors import ConfigError, KposetError, MonotonicityError
 from kposet.limits import NO_VALUE, STABILIZED, STILL_CHANGING, Evaluator, LimitReport, check_budget
 from kposet.posets import reverse
 from kposet.vm import run_emitting
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
     from kposet.posets import PosetInstance
 
 __all__ = [
+    "ContractError",
     "budgeted_limit",
     "trace_evaluator",
     "monotone_filter",
@@ -40,6 +43,10 @@ __all__ = [
     "vm_max_evaluator",
     "paired_decompress",
 ]
+
+
+class ContractError(KposetError):
+    """A caller-side contract (e.g. bottom element really is a bottom) failed."""
 
 
 def _fuel_prefix_runs(run: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:

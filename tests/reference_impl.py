@@ -40,11 +40,17 @@ The last class is the regular-language enumeration from before it skipped
 ill-formed texts: every text in length-lex order goes through this file's
 canonical-DFA pipeline and counts one toward the ceiling.
 
-The file ends with the rank bijections as digit loops, from before the
-package wrote them in closed form: the b-coding of words, the shortlex word
+Then come the rank bijections as digit loops, from before the package
+wrote them in closed form: the b-coding of words, the shortlex word
 carrier with its length search, and the finite-set bit mask. iter_words,
 the witness tie-break order the scans above walk, is b_word over an initial
 segment of N.
+
+The file ends with what the package held although no command runs it: the
+paper's codings that the commands do not use (the padding encoder, the
+k-block split and the pairing's decoder), the induced suborder of a
+FinitePoset, word acceptance by a DFA, and the quotient M^-1 L as the last
+value of the package's quotient trace.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ from collections import namedtuple
 from typing import Any, Iterator, Sequence
 
 from kposet.errors import ConfigError, DomainError, ResourceError
-from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex
-from kposet.codec import b_index, b_word, decode_padded
+from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex, quotient_trace, to_canonical_dfa
+from kposet.analysis import FinitePoset
+from kposet.codec import _check_word, b_index, b_word, decode_padded
 from kposet.complexity import Budget
 from kposet import vm
 from constructions import _fuel_prefix_runs
@@ -871,3 +878,89 @@ def finset_rank_ref(e: tuple[int, ...]) -> int:
     for x in e:
         mask |= 1 << x
     return mask
+
+
+# ------------------------------------------------ what no command runs
+
+
+def encode_padded(n: int, p: str) -> str:
+    """0^n 1 p, the padding that codec.decode_padded inverts."""
+    if n < 0:
+        raise DomainError(f"padding count must be a natural number, got {n}")
+    _check_word(p)
+    return "0" * n + "1" + p
+
+
+def encode_split(i: int, k: int, p: str) -> str:
+    """0^i 1^(k-i) p with 1 <= i <= k; total overhead is exactly k bits."""
+    if not 1 <= i <= k:
+        raise DomainError(f"split index must satisfy 1 <= i <= k, got i={i}, k={k}")
+    _check_word(p)
+    return "0" * i + "1" * (k - i) + p
+
+
+def decode_split(w: str, k: int) -> tuple[int, str] | None:
+    """Recover (i, p) from 0^i 1^(k-i) p given k; None when no valid split."""
+    _check_word(w)
+    if k < 1 or len(w) < k:
+        return None
+    head = w[:k]
+    i = k - len(head.lstrip("0"))
+    if i < 1 or head[i:].strip("1"):
+        return None
+    return i, w[k:]
+
+
+def _is_canonical_bin(w: str) -> bool:
+    return w == "0" or (len(w) >= 1 and w[0] == "1")
+
+
+def decode_pair(r: str) -> tuple[str, str] | None:
+    """Invert codec.encode_pair; None for words outside its range.
+
+    Rejects malformed headers (no terminator, short or non-canonical B,
+    split point past the end, branch condition violated) so that
+    encode_pair(decode_pair(r)) == r on every accepted r.
+    """
+    _check_word(r)
+    if not r:
+        return None
+    lead = r[0]
+    z = len(r) - len(r.lstrip(lead))
+    if z == len(r):
+        return None
+    b = r[z + 1: z + 1 + z]
+    if len(b) < z or not _is_canonical_bin(b):
+        return None
+    length = int(b, 2)
+    body = r[2 * z + 1:]
+    if lead == "0":
+        p, q = body[:length], body[length:]
+        if len(p) < length or len(p) > len(q):
+            return None
+    else:
+        if length > len(body):
+            return None
+        cut = len(body) - length
+        p, q = body[:cut], body[cut:]
+        if len(p) <= len(q):
+            return None
+    return p, q
+
+
+def restrict(fp: FinitePoset, subset: Sequence[int]) -> FinitePoset:
+    """The induced order on the given elements (renumbered 0..len-1)."""
+    idx = {e: i for i, e in enumerate(subset)}
+    lt = frozenset((idx[a], idx[b]) for (a, b) in fp.lt if a in idx and b in idx)
+    return FinitePoset(len(subset), lt, tuple(fp.name_of(e) for e in subset))
+
+
+def accepts(d: Dfa, word: str) -> bool:
+    return d.step(d.start, word) in d.accept
+
+
+def quotient(l: Dfa, words) -> Dfa:
+    """M^-1 L as the quotient command computes it: the last value of
+    quotient_trace(l, words), or the empty language when there are no words."""
+    trace = quotient_trace(l, list(words))
+    return trace[-1][1] if trace else to_canonical_dfa(None, l.alphabet)

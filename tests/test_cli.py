@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import glob
 import importlib.util
 import io
 import json
@@ -733,7 +735,10 @@ _SETS = {"cli", "errors", "codec", "limits", "vm", "enumerable"}  # no posets
 _PROBE = """
 import json, sys
 from kposet.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # a usage error
+    code = exc.code
 loaded = sorted(m[len("kposet."):] for m in sys.modules if m.startswith("kposet."))
 heavy = sorted(m for m in ("dataclasses", "inspect", "argparse", "gettext", "locale")
                if m in sys.modules)
@@ -741,7 +746,13 @@ print(json.dumps([code, loaded, heavy, "csv" in sys.modules]))
 """
 
 
-# A command line of each kind and the kposet modules it loads.
+# A usage error: argparse prints it, so it is the line that builds the parser.
+_USAGE_ERROR = ("bb", "--states", "1")
+
+# A command line of each kind and the kposet modules it loads. The lines
+# after `quotient` reach the functions the others do not: the parser, the
+# dagger search below the root, the order deciders of the conditions
+# carriers, and the padded decoder (the limit corpus is empty below 14 bits).
 _COMMAND_LAYERS = [
     (("estimate", "--poset", "nat", "--max-len", "6", "--ranks", "2"), _REPORT),
     (("estimate", "--poset", "prefix:ab", "--max-len", "6", "--ranks", "2"), _REPORT),
@@ -764,29 +775,41 @@ _COMMAND_LAYERS = [
       "--t-budget", "5"), _SETS),
     (("quotient", "--regex", "a·b", "--alphabet", "ab", "--m-words", "a"),
      {"cli", "errors", "automata"}),
+    (_USAGE_ERROR, {"cli", "errors"}),
+    (("conditions", "--pair", "prefix:ab/lexico:a<b", "--condition", "dagger", "--k", "1"),
+     _BASE | {"analysis", "conditions"}),
+    (("conditions", "--pair", "int/int", "--k", "2"), _BASE | {"analysis", "conditions"}),
+    (("conditions", "--pair", "finsets/finsets", "--k", "2"), _BASE | {"analysis", "conditions"}),
+    (("conditions", "--pair", "discrete(nat)/nat", "--k", "2"),
+     _BASE | {"analysis", "conditions"}),
+    (("conditions", "--pair", "reg:ab/reg:ab", "--k", "2"),
+     _BASE | {"analysis", "conditions", "automata"}),
+    (("estimate", "--poset", "nat", "--max-len", "14", "--ranks", "2"), _REPORT),
 ]
 
 
 @pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS, ids=[
     "estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
     "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
-    "interact", "quotient"])
+    "interact", "quotient", "usage-error", "conditions-dagger", "conditions-int",
+    "conditions-finsets", "conditions-discrete", "conditions-reg", "estimate-padded"])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
-    order = tmp_path / "order.json"
-    order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
-    argv = [str(order) if a == "ORDER" else a for a in argv]
+    usage_error = argv == _USAGE_ERROR
     src = os.path.dirname(os.path.dirname(kposet.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv, "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", _PROBE, *_command_line(argv, tmp_path)],
         capture_output=True, text=True, env=env, check=True,
     )
     code, loaded, heavy, csv_loaded = json.loads(proc.stdout)
-    assert code == 0
+    assert code == (2 if usage_error else 0)
     assert set(loaded) == layers
     # records are namedtuples, so no dataclass machinery at start-up, and a
     # well-formed command line is parsed without argparse
-    assert heavy == []
+    if usage_error:
+        assert "argparse" in heavy
+    else:
+        assert heavy == []
     if argv[0] in ("conditions", "dilworth", "interact"):  # JSON reports: no layer writes CSV
         assert not csv_loaded
 
@@ -804,6 +827,86 @@ def test_every_package_module_is_loaded_by_some_command():
     # the package is what its commands run; code that only tests run lives in tests/
     loaded = set().union(*(layers for _, layers in _COMMAND_LAYERS))
     assert loaded == {m.name for m in pkgutil.iter_modules(kposet.__path__)}
+
+
+def _command_line(argv, tmp_path):
+    """argv with ORDER as a two-element order file and an --out in tmp_path."""
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
+    return [str(order) if a == "ORDER" else a for a in argv] + ["--out", str(tmp_path / "out")]
+
+
+# Run every command line of _COMMAND_LAYERS in one fresh interpreter under
+# sys.setprofile and print the (file, first line) of each function entered.
+# Fresh, so that no cache an earlier test filled (the `reg:` enumeration)
+# spares a command a function it would enter.
+_CALL_PROBE = """
+import json, sys
+from kposet.cli import main
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv)
+    except SystemExit:  # the usage error
+        pass
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+# The functions that no command enters, and why each stays in the package.
+_NOT_ENTERED = {
+    # debugging aids
+    "automata:RegexAst.__repr__",
+    "posets:PosetInstance.__repr__",
+    # raised only when an interaction process breaks its monotone contract
+    "errors:MonotonicityError.__init__",
+    # no command builds an Evaluator; perfbench/tracer.py wraps __call__ by name
+    "limits:Evaluator.__init__",
+    "limits:Evaluator.__call__",
+}
+
+
+def _package_functions() -> dict:
+    """module:qualname -> (file, first line) of every def in the package,
+    methods and nested functions included. A decorated function's code
+    starts at its first decorator, as its co_firstlineno says."""
+    found = {}
+
+    def visit(node, module, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                found[f"{module}:{prefix}{child.name}"] = (path, line)
+                visit(child, module, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, path, prefix)
+
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(kposet.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        visit(tree, os.path.basename(path)[:-3], os.path.realpath(path), "")
+    return found
+
+
+def test_every_package_function_is_entered_by_some_command(tmp_path):
+    # the package is what its commands run, function by function
+    corpus = [_command_line(argv, tmp_path) for argv, _ in _COMMAND_LAYERS]
+    src = os.path.dirname(os.path.dirname(kposet.__file__))
+    proc = subprocess.run([sys.executable, "-c", _CALL_PROBE, json.dumps(corpus)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    entered = {(os.path.realpath(path), line) for path, line in json.loads(proc.stdout)}
+    unreached = {name for name, key in _package_functions().items() if key not in entered}
+    missing = sorted(unreached - _NOT_ENTERED)
+    assert not missing, "no command enters " + ", ".join(missing)
+    stale = sorted(_NOT_ENTERED - unreached)
+    assert not stale, "allow-listed, but entered or gone: " + ", ".join(stale)
 
 
 def test_interact_mode_choices_match_enumerable():

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_impl import b_index_ref, b_word_ref
-from kposet.codec import (
-    b_index,
-    b_word,
-    bin_word,
-    decode_padded,
+from reference_impl import (
+    b_index_ref,
+    b_word_ref,
     decode_pair,
     decode_split,
     encode_padded,
-    encode_pair,
     encode_split,
 )
+from kposet.codec import b_index, b_word, bin_word, decode_padded, encode_pair
 from kposet.errors import DomainError
 
 

@@ -23,6 +23,7 @@ from reference_impl import (
     canonical_dfa_ref,
     canonicalize_dfa_ref,
     card_re_evaluator_ref,
+    quotient,
     quotient_ref,
     run_tm,
     set_interaction_evaluators,
@@ -37,7 +38,6 @@ from kposet.automata import (
     Dfa,
     canonicalize_dfa,
     parse_regex,
-    quotient,
     quotient_trace,
     to_canonical_dfa,
 )

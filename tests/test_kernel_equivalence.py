@@ -7,9 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_impl import iter_words, plain_scan_ref, run_emitting_ref, run_raw_ref, tables_ref
+from reference_impl import (
+    encode_padded,
+    iter_words,
+    plain_scan_ref,
+    run_emitting_ref,
+    run_raw_ref,
+    tables_ref,
+)
 
-from kposet.codec import b_index, b_word, decode_padded, encode_padded
+from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import PADDED, RAW, Budget, complexity_table, limit_corpus
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from kposet.errors import ConfigError, ContractError, MonotonicityError
+from kposet.errors import ConfigError, MonotonicityError
 from constructions import (
+    ContractError,
     budgeted_limit,
     common_value_dovetail,
     monotone_filter,

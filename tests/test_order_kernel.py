@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_impl import (
+    _comparable,
     check_dagger_ref,
     check_star_ref,
     closure_ref,
@@ -21,7 +22,7 @@ from reference_impl import (
     parse_order_expr_ref,
 )
 
-from kposet.analysis import N_BOUND, FinitePoset, closure_rows, max_antichain, min_chain_cover
+from kposet.analysis import N_BOUND, FinitePoset, closure_rows, dilworth, min_chain_cover
 from kposet.conditions import OrderPair, check_dagger, check_star, order_pair_fragment
 from kposet.errors import ConfigError, DomainError, ResourceError
 from kposet.posets import _parse_order_expr, parse_poset_spec
@@ -89,7 +90,7 @@ def test_order_kernel_matches_reference(pair):
     assert weak.lt == weak_lt and strong.lt == strong_lt
     for fp, lt in ((weak, weak_lt), (strong, strong_lt)):
         assert min_chain_cover(fp) == min_chain_cover_ref(n, lt)
-        anti = max_antichain(fp)
+        anti, _ = dilworth(fp)
         assert anti == max_antichain_ref(n, lt)
         assert len(anti) == n - max_matching_ref(n, lt)
     order_pair = OrderPair(weak=weak, strong=strong)
@@ -184,7 +185,7 @@ def random_orders(draw, max_n):
 @given(fp=random_orders(20))
 def test_max_antichain_matches_branch_and_bound(fp):
     """The greedy returns the branch and bound's witness, element for element."""
-    assert max_antichain(fp) == max_antichain_ref(fp.n, fp.lt)
+    assert dilworth(fp)[0] == max_antichain_ref(fp.n, fp.lt)
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,10 +197,10 @@ def test_max_antichain_up_to_the_ceiling(fp):
     """Up to N_BOUND elements the antichain is pairwise incomparable and as
     large as the chain cover; one element more raises ResourceError."""
     if fp.n > N_BOUND:
-        for fn in (max_antichain, min_chain_cover):
+        for fn in (dilworth, min_chain_cover):
             with pytest.raises(ResourceError):
                 fn(fp)
         return
-    anti = max_antichain(fp)
-    assert not any(fp.comparable(a, b) for a, b in itertools.combinations(anti, 2))
+    anti, _ = dilworth(fp)
+    assert not any(_comparable(fp.lt, a, b) for a, b in itertools.combinations(anti, 2))
     assert len(anti) == len(min_chain_cover(fp))
