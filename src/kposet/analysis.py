@@ -3,10 +3,12 @@ antichains and Dilworth decompositions.
 
 A FinitePoset is a strict order on {0..n-1}, transitively closed at
 construction by `closure_rows`, which also closes the `lexico:` symbol
-orders. One Kuhn matching gives the width of any subset (by Dilworth, its
-smallest chain cover); `dilworth` takes the chain cover and the width from
-one matching of the whole order and builds the lexicographically first
-maximum antichain greedily, in polynomial time. The dagger condition of
+orders. It has no element names: they belong to the JSON order file and to
+the `dilworth` report, and `read_order` returns them beside the order. One
+Kuhn matching gives the width of any subset (by Dilworth, its smallest
+chain cover); `dilworth` takes the chain cover and the width from one
+matching of the whole order and builds the lexicographically first maximum
+antichain greedily, in polynomial time. The dagger condition of
 `conditions` rests on the same width.
 """
 
@@ -23,6 +25,7 @@ __all__ = [
     "closure_rows",
     "dilworth",
     "min_chain_cover",
+    "read_order",
     "N_BOUND",
 ]
 
@@ -49,10 +52,34 @@ def closure_rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return rows
 
 
-def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Parse the JSON finite-order format without closing it. Both keys must
-    hold lists, the element names must differ after str() and every index
-    must be an int, else ConfigError."""
+class FinitePoset(namedtuple("FinitePoset", "n lt rows")):
+    """Strict partial order on {0..n-1}; the relation is stored transitively
+    closed and validated, both as the `lt` pair set and as bit rows (bit b
+    of rows[a] set when a < b). The rows follow from n and lt, so equality
+    is decided by n and lt."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, lt: frozenset[tuple[int, int]]):
+        rows = closure_rows(n, lt)
+        lt = frozenset((a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1)
+        return super().__new__(cls, n, lt, tuple(rows))
+
+    def comparability_masks(self) -> list[int]:
+        """Bit b of masks[a] set when a and b are distinct and comparable."""
+        masks = list(self.rows)
+        for (a, b) in self.lt:
+            masks[b] |= 1 << a
+        return masks
+
+
+def read_order(text: str) -> tuple[list[str], FinitePoset]:
+    """Load the JSON finite-order format {"elements": [...], "lt": [[i, j],
+    ...]}, whose pairs may be a covering or the full relation, as the element
+    names and the order on their indices. Both keys must hold lists, the
+    names must differ after str() and every index must be an int, else
+    ConfigError; carriers above N_BOUND are refused before the closure is
+    built."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -71,42 +98,8 @@ def _finite_order_pairs(text: str) -> tuple[list[str], list[tuple[int, int]]]:
         if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)):
             raise ConfigError(f"bad lt pair: {pair!r}")
         pairs.append(tuple(pair))
-    return names, pairs
-
-
-class FinitePoset(namedtuple("FinitePoset", "n lt names rows")):
-    """Strict partial order on {0..n-1}; the relation is stored transitively
-    closed and validated, both as the `lt` pair set and as bit rows (bit b
-    of rows[a] set when a < b). The rows follow from n and lt, so equality
-    is decided by n, lt and names."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, lt: frozenset[tuple[int, int]], names: tuple[str, ...] = ()):
-        rows = closure_rows(n, lt)
-        lt = frozenset((a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1)
-        if names and len(names) != n:
-            raise ConfigError("names do not match the carrier size")
-        return super().__new__(cls, n, lt, names, tuple(rows))
-
-    @staticmethod
-    def from_json(text: str) -> "FinitePoset":
-        """Load the JSON finite-order format {"elements": [...], "lt":
-        [[i, j], ...]}; the pairs may be a covering or the full relation.
-        Carriers above N_BOUND are refused before the closure is built."""
-        names, pairs = _finite_order_pairs(text)
-        _exact_ceiling(len(names))
-        return FinitePoset(len(names), frozenset(pairs), tuple(names))
-
-    def name_of(self, i: int) -> str:
-        return self.names[i] if self.names else str(i)
-
-    def comparability_masks(self) -> list[int]:
-        """Bit b of masks[a] set when a and b are distinct and comparable."""
-        masks = list(self.rows)
-        for (a, b) in self.lt:
-            masks[b] |= 1 << a
-        return masks
+    _exact_ceiling(len(names))
+    return names, FinitePoset(len(names), frozenset(pairs))
 
 
 def dilworth(fp: FinitePoset) -> tuple[list[int], list[list[int]]]:

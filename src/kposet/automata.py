@@ -117,8 +117,6 @@ def parse_regex(text: str, sigma: Sequence[str]) -> RegexAst | None:
     sigma = tuple(sigma)
     if set(sigma) & set(OPERATOR_CHARS):
         raise ConfigError("alphabet symbols collide with operator characters")
-    if not text:
-        return None
     if not set(text) <= set(sigma) | set(OPERATOR_CHARS):
         return None
     parser = _Parser(text, sigma)

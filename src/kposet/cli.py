@@ -165,12 +165,12 @@ def cmd_dilworth(args) -> str:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file!r}: {exc}") from exc
-    fp = analysis.FinitePoset.from_json(text)
+    names, fp = analysis.read_order(text)
     antichain, cover = analysis.dilworth(fp)
     payload = {
-        "antichain": [fp.name_of(i) for i in antichain],
+        "antichain": [names[i] for i in antichain],
         "antichain_size": len(antichain),
-        "chains": [[fp.name_of(i) for i in chain] for chain in cover],
+        "chains": [[names[i] for i in chain] for chain in cover],
         "cover_size": len(cover),
         "dilworth_equal": len(antichain) == len(cover),
     }

@@ -39,6 +39,8 @@ from .errors import ConfigError, ResourceError, VerificationError
 from .limits import STABILIZED, limit_report_from_trace
 from .posets import PosetInstance, reverse
 from .vm import (
+    JUMP_MAX,
+    JUMP_MIN,
     _execute,
     assemble,
     iter_programs,
@@ -106,7 +108,7 @@ class Addressing(namedtuple("Addressing", "walk decode wrap_len")):
 
     walk(max_len, needs) yields (word, instrs, input) for the words of length
     <= max_len in b_word order, skipping every word whose machine does
-    not parse or (unless needs is None) lacks the instruction `needs`;
+    not parse or lacks the instruction `needs`;
     decode(word) is (code, input), None outside the coding's range;
     wrap_len(code) is the length of the word that addresses code on input 0.
     """
@@ -125,7 +127,7 @@ def _padded_walk(max_len: int, needs):
     for length in range(1, max_len + 1):
         for n in range(length - 1, -1, -1):
             instrs = machines[n]
-            if instrs is not None and (needs is None or needs in instrs):
+            if instrs is not None and needs in instrs:
                 m = length - n - 1
                 for v in range(1 << m, 2 << m):
                     yield format(v, f"0{length}b"), instrs, v - 1
@@ -243,7 +245,7 @@ def wrap_program(code: str) -> str:
             target = i + arg
             new_target = newpos[target] if 0 <= target <= old_n else new_len
             offset = new_target - newpos[i]
-            if not -16 <= offset <= 15:
+            if not JUMP_MIN <= offset <= JUMP_MAX:
                 raise ResourceError("wrapped jump offset overflows the 5-bit field")
             out.append((op, offset))
         else:

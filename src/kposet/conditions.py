@@ -137,11 +137,10 @@ def order_pair_fragment(
     elems = [strong_p.unrank(i) for i in range(size)]
     if any(weak_p.unrank(i) != e for i, e in enumerate(elems)):
         raise ConfigError("weak and strong posets do not share a carrier enumeration")
-    names = tuple(strong_p.format_elem(e) for e in elems)
     weak, strong = (
         FinitePoset(size, frozenset(
             (i, j) for i in range(size) for j in range(size) if p.lt(elems[i], elems[j])
-        ), names)
+        ))
         for p in (weak_p, strong_p)
     )
     return OrderPair(weak, strong), elems

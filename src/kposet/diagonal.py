@@ -122,16 +122,14 @@ def diagonal_hard(
     bound = size - 2
 
     # `excluded` only grows, so the least unexcluded index only rises and the
-    # greatest only falls; once nothing is left both walks keep their value
+    # greatest only falls; once nothing is left both walks keep their value,
+    # and the bound holds at every step when it holds at the last
     excluded: set[int] = set()
     least, greatest = 0, size - 1
     least_walk: list[tuple[int, int]] = [(0, least)]  # (step, family index)
     greatest_walk: list[tuple[int, int]] = [(0, greatest)]
-    bound_ok = True
     for step, j in events:
         excluded.add(j)
-        if len(excluded) > bound:
-            bound_ok = False
         if len(excluded) == size:
             continue
         while least in excluded:
@@ -155,7 +153,7 @@ def diagonal_hard(
         "exclusion_events": len(events),
         "excluded_total": len(excluded),
         "excluded_bound": bound,
-        "per_step_bound_ok": bound_ok,
+        "per_step_bound_ok": len(excluded) <= bound,
         "per_trace_at_most_one": per_trace_ok,
         "f_index": f_report.current,
         "g_index": g_report.current,

@@ -119,13 +119,13 @@ _INSTRUCTIONS = _instruction_table()
 
 
 def iter_programs(
-    max_len: int, needs: Optional[tuple[str, Optional[int]]] = None
+    max_len: int, needs: tuple[str, Optional[int]]
 ) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...], int]]:
     """(code, parse_program(code), 0) for every code of length <= max_len
-    that parses and, when `needs` is given, contains the instruction `needs`;
-    shortest first and numerically ascending within a length (the witness
-    tie-break order), without visiting any other word. This is the walk of
-    the raw addressing, where a word is the program and its input is 0.
+    that parses and contains the instruction `needs`; shortest first and
+    numerically ascending within a length (the witness tie-break order),
+    without visiting any other word. This is the walk of the raw
+    addressing, where a word is the program and its input is 0.
 
     Instruction codes are prefix-free, so a depth-first walk that tries the
     next instruction in ascending bit order yields same-length codes in
@@ -134,23 +134,19 @@ def iter_programs(
     8-bit instructions; room[r] says that they can be filled by instructions
     of which at least one is `needs`, i.e. that `needs` fits and fillable
     holds for the bits beside it. Until `needs` is placed the rest must have
-    room, after it fillable is enough (with needs=None room is fillable, and
-    every parseable code is yielded). The children of a node depend only on
-    its bits left and on whether `needs` is placed, so they are listed once
-    per pair before the walk, and prefixes pass down as a string and a
+    room, after it fillable is enough. The children of a node depend only
+    on its bits left and on whether `needs` is placed, so they are listed
+    once per pair before the walk, and prefixes pass down as a string and a
     tuple."""
     fillable = [False] * (max_len + 1)
     fillable[0] = True
     for r in range(1, max_len + 1):
         fillable[r] = (r >= 3 and fillable[r - 3]) or (r >= 8 and fillable[r - 8])
-    if needs is None:
-        room = fillable
-    else:
-        widths = {ins: len(bits) for bits, ins in _INSTRUCTIONS}
-        if needs not in widths:
-            raise ConfigError(f"not an instruction: {needs!r}")
-        width = widths[needs]
-        room = [r >= width and fillable[r - width] for r in range(max_len + 1)]
+    widths = {ins: len(bits) for bits, ins in _INSTRUCTIONS}
+    if needs not in widths:
+        raise ConfigError(f"not an instruction: {needs!r}")
+    width = widths[needs]
+    room = [r >= width and fillable[r - width] for r in range(max_len + 1)]
     # placed[r] and due[r]: the children of a node with r bits left, after and
     # before `needs` is placed, as (bits, (ins,), the child's children or None)
     placed: list[list[tuple]] = []
@@ -172,8 +168,6 @@ def iter_programs(
             else:
                 yield from extend(code + bits, instrs + one, after)
 
-    if room[0]:
-        yield "", (), 0
     for length in range(1, max_len + 1):
         if room[length]:
             yield from extend("", (), due[length])

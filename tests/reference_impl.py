@@ -952,7 +952,7 @@ def restrict(fp: FinitePoset, subset: Sequence[int]) -> FinitePoset:
     """The induced order on the given elements (renumbered 0..len-1)."""
     idx = {e: i for i, e in enumerate(subset)}
     lt = frozenset((idx[a], idx[b]) for (a, b) in fp.lt if a in idx and b in idx)
-    return FinitePoset(len(subset), lt, tuple(fp.name_of(e) for e in subset))
+    return FinitePoset(len(subset), lt)
 
 
 def accepts(d: Dfa, word: str) -> bool:

@@ -195,7 +195,7 @@ def test_criterion_03_monotone_filter_exhaustive():
     # streams of <= 4 tuples over every poset with <= 5 elements (up to iso)
     for n in range(1, 6):
         for rel in posets_up_to_iso(n):
-            run_filter_streams(n, rel, max_m=4 if n >= 4 else 4)
+            run_filter_streams(n, rel, max_m=4)
     # full <= 6 tuple exhaustion over every poset with <= 3 elements
     for n in range(1, 4):
         for rel in posets_up_to_iso(n):

@@ -288,6 +288,24 @@ def test_conditions_dagger_absent(capsys):
     assert json.loads(out)["witness"] is None
 
 
+def test_conditions_formats_only_the_witness(capsys, monkeypatch):
+    from kposet import posets
+    from kposet.conditions import order_pair_fragment
+
+    formatted = []
+
+    def counting(spec):
+        p = parse_poset_spec(spec)
+        return p._replace(fmt_fn=lambda e: formatted.append(e) or p.fmt_fn(e))
+
+    order_pair_fragment(counting("prefix:ab"), counting("lexico:a<b"), 15)
+    assert formatted == []
+    monkeypatch.setattr(posets, "parse_poset_spec", counting)
+    code, out, _ = run(capsys, "conditions", "--pair", "prefix:ab/lexico:a<b", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["witness"] == formatted == ["aa", "ab", "b"]
+
+
 def test_conditions_bad_pair(capsys):
     code, _, _ = run(capsys, "conditions", "--pair", "nat", "--k", "2")
     assert code == 2

@@ -20,7 +20,17 @@ from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import PADDED, RAW, Budget, complexity_table, limit_corpus
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import _execute, assemble, iter_programs, kept_trace, parse_program, run_emitting
+from kposet.vm import (
+    _INSTRUCTIONS,
+    _execute,
+    assemble,
+    iter_programs,
+    kept_trace,
+    parse_program,
+    run_emitting,
+)
+
+NEEDS = [("HALT", None), ("OUT", None), ("JZ_B", -1)]
 
 BASE_SPECS = ("nat", "int", "prefix:ab", "finsets", "lexico:a<b")
 SPECS = BASE_SPECS + tuple(f"rev({s})" for s in BASE_SPECS) + tuple(
@@ -114,17 +124,25 @@ def test_repeated_states_end_with_honest_registers():
 
 @pytest.mark.parametrize("max_len", range(15))
 def test_iter_programs_is_parse_filter_of_iter_words(max_len):
-    want = [w for w in iter_words(max_len) if parse_program(w) is not None]
-    got = list(iter_programs(max_len))
-    assert [w for w, _, _ in got] == want
-    assert all(instrs == parse_program(w) and x == 0 for w, instrs, x in got)
+    # every instruction as `needs`, each against the words that parse and hold it
+    want = {ins: [] for _, ins in _INSTRUCTIONS}
+    for w in iter_words(max_len):
+        instrs = parse_program(w)
+        for ins in set(instrs or ()):
+            want[ins].append((w, instrs, 0))
+    for needs, programs in want.items():
+        assert list(iter_programs(max_len, needs)) == programs
 
 
-@pytest.mark.parametrize("needs", [("HALT", None), ("OUT", None), ("JZ_B", -1)])
+@pytest.mark.parametrize("needs", NEEDS)
 def test_iter_programs_needs_is_filter_of_all_programs(needs):
+    want = []
+    for w in iter_words(16):
+        instrs = parse_program(w)
+        if instrs is not None and needs in instrs:
+            want.append((w, instrs, 0))
     for max_len in range(17):
-        want = [x for x in iter_programs(max_len) if needs in x[1]]
-        assert list(iter_programs(max_len, needs=needs)) == want
+        assert list(iter_programs(max_len, needs)) == [t for t in want if len(t[0]) <= max_len]
 
 
 def test_iter_programs_needs_an_instruction():
@@ -148,17 +166,19 @@ def test_no_halt_instruction_never_halts(instrs, input_b, fuel):
 
 @pytest.mark.parametrize("max_len", range(15))
 def test_address_walk_is_decode_order_of_iter_words(max_len):
-    # against the codec directly, not through PADDED.decode
-    want = []
+    # against the codec directly, not through PADDED.decode; every
+    # instruction as `needs`
+    want = {ins: [] for _, ins in _INSTRUCTIONS}
     for w in iter_words(max_len):
         dec = decode_padded(w)
         instrs = None if dec is None else parse_program(b_word(dec[0]))
-        if instrs is not None:
-            want.append((w, instrs, b_index(dec[1])))
-    assert list(PADDED.walk(max_len, None)) == want
+        for ins in set(instrs or ()):
+            want[ins].append((w, instrs, b_index(dec[1])))
+    for needs, words in want.items():
+        assert list(PADDED.walk(max_len, needs)) == words
 
 
-@pytest.mark.parametrize("needs", [None, ("HALT", None), ("OUT", None), ("JZ_B", -1)])
+@pytest.mark.parametrize("needs", NEEDS, ids=["needs1", "needs2", "needs3"])
 @pytest.mark.parametrize("addressing", [RAW, PADDED], ids=["raw", "padded"])
 def test_walk_is_decode_filter_of_iter_words(addressing, needs):
     want = []
@@ -168,7 +188,7 @@ def test_walk_is_decode_filter_of_iter_words(addressing, needs):
             continue
         code, x = dec
         instrs = parse_program(code)
-        if instrs is not None and (needs is None or needs in instrs):
+        if instrs is not None and needs in instrs:
             want.append((w, instrs, x))
     for max_len in range(15):
         got = list(addressing.walk(max_len, needs))
@@ -305,8 +325,9 @@ def test_growth_loops_match_reference(spec, code, input_b, fuel):
 
 @pytest.mark.parametrize("fuel", [37, 4096])
 def test_kernel_matches_reference_on_every_short_program(fuel):
-    for code, _, _ in iter_programs(14):
-        assert_same_run(run_emitting(NAT, code, 0, fuel), run_raw_ref(code, 0, fuel))
+    for code in iter_words(14):
+        if parse_program(code) is not None:
+            assert_same_run(run_emitting(NAT, code, 0, fuel), run_raw_ref(code, 0, fuel))
 
 
 def test_translated_cycles_match_closed_forms():

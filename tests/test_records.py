@@ -53,10 +53,8 @@ def test_frozen_records_reject_assignment(name):
     (lambda: FinitePoset(2, frozenset({(0, 1), (1, 0)})), ConfigError,
      "not a strict partial order (reflexive or cyclic)"),
     (lambda: FinitePoset(2, frozenset({(0, 5)})), ConfigError, "relation pair out of range: (0, 5)"),
-    (lambda: FinitePoset(2, frozenset(), ("a",)), ConfigError,
-     "names do not match the carrier size"),
 ], ids=["budget-len", "budget-window", "tm",
-        "pair-carriers", "pair-extension", "poset-cycle", "poset-range", "poset-names"])
+        "pair-carriers", "pair-extension", "poset-cycle", "poset-range"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error) as caught:
         build()
@@ -64,19 +62,18 @@ def test_record_validation_errors(build, error, message):
 
 
 def test_finite_poset_equality_ignores_rows():
-    # rows follow from n and the closed lt, so (n, lt, names) decide equality
+    # rows follow from n and the closed lt, so (n, lt) decide equality
     chain_lt = frozenset({(0, 1), (1, 2)})
     posets = [
         FinitePoset(3, chain_lt),
         FinitePoset(3, chain_lt | {(0, 2)}),
-        FinitePoset(3, chain_lt, ("x", "y", "z")),
         FinitePoset(3, frozenset({(0, 1)})),
         FinitePoset(3, frozenset()),
         FinitePoset(2, frozenset()),
     ]
     for a in posets:
         for b in posets:
-            assert (a == b) == ((a.n, a.lt, a.names) == (b.n, b.lt, b.names))
+            assert (a == b) == ((a.n, a.lt) == (b.n, b.lt))
             if a == b:
                 assert hash(a) == hash(b)
     assert posets[0] == posets[1]
