@@ -11,6 +11,7 @@ values a handler derives from them in their place. Reports are
 byte-identical across reruns with the same configuration, and files are
 written once, atomically. Exit codes: 0 success, 2 configuration error,
 3 desk-scale resource ceiling or input nested past the recursion limit.
+The heap is frozen at interpreter exit, not when an in-process `main` returns.
 
 Both parsers read the option table _SUBCOMMANDS. `<command> (--flag value)*`
 with full flag names skips argparse: it is imported only to print help and
@@ -20,6 +21,8 @@ a flag given twice, a value starting with '-').
 
 from __future__ import annotations
 
+import atexit
+import gc
 import io
 import json
 import os
@@ -36,6 +39,8 @@ from .errors import ConfigError, DomainError, KposetError, ResourceError, _parse
 _INTERACTION_MODES = ("cap", "minus", "setminus")
 
 __all__ = ["main"]
+# Files are closed (`with`) and --out written before main returns: leave cyclic garbage to the OS
+atexit.register(gc.freeze)
 
 
 def _config(args, **derived) -> dict:

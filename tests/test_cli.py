@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import glob
 import importlib.util
 import io
@@ -806,11 +807,14 @@ _COMMAND_LAYERS = [
 ]
 
 
-@pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS, ids=[
+_LAYER_IDS = [
     "estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
     "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
     "interact", "quotient", "usage-error", "conditions-dagger", "conditions-int",
-    "conditions-finsets", "conditions-discrete", "conditions-reg", "estimate-padded"])
+    "conditions-finsets", "conditions-discrete", "conditions-reg", "estimate-padded"]
+
+
+@pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS, ids=_LAYER_IDS)
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     usage_error = argv == _USAGE_ERROR
     src = os.path.dirname(os.path.dirname(kposet.__file__))
@@ -925,6 +929,96 @@ def test_every_package_function_is_entered_by_some_command(tmp_path):
     assert not missing, "no command enters " + ", ".join(missing)
     stale = sorted(_NOT_ENTERED - unreached)
     assert not stale, "allow-listed, but entered or gone: " + ", ".join(stale)
+
+
+def _run_fresh(options, argv, tmp_path, out=True):
+    """Run `python OPTIONS` on ARGV's command line, with its --out if out, in
+    a fresh interpreter whose stdout is buffered, as it is by default."""
+    line = _command_line(argv, tmp_path)
+    src = os.path.dirname(os.path.dirname(kposet.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *options, *(line if out else line[:-2])],
+                          capture_output=True, env={**env, "PYTHONPATH": src})
+
+
+# A hook registered before `import kposet.cli` runs after the gc.freeze that
+# the import registers, since atexit calls its hooks last in, first out.
+_EXIT_PROBE = """
+import atexit, gc, sys
+print(gc.get_freeze_count())
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+from kposet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# A command and a usage error, which leaves main by SystemExit.
+_EXIT_LINES = pytest.mark.parametrize(
+    "argv", [("bb", "--states", "1", "--t-max", "5"), _USAGE_ERROR], ids=["bb", "usage-error"])
+
+
+@_EXIT_LINES
+def test_the_heap_is_frozen_when_the_process_ends(tmp_path, argv):
+    proc = _run_fresh(["-c", _EXIT_PROBE], argv, tmp_path)
+    assert proc.returncode == (2 if argv == _USAGE_ERROR else 0)
+    assert proc.stdout == b"0\nTrue\n"
+
+
+@_EXIT_LINES
+def test_main_in_process_leaves_the_collector_as_it_was(capsys, argv):
+    before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+    if argv == _USAGE_ERROR:
+        with pytest.raises(SystemExit):
+            main(list(argv))
+    else:
+        assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+
+
+# Run one command under -X dev with ResourceWarning an error, then collect.
+# A file left open in cyclic garbage would warn at this collection; the
+# frozen heap spares it the one at exit, so none may be waiting for that.
+_COLLECT_PROBE = """
+import gc, sys
+from kposet.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:  # the usage error
+    pass
+gc.collect()
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _COMMAND_LAYERS], ids=_LAYER_IDS)
+def test_no_file_is_left_for_the_exit_collection(tmp_path, argv):
+    proc = _run_fresh(["-X", "dev", "-W", "error::ResourceWarning", "-c", _COLLECT_PROBE],
+                      argv, tmp_path)
+    assert proc.returncode == 0
+    err = proc.stderr.decode()
+    if argv == _USAGE_ERROR:
+        assert err.startswith("usage: kposet bb ")
+        assert err.endswith("kposet bb: error: the following arguments are required: --t-max\n")
+        assert "Warning" not in err and "Exception ignored" not in err
+    else:
+        assert err == ""
+        assert (tmp_path / "out").exists()
+    assert glob.glob(str(tmp_path / ".kposet-*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=name) for (argv, _), name in zip(_COMMAND_LAYERS, _LAYER_IDS)
+    if name.split("-")[0] in ("bb", "dilworth", "estimate")])
+def test_stdout_is_flushed_at_exit(tmp_path, argv):
+    # each report is smaller than stdout's buffer on a pipe (4096 bytes), so
+    # the interpreter's flush after the exit hooks is what writes it
+    to_file = _run_fresh(["-m", "kposet.cli"], argv, tmp_path)
+    to_stdout = _run_fresh(["-m", "kposet.cli"], argv, tmp_path, out=False)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    report = (tmp_path / "out").read_bytes()
+    assert len(report) < 4096
+    assert to_stdout.stdout == report
 
 
 def test_interact_mode_choices_match_enumerable():
