@@ -817,12 +817,8 @@ _LAYER_IDS = [
 @pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS, ids=_LAYER_IDS)
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     usage_error = argv == _USAGE_ERROR
-    src = os.path.dirname(os.path.dirname(kposet.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *_command_line(argv, tmp_path)],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    proc = _run_fresh(["-c", _PROBE], argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
     code, loaded, heavy, csv_loaded = json.loads(proc.stdout)
     assert code == (2 if usage_error else 0)
     assert set(loaded) == layers
@@ -856,6 +852,16 @@ def _command_line(argv, tmp_path):
     order = tmp_path / "order.json"
     order.write_text(json.dumps({"elements": ["a", "b"], "lt": [[0, 1]]}))
     return [str(order) if a == "ORDER" else a for a in argv] + ["--out", str(tmp_path / "out")]
+
+
+def _run_fresh(options, argv, tmp_path, out=True):
+    """Run `python OPTIONS` on ARGV's command line, with its --out if out, in
+    a fresh interpreter whose stdout is buffered, as it is by default."""
+    line = _command_line(argv, tmp_path)
+    src = os.path.dirname(os.path.dirname(kposet.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *options, *(line if out else line[:-2])],
+                          capture_output=True, env={**env, "PYTHONPATH": src})
 
 
 # Run every command line of _COMMAND_LAYERS in one fresh interpreter under
@@ -929,16 +935,6 @@ def test_every_package_function_is_entered_by_some_command(tmp_path):
     assert not missing, "no command enters " + ", ".join(missing)
     stale = sorted(_NOT_ENTERED - unreached)
     assert not stale, "allow-listed, but entered or gone: " + ", ".join(stale)
-
-
-def _run_fresh(options, argv, tmp_path, out=True):
-    """Run `python OPTIONS` on ARGV's command line, with its --out if out, in
-    a fresh interpreter whose stdout is buffered, as it is by default."""
-    line = _command_line(argv, tmp_path)
-    src = os.path.dirname(os.path.dirname(kposet.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, *options, *(line if out else line[:-2])],
-                          capture_output=True, env={**env, "PYTHONPATH": src})
 
 
 # A hook registered before `import kposet.cli` runs after the gc.freeze that
