@@ -8,8 +8,8 @@ Modules:
   codec          the binary word codings used by every construction
   limits         approximation processes (evaluators) and limit reports
                  from change points
-  vm             the two-counter rank machine: its order-free kernel, the
-                 program walk and kept emissions
+  vm             the two-counter rank machine: its order-free kernel, whose
+                 runs a longer program can resume, and kept emissions
   enumerable     the enumerable-set counters built on raw emissions
   busy_beaver    the busy-beaver table over one-tape Turing machines
   automata       regular expressions, canonical DFAs, language quotients and
@@ -17,8 +17,9 @@ Modules:
   analysis       finite-order combinatorics: the transitive closure,
                  chains, antichains, Dilworth decompositions
   conditions     the star and dagger conditions of order pairs
-  complexity     budgeted complexity tables, the wrap constant, and the
-                 estimate report's summary and rows
+  complexity     budgeted complexity tables, the program-tree walk of their
+                 plain column, the wrap constant, and the estimate report's
+                 summary and rows
   diagonal       the diagonal hardness construction and the family it audits
   cli            the `kposet` command-line front end; it writes every report
 

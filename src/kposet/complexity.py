@@ -21,12 +21,13 @@ for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
 b_index(p)) for the max and min columns and the wrap constant, and for
 `diagonal`'s audit, which lives apart so that `estimate` does not compile
 it, and the paired decompressor in the tests' `constructions` module, which
-no command runs. complexity_table is the one builder. Each walk generates
-only what can run, in b_word order (the witness tie-break): RAW the
-programs that contain HALT, PADDED the addresses of machines that contain
-OUT (no other program can halt or emit). limit_corpus groups the PADDED
-words by their run's raw_first; the max/min columns and the audit read it,
-one kept filter per order and distinct run.
+no command runs. complexity_table is the one builder. The plain column walks
+the program tree once: each prefix runs once, resumed where its parent's
+run stopped, and each rank keeps its first witness in b_word order (the
+witness tie-break). The PADDED walk generates, in b_word order, only the
+addresses of machines that contain OUT (no other program can emit).
+limit_corpus groups the PADDED words by their run's raw_first; the max/min
+columns and the audit read it, one kept filter per order and distinct run.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from .errors import ConfigError, ResourceError, VerificationError
 from .limits import STABILIZED, limit_report_from_trace
 from .posets import PosetInstance, reverse
 from .vm import (
+    _INSTRUCTIONS,
     JUMP_MAX,
     JUMP_MIN,
     _execute,
+    _resume,
     assemble,
-    iter_programs,
     kept_trace,
     parse_program,
     run_emitting,
@@ -103,12 +105,9 @@ class ComplexityTable:
         self.censored: set[int] = set()
 
 
-class Addressing(namedtuple("Addressing", "walk decode wrap_len")):
+class Addressing(namedtuple("Addressing", "decode wrap_len")):
     """How a word addresses a machine and the input it runs on.
 
-    walk(max_len, needs) yields (word, instrs, input) for the words of length
-    <= max_len in b_word order, skipping every word whose machine does
-    not parse or lacks the instruction `needs`;
     decode(word) is (code, input), None outside the coding's range;
     wrap_len(code) is the length of the word that addresses code on input 0.
     """
@@ -116,13 +115,15 @@ class Addressing(namedtuple("Addressing", "walk decode wrap_len")):
     __slots__ = ()
 
 
-RAW = Addressing(walk=iter_programs, decode=lambda word: (word, 0), wrap_len=len)
+RAW = Addressing(decode=lambda word: (word, 0), wrap_len=len)
 
 
 def _padded_walk(max_len: int, needs):
-    """Within a length n descends, and each machine b_word(n) is parsed once.
-    The word 0^n 1 p read in binary is 2^|p| + p, one more than its input
-    b_index(p) = 2^|p| - 1 + p, so a block's words are a run of integers."""
+    """(word, instrs, input) in b_word order for the PADDED words of length
+    <= max_len whose machine parses and contains `needs`. Within a length n
+    descends, and each machine b_word(n) is parsed once. The word 0^n 1 p
+    read in binary is 2^|p| + p, one more than its input b_index(p) =
+    2^|p| - 1 + p, so a block's words are a run of integers."""
     machines = [parse_program(b_word(n)) for n in range(max_len)]
     for length in range(1, max_len + 1):
         for n in range(length - 1, -1, -1):
@@ -138,9 +139,7 @@ def _padded_decode(word: str):
     return None if dec is None else (b_word(dec[0]), b_index(dec[1]))
 
 
-PADDED = Addressing(
-    walk=_padded_walk, decode=_padded_decode, wrap_len=lambda code: b_index(code) + 1
-)
+PADDED = Addressing(decode=_padded_decode, wrap_len=lambda code: b_index(code) + 1)
 
 
 def limit_corpus(max_len: int, fuel: int) -> dict[tuple, list[str]]:
@@ -149,15 +148,15 @@ def limit_corpus(max_len: int, fuel: int) -> dict[tuple, list[str]]:
     order depends on raw_first alone. Empty below 14 bits: the first OUT
     machine is b_word(13) = 110 = OUT, at 0^13 1."""
     corpus: dict[tuple, list[str]] = {}
-    for w, instrs, x in PADDED.walk(max_len, OUT):
+    for w, instrs, x in _padded_walk(max_len, OUT):
         corpus.setdefault(_execute(instrs, x, fuel)[0], []).append(w)
     return corpus
 
 
 def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    """The plain column from the RAW walk of the programs that contain HALT,
-    then the max column over p and the min column, the same over reverse(p),
-    from the first word of each distinct run in the limit corpus."""
+    """The plain column from the walk of the program tree, then the max
+    column over p and the min column, the same over reverse(p), from the
+    first word of each distinct run in the limit corpus."""
     if b.max_prog_len > MAX_PROG_LEN:
         raise ResourceError(
             f"max program length {b.max_prog_len} exceeds the desk-scale ceiling of {MAX_PROG_LEN} bits"
@@ -165,11 +164,11 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
     if ranks > RANKS_CEILING:
         raise ResourceError(f"ranks {ranks} exceeds the desk-scale ceiling of {RANKS_CEILING}")
     table = ComplexityTable(b)
-    plain = table.plain
-    for w, instrs, x in RAW.walk(b.max_prog_len, HALT):
-        _, halted, _, reg_a, _ = _execute(instrs, x, b.fuel)
-        if halted and reg_a < ranks and reg_a not in plain:
-            plain[reg_a] = w
+    first: dict[int, tuple[int, str]] = {}  # rank -> b_word-least (len(w), w) so far
+    for w, reg_a in _plain_leaves(b.max_prog_len, b.fuel):
+        if reg_a < ranks and (len(w), w) < first.get(reg_a, (MAX_PROG_LEN + 1, "")):
+            first[reg_a] = len(w), w
+    table.plain.update((rank, w) for rank, (_, w) in sorted(first.items(), key=lambda kv: kv[1]))
     corpus = limit_corpus(b.max_prog_len, b.fuel)
     for found, order in ((table.k_max, p), (table.k_min, reverse(p))):
         censored = set()
@@ -185,6 +184,47 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
                 found[rank] = words[0]
         table.censored |= censored - found.keys()
     return table
+
+
+def _plain_leaves(max_len: int, fuel: int) -> Iterator[tuple[str, int]]:
+    """(word, reg_a) for the programs of length <= max_len that halt within
+    fuel and extend no shorter halting program, which every rank's first
+    witness does, from a depth-first walk of the program tree. A node is a
+    prefix, its run stopped where pc left it; its children append one
+    instruction each, branch only while a HALT still fits, and are listed
+    once per (bits left, HALT placed). A child runs, resumed from the
+    parent's configuration, only when that run waits exactly at the new
+    slot; a run past the slot is handed down. A run that ends inside its
+    prefix (a halt, yielded, a spin at pc < 0, a cycle or no fuel left) is
+    every extension's run, so it cuts the subtree, as does a run waiting at
+    a slot the bits left cannot reach."""
+    # kids[placed][left]: a node's children as (bits, (ins,), their children)
+    kids: tuple[list, list] = ([], [])
+    for left in range(max_len + 1):
+        for placed in (True, False):
+            kids[placed].append([
+                (bits, (ins,), kids[placed or ins == HALT][left - len(bits)])
+                for bits, ins in _INSTRUCTIONS
+                if len(bits) <= left - (0 if placed or ins == HALT else 3)
+            ])
+    stack = [("", (), kids[False][max_len], 0, 0, 0, 0)]
+    while stack:
+        word, instrs, children, pc, a, b, steps = stack.pop()
+        slot = len(instrs)
+        for bits, one, after in children:
+            w, prog = word + bits, instrs + one
+            if pc == slot:
+                _, halted, t, q, x, y = _resume(prog, fuel, pc, a, b, steps)
+                if halted:
+                    yield w, x
+                    continue
+                if t == fuel or q < 0:
+                    continue
+            else:
+                t, q, x, y = steps, pc, a, b
+            # the run waits at slot q: q - slot more instructions of 3 bits or more
+            if after and 3 * (q - slot) <= max_len - len(w):
+                stack.append((w, prog, after, q, x, y, t))
 
 
 def _limit_rank(order: PosetInstance, trace, horizon: int, window: int):

@@ -38,15 +38,15 @@ s recurs as v + j*da at step s + j*period) and interprets the shorter
 remainder, so every run, raw_first, halted, steps and the registers
 included, equals an honest fuel burn.
 
-This module is the kernel and the program walk only. The evaluator over its
-runs, vm_max_evaluator, is a construction that no command runs; it lives
-with the others in the tests' `constructions` module.
+This module is the kernel and the kept filter; the program walk, which
+resumes its runs, lives in `complexity`. The evaluator over its runs,
+vm_max_evaluator, no command runs; it lives in the tests' `constructions`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from .codec import _check_word
 from .errors import ConfigError
@@ -57,7 +57,6 @@ if TYPE_CHECKING:
 __all__ = [
     "OPCODES",
     "parse_program",
-    "iter_programs",
     "assemble",
     "RunResult",
     "run_emitting",
@@ -118,61 +117,6 @@ def _instruction_table() -> list[tuple[str, tuple[str, Optional[int]]]]:
 _INSTRUCTIONS = _instruction_table()
 
 
-def iter_programs(
-    max_len: int, needs: tuple[str, Optional[int]]
-) -> Iterator[tuple[str, tuple[tuple[str, Optional[int]], ...], int]]:
-    """(code, parse_program(code), 0) for every code of length <= max_len
-    that parses and contains the instruction `needs`; shortest first and
-    numerically ascending within a length (the witness tie-break order),
-    without visiting any other word. This is the walk of the raw
-    addressing, where a word is the program and its input is 0.
-
-    Instruction codes are prefix-free, so a depth-first walk that tries the
-    next instruction in ascending bit order yields same-length codes in
-    ascending order. A branch is entered only when its remaining bits can
-    still be filled. fillable[r] says that r bits can be filled by 3- and
-    8-bit instructions; room[r] says that they can be filled by instructions
-    of which at least one is `needs`, i.e. that `needs` fits and fillable
-    holds for the bits beside it. Until `needs` is placed the rest must have
-    room, after it fillable is enough. The children of a node depend only
-    on its bits left and on whether `needs` is placed, so they are listed
-    once per pair before the walk, and prefixes pass down as a string and a
-    tuple."""
-    fillable = [False] * (max_len + 1)
-    fillable[0] = True
-    for r in range(1, max_len + 1):
-        fillable[r] = (r >= 3 and fillable[r - 3]) or (r >= 8 and fillable[r - 8])
-    widths = {ins: len(bits) for bits, ins in _INSTRUCTIONS}
-    if needs not in widths:
-        raise ConfigError(f"not an instruction: {needs!r}")
-    width = widths[needs]
-    room = [r >= width and fillable[r - width] for r in range(max_len + 1)]
-    # placed[r] and due[r]: the children of a node with r bits left, after and
-    # before `needs` is placed, as (bits, (ins,), the child's children or None)
-    placed: list[list[tuple]] = []
-    due: list[list[tuple]] = []
-    for left in range(max_len + 1):
-        for own, ahead in ((placed, fillable), (due, room)):
-            children = []
-            for bits, ins in _INSTRUCTIONS:
-                rest = left - len(bits)
-                fits, nxt = (fillable, placed) if ins == needs else (ahead, own)
-                if rest >= 0 and fits[rest]:
-                    children.append((bits, (ins,), nxt[rest] if rest else None))
-            own.append(children)
-
-    def extend(code, instrs, children):
-        for bits, one, after in children:
-            if after is None:
-                yield code + bits, instrs + one, 0
-            else:
-                yield from extend(code + bits, instrs + one, after)
-
-    for length in range(1, max_len + 1):
-        if room[length]:
-            yield from extend("", (), due[length])
-
-
 def assemble(instrs: Iterable[tuple[str, Optional[int]] | str]) -> str:
     """Inverse of parse_program; accepts ("JZ_A", off) pairs or bare mnemonics."""
     bits = []
@@ -216,7 +160,17 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
     """The order-free kernel: run parsed instructions from reg_a=0,
     reg_b=input_b for at most `fuel` steps and return (raw_first, halted,
     steps, reg_a, reg_b), raw_first being the (step, rank) pairs of the first
-    OUT of each reg_a value. No order is consulted; see kept_trace.
+    OUT of each reg_a value. No order is consulted; see kept_trace."""
+    raw_first, halted, steps, _, a, b = _resume(instrs, fuel, 0, 0, input_b, 0)
+    return raw_first, halted, steps if halted else fuel, a, b
+
+
+def _resume(instrs, fuel: int, pc: int, a: int, b: int, steps: int) -> tuple:
+    """The kernel's one loop: run on from the configuration (pc, a, b) after
+    `steps` steps, until HALT, until `fuel` steps, or until pc leaves the
+    program, where it stops unburnt so that a longer program can resume it.
+    Returns (raw_first, halted, steps, pc, reg_a, reg_b); raw_first holds
+    the first OUTs of each value from the resume step on.
 
     Translated cycles, repeated states included, are jumped over as the
     module docstring says. The pc of a cycle comes back, so it takes a jump
@@ -225,19 +179,23 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
     landings (Brent's schedule). A landing at the mark's pc matches when the counters
     grew by (da, db) >= 0, and each grown counter was above 0 at the mark
     and no DEC has left it at 0 since; the whole periods that fit in the
-    remaining fuel are then jumped and the mark is cleared."""
-    pc, a, b = 0, 0, input_b
-    steps = 0
+    remaining fuel are then jumped and the mark is cleared.
+
+    A resumed run starts with no mark, and its last-zero steps at the resume
+    step. The jump stays exact: a mark is set after the resume step, so
+    that start, like any zero before it, is older than the mark, and a
+    match proves a translated cycle as in an unbroken run. The jump of any
+    cycle equals the honest burn, so the mark's place changes only when a
+    cycle is found, never the result."""
     raw_first: list[tuple[int, int]] = []
     raw_seen: set[int] = set()
     n = len(instrs)
     mark_pc, mark_step, mark_a, mark_b = None, 0, 0, 0  # pc None: no mark
     landed, power = 0, 1  # landings since the mark moved, and the next move
     outs: list[tuple[int, int]] = []  # (step, reg_a) of every OUT since the mark
-    zero_a = zero_b = 0  # last step whose state a DEC left at 0 (state 0 counts too)
+    zero_a = zero_b = steps  # last step whose state a DEC left at 0 (the start counts too)
     while steps < fuel:
         if pc < 0 or pc >= n:
-            steps = fuel  # dead spin
             break
         op, arg = instrs[pc]
         steps += 1
@@ -296,8 +254,8 @@ def _execute(instrs, input_b: int, fuel: int) -> tuple:
             outs.append((steps - 1, a))
             pc += 1
         else:  # HALT
-            return tuple(raw_first), True, steps, a, b
-    return tuple(raw_first), False, steps, a, b
+            return tuple(raw_first), True, steps, pc, a, b
+    return tuple(raw_first), False, steps, pc, a, b
 
 
 def kept_trace(

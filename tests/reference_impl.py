@@ -6,6 +6,9 @@ package used before its kernel became order-free: every word of
 filter and (on the limit side) turned into its own limit report. They are
 slow and obviously faithful to the definitions, which is what the property
 tests compare the package against. Nothing here is imported by the package.
+Beside them sits the eager program walk, iter_programs, with the plain
+scan that ran every program it yields from scratch, as the package did
+before it walked the program tree and resumed each prefix's run.
 
 The second half holds the finite-order code from before the bit-row kernel:
 the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
@@ -153,6 +156,72 @@ def plain_scan_ref(p: PosetInstance, ranks: int, b: Budget) -> dict[int, str]:
         res = run_emitting_ref(p, w, 0, b.fuel)
         if res.halted and res.reg_a < ranks and res.reg_a not in found:
             found[res.reg_a] = w
+    return found
+
+
+def iter_programs(max_len: int, needs) -> Iterator[tuple[str, tuple, int]]:
+    """(code, parse_program(code), 0) for every code of length <= max_len
+    that parses and contains the instruction `needs`; shortest first and
+    numerically ascending within a length (the witness tie-break order),
+    without visiting any other word. This is the eager walk of the raw
+    addressing, where a word is the program and its input is 0, that the
+    package's plain scan ran before it walked the program tree.
+
+    Instruction codes are prefix-free, so a depth-first walk that tries the
+    next instruction in ascending bit order yields same-length codes in
+    ascending order. A branch is entered only when its remaining bits can
+    still be filled. fillable[r] says that r bits can be filled by 3- and
+    8-bit instructions; room[r] says that they can be filled by instructions
+    of which at least one is `needs`, i.e. that `needs` fits and fillable
+    holds for the bits beside it. Until `needs` is placed the rest must have
+    room, after it fillable is enough. The children of a node depend only
+    on its bits left and on whether `needs` is placed, so they are listed
+    once per pair before the walk, and prefixes pass down as a string and a
+    tuple."""
+    fillable = [False] * (max_len + 1)
+    fillable[0] = True
+    for r in range(1, max_len + 1):
+        fillable[r] = (r >= 3 and fillable[r - 3]) or (r >= 8 and fillable[r - 8])
+    widths = {ins: len(bits) for bits, ins in vm._INSTRUCTIONS}
+    if needs not in widths:
+        raise ConfigError(f"not an instruction: {needs!r}")
+    width = widths[needs]
+    room = [r >= width and fillable[r - width] for r in range(max_len + 1)]
+    # placed[r] and due[r]: the children of a node with r bits left, after and
+    # before `needs` is placed, as (bits, (ins,), the child's children or None)
+    placed: list[list[tuple]] = []
+    due: list[list[tuple]] = []
+    for left in range(max_len + 1):
+        for own, ahead in ((placed, fillable), (due, room)):
+            children = []
+            for bits, ins in vm._INSTRUCTIONS:
+                rest = left - len(bits)
+                fits, nxt = (fillable, placed) if ins == needs else (ahead, own)
+                if rest >= 0 and fits[rest]:
+                    children.append((bits, (ins,), nxt[rest] if rest else None))
+            own.append(children)
+
+    def extend(code, instrs, children):
+        for bits, one, after in children:
+            if after is None:
+                yield code + bits, instrs + one, 0
+            else:
+                yield from extend(code + bits, instrs + one, after)
+
+    for length in range(1, max_len + 1):
+        if room[length]:
+            yield from extend("", (), due[length])
+
+
+def eager_plain_ref(ranks: int, max_len: int, fuel: int) -> dict[int, str]:
+    """The plain column as the package built it before the tree walk: every
+    program that contains HALT, from iter_programs, run from scratch by the
+    kernel, the first halting word per rank kept."""
+    found: dict[int, str] = {}
+    for w, instrs, x in iter_programs(max_len, ("HALT", None)):
+        _, halted, _, reg_a, _ = vm._execute(instrs, x, fuel)
+        if halted and reg_a < ranks and reg_a not in found:
+            found[reg_a] = w
     return found
 
 

@@ -23,6 +23,7 @@ from reference_impl import (
     canonical_dfa_ref,
     canonicalize_dfa_ref,
     card_re_evaluator_ref,
+    iter_programs,
     iter_words,
     quotient,
     quotient_ref,
@@ -57,7 +58,7 @@ from kposet.enumerable import (
 from kposet.errors import MonotonicityError
 from kposet.limits import Evaluator
 from kposet.posets import parse_poset_spec, reverse
-from kposet.vm import _execute, assemble, iter_programs, parse_program
+from kposet.vm import _execute, assemble, parse_program
 
 SPECS = ("nat", "rev(nat)", "int", "prefix:ab", "rev(finsets)", "lexico:a<b")
 POSETS = {spec: parse_poset_spec(spec) for spec in SPECS}

@@ -1,6 +1,7 @@
 """The order-free kernel and the generating scans against the order-aware
 reference implementations in reference_impl.py."""
 
+import functools
 import time
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_impl import (
+    eager_plain_ref,
     encode_padded,
+    iter_programs,
     iter_words,
     plain_scan_ref,
     run_emitting_ref,
@@ -17,14 +20,22 @@ from reference_impl import (
 )
 
 from kposet.codec import b_index, b_word, decode_padded
-from kposet.complexity import PADDED, RAW, Budget, complexity_table, limit_corpus
+from kposet.complexity import (
+    PADDED,
+    RAW,
+    Budget,
+    _padded_walk,
+    _plain_leaves,
+    complexity_table,
+    limit_corpus,
+)
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import (
     _INSTRUCTIONS,
     _execute,
+    _resume,
     assemble,
-    iter_programs,
     kept_trace,
     parse_program,
     run_emitting,
@@ -122,6 +133,8 @@ def test_repeated_states_end_with_honest_registers():
     assert (res.reg_a, res.reg_b) == (1, 0)
 
 
+# The eager walk lives in reference_impl now, where the eager plain scan and
+# EMITTERS read it; these pin it to the words it stands for.
 @pytest.mark.parametrize("max_len", range(15))
 def test_iter_programs_is_parse_filter_of_iter_words(max_len):
     # every instruction as `needs`, each against the words that parse and hold it
@@ -175,12 +188,14 @@ def test_address_walk_is_decode_order_of_iter_words(max_len):
         for ins in set(instrs or ()):
             want[ins].append((w, instrs, b_index(dec[1])))
     for needs, words in want.items():
-        assert list(PADDED.walk(max_len, needs)) == words
+        assert list(_padded_walk(max_len, needs)) == words
 
 
 @pytest.mark.parametrize("needs", NEEDS, ids=["needs1", "needs2", "needs3"])
-@pytest.mark.parametrize("addressing", [RAW, PADDED], ids=["raw", "padded"])
-def test_walk_is_decode_filter_of_iter_words(addressing, needs):
+@pytest.mark.parametrize(
+    ("addressing", "walk"), [(RAW, iter_programs), (PADDED, _padded_walk)], ids=["raw", "padded"])
+def test_walk_is_decode_filter_of_iter_words(addressing, walk, needs):
+    # raw: the eager walk the reference scans and EMITTERS read
     want = []
     for w in iter_words(14):
         dec = addressing.decode(w)
@@ -191,7 +206,7 @@ def test_walk_is_decode_filter_of_iter_words(addressing, needs):
         if instrs is not None and needs in instrs:
             want.append((w, instrs, x))
     for max_len in range(15):
-        got = list(addressing.walk(max_len, needs))
+        got = list(walk(max_len, needs))
         assert got == [t for t in want if len(t[0]) <= max_len]
     # wrap_len(code) is the length of the word addressing code on input 0
     for code in iter_words(8):
@@ -222,6 +237,50 @@ def test_plain_table_matches_per_word_scan_at_16_bits():
     plain = complexity_table(p, 32, b).plain
     assert plain == plain_scan_ref(p, 32, b)
     assert len(plain) > 1
+
+
+@functools.cache
+def _parsed_words():
+    """(word, instrs) for every word of 16 bits or fewer that parses, in b_word order."""
+    return [(w, instrs) for w in iter_words(16) if (instrs := parse_program(w)) is not None]
+
+
+# the short fuels cut runs at every early step; 4096 is the command's default
+@pytest.mark.parametrize("fuel", [1, 2, 3, 5, 9, 17, 64, 4096])
+@pytest.mark.parametrize("max_len", range(1, 17))
+def test_plain_column_matches_first_witness_scan(max_len, fuel):
+    # brute force: every word that parses, run from scratch, and the first
+    # halting word of each rank; dict order included
+    want: dict[int, str] = {}
+    for w, instrs in _parsed_words():
+        if len(w) > max_len:
+            break
+        _, halted, _, reg_a, _ = _execute(instrs, 0, fuel)
+        if halted and reg_a < 400 and reg_a not in want:
+            want[reg_a] = w
+    b = Budget(max_prog_len=max_len, fuel=fuel, t_budget=fuel, window=1)
+    assert list(complexity_table(NAT, 400, b).plain.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("fuel", [17, 4096])
+@pytest.mark.parametrize("max_len", [17, 18])
+def test_plain_column_matches_eager_walk(max_len, fuel):
+    b = Budget(max_prog_len=max_len, fuel=fuel, t_budget=fuel, window=1)
+    plain = complexity_table(NAT, 400, b).plain
+    assert list(plain.items()) == list(eager_plain_ref(400, max_len, fuel).items())
+
+
+@pytest.mark.parametrize("max_len", [8, 11, 14])
+def test_plain_leaves_are_the_halting_programs_without_a_halting_prefix(max_len):
+    # a halting prefix makes the run of every extension, so the walk yields
+    # each halting program once, at the first prefix where its run halts
+    halting = {}
+    for w, instrs in _parsed_words():
+        if len(w) <= max_len and (run := _execute(instrs, 0, 4096))[1]:
+            halting[w] = run[3]
+    want = {(w, a) for w, a in halting.items() if not any(w[:k] in halting for k in range(len(w)))}
+    got = list(_plain_leaves(max_len, 4096))
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 @pytest.mark.parametrize("spec", ["nat", "rev(prefix:ab)", "discrete(finsets)"])
@@ -321,6 +380,37 @@ def test_growth_loops_match_reference(spec, code, input_b, fuel):
     p = POSETS[spec]
     assert_same_run(run_emitting(p, code, input_b, fuel), run_emitting_ref(p, code, input_b, fuel))
     assert_same_run(run_emitting(NAT, code, input_b, fuel), run_raw_ref(code, input_b, fuel))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    code=st.one_of(st.lists(instructions, min_size=1, max_size=12).map(assemble), growth_loops()),
+    cuts=st.lists(st.integers(0, 12), max_size=3),
+    input_b=st.integers(0, 20),
+    fuel=st.one_of(st.integers(0, 300), st.just(4096)),
+)
+@example(code=CYCLE, cuts=[2, 4], input_b=0, fuel=200)
+@example(code=OUT_GROWS, cuts=[2], input_b=0, fuel=4096)
+@example(code=ZERO_INSIDE, cuts=[1, 3, 7], input_b=0, fuel=200)
+@example(code=FROM_ZERO, cuts=[1], input_b=0, fuel=100)
+@example(code=ALT, cuts=[3, 5], input_b=0, fuel=300)
+@example(code=UP_DOWN, cuts=[2], input_b=0, fuel=4096)
+def test_resumed_runs_match_the_whole_run(code, cuts, input_b, fuel):
+    # run ever longer prefixes of the program, each resumed where the last
+    # left its prefix, as the plain walk does; a run that ends inside a
+    # prefix is the whole run's. raw_first of a resumed run holds the first
+    # occurrences from the resume step on, so the whole run's are the
+    # earlier ones followed by the later ones of values not seen before
+    instrs = parse_program(code)
+    raw_first, halted, steps, pc, a, b = (), False, 0, 0, 0, input_b
+    for cut in sorted(c for c in cuts if c <= len(instrs)) + [len(instrs)]:
+        if halted or steps == fuel or pc < 0:
+            break
+        start, seen = steps, {v for _, v in raw_first}
+        later, halted, steps, pc, a, b = _resume(instrs[:cut], fuel, pc, a, b, steps)
+        assert all(step >= start for step, _ in later)
+        raw_first += tuple((step, v) for step, v in later if v not in seen)
+    assert (raw_first, halted, steps if halted else fuel, a, b) == _execute(instrs, input_b, fuel)
 
 
 @pytest.mark.parametrize("fuel", [37, 4096])
