@@ -17,8 +17,8 @@ Modules:
   analysis       finite-order combinatorics: the transitive closure,
                  chains, antichains, Dilworth decompositions
   conditions     the star and dagger conditions of order pairs
-  complexity     budgeted complexity tables, the program-tree walk of their
-                 plain column, the wrap constant, and the estimate report's
+  complexity     budgeted complexity tables with their closed-form plain
+                 column, the wrap constant, and the estimate report's
                  summary and rows
   diagonal       the diagonal hardness construction and the family it audits
   cli            the `kposet` command-line front end; it writes every report

@@ -9,11 +9,25 @@ witness bit string whose length is the table value:
          input p under the kept-emission filter
   k_min  the same over reverse(p)
 
-Every reported value is an upper bound relative to this machine and budget;
-no optimality constant is ever claimed. Only stabilized-within-budget limits
-enter the max/min columns; ranks seen only through still-changing runs are
-recorded as censored. Witnesses are the exact program/padded-program bit
-strings and every table entry replays (verify_table re-checks this).
+The plain column is exact up to MAX_PROG_LEN, and in closed form: the
+first witness of rank r is INC_A^r HALT ("000" * r + "111", 3r + 3 bits,
+r + 1 steps), so rank r is filled exactly when r < ranks, r < fuel and
+3r + 3 <= max_prog_len. The reason, argued but not proven: the machine has
+no jump-if-nonzero, so a backward jump needs the counter it tests at 0, and
+a loop cannot carry a count across its iterations. By exhaustion (the
+program-tree walk, kept as the tests' oracle), up to 24 bits no halting
+program's reg_a exceeds its number of INC_A instructions, and no halting
+run takes more than 8 steps. So a value r needs r INC_A and a
+HALT, and INC_A^r HALT is the one program of that length with value r. The
+bound first fails at 25 bits, where JZ_B 2; INC_B; INC_A; JZ_B -2; HALT
+halts with 2 from one INC_A in 7 steps, so a raise of MAX_PROG_LEN must
+first re-run that walk at the new cap.
+
+The max and min values are upper bounds relative to this machine and
+budget; no optimality constant is ever claimed. Only limits stabilized
+within the budget enter them; ranks seen only through still-changing runs
+are recorded as censored. Witnesses are the exact program/padded-program
+bit strings and every table entry replays (verify_table re-checks this).
 
 Each column's witnesses are the words of one Addressing, which reads a
 word as a machine and its input: RAW (the word is the program, on input 0)
@@ -21,13 +35,11 @@ for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
 b_index(p)) for the max and min columns and the wrap constant, and for
 `diagonal`'s audit, which lives apart so that `estimate` does not compile
 it, and the paired decompressor in the tests' `constructions` module, which
-no command runs. complexity_table is the one builder. The plain column walks
-the program tree once: each prefix runs once, resumed where its parent's
-run stopped, and each rank keeps its first witness in b_word order (the
-witness tie-break). The PADDED walk generates, in b_word order, only the
-addresses of machines that contain OUT (no other program can emit).
-limit_corpus groups the PADDED words by their run's raw_first; the max/min
-columns and the audit read it, one kept filter per order and distinct run.
+no command runs. complexity_table is the one builder. The PADDED walk
+generates, in b_word order, only the addresses of machines that contain
+OUT (no other program can emit). limit_corpus groups the PADDED words by
+their run's raw_first; the max/min columns and the audit read it, one kept
+filter per order and distinct run.
 """
 
 from __future__ import annotations
@@ -39,17 +51,7 @@ from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
 from .limits import STABILIZED, limit_report_from_trace
 from .posets import PosetInstance, reverse
-from .vm import (
-    _INSTRUCTIONS,
-    JUMP_MAX,
-    JUMP_MIN,
-    _execute,
-    _resume,
-    assemble,
-    kept_trace,
-    parse_program,
-    run_emitting,
-)
+from .vm import JUMP_MAX, JUMP_MIN, _execute, assemble, kept_trace, parse_program, run_emitting
 
 __all__ = [
     "Budget",
@@ -68,9 +70,9 @@ __all__ = [
     "RANKS_CEILING",
 ]
 
-MAX_PROG_LEN = 24  # longest program the plain and limit walks accept (bits)
+MAX_PROG_LEN = 24  # longest program the plain column and the limit walk accept (bits)
 RANKS_CEILING = 250_000  # most report rows; finsets takes about 1 s there on a 2-CPU host
-HALT, OUT = ("HALT", None), ("OUT", None)
+OUT = ("OUT", None)
 
 
 class Budget(namedtuple("Budget", "max_prog_len fuel t_budget window")):
@@ -154,9 +156,9 @@ def limit_corpus(max_len: int, fuel: int) -> dict[tuple, list[str]]:
 
 
 def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
-    """The plain column from the walk of the program tree, then the max
-    column over p and the min column, the same over reverse(p), from the
-    first word of each distinct run in the limit corpus."""
+    """The plain column in closed form, then the max column over p and the
+    min column, the same over reverse(p), from the first word of each
+    distinct run in the limit corpus."""
     if b.max_prog_len > MAX_PROG_LEN:
         raise ResourceError(
             f"max program length {b.max_prog_len} exceeds the desk-scale ceiling of {MAX_PROG_LEN} bits"
@@ -164,11 +166,8 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
     if ranks > RANKS_CEILING:
         raise ResourceError(f"ranks {ranks} exceeds the desk-scale ceiling of {RANKS_CEILING}")
     table = ComplexityTable(b)
-    first: dict[int, tuple[int, str]] = {}  # rank -> b_word-least (len(w), w) so far
-    for w, reg_a in _plain_leaves(b.max_prog_len, b.fuel):
-        if reg_a < ranks and (len(w), w) < first.get(reg_a, (MAX_PROG_LEN + 1, "")):
-            first[reg_a] = len(w), w
-    table.plain.update((rank, w) for rank, (_, w) in sorted(first.items(), key=lambda kv: kv[1]))
+    for rank in range(min(ranks, b.fuel, (b.max_prog_len - 3) // 3 + 1)):
+        table.plain[rank] = "000" * rank + "111"  # INC_A^r HALT (module docstring)
     corpus = limit_corpus(b.max_prog_len, b.fuel)
     for found, order in ((table.k_max, p), (table.k_min, reverse(p))):
         censored = set()
@@ -184,47 +183,6 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
                 found[rank] = words[0]
         table.censored |= censored - found.keys()
     return table
-
-
-def _plain_leaves(max_len: int, fuel: int) -> Iterator[tuple[str, int]]:
-    """(word, reg_a) for the programs of length <= max_len that halt within
-    fuel and extend no shorter halting program, which every rank's first
-    witness does, from a depth-first walk of the program tree. A node is a
-    prefix, its run stopped where pc left it; its children append one
-    instruction each, branch only while a HALT still fits, and are listed
-    once per (bits left, HALT placed). A child runs, resumed from the
-    parent's configuration, only when that run waits exactly at the new
-    slot; a run past the slot is handed down. A run that ends inside its
-    prefix (a halt, yielded, a spin at pc < 0, a cycle or no fuel left) is
-    every extension's run, so it cuts the subtree, as does a run waiting at
-    a slot the bits left cannot reach."""
-    # kids[placed][left]: a node's children as (bits, (ins,), their children)
-    kids: tuple[list, list] = ([], [])
-    for left in range(max_len + 1):
-        for placed in (True, False):
-            kids[placed].append([
-                (bits, (ins,), kids[placed or ins == HALT][left - len(bits)])
-                for bits, ins in _INSTRUCTIONS
-                if len(bits) <= left - (0 if placed or ins == HALT else 3)
-            ])
-    stack = [("", (), kids[False][max_len], 0, 0, 0, 0)]
-    while stack:
-        word, instrs, children, pc, a, b, steps = stack.pop()
-        slot = len(instrs)
-        for bits, one, after in children:
-            w, prog = word + bits, instrs + one
-            if pc == slot:
-                _, halted, t, q, x, y = _resume(prog, fuel, pc, a, b, steps)
-                if halted:
-                    yield w, x
-                    continue
-                if t == fuel or q < 0:
-                    continue
-            else:
-                t, q, x, y = steps, pc, a, b
-            # the run waits at slot q: q - slot more instructions of 3 bits or more
-            if after and 3 * (q - slot) <= max_len - len(w):
-                stack.append((w, prog, after, q, x, y, t))
 
 
 def _limit_rank(order: PosetInstance, trace, horizon: int, window: int):

@@ -38,9 +38,9 @@ s recurs as v + j*da at step s + j*period) and interprets the shorter
 remainder, so every run, raw_first, halted, steps and the registers
 included, equals an honest fuel burn.
 
-This module is the kernel and the kept filter; the program walk, which
-resumes its runs, lives in `complexity`. The evaluator over its runs,
-vm_max_evaluator, no command runs; it lives in the tests' `constructions`.
+This module is the kernel and the kept filter. The evaluator over its
+runs, vm_max_evaluator, no command runs; it lives in the tests'
+`constructions`.
 """
 
 from __future__ import annotations
@@ -101,20 +101,6 @@ def parse_program(code: str) -> tuple[tuple[str, Optional[int]], ...] | None:
         else:
             out.append((op, None))
     return tuple(out)
-
-
-def _instruction_table() -> list[tuple[str, tuple[str, Optional[int]]]]:
-    """Every instruction as (bits, parsed form), in ascending bit order."""
-    codes = []
-    for opcode, op in sorted(OPCODES.items()):
-        if op in ("JZ_A", "JZ_B"):
-            codes.extend(opcode + format(raw, "05b") for raw in range(32))
-        else:
-            codes.append(opcode)
-    return [(code, parse_program(code)[0]) for code in codes]
-
-
-_INSTRUCTIONS = _instruction_table()
 
 
 def assemble(instrs: Iterable[tuple[str, Optional[int]] | str]) -> str:

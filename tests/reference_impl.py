@@ -6,9 +6,11 @@ package used before its kernel became order-free: every word of
 filter and (on the limit side) turned into its own limit report. They are
 slow and obviously faithful to the definitions, which is what the property
 tests compare the package against. Nothing here is imported by the package.
-Beside them sits the eager program walk, iter_programs, with the plain
-scan that ran every program it yields from scratch, as the package did
-before it walked the program tree and resumed each prefix's run.
+Beside them sit the eager program walk, iter_programs, with the plain
+scan that ran every program it yields from scratch, and the program-tree
+walk, _plain_leaves, that runs each prefix once, resumed from its
+parent's run. The package ran each in turn before it wrote the plain
+column in closed form; the walk is the oracle of that closed form.
 
 The second half holds the finite-order code from before the bit-row kernel:
 the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
@@ -159,6 +161,20 @@ def plain_scan_ref(p: PosetInstance, ranks: int, b: Budget) -> dict[int, str]:
     return found
 
 
+def _instruction_table() -> list[tuple[str, tuple[str, int | None]]]:
+    """Every instruction as (bits, parsed form), in ascending bit order."""
+    codes = []
+    for opcode, op in sorted(vm.OPCODES.items()):
+        if op in ("JZ_A", "JZ_B"):
+            codes.extend(opcode + format(raw, "05b") for raw in range(32))
+        else:
+            codes.append(opcode)
+    return [(code, vm.parse_program(code)[0]) for code in codes]
+
+
+_INSTRUCTIONS = _instruction_table()
+
+
 def iter_programs(max_len: int, needs) -> Iterator[tuple[str, tuple, int]]:
     """(code, parse_program(code), 0) for every code of length <= max_len
     that parses and contains the instruction `needs`; shortest first and
@@ -182,7 +198,7 @@ def iter_programs(max_len: int, needs) -> Iterator[tuple[str, tuple, int]]:
     fillable[0] = True
     for r in range(1, max_len + 1):
         fillable[r] = (r >= 3 and fillable[r - 3]) or (r >= 8 and fillable[r - 8])
-    widths = {ins: len(bits) for bits, ins in vm._INSTRUCTIONS}
+    widths = {ins: len(bits) for bits, ins in _INSTRUCTIONS}
     if needs not in widths:
         raise ConfigError(f"not an instruction: {needs!r}")
     width = widths[needs]
@@ -194,7 +210,7 @@ def iter_programs(max_len: int, needs) -> Iterator[tuple[str, tuple, int]]:
     for left in range(max_len + 1):
         for own, ahead in ((placed, fillable), (due, room)):
             children = []
-            for bits, ins in vm._INSTRUCTIONS:
+            for bits, ins in _INSTRUCTIONS:
                 rest = left - len(bits)
                 fits, nxt = (fillable, placed) if ins == needs else (ahead, own)
                 if rest >= 0 and fits[rest]:
@@ -223,6 +239,58 @@ def eager_plain_ref(ranks: int, max_len: int, fuel: int) -> dict[int, str]:
         if halted and reg_a < ranks and reg_a not in found:
             found[reg_a] = w
     return found
+
+
+def _plain_leaves(max_len: int, fuel: int) -> Iterator[tuple[str, int]]:
+    """(word, reg_a) for the programs of length <= max_len that halt within
+    fuel and extend no shorter halting program, which every rank's first
+    witness does, from a depth-first walk of the program tree. A node is a
+    prefix, its run stopped where pc left it; its children append one
+    instruction each, branch only while a HALT still fits, and are listed
+    once per (bits left, HALT placed). A child runs, resumed from the
+    parent's configuration, only when that run waits exactly at the new
+    slot; a run past the slot is handed down. A run that ends inside its
+    prefix (a halt, yielded, a spin at pc < 0, a cycle or no fuel left) is
+    every extension's run, so it cuts the subtree, as does a run waiting at
+    a slot the bits left cannot reach."""
+    halt = ("HALT", None)
+    # kids[placed][left]: a node's children as (bits, (ins,), their children)
+    kids: tuple[list, list] = ([], [])
+    for left in range(max_len + 1):
+        for placed in (True, False):
+            kids[placed].append([
+                (bits, (ins,), kids[placed or ins == halt][left - len(bits)])
+                for bits, ins in _INSTRUCTIONS
+                if len(bits) <= left - (0 if placed or ins == halt else 3)
+            ])
+    stack = [("", (), kids[False][max_len], 0, 0, 0, 0)]
+    while stack:
+        word, instrs, children, pc, a, b, steps = stack.pop()
+        slot = len(instrs)
+        for bits, one, after in children:
+            w, prog = word + bits, instrs + one
+            if pc == slot:
+                _, halted, t, q, x, y = vm._resume(prog, fuel, pc, a, b, steps)
+                if halted:
+                    yield w, x
+                    continue
+                if t == fuel or q < 0:
+                    continue
+            else:
+                t, q, x, y = steps, pc, a, b
+            # the run waits at slot q: q - slot more instructions of 3 bits or more
+            if after and 3 * (q - slot) <= max_len - len(w):
+                stack.append((w, prog, after, q, x, y, t))
+
+
+def plain_walk_ref(ranks: int, max_len: int, fuel: int) -> dict[int, str]:
+    """The plain column as the package built it from _plain_leaves: each
+    rank's b_word-least halting leaf, inserted in b_word order."""
+    first: dict[int, tuple[int, str]] = {}  # rank -> b_word-least (len(w), w) so far
+    for w, reg_a in _plain_leaves(max_len, fuel):
+        if reg_a < ranks and (len(w), w) < first.get(reg_a, (max_len + 1, "")):
+            first[reg_a] = len(w), w
+    return {rank: w for rank, (_, w) in sorted(first.items(), key=lambda kv: kv[1])}
 
 
 def limit_side_ref(p: PosetInstance, ranks: int, b: Budget):

@@ -804,6 +804,8 @@ _COMMAND_LAYERS = [
     (("conditions", "--pair", "reg:ab/reg:ab", "--k", "2"),
      _BASE | {"analysis", "conditions", "automata"}),
     (("estimate", "--poset", "nat", "--max-len", "14", "--ranks", "2"), _REPORT),
+    # long enough to jump a cycle whose period holds OUTs (vm._shifted_firsts)
+    (("cardre", "--program", "00011010111110", "--t-max", "16"), _SETS),
 ]
 
 
@@ -811,7 +813,8 @@ _LAYER_IDS = [
     "estimate-nat", "estimate-prefix", "estimate-finsets", "estimate-reg", "estimate-lexico",
     "diagonal", "diagonal-family-search", "conditions", "dilworth", "bb", "cardre",
     "interact", "quotient", "usage-error", "conditions-dagger", "conditions-int",
-    "conditions-finsets", "conditions-discrete", "conditions-reg", "estimate-padded"]
+    "conditions-finsets", "conditions-discrete", "conditions-reg", "estimate-padded",
+    "cardre-cycle"]
 
 
 @pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS, ids=_LAYER_IDS)

@@ -9,11 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_impl import (
+    _INSTRUCTIONS,
+    _plain_leaves,
     eager_plain_ref,
     encode_padded,
     iter_programs,
     iter_words,
     plain_scan_ref,
+    plain_walk_ref,
     run_emitting_ref,
     run_raw_ref,
     tables_ref,
@@ -21,18 +24,17 @@ from reference_impl import (
 
 from kposet.codec import b_index, b_word, decode_padded
 from kposet.complexity import (
+    MAX_PROG_LEN,
     PADDED,
     RAW,
     Budget,
     _padded_walk,
-    _plain_leaves,
     complexity_table,
     limit_corpus,
 )
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import (
-    _INSTRUCTIONS,
     _execute,
     _resume,
     assemble,
@@ -281,6 +283,50 @@ def test_plain_leaves_are_the_halting_programs_without_a_halting_prefix(max_len)
     want = {(w, a) for w, a in halting.items() if not any(w[:k] in halting for k in range(len(w)))}
     got = list(_plain_leaves(max_len, 4096))
     assert len(got) == len(set(got)) and set(got) == want
+
+
+# every fuel a halting run can stop at, and beyond. At the two longest
+# lengths, which take most of the time, the fuels are the short ones, the
+# cut points 7 and 8 (rank 7 is the last that fits 24 bits) and the default
+_CLOSED_FORM_FUELS = (*range(1, 13), 64, 4096)
+_LONGEST_FUELS = (1, 2, 3, 4, 7, 8, 4096)
+
+
+@pytest.mark.parametrize("max_len", range(1, MAX_PROG_LEN + 1))
+def test_plain_column_is_the_closed_form_of_the_tree_walk(max_len):
+    """The plain column is INC_A^r HALT for r < min(fuel, (L - 3) // 3 + 1),
+    and the oracle walk of the program tree finds the same witnesses, in the
+    same order, at every length up to MAX_PROG_LEN. The fuels suffice: up to
+    24 bits no halting run takes more than 8 steps (the next test), so fuels
+    1-8 cut every halting run that a fuel can cut, and every larger fuel,
+    9-12, 64 and 4096 among them, sees the same halting runs."""
+    fuels = _LONGEST_FUELS if max_len >= MAX_PROG_LEN - 1 else _CLOSED_FORM_FUELS
+    for fuel in fuels:
+        b = Budget(max_prog_len=max_len, fuel=fuel, t_budget=fuel, window=1)
+        plain = complexity_table(NAT, 400, b).plain
+        want = {r: "000" * r + "111" for r in range(min(fuel, (max_len - 3) // 3 + 1))}
+        assert list(plain.items()) == list(want.items())
+        assert list(plain_walk_ref(400, max_len, fuel).items()) == list(want.items())
+
+
+def test_no_halting_run_takes_more_than_8_steps():
+    # up to 24 bits a halting run stops within fuel 8 exactly when it
+    # stops within 4096
+    assert set(_plain_leaves(24, 8)) == set(_plain_leaves(24, 4096))
+
+
+def test_the_first_program_whose_value_exceeds_its_inc_a_count():
+    # JZ_B 2; INC_B; INC_A; JZ_B -2; HALT: the first pass jumps over INC_B
+    # into the loop, so b is still 0 at the jump back and INC_A runs twice
+    code = "1010001000100010111110111"
+    assert code == assemble([("JZ_B", 2), "INC_B", "INC_A", ("JZ_B", -2), "HALT"])
+    instrs = parse_program(code)
+    _, halted, steps, reg_a, _ = _execute(instrs, 0, 4096)
+    assert (len(code), halted, steps, reg_a) == (25, True, 7, 2)
+    assert instrs.count(("INC_A", None)) == 1
+    assert MAX_PROG_LEN <= 24, (
+        "the plain column's closed form is checked up to 24 bits; a 25-bit program "
+        "breaks its argument, so re-run the oracle tree walk at the new cap first")
 
 
 @pytest.mark.parametrize("spec", ["nat", "rev(prefix:ab)", "discrete(finsets)"])
