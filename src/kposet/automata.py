@@ -38,7 +38,7 @@ __all__ = [
     "EMPTY_EXPRESSION",
 ]
 
-OPERATOR_CHARS = "+*·()"
+OPERATOR_CHARS = "+*·()"  # after Sigma, the `reg:` text order, which ranks depend on
 CONCAT = "·"
 EMPTY_EXPRESSION = "("  # designated ill-formed text for the empty language
 
@@ -300,9 +300,9 @@ class _Enumeration:
     """Append-only enumeration of regular languages, deduplicated by
     canonical DFA; shared per alphabet.
 
-    The texts over Sigma + '+*·()' are ordered length-lexicographically by
-    `symbols`, and a language's rank comes from the first text denoting it.
-    Only the empty text (the empty language, rank 0) and the well-formed
+    The texts over Sigma + OPERATOR_CHARS are ordered length-lexicographically
+    by `symbols`, and a language's rank comes from the first text denoting
+    it. Only the empty text (the empty language, rank 0) and the well-formed
     texts are generated and canonicalised: every other text denotes the
     empty language again and cannot add one. A well-formed text is not
     canonicalised either when its `_normal_form` renders to a strictly
@@ -312,7 +312,7 @@ class _Enumeration:
 
     def __init__(self, sigma: tuple[str, ...]):
         self.sigma = sigma
-        self.symbols = list(sigma) + list("+*" + CONCAT + "()")
+        self.symbols = list(sigma) + list(OPERATOR_CHARS)
         self.ranks = str.maketrans({c: chr(i) for i, c in enumerate(self.symbols)})
         self.languages: list[Dfa] = []
         self.by_dfa: dict[Dfa, int] = {}

@@ -35,11 +35,18 @@ for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
 b_index(p)) for the max and min columns and the wrap constant, and for
 `diagonal`'s audit, which lives apart so that `estimate` does not compile
 it, and the paired decompressor in the tests' `constructions` module, which
-no command runs. complexity_table is the one builder. The PADDED walk
-generates, in b_word order, only the addresses of machines that contain
-OUT (no other program can emit). limit_corpus groups the PADDED words by
-their run's raw_first; the max/min columns and the audit read it, one kept
-filter per order and distinct run.
+no command runs. complexity_table is the one builder.
+
+limit_corpus groups the PADDED words whose machine contains OUT (no other
+program can emit) by their run's raw_first, as (first word, count): the
+max/min columns read each run's first word, the audit its count. Below 70
+bits that is one run, in closed form. The 4- and 5-bit words never parse,
+and below index 69 (b_word(69) = 000110) the only machine with OUT is
+b_word(13) = 110 = OUT, which emits 0 at step 0 on any input. A word
+0^n 1 p has at least n + 1 bits, so up to 69 bits the run's words are
+0^13 1 p: 2^(L - 13) - 1 of them, none below 14 bits. The tests keep the
+walk of every PADDED word as the oracle, and hold MAX_PROG_LEN and the
+audit's cap below 70.
 """
 
 from __future__ import annotations
@@ -70,9 +77,8 @@ __all__ = [
     "RANKS_CEILING",
 ]
 
-MAX_PROG_LEN = 24  # longest program the plain column and the limit walk accept (bits)
+MAX_PROG_LEN = 24  # longest program the plain column and the limit corpus accept (bits)
 RANKS_CEILING = 250_000  # most report rows; finsets takes about 1 s there on a 2-CPU host
-OUT = ("OUT", None)
 
 
 class Budget(namedtuple("Budget", "max_prog_len fuel t_budget window")):
@@ -120,22 +126,6 @@ class Addressing(namedtuple("Addressing", "decode wrap_len")):
 RAW = Addressing(decode=lambda word: (word, 0), wrap_len=len)
 
 
-def _padded_walk(max_len: int, needs):
-    """(word, instrs, input) in b_word order for the PADDED words of length
-    <= max_len whose machine parses and contains `needs`. Within a length n
-    descends, and each machine b_word(n) is parsed once. The word 0^n 1 p
-    read in binary is 2^|p| + p, one more than its input b_index(p) =
-    2^|p| - 1 + p, so a block's words are a run of integers."""
-    machines = [parse_program(b_word(n)) for n in range(max_len)]
-    for length in range(1, max_len + 1):
-        for n in range(length - 1, -1, -1):
-            instrs = machines[n]
-            if instrs is not None and needs in instrs:
-                m = length - n - 1
-                for v in range(1 << m, 2 << m):
-                    yield format(v, f"0{length}b"), instrs, v - 1
-
-
 def _padded_decode(word: str):
     dec = decode_padded(word)
     return None if dec is None else (b_word(dec[0]), b_index(dec[1]))
@@ -144,15 +134,15 @@ def _padded_decode(word: str):
 PADDED = Addressing(decode=_padded_decode, wrap_len=lambda code: b_index(code) + 1)
 
 
-def limit_corpus(max_len: int, fuel: int) -> dict[tuple, list[str]]:
-    """raw_first -> the PADDED words of length <= max_len whose OUT machines
-    make that run within fuel, in walk order. A run's kept trace under any
-    order depends on raw_first alone. Empty below 14 bits: the first OUT
-    machine is b_word(13) = 110 = OUT, at 0^13 1."""
-    corpus: dict[tuple, list[str]] = {}
-    for w, instrs, x in _padded_walk(max_len, OUT):
-        corpus.setdefault(_execute(instrs, x, fuel)[0], []).append(w)
-    return corpus
+def limit_corpus(max_len: int, fuel: int) -> dict[tuple, tuple[str, int]]:
+    """raw_first -> (first word, count) of the PADDED words of length <=
+    max_len whose OUT machines make that run within fuel; a run's kept
+    trace under any order depends on raw_first alone. The one run of the
+    closed form (module docstring), which holds below 70 bits."""
+    if max_len < 14:
+        return {}
+    raw_first = _execute(parse_program(b_word(13)), 0, fuel)[0]
+    return {raw_first: ("0" * 13 + "1", 2 ** (max_len - 13) - 1)}
 
 
 def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable:
@@ -171,7 +161,7 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
     corpus = limit_corpus(b.max_prog_len, b.fuel)
     for found, order in ((table.k_max, p), (table.k_min, reverse(p))):
         censored = set()
-        for raw_first, words in corpus.items():
+        for raw_first, (first, _) in corpus.items():
             trace = kept_trace(raw_first, order.unrank, order.leq)
             outcome = _limit_rank(order, trace, b.horizon, b.window)
             if outcome is None or outcome[0] >= ranks:
@@ -180,7 +170,7 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
             if not stabilized:
                 censored.add(rank)
             elif rank not in found:
-                found[rank] = words[0]
+                found[rank] = first
         table.censored |= censored - found.keys()
     return table
 

@@ -103,10 +103,10 @@ def diagonal_hard(
     if runs is None:
         down = reverse(weak)
         runs = []
-        for raw_first, words in limit_corpus(a_i - 1, b.fuel).items():
+        for raw_first, (_, count) in limit_corpus(a_i - 1, b.fuel).items():
             traces = (kept_trace(raw_first, weak.unrank, weak.leq),
                       kept_trace(raw_first, down.unrank, down.leq))
-            runs += [traces] * len(words)  # events count once per word
+            runs += [traces] * count  # events count once per word
     horizon = b.horizon
     events: list[tuple[int, int]] = []  # (step, family index)
     per_trace_ok = True

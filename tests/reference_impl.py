@@ -10,7 +10,11 @@ Beside them sit the eager program walk, iter_programs, with the plain
 scan that ran every program it yields from scratch, and the program-tree
 walk, _plain_leaves, that runs each prefix once, resumed from its
 parent's run. The package ran each in turn before it wrote the plain
-column in closed form; the walk is the oracle of that closed form.
+column in closed form; the walk is the oracle of that closed form. The
+limit side has the same pair: _padded_walk, the walk of every PADDED word
+whose machine contains an instruction, and limit_corpus_ref, the word
+lists that the package grouped from it before it wrote its one run in
+closed form.
 
 The second half holds the finite-order code from before the bit-row kernel:
 the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
@@ -291,6 +295,31 @@ def plain_walk_ref(ranks: int, max_len: int, fuel: int) -> dict[int, str]:
         if reg_a < ranks and (len(w), w) < first.get(reg_a, (max_len + 1, "")):
             first[reg_a] = len(w), w
     return {rank: w for rank, (_, w) in sorted(first.items(), key=lambda kv: kv[1])}
+
+
+def _padded_walk(max_len: int, needs):
+    """(word, instrs, input) in b_word order for the PADDED words of length
+    <= max_len whose machine parses and contains `needs`. Within a length n
+    descends, and each machine b_word(n) is parsed once. The word 0^n 1 p
+    read in binary is 2^|p| + p, one more than its input b_index(p) =
+    2^|p| - 1 + p, so a block's words are a run of integers."""
+    machines = [parse_program(b_word(n)) for n in range(max_len)]
+    for length in range(1, max_len + 1):
+        for n in range(length - 1, -1, -1):
+            instrs = machines[n]
+            if instrs is not None and needs in instrs:
+                m = length - n - 1
+                for v in range(1 << m, 2 << m):
+                    yield format(v, f"0{length}b"), instrs, v - 1
+
+
+def limit_corpus_ref(max_len: int, fuel: int) -> dict[tuple, list[str]]:
+    """raw_first -> the PADDED words of length <= max_len whose OUT machines
+    make that run within fuel, in walk order, each run by the kernel."""
+    corpus: dict[tuple, list[str]] = {}
+    for w, instrs, x in _padded_walk(max_len, ("OUT", None)):
+        corpus.setdefault(vm._execute(instrs, x, fuel)[0], []).append(w)
+    return corpus
 
 
 def limit_side_ref(p: PosetInstance, ranks: int, b: Budget):

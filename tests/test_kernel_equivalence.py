@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from reference_impl import (
     _INSTRUCTIONS,
+    _padded_walk,
     _plain_leaves,
     eager_plain_ref,
     encode_padded,
     iter_programs,
     iter_words,
+    limit_corpus_ref,
     plain_scan_ref,
     plain_walk_ref,
     run_emitting_ref,
@@ -28,10 +30,10 @@ from kposet.complexity import (
     PADDED,
     RAW,
     Budget,
-    _padded_walk,
     complexity_table,
     limit_corpus,
 )
+from kposet.diagonal import DIAGONAL_ALPHA_CAP
 from kposet.errors import ConfigError
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import (
@@ -345,10 +347,11 @@ def test_tables_match_per_word_scan_with_limit_rows(spec, budget):
 
 @pytest.mark.parametrize("max_len", [14, 16, 18])
 def test_limit_corpus_matches_per_word_scan(max_len):
-    # every word whose machine contains OUT, grouped by its run in walk
-    # order: the same words, as many times, with both kept traces per word.
-    # Up to 18 bits the only such machine is b_word(13) = OUT, whose
-    # 2^(max_len-13) - 1 words all make one run
+    # every word whose machine contains OUT, grouped by its run in scan
+    # order: each run's first word and its number of words, and both kept
+    # traces of every word equal to the run's. Up to 18 bits the only such
+    # machine is b_word(13) = OUT, whose 2^(max_len-13) - 1 words all make
+    # one run
     weak = POSETS["prefix:ab"]
     down = reverse(weak)
     fuel = 128
@@ -360,15 +363,34 @@ def test_limit_corpus_matches_per_word_scan(max_len):
         args = (b_word(dec[0]), b_index(dec[1]), fuel)
         run = run_emitting_ref(weak, *args)
         want.setdefault(run.raw_first, []).append((w, run.trace, run_emitting_ref(down, *args).trace))
-    got = {
-        raw_first: [
-            (w, kept_trace(raw_first, weak.unrank, weak.leq), kept_trace(raw_first, down.unrank, down.leq))
-            for w in words
-        ]
-        for raw_first, words in limit_corpus(max_len, fuel).items()
-    }
-    assert list(got.items()) == list(want.items())
+    corpus = limit_corpus(max_len, fuel)
+    assert list(corpus) == list(want)
+    for raw_first, (first, count) in corpus.items():
+        words = want[raw_first]
+        assert (first, count) == (words[0][0], len(words))
+        traces = (kept_trace(raw_first, weak.unrank, weak.leq), kept_trace(raw_first, down.unrank, down.leq))
+        assert all((up, dn) == traces for _, up, dn in words)
     assert [len(words) for words in want.values()] == [2 ** (max_len - 13) - 1]
+
+
+@pytest.mark.parametrize("fuel", [*range(1, 9), 64, 4096])
+def test_limit_corpus_is_the_oracle_walk_regrouped(fuel):
+    for max_len in range(1, MAX_PROG_LEN + 1):
+        want = {raw_first: (words[0], len(words))
+                for raw_first, words in limit_corpus_ref(max_len, fuel).items()}
+        assert limit_corpus(max_len, fuel) == want, max_len
+
+
+def test_below_index_70_only_two_machines_contain_out():
+    # the closed form of limit_corpus: a padded word 0^n 1 p has at least
+    # n + 1 bits, so up to 69 bits its machine is one of b_word(0..68), and
+    # of those only b_word(13) = OUT can emit
+    out = [n for n in range(70) if ("OUT", None) in (parse_program(b_word(n)) or ())]
+    assert out == [13, 69]
+    assert (b_word(13), b_word(69)) == ("110", "000110")
+    assert max(MAX_PROG_LEN, DIAGONAL_ALPHA_CAP + 1) < 70, (
+        "limit_corpus is one run in closed form only below 70 bits; before a raise "
+        "past that, re-run the oracle walk limit_corpus_ref at the new cap")
 
 
 # ------------------------------------------------ translated-cycle jumps

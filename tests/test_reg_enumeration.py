@@ -169,6 +169,32 @@ def test_skipped_texts_have_an_earlier_equivalent(sigma, max_len):
         earlier.add(dfa)
 
 
+@pytest.mark.parametrize("sigma, count", [(("a",), 40), (("a", "b"), 213), (("x", "y", "z"), 314)])
+def test_canonicalised_texts_are_their_own_normal_form(sigma, count):
+    # the skip rule's other side: a text that is not skipped renders as its
+    # own normal form, so the normal form never names a later text. Checked
+    # on every text canonicalised up to the ceiling, the empty text aside
+    parsed, pairs = [], []
+    parse, canonical = automata.parse_regex, automata.to_canonical_dfa
+
+    def parsing(text, sigma):
+        parsed.append(text)
+        return parse(text, sigma)
+
+    def recording(ast, sigma):
+        pairs.append((parsed[-1], ast))
+        return canonical(ast, sigma)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "parse_regex", parsing)
+        patch.setattr(automata, "to_canonical_dfa", recording)
+        with pytest.raises(ResourceError):
+            _Enumeration(sigma).extend_to(10**9, ENUMERATION_TEXT_CEILING)
+    assert pairs[0] == ("", None)
+    assert [text for text, ast in pairs[1:] if render_ast(ast) != text] == []
+    assert len(pairs) - 1 == count
+
+
 def _asts(sigma):
     leaves = st.sampled_from([RegexAst("sym", sym=c) for c in sigma] + [RegexAst("eps")])
     return st.recursive(leaves, lambda inner: st.one_of(
