@@ -18,8 +18,8 @@ Modules:
                  chains, antichains, Dilworth decompositions
   conditions     the star and dagger conditions of order pairs
   complexity     budgeted complexity tables with their closed-form plain
-                 column, the wrap constant, and the estimate report's
-                 summary and rows
+                 column, the closed-form wrap constant, and the estimate
+                 report's summary and rows
   diagonal       the diagonal hardness construction and the family it audits
   cli            the `kposet` command-line front end; it writes every report
 
@@ -29,6 +29,7 @@ tracer wraps); tests/test_cli.py checks it under a call profile. What no
 command runs lives with the tests: the evaluator-level constructions (the
 budgeted limit operator, normalization, totalization, prefix normal form,
 the max/min dovetail and the paired decompressor) in tests/constructions.py,
-and the unused codings, the induced suborder, word acceptance and the
-one-shot quotient in tests/reference_impl.py.
+and the unused codings, the induced suborder, word acceptance, the
+one-shot quotient and the general program rewriter (HALT to OUT,HALT, jumps
+refitted) in tests/reference_impl.py.
 """

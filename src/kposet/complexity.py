@@ -9,19 +9,26 @@ witness bit string whose length is the table value:
          input p under the kept-emission filter
   k_min  the same over reverse(p)
 
-The plain column is exact up to MAX_PROG_LEN, and in closed form: the
-first witness of rank r is INC_A^r HALT ("000" * r + "111", 3r + 3 bits,
-r + 1 steps), so rank r is filled exactly when r < ranks, r < fuel and
+The plain column is exact up to MAX_PROG_LEN, and in closed form: the first
+witness of rank r is INC_A^r HALT (3r + 3 bits, r + 1 steps, assembled from
+vm.OPCODES), so rank r is filled exactly when r < ranks, r < fuel and
 3r + 3 <= max_prog_len. The reason, argued but not proven: the machine has
-no jump-if-nonzero, so a backward jump needs the counter it tests at 0, and
-a loop cannot carry a count across its iterations. By exhaustion (the
+no jump-if-nonzero, so a backward jump needs the counter it tests at 0, and a
+loop cannot carry a count across its iterations. By exhaustion (the
 program-tree walk, kept as the tests' oracle), up to 24 bits no halting
 program's reg_a exceeds its number of INC_A instructions, and no halting
-run takes more than 8 steps. So a value r needs r INC_A and a
-HALT, and INC_A^r HALT is the one program of that length with value r. The
-bound first fails at 25 bits, where JZ_B 2; INC_B; INC_A; JZ_B -2; HALT
-halts with 2 from one INC_A in 7 steps, so a raise of MAX_PROG_LEN must
-first re-run that walk at the new cap.
+run takes more than 8 steps. So a value r needs r INC_A and a HALT, and
+INC_A^r HALT is the one program of that length with value r. The bound
+first fails at 25 bits, where JZ_B 2; INC_B; INC_A; JZ_B -2; HALT halts
+with 2 from one INC_A in 7 steps, so a raise of MAX_PROG_LEN must first
+re-run that walk at the new cap.
+
+The wrap constant is a closed form too. A halting program becomes a
+one-point max process when its HALT becomes OUT,HALT; as every plain
+witness is INC_A^r HALT, its wrap is INC_A^r OUT HALT, assembled from the
+rank and replayed like any witness. The general rewriter, which also
+turns stray OUTs into no-ops and refits jump offsets, is the tests'
+oracle (reference_impl.wrap_program_ref).
 
 The max and min values are upper bounds relative to this machine and
 budget; no optimality constant is ever claimed. Only limits stabilized
@@ -58,7 +65,7 @@ from .codec import b_index, b_word, decode_padded, encode_pair
 from .errors import ConfigError, ResourceError, VerificationError
 from .limits import STABILIZED, limit_report_from_trace
 from .posets import PosetInstance, reverse
-from .vm import JUMP_MAX, JUMP_MIN, _execute, assemble, kept_trace, parse_program, run_emitting
+from .vm import _execute, assemble, kept_trace, parse_program, run_emitting
 
 __all__ = [
     "Budget",
@@ -69,7 +76,6 @@ __all__ = [
     "limit_corpus",
     "complexity_table",
     "verify_table",
-    "wrap_program",
     "measure_wrap_constant",
     "hierarchy_report",
     "REPORT_COLUMNS",
@@ -157,7 +163,7 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
         raise ResourceError(f"ranks {ranks} exceeds the desk-scale ceiling of {RANKS_CEILING}")
     table = ComplexityTable(b)
     for rank in range(min(ranks, b.fuel, (b.max_prog_len - 3) // 3 + 1)):
-        table.plain[rank] = "000" * rank + "111"  # INC_A^r HALT (module docstring)
+        table.plain[rank] = assemble(["INC_A"] * rank + ["HALT"])  # module docstring
     corpus = limit_corpus(b.max_prog_len, b.fuel)
     for found, order in ((table.k_max, p), (table.k_min, reverse(p))):
         censored = set()
@@ -206,46 +212,12 @@ def verify_table(p: PosetInstance, table: ComplexityTable) -> None:
 # ------------------------------------------------------------ wrap constant
 
 
-def wrap_program(code: str) -> str:
-    """Rewrite a halting program into an emit-then-halt program computing the
-    same value under the max filter: HALT becomes OUT,HALT; pre-existing OUT
-    becomes the no-op INC_A,DEC_A (stray emissions could defeat the filter);
-    relative jump offsets are recomputed, out-of-range targets keep falling
-    off the end."""
-    instrs = parse_program(code)
-    if instrs is None:
-        raise ConfigError("cannot wrap a program that does not parse")
-    old_n = len(instrs)
-    newpos = []
-    cursor = 0
-    for op, _ in instrs:
-        newpos.append(cursor)
-        cursor += 2 if op in ("HALT", "OUT") else 1
-    newpos.append(cursor)
-    new_len = cursor
-    out: list[tuple[str, Optional[int]] | str] = []
-    for i, (op, arg) in enumerate(instrs):
-        if op == "HALT":
-            out.extend(["OUT", "HALT"])
-        elif op == "OUT":
-            out.extend(["INC_A", "DEC_A"])
-        elif op in ("JZ_A", "JZ_B"):
-            target = i + arg
-            new_target = newpos[target] if 0 <= target <= old_n else new_len
-            offset = new_target - newpos[i]
-            if not JUMP_MIN <= offset <= JUMP_MAX:
-                raise ResourceError("wrapped jump offset overflows the 5-bit field")
-            out.append((op, offset))
-        else:
-            out.append(op)
-    return assemble(out)
-
-
 def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[int]:
-    """max over plain rows of PADDED.wrap_len(wrap(w)) - |w|, verifying that
-    each wrapped witness replays to the plain rank as a max-limit. The unary
-    machine index makes this constant large; it is a diagnostic, not a
-    claimed optimality bound.
+    """max over plain rows of PADDED.wrap_len(wrapped) - |w|, verifying that
+    each wrapped witness replays to the plain rank as a max-limit. Rank r's
+    plain witness is INC_A^r HALT, so its wrap, HALT made OUT,HALT, is
+    INC_A^r OUT HALT (module docstring). The unary machine index makes this
+    constant large; it is a diagnostic, not a claimed optimality bound.
 
     Rows whose wrapped run emits nothing within the horizon or the fuel, or
     does not stabilize within the table's own budget, are censored out of
@@ -255,7 +227,7 @@ def measure_wrap_constant(p: PosetInstance, table: ComplexityTable) -> Optional[
     b = table.budget
     c_wrap = None
     for rank, w in sorted(table.plain.items()):
-        wrapped = wrap_program(w)
+        wrapped = assemble(["INC_A"] * rank + ["OUT", "HALT"])
         res = run_emitting(p, wrapped, 0, b.fuel)
         outcome = _limit_rank(p, res.trace, b.horizon, b.window)
         if outcome is None:

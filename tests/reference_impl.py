@@ -14,7 +14,11 @@ column in closed form; the walk is the oracle of that closed form. The
 limit side has the same pair: _padded_walk, the walk of every PADDED word
 whose machine contains an instruction, and limit_corpus_ref, the word
 lists that the package grouped from it before it wrote its one run in
-closed form.
+closed form. wrap_program_ref is the general rewriter of a halting
+program into an emit-then-halt one (HALT to OUT,HALT, a stray OUT to the
+no-op INC_A,DEC_A, jump offsets refitted), which the package ran on every
+plain witness before it assembled the wrap of INC_A^r HALT from r;
+wrap_constant_ref measures the wrap constant through it.
 
 The second half holds the finite-order code from before the bit-row kernel:
 the fixpoint transitive closure, the symbol-order parser built on it, Kuhn's
@@ -67,9 +71,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import namedtuple
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
-from kposet.errors import ConfigError, DomainError, ResourceError
+from kposet.errors import ConfigError, DomainError, ResourceError, VerificationError
 from kposet.automata import CONCAT, Dfa, RegexAst, parse_regex, quotient_trace, to_canonical_dfa
 from kposet.analysis import FinitePoset
 from kposet.codec import _check_word, b_index, b_word, decode_padded
@@ -80,7 +84,10 @@ from kposet.enumerable import INTERACTION_MODES, _interaction_trace
 from kposet.limits import STABILIZED, Evaluator, limit_report_from_trace
 from kposet.posets import PosetInstance, parse_poset_spec, reverse
 from kposet.vm import (
+    JUMP_MAX,
+    JUMP_MIN,
     RunResult,
+    assemble,
     parse_program,
     run_emitting,
 )
@@ -356,6 +363,59 @@ def tables_ref(p: PosetInstance, ranks: int, b: Budget):
     kmin, cmin = limit_side_ref(reverse(p), ranks, b)
     return (plain, kmax, kmin), (cmax - set(kmax)) | (cmin - set(kmin))
 
+
+def wrap_program_ref(code: str) -> str:
+    """Rewrite a halting program into an emit-then-halt program computing the
+    same value under the max filter: HALT becomes OUT,HALT; pre-existing OUT
+    becomes the no-op INC_A,DEC_A (stray emissions could defeat the filter);
+    relative jump offsets are recomputed, out-of-range targets keep falling
+    off the end."""
+    instrs = parse_program(code)
+    if instrs is None:
+        raise ConfigError("cannot wrap a program that does not parse")
+    old_n = len(instrs)
+    newpos = []
+    cursor = 0
+    for op, _ in instrs:
+        newpos.append(cursor)
+        cursor += 2 if op in ("HALT", "OUT") else 1
+    newpos.append(cursor)
+    new_len = cursor
+    out: list[tuple[str, Optional[int]] | str] = []
+    for i, (op, arg) in enumerate(instrs):
+        if op == "HALT":
+            out.extend(["OUT", "HALT"])
+        elif op == "OUT":
+            out.extend(["INC_A", "DEC_A"])
+        elif op in ("JZ_A", "JZ_B"):
+            target = i + arg
+            new_target = newpos[target] if 0 <= target <= old_n else new_len
+            offset = new_target - newpos[i]
+            if not JUMP_MIN <= offset <= JUMP_MAX:
+                raise ResourceError("wrapped jump offset overflows the 5-bit field")
+            out.append((op, offset))
+        else:
+            out.append(op)
+    return assemble(out)
+
+
+def wrap_constant_ref(p: PosetInstance, table) -> int | None:
+    """measure_wrap_constant through wrap_program_ref: each plain witness
+    rewritten, replayed by the order-aware interpreter, and its limit
+    report read; None when no wrapped row stabilizes."""
+    b = table.budget
+    c_wrap = None
+    for rank, w in sorted(table.plain.items()):
+        wrapped = wrap_program_ref(w)
+        res = run_emitting_ref(p, wrapped, 0, b.fuel)
+        report = limit_report_from_trace(res.trace, min(b.t_budget, b.fuel), b.window)
+        if report.current is None:
+            continue
+        if p.rank(report.current) != rank:
+            raise VerificationError(f"wrapped witness for rank {rank} does not replay to its value")
+        if report.status == STABILIZED:
+            c_wrap = max(c_wrap or 0, b_index(wrapped) + 1 - len(w))
+    return c_wrap
 
 # ------------------------------------------------------ finite-order kernel
 

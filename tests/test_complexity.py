@@ -15,10 +15,9 @@ from kposet.complexity import (
     limit_corpus,
     measure_wrap_constant,
     verify_table,
-    wrap_program,
 )
 from constructions import paired_decompress
-from reference_impl import iter_words
+from reference_impl import iter_words, wrap_constant_ref, wrap_program_ref
 from kposet.diagonal import DIAGONAL_ALPHA_CAP, chain_antichain_family, diagonal_hard
 from kposet.errors import ConfigError, ResourceError, VerificationError
 from kposet.posets import parse_poset_spec, reverse
@@ -154,7 +153,7 @@ def test_join_and_verify():
 
 def test_wrap_program():
     w = assemble(["INC_A", "HALT"])
-    wrapped = wrap_program(w)
+    wrapped = wrap_program_ref(w)
     assert wrapped == assemble(["INC_A", "OUT", "HALT"])
     res = run_emitting(NAT, wrapped, 0, 64)
     assert [d for _, d in res.trace] == [1]
@@ -163,14 +162,14 @@ def test_wrap_program():
     noisy = assemble(["INC_A", "OUT", "DEC_A", "HALT"])
     res_plain = run_emitting(NAT, noisy, 0, 64)
     assert res_plain.halted and res_plain.reg_a == 0
-    res_wrapped = run_emitting(NAT, wrap_program(noisy), 0, 64)
+    res_wrapped = run_emitting(NAT, wrap_program_ref(noisy), 0, 64)
     assert [d for _, d in res_wrapped.trace] == [0]
 
 
 def test_wrap_program_fixes_jumps():
     # jump over a HALT; wrapping shifts instruction indices
     w = assemble([("JZ_B", 2), "HALT", "INC_A", "HALT"])
-    wrapped = wrap_program(w)
+    wrapped = wrap_program_ref(w)
     res = run_emitting(NAT, wrapped, 0, 64)  # reg_b = 0: jump taken
     assert res.halted and res.reg_a == 1
     assert [d for _, d in res.trace] == [1]
@@ -183,6 +182,53 @@ def test_wrap_constant_bounds_table_gap():
     for rank, w in table.k_max.items():
         if rank in table.plain:
             assert len(w) - len(table.plain[rank]) <= c_wrap
+
+
+# the wrap of rank r's witness INC_A^r HALT is INC_A^r OUT HALT, of PADDED
+# length 2^(3r + 6) + 55, so c_wrap is that less 3r + 3 at the top rank filled
+DEFAULT = dict(fuel=4096, t_budget=4096, window=8)
+ITEM6_SPECS = ("nat", "rev(nat)", "int", "prefix:ab", "finsets", "discrete(nat)", "reg:ab")
+TOP_RANK_C_WRAP = {0: 116, 1: 561, 2: 4142, 3: 32811, 4: 262184,
+                   5: 2097189, 6: 16777250, 7: 134217759}
+WRAP_PINS = [
+    *(("nat", Budget(max_len, **DEFAULT), None) for max_len in (1, 2)),
+    *(("nat", Budget(max_len, **DEFAULT), TOP_RANK_C_WRAP[max_len // 3 - 1])
+      for max_len in range(3, MAX_PROG_LEN + 1)),
+    *((spec, Budget(24, **DEFAULT), 134217759)
+      for spec in ITEM6_SPECS[1:]),
+    ("nat", Budget(24, 4096, 4, 2), 32811),
+    ("nat", Budget(24, 4096, 6, 1), 16777250),
+    ("nat", Budget(24, 4096, 3, 4), 116),
+    ("nat", Budget(24, 4096, 4, 8), None),
+]
+
+
+@pytest.mark.parametrize(("spec", "b", "expected"), WRAP_PINS,
+                         ids=[f"{spec}-{b.max_prog_len}-{b.t_budget}-{b.window}"
+                              for spec, b, _ in WRAP_PINS])
+def test_wrap_constant_values(spec, b, expected):
+    p = parse_poset_spec(spec)
+    assert measure_wrap_constant(p, complexity_table(p, 32, b)) == expected
+
+
+@pytest.mark.parametrize("max_len", range(1, MAX_PROG_LEN + 1))
+def test_wrap_is_the_reference_rewrite_of_every_plain_witness(max_len):
+    table = complexity_table(NAT, 32, Budget(max_len, **DEFAULT))
+    for rank, w in table.plain.items():
+        assert assemble(["INC_A"] * rank + ["OUT", "HALT"]) == wrap_program_ref(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(ITEM6_SPECS), ranks=st.integers(0, 32),
+       b=st.builds(Budget, st.integers(1, MAX_PROG_LEN), st.integers(1, 64),
+                   st.integers(1, 40), st.integers(1, 8)))
+@example(spec="nat", ranks=32, b=Budget(24, 4096, 4, 8))  # None: nothing stabilizes
+@example(spec="nat", ranks=8, b=Budget(14, 4096, 2, 1))  # rank 3 emits past the horizon
+@example(spec="int", ranks=32, b=Budget(24, 5, 4096, 3))  # the fuel leaves rank 4 changing
+def test_wrap_constant_matches_the_reference_rewrite(spec, ranks, b):
+    p = parse_poset_spec(spec)
+    table = complexity_table(p, ranks, b)
+    assert measure_wrap_constant(p, table) == wrap_constant_ref(p, table)
 
 
 def test_paired_decompress():

@@ -393,6 +393,19 @@ def test_below_index_70_only_two_machines_contain_out():
         "past that, re-run the oracle walk limit_corpus_ref at the new cap")
 
 
+def test_inputs_past_3_are_inert_up_to_17_bits():
+    # the input is reg_b's start value, which only JZ_B reads; up to 17 bits
+    # every code that both tests reg_b and emits makes the same first
+    # emissions, steps and values, on inputs 4..64 as on input 3, so a
+    # payload that only raises the input carries nothing
+    codes = [instrs for _, instrs, _ in iter_programs(17, ("OUT", None))
+             if any(op == "JZ_B" for op, _ in instrs)]
+    assert len(codes) == 12_768
+    for instrs in codes:
+        at_3 = _execute(instrs, 3, 4096)[0]
+        assert all(_execute(instrs, x, 4096)[0] == at_3 for x in range(4, 65)), instrs
+
+
 # ------------------------------------------------ translated-cycle jumps
 
 STRAIGHT = ("INC_A", "INC_B", "DEC_A", "DEC_B", "OUT")
