@@ -8,7 +8,8 @@ closed form for prefix:xy / lexico:x<y, the first `conditions.check_star`
 witness on a rank-bounded fragment otherwise, which is the only path that
 loads `conditions`. The programs are the `PADDED` words of
 `complexity.limit_corpus`, which is empty below 14 bits: no audit under
-the cap sees an exclusion.
+the cap sees an exclusion. Runs come as (traces, count) pairs, each scanned
+once; G is F's walk over the family read backwards (reverse strong order).
 """
 
 from __future__ import annotations
@@ -58,6 +59,23 @@ def chain_antichain_family(
     return [elems[i] for i in found]
 
 
+def _least_unexcluded(events: Sequence[tuple[int, int]], size: int, horizon: int, window: int):
+    """The limit report of the walk holding, after each (step, index) event,
+    the least index below size not yet named; with none left it stays put."""
+    excluded: set[int] = set()
+    least = 0
+    walk: list[tuple[int, int]] = [(0, least)]  # (step, family index)
+    for step, j in events:
+        excluded.add(j)
+        if len(excluded) == size:
+            continue
+        while least in excluded:
+            least += 1
+        if least != walk[-1][1]:
+            walk.append((step, least))
+    return limit_report_from_trace(walk, horizon, window)
+
+
 def diagonal_hard(
     weak: PosetInstance,
     strong: PosetInstance,
@@ -71,14 +89,14 @@ def diagonal_hard(
     weak antichain of size 2^(alpha(i)+1), walk away from every value that
     any weak-semantics program shorter than alpha(i) produces within budget.
 
-    F_i is the strong-max limit of the least-unexcluded walk; G_i is the
-    strong-min limit of the mirrored greatest-unexcluded walk. The audit
+    F_i is the strong-max limit of the least-unexcluded walk, and G_i the
+    strong-min limit: the same walk over Z_i read backwards. The audit
     re-checks the counting argument instead of assuming it: each program
     trace meets Z_i at most once (chain against antichain), the excluded set
     never exceeds 2^(alpha(i)+1) - 2, and F_i, G_i are members of Z_i that no
     within-budget exclusion ever names. The programs are the 2^alpha(i) - 1
-    - alpha(i) PADDED words shorter than alpha(i); `runs`, one (max trace,
-    min trace) pair per word, replaces their traces.
+    - alpha(i) PADDED words shorter than alpha(i); `runs`, one ((max trace,
+    min trace), word count) pair per distinct run, replaces their traces.
     """
     if i < 0:
         raise ConfigError(f"i must be a natural number, got {i}")
@@ -102,49 +120,26 @@ def diagonal_hard(
 
     if runs is None:
         down = reverse(weak)
-        runs = []
-        for raw_first, (_, count) in limit_corpus(a_i - 1, b.fuel).items():
-            traces = (kept_trace(raw_first, weak.unrank, weak.leq),
-                      kept_trace(raw_first, down.unrank, down.leq))
-            runs += [traces] * count  # events count once per word
+        runs = [
+            ((kept_trace(raw_first, weak.unrank, weak.leq),
+              kept_trace(raw_first, down.unrank, down.leq)), count)
+            for raw_first, (_, count) in limit_corpus(a_i - 1, b.fuel).items()
+        ]
     horizon = b.horizon
     events: list[tuple[int, int]] = []  # (step, family index)
     per_trace_ok = True
-    for traces in runs:
+    for traces, count in runs:
         for trace in traces:
             hits = [
                 (step, z_index[d]) for step, d in trace if step <= horizon and d in z_index
             ]
             if len(hits) > 1:
                 per_trace_ok = False
-            events.extend(hits)
+            events += hits * count  # events count once per word
     events.sort()
+    excluded = {j for _, j in events}
     bound = size - 2
-
-    # `excluded` only grows, so the least unexcluded index only rises and the
-    # greatest only falls; once nothing is left both walks keep their value,
-    # and the bound holds at every step when it holds at the last
-    excluded: set[int] = set()
-    least, greatest = 0, size - 1
-    least_walk: list[tuple[int, int]] = [(0, least)]  # (step, family index)
-    greatest_walk: list[tuple[int, int]] = [(0, greatest)]
-    for step, j in events:
-        excluded.add(j)
-        if len(excluded) == size:
-            continue
-        while least in excluded:
-            least += 1
-        while greatest in excluded:
-            greatest -= 1
-        if least != least_walk[-1][1]:
-            least_walk.append((step, least))
-        if greatest != greatest_walk[-1][1]:
-            greatest_walk.append((step, greatest))
-
-    f_report = limit_report_from_trace(least_walk, horizon, b.window)
-    g_report = limit_report_from_trace(greatest_walk, horizon, b.window)
-    f_elem = family[f_report.current]
-    g_elem = family[g_report.current]
+    # `excluded` only grows, so the bound holds at every step if at the last
     audit = {
         "i": i,
         "alpha_i": a_i,
@@ -155,15 +150,17 @@ def diagonal_hard(
         "excluded_bound": bound,
         "per_step_bound_ok": len(excluded) <= bound,
         "per_trace_at_most_one": per_trace_ok,
-        "f_index": f_report.current,
-        "g_index": g_report.current,
-        "f_in_family": f_elem in z_index,
-        "g_in_family": g_elem in z_index,
-        "f_not_excluded": f_report.current not in excluded,
-        "g_not_excluded": g_report.current not in excluded,
-        "f_status": f_report.status,
-        "g_status": g_report.status,
     }
+    # G reads index j as size - 1 - j (the reverse strong order) in F's event
+    # order; that reading is its own inverse, so it maps G's index back too
+    for side, read in (("f", range(size)), ("g", range(size - 1, -1, -1))):
+        walked = [(step, read[j]) for step, j in events]
+        report = _least_unexcluded(walked, size, horizon, b.window)
+        j = read[report.current]
+        audit[f"{side}_index"] = j
+        audit[f"{side}_in_family"] = family[j] in z_index
+        audit[f"{side}_not_excluded"] = j not in excluded
+        audit[f"{side}_status"] = report.status
     audit["passed"] = all(
         audit[k]
         for k in (
@@ -175,4 +172,4 @@ def diagonal_hard(
             "g_not_excluded",
         )
     )
-    return f_elem, g_elem, audit
+    return family[audit["f_index"]], family[audit["g_index"]], audit

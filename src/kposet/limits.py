@@ -78,8 +78,8 @@ def limit_report_from_trace(
 ) -> LimitReport:
     """The report of the budgeted limit over an evaluator (budgeted_limit, in
     the tests' constructions) whose value at t is the last trace point with
-    clock <= t (trace clocks strictly increasing, values strictly changing at
-    each point), read from the trace without walking t."""
+    clock <= t (clocks non-decreasing, so a repeated clock's last point is
+    its value; values strictly change at each point), read without walking t."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     pts = [(t, d) for t, d in trace if t <= t_budget]

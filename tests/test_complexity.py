@@ -20,6 +20,7 @@ from constructions import paired_decompress
 from reference_impl import iter_words, wrap_constant_ref, wrap_program_ref
 from kposet.diagonal import DIAGONAL_ALPHA_CAP, chain_antichain_family, diagonal_hard
 from kposet.errors import ConfigError, ResourceError, VerificationError
+from kposet.limits import STABILIZED, STILL_CHANGING
 from kposet.posets import parse_poset_spec, reverse
 from kposet.vm import assemble, run_emitting
 
@@ -294,13 +295,19 @@ def test_diagonal_hard_with_synthetic_exclusions():
     weak, strong = prefix_lexico_pair()
     gen = lambda i, size: chain_antichain_family(weak, strong, size)
     family = gen(0, 8)  # alpha = 2
-    # two synthetic weak-semantics programs hitting the family's ends
-    runs = [(((0, family[0]),), ()), (((3, family[7]),), ((5, family[1]),))]
+    # two synthetic weak-semantics programs hitting the family's ends, and
+    # one run that two words make: its hit is one exclusion event per word
+    runs = [
+        ((((0, family[0]),), ()), 1),
+        ((((3, family[7]),), ((5, family[1]),)), 1),
+        ((((6, family[1]), (7, "bb")), ()), 2),
+    ]
 
     f, g, audit = diagonal_hard(
         weak, strong, gen, lambda j: j + 2, 0, SMALL, runs=runs
     )
     assert audit["passed"], audit
+    assert (audit["exclusion_events"], audit["excluded_total"]) == (5, 3)
     assert f not in {family[0], family[7], family[1]}
     assert g not in {family[0], family[7], family[1]}
     assert f == family[2]  # least index never excluded
@@ -333,7 +340,7 @@ def test_diagonal_counting_bound_detects_violation():
     fam8 = gen(0, 8)  # alpha = 2
     # a single trace meeting the antichain twice breaks the counting
     # argument's hypothesis; the audit must notice rather than assume
-    hostile = [(((0, fam8[0]), (1, fam8[1])), ((2, fam8[2]),))]
+    hostile = [((((0, fam8[0]), (1, fam8[1])), ((2, fam8[2]),)), 1)]
 
     f, g, audit = diagonal_hard(
         weak, strong, gen, lambda j: 2, 0, SMALL, runs=hostile
@@ -348,7 +355,7 @@ def test_diagonal_walks_keep_their_value_once_everything_is_excluded():
     weak, strong = prefix_lexico_pair()
     gen = lambda i, size: chain_antichain_family(weak, strong, size)
     fam8 = gen(0, 8)  # alpha = 2
-    hostile = [(((j, fam8[j]),), ((j + 1, fam8[j + 1]),)) for j in range(0, 8, 2)]
+    hostile = [((((j, fam8[j]),), ((j + 1, fam8[j + 1]),)), 1) for j in range(0, 8, 2)]
 
     f, g, audit = diagonal_hard(
         weak, strong, gen, lambda j: 2, 0, SMALL, runs=hostile
@@ -360,6 +367,66 @@ def test_diagonal_walks_keep_their_value_once_everything_is_excluded():
     assert not audit["f_not_excluded"]
     assert not audit["g_not_excluded"]
     assert not audit["passed"]
+
+
+# prefix:ab words outside every chain_antichain_family (a^(n-1-j) b)
+_OFF_FAMILY = ["", "a", "aa", "ba", "bb", "aba"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_diagonal_walks_match_their_definitions(data):
+    # F is the least and G the greatest family index that no exclusion event
+    # so far has named, the events taken by step, then by index; once every
+    # index is named each keeps the value it had; and each side's status reads
+    # the step of its last change (0 if none) against the window
+    weak, strong = prefix_lexico_pair()
+    alpha = data.draw(st.integers(0, 4), label="alpha")
+    size = 2 ** (alpha + 1)
+    family = chain_antichain_family(weak, strong, size)
+    point = st.tuples(st.integers(0, 40), st.sampled_from(family + _OFF_FAMILY))
+    trace = st.lists(point, max_size=3).map(tuple)
+    run = st.tuples(st.tuples(trace, trace), st.integers(1, 3))
+    runs = data.draw(st.lists(run, max_size=6), label="runs")
+    if data.draw(st.booleans(), label="name every member"):
+        steps = data.draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+        runs += [((((t, e),), ()), 1) for t, e in zip(steps, family)]
+    fuel, t_budget = (data.draw(st.integers(1, 60)) for _ in range(2))
+    window = data.draw(st.integers(1, 10), label="window")
+    horizon = min(fuel, t_budget)
+
+    f, g, audit = diagonal_hard(
+        weak, strong, lambda i, n: family, lambda j: alpha, 0,
+        Budget(MAX_PROG_LEN, fuel, t_budget, window), runs=runs,
+    )
+    hits, events = [], []  # each trace's hits; one event per hit and word
+    for traces, count in runs:
+        for tr in traces:
+            hits.append([(t, family.index(e)) for t, e in tr if t <= horizon and e in family])
+            events += hits[-1] * count
+    events.sort()
+    named: set = set()
+    value = {"f": 0, "g": size - 1}
+    last_change = {"f": 0, "g": 0}
+    for t, j in events:
+        named.add(j)
+        left = set(range(size)) - named
+        for side, pick in (("f", min), ("g", max)):
+            if left and pick(left) != value[side]:
+                value[side], last_change[side] = pick(left), t
+    assert (f, g) == (family[value["f"]], family[value["g"]])
+    for side in ("f", "g"):
+        stable = horizon - last_change[side] + 1 >= window
+        assert audit[f"{side}_index"] == value[side]
+        assert audit[f"{side}_status"] == (STABILIZED if stable else STILL_CHANGING)
+        assert audit[f"{side}_not_excluded"] == (value[side] not in named)
+    assert audit["exclusion_events"] == len(events)
+    assert audit["excluded_total"] == len(named)
+    assert audit["per_trace_at_most_one"] == all(len(h) <= 1 for h in hits)
+    assert audit["passed"] == (
+        len(named) <= size - 2 and all(len(h) <= 1 for h in hits)
+        and value["f"] not in named and value["g"] not in named
+    )
 
 
 def test_hierarchy_report_deterministic():
