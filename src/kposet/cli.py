@@ -76,8 +76,6 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out:
         _write_atomic(out, text)
     else:
-        if not text.endswith("\n"):
-            text += "\n"
         # UTF-8 bytes as in an --out file, whatever the locale's encoding
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))

@@ -4,18 +4,17 @@ Binary words are plain Python strings over '0'/'1' (that string form is the
 serialization contract for witness columns in CSV reports). The codings here
 are the ones the commands run:
 
-  * ``bin_word``      standard MSB-first binary representation, bin(0) = "0"
   * ``b_word``        the length-monotone bijection N <-> {0,1}*, binary
                       i + 1 without its leading 1, and its inverse ``b_index``
   * ``decode_padded`` the decoder of the unary-prefixed padding 0^n 1 p; it
                       returns None on a word with no 1
-  * ``encode_pair``   the injective pairing whose length is
-                      |p| + |q| + 2*floor(log2(min(|p|,|q|))) + 3, with the
-                      convention log(0) = 0
+  * ``pair_len``      the length |c(p, q)| of the injective pairing, from
+                      |p| and |q| alone
 
 The paper's other codings (the padding encoder, the k-block split header,
-the pairing's decoder) are run by no command, so they live with the tests
-in tests/reference_impl.py.
+the pairing and its decoder) are run by no command, so they live with the
+tests in tests/reference_impl.py; the report prints the pairing's length,
+never its bits.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from __future__ import annotations
 from .errors import DomainError
 
 __all__ = [
-    "bin_word",
     "b_word",
     "b_index",
     "decode_padded",
-    "encode_pair",
+    "pair_len",
 ]
 
 
@@ -37,13 +35,6 @@ def _check_word(w: str) -> str:
     if not isinstance(w, str) or w.strip("01"):
         raise DomainError(f"not a binary word: {w!r}")
     return w
-
-
-def bin_word(x: int) -> str:
-    """MSB-first binary representation; bin_word(0) == "0"."""
-    if x < 0:
-        raise DomainError(f"bin_word needs a natural number, got {x}")
-    return format(x, "b")
 
 
 def b_word(i: int) -> str:
@@ -73,18 +64,9 @@ def decode_padded(w: str) -> tuple[int, str] | None:
     return pos, w[pos + 1:]
 
 
-def encode_pair(p: str, q: str) -> str:
-    """Injective pairing c(p, q).
-
-    If |p| <= |q| the header is 0^|B| 1 B with B = bin(|p|), else the mirrored
-    1^|B| 0 B with B = bin(|q|); the body is always p followed by q. The first
-    bit selects the branch, the unary run length gives |B|, and B gives the
-    split point between p and q.
-    """
-    _check_word(p)
-    _check_word(q)
-    if len(p) <= len(q):
-        b = bin_word(len(p))
-        return "0" * len(b) + "1" + b + p + q
-    b = bin_word(len(q))
-    return "1" * len(b) + "0" + b + p + q
+def pair_len(len_p: int, len_q: int) -> int:
+    """|c(p, q)| from |p| and |q|: a header 0^|B| 1 B (or its mirror
+    1^|B| 0 B) with B = bin(min(|p|, |q|)) and bin(0) = "0", then the body
+    p q. That is |p| + |q| + 2*floor(log2(min(|p|,|q|))) + 3, with the
+    convention log(0) = 0."""
+    return len_p + len_q + 2 * max(min(len_p, len_q).bit_length(), 1) + 1

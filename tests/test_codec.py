@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,12 +7,14 @@ from hypothesis import strategies as st
 from reference_impl import (
     b_index_ref,
     b_word_ref,
+    bin_word,
     decode_pair,
     decode_split,
     encode_padded,
+    encode_pair,
     encode_split,
 )
-from kposet.codec import b_index, b_word, bin_word, decode_padded, encode_pair
+from kposet.codec import b_index, b_word, decode_padded, pair_len
 from kposet.errors import DomainError
 
 
@@ -122,15 +123,9 @@ def test_split_length_slack():
             assert len(encode_split(i, k, "0101")) == 4 + k
 
 
-def pair_length_formula(p, q):
-    m = min(len(p), len(q))
-    log_m = 0 if m == 0 else math.floor(math.log2(m))
-    return len(p) + len(q) + 2 * log_m + 3
-
-
 def test_pair_examples():
     assert encode_pair("01", "101") == "0011001101"
-    assert len(encode_pair("01", "101")) == 10 == pair_length_formula("01", "101")
+    assert len(encode_pair("01", "101")) == 10 == pair_len(2, 3)
     assert encode_pair("", "") == "010"
     assert decode_pair("0011001101") == ("01", "101")
     assert decode_pair("010") == ("", "")
@@ -150,10 +145,29 @@ def test_pair_exhaustive_small():
     for p in all_words(5):
         for q in all_words(5):
             r = encode_pair(p, q)
-            assert len(r) == pair_length_formula(p, q)
+            assert len(r) == pair_len(len(p), len(q))
             assert r not in seen, (p, q, seen[r])
             seen[r] = (p, q)
             assert decode_pair(r) == (p, q)
+
+
+def test_pair_len_is_the_encoder_length_exhaustively():
+    # the encoder's length depends on |p| and |q| alone; an empty side
+    # still takes the one-bit B = bin(0) = "0"
+    words = [("01" * 129)[:n] for n in range(257)]
+    for p in words:
+        for q in words:
+            assert pair_len(len(p), len(q)) == len(encode_pair(p, q)), (len(p), len(q))
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=st.text("01", max_size=600), q=st.text("01", max_size=600))
+@example(p="", q="")
+@example(p="", q="1")
+@example(p="10", q="")
+@example(p="1" * 512, q="0" * 513)
+def test_pair_len_is_the_encoder_length(p, q):
+    assert pair_len(len(p), len(q)) == len(encode_pair(p, q))
 
 
 def test_split_and_pair_decode_exactly_the_encoder_range():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kposet.codec import b_index, decode_padded, encode_pair
+from kposet.codec import b_index, decode_padded, pair_len
 from kposet.complexity import (
     MAX_PROG_LEN,
     REPORT_COLUMNS,
@@ -17,7 +17,7 @@ from kposet.complexity import (
     verify_table,
 )
 from constructions import paired_decompress
-from reference_impl import iter_words, wrap_constant_ref, wrap_program_ref
+from reference_impl import encode_pair, iter_words, wrap_constant_ref, wrap_program_ref
 from kposet.diagonal import DIAGONAL_ALPHA_CAP, chain_antichain_family, diagonal_hard
 from kposet.errors import ConfigError, ResourceError, VerificationError
 from kposet.limits import STABILIZED, STILL_CHANGING
@@ -109,7 +109,7 @@ def test_censored_rows():
     # still-changing: the rank is censored, not tabled
     tight = Budget(max_prog_len=14, fuel=64, t_budget=4, window=8)
     table = complexity_table(NAT, 4, tight)
-    assert 0 in table.censored
+    assert table.censored == frozenset({0})
     assert 0 not in table.k_max and 0 not in table.k_min
     summary, rows = hierarchy_report(NAT, 4, tight)
     assert summary["c_wrap"] is None  # nothing can stabilize at window 8
@@ -239,12 +239,8 @@ def test_paired_decompress():
     for rank in both:
         assert paired_decompress(NAT, table, rank, FULL) == NAT.unrank(rank)
         w_max, w_min = table.k_max[rank], table.k_min[rank]
-        m = min(len(w_max), len(w_min))
-        assert len(encode_pair(w_max, w_min)) == (
-            len(w_max) + len(w_min) + 2 * (m.bit_length() - 1) + 3
-        )
-    plain_only = ComplexityTable(FULL)
-    plain_only.k_max[0] = table.k_max[0]
+        assert pair_len(len(w_max), len(w_min)) == len(encode_pair(w_max, w_min))
+    plain_only = ComplexityTable(FULL, {}, {0: table.k_max[0]}, {}, frozenset())
     with pytest.raises(ConfigError, match="min-side"):
         paired_decompress(NAT, plain_only, 0, FULL)
 

@@ -1,6 +1,5 @@
 """The record contract: frozen records refuse assignment, validate on
-construction with fixed messages, and compare by value; the table record
-stays mutable."""
+construction with fixed messages, and compare by value."""
 
 import pytest
 
@@ -30,6 +29,7 @@ FROZEN = {
     "OrderPair": (OrderPair(CHAIN, CHAIN), "weak"),
     "RegexAst": (parse_regex("a·b", AB), "op"),
     "Dfa": (A_STAR, "start"),
+    "ComplexityTable": (ComplexityTable(Budget(1, 1, 1, 1), {}, {}, {}, frozenset()), "censored"),
 }
 
 
@@ -78,11 +78,3 @@ def test_finite_poset_equality_ignores_rows():
                 assert hash(a) == hash(b)
     assert posets[0] == posets[1]
 
-
-def test_table_records_are_mutable_and_unshared():
-    one, two = ComplexityTable(Budget(1, 1, 1, 1)), ComplexityTable(Budget(1, 1, 1, 1))
-    one.plain[0] = "111"
-    one.censored.add(1)
-    assert one.plain == {0: "111"}
-    assert (one.k_max, one.k_min) == ({}, {})
-    assert (two.plain, two.k_max, two.k_min, two.censored) == ({}, {}, {}, set())
